@@ -281,8 +281,19 @@ def _cmd_fit(config: RunConfig, out: Path, seed_override) -> dict:
 
 def _load_scoring_state(out: Path):
     model = encoder.load_model(_need(out / "model.ckpt"))
-    payload = json.loads(_need(out / "subspaces.json").read_text(encoding="utf-8"))
-    return model, ood.subspaces_from_dict(payload)
+    path = _need(out / "subspaces.json")
+    try:
+        payload = json.loads(path.read_text(encoding="utf-8"))
+    except ValueError as exc:
+        raise FormatError(f"{path} is not valid JSON: {exc}") from exc
+    subspaces = ood.subspaces_from_dict(payload)
+    dim = subspaces.direction_matrix().shape[0]
+    if dim != model.feature_dim:
+        raise FormatError(
+            f"{path}: directions have length {dim}, "
+            f"but the model's feature_dim is {model.feature_dim}"
+        )
+    return model, subspaces
 
 
 def _resolve_target(out: Path, name: str) -> Path:
@@ -499,3 +510,7 @@ _HANDLERS = {
     "corrupt": _cmd_corrupt,
     "verify-theory": _cmd_verify_theory,
 }
+
+
+if __name__ == "__main__":
+    main()

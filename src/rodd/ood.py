@@ -18,10 +18,11 @@ import numpy as np
 
 from .contrastive import AugmentationSpec, augment_batch
 from .encoder import FEATURE_NORM_FLOOR, EncoderModel, features, softmax
-from .errors import ContractViolation, DegenerateFeatureError
+from .errors import ContractViolation, DegenerateFeatureError, FormatError
 from .linalg import as_matrix, svd
 
 SCORE_COLUMNS = ("sample_id", "delta", "argmin_class", "mc_probability", "decision")
+UNIT_NORM_TOL = 1e-6  # loaded class directions must have norm 1 within this
 
 
 @dataclass
@@ -227,9 +228,40 @@ def subspaces_to_dict(subspaces: ClassSubspaceSet) -> dict:
     }
 
 
-def subspaces_from_dict(payload: dict) -> ClassSubspaceSet:
-    return ClassSubspaceSet(
-        directions=[np.asarray(u, dtype=np.float64) for u in payload["directions"]],
-        threshold=float(payload["threshold"]),
-        quantile_used=float(payload["quantile_used"]),
-    )
+def subspaces_from_dict(payload) -> ClassSubspaceSet:
+    """Rebuild a fitted set from subspaces_to_dict output, validating it.
+
+    Raises FormatError unless the payload has nonempty `directions` of equal
+    length, each finite and of unit norm within 1e-6, a finite `threshold`,
+    and a `quantile_used` in (0, 1).
+    """
+    if not isinstance(payload, dict):
+        raise FormatError("subspaces must be a JSON object")
+    missing = [key for key in ("directions", "threshold", "quantile_used") if key not in payload]
+    if missing:
+        raise FormatError(f"subspaces is missing {', '.join(missing)}")
+    try:
+        directions = np.asarray(payload["directions"], dtype=np.float64)
+        threshold = float(payload["threshold"])
+        quantile = float(payload["quantile_used"])
+    except (TypeError, ValueError) as exc:
+        raise FormatError(f"subspaces has a malformed value: {exc}") from exc
+    if directions.ndim != 2 or directions.size == 0:
+        raise FormatError(
+            f"subspaces directions must be a nonempty list of equal-length vectors, "
+            f"got shape {directions.shape}"
+        )
+    if not np.isfinite(directions).all():
+        raise FormatError("subspaces directions contain non-finite entries")
+    norms = np.linalg.norm(directions, axis=1)
+    off = np.nonzero(np.abs(norms - 1.0) > UNIT_NORM_TOL)[0]
+    if off.size:
+        raise FormatError(
+            f"subspaces direction {int(off[0])} has norm {float(norms[off[0]]):.9g}, "
+            f"not 1 within {UNIT_NORM_TOL:g}"
+        )
+    if not math.isfinite(threshold):
+        raise FormatError(f"subspaces threshold must be finite, got {threshold}")
+    if not 0.0 < quantile < 1.0:
+        raise FormatError(f"subspaces quantile_used must lie in (0, 1), got {quantile}")
+    return ClassSubspaceSet(list(directions), threshold, quantile)

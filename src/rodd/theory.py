@@ -120,6 +120,8 @@ class JointSolveResult:
     loss_trace: list[float]
     per_class_sigma: list[np.ndarray]
     mu: float
+    iterations: int  # gradient steps taken
+    converged: bool  # False when max_iters ran out before the tol test passed
 
 
 def build_adjacency(
@@ -288,8 +290,8 @@ def solve_joint(
     The step doubles at each iteration and halves (up to 60 times) whenever
     the candidate loss increases beyond a 1e-12 relative slack, so the loss
     trace is nonincreasing.  Stops when the relative loss change drops below
-    opts.tol or max_iters is reached; exhausting the line search raises
-    NumericFailure.
+    opts.tol (converged) or max_iters is reached (not converged); exhausting
+    the line search raises NumericFailure.
     """
     if mu < 0:
         raise ContractViolation("mu must be >= 0")
@@ -301,6 +303,7 @@ def solve_joint(
     loss, grad = joint_loss_and_grad(a, f, proj, targets, mu)
     trace = [loss]
     lr = opts.lr
+    converged = False
     for iteration in range(opts.max_iters):
         lr *= 2.0
         accepted = False
@@ -322,11 +325,12 @@ def solve_joint(
         f, loss, grad = cand, cand_loss, cand_grad
         trace.append(loss)
         if abs(prev - loss) <= opts.tol * max(1.0, abs(prev)):
+            converged = True
             break
     sigmas = [
         svd(f[start:stop]).sigma for start, stop in graph.class_ranges
     ]
-    return JointSolveResult(f, trace, sigmas, mu)
+    return JointSolveResult(f, trace, sigmas, mu, len(trace) - 1, converged)
 
 
 def lemma_bounds(delta: float) -> tuple[float, float]:
@@ -342,7 +346,8 @@ def verify_lemma(
 
     Returns a JSON-ready report: delta, eta, normalization, per-class sigma
     and tail sums, the bound values (with sqrt(3 * bound4) reported alongside
-    as a consistency check), and an overall pass flag.
+    as a consistency check), an overall pass flag, and the solver's
+    iteration count and convergence flag.
     """
     if result.f_star.shape != (graph.n, d):
         raise ContractViolation(
@@ -369,6 +374,8 @@ def verify_lemma(
             "bound2_from_bound4": math.sqrt(3.0 * bound4),
         },
         "pass": passed,
+        "iterations": result.iterations,
+        "converged": result.converged,
     }
 
 
@@ -384,9 +391,10 @@ def mu_sweep(
     """Solve the joint problem per mu from one shared initialization.
 
     Emits one row per mu with the max per-class fourth-power tail, the
-    per-class dominance ratios sigma_1^2 / sum sigma_i^2, and the lemma pass
-    flag, plus the largest listed mu whose solution still passes (an
-    empirical lower estimate of the crossover weight).
+    per-class dominance ratios sigma_1^2 / sum sigma_i^2, the lemma pass
+    flag, and the solver's iterations and convergence flag, plus the largest
+    listed mu whose solution still passes (an empirical lower estimate of the
+    crossover weight).
     """
     mu_values = [float(m) for m in mu_values]
     if any(m < 0 for m in mu_values):
@@ -418,6 +426,8 @@ def mu_sweep(
                 "max_tail4": max_tail4,
                 "dominance": dominance,
                 "lemma_pass": report["pass"],
+                "iterations": result.iterations,
+                "converged": result.converged,
             }
         )
         if report["pass"]:

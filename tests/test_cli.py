@@ -1,10 +1,16 @@
 """Pipeline stages, artifacts, manifests, exit codes, and report determinism."""
 
 import json
+import os
+import shutil
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import rodd
 from rodd.cli import run
 from rodd.data import read_features
 
@@ -163,15 +169,68 @@ class TestDeterminism:
                     "id_test_scores.csv": (out / "id_test_scores.csv").read_bytes(),
                     "ood_scores.csv": (out / "ood_scores.csv").read_bytes(),
                     "model.ckpt": (out / "model.ckpt").read_bytes(),
+                    "subspaces.json": (out / "subspaces.json").read_bytes(),
                 }
             )
         assert outputs[0] == outputs[1]
+
+    def test_theory_report_byte_identical_across_reruns(self, tmp_path):
+        cfg = tmp_path / "theory.cfg"
+        cfg.write_text(THEORY_CFG)
+        reports = []
+        for name in ("a", "b"):
+            out = tmp_path / name
+            assert run(["verify-theory", "--config", str(cfg), "--out", str(out)]) == 0
+            reports.append((out / "theory_report.json").read_bytes())
+        assert reports[0] == reports[1]
 
 
 class TestExitCodes:
     def test_unknown_subcommand(self, small_config, capsys):
         assert run(["transmogrify", "--config", str(small_config), "--out", "/tmp/x"]) == 1
         assert "usage" in capsys.readouterr().err
+
+    def test_module_entry_point(self, tmp_path):
+        env = dict(os.environ, PYTHONPATH=str(Path(rodd.__file__).parents[1]))
+        proc = subprocess.run(
+            [sys.executable, "-m", "rodd.cli", "transmogrify", "--config", "x", "--out", "y"],
+            cwd=tmp_path,
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        assert proc.returncode == 1
+        assert "usage" in proc.stderr
+
+    @pytest.mark.parametrize(
+        "case, expect",
+        [
+            ("no_directions", "missing directions"),
+            ("no_threshold", "missing threshold"),
+            ("no_quantile_used", "missing quantile_used"),
+            ("not_json", "not valid JSON"),
+            ("nan_direction", "non-finite"),
+            ("not_unit_norm", "not 1 within"),
+            ("wrong_length", "feature_dim is 6"),
+        ],
+    )
+    def test_bad_subspaces_json(self, tmp_path, small_config, pipeline_dir, capsys, case, expect):
+        out = tmp_path / "scored"
+        shutil.copytree(pipeline_dir, out)
+        path = out / "subspaces.json"
+        payload = json.loads(path.read_text())
+        if case.startswith("no_"):
+            del payload[case[3:]]
+        elif case == "nan_direction":
+            payload["directions"][0][0] = float("nan")
+        elif case == "not_unit_norm":
+            payload["directions"][1] = [2.0 * x for x in payload["directions"][1]]
+        elif case == "wrong_length":
+            payload["directions"] = [u + [0.0] for u in payload["directions"]]
+        path.write_text("{not json" if case == "not_json" else json.dumps(payload))
+        assert run(["score", "--config", str(small_config), "--out", str(out)]) == 1
+        assert expect in capsys.readouterr().err
 
     def test_missing_config_file(self, tmp_path):
         assert run(["synth", "--config", str(tmp_path / "nope.cfg"), "--out", str(tmp_path)]) == 1
@@ -239,6 +298,9 @@ class TestVerifyTheory:
         assert isinstance(lemma["pass"], bool)
         sweep = payload["sweep"]
         assert [row["mu"] for row in sweep["rows"]] == [1e-6, 1e-4, 1e-2]
+        for entry in (lemma, *sweep["rows"]):
+            assert 1 <= entry["iterations"] <= 3000
+            assert entry["converged"] == (entry["iterations"] < 3000)
 
 
 class TestMcScoring:

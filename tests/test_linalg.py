@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from rodd.errors import ContractViolation
+from jacobi_oracle import jacobi_svd, jacobi_sym_eig
+from rodd.errors import ContractViolation, NumericFailure
 from rodd.linalg import orthonormal_init, svd, sym_eig
 
 
@@ -28,7 +29,7 @@ class TestSvd:
         rng = np.random.default_rng(5)
         m = rng.standard_normal((5, 3))
         sigma = svd(m).sigma
-        lam, _ = sym_eig(m.T @ m)
+        lam, _ = jacobi_sym_eig(m.T @ m)
         assert np.abs(sigma**2 - lam).max() <= 1e-8
 
     @pytest.mark.parametrize("shape", [(4, 4), (7, 3), (3, 7), (1, 1), (6, 2)])
@@ -68,7 +69,7 @@ class TestSvd:
             cols = int(rng.integers(1, 9))
             m = rng.standard_normal((rows, cols))
             sigma = svd(m).sigma
-            lam, _ = sym_eig(m.T @ m if rows >= cols else m @ m.T)
+            lam, _ = jacobi_sym_eig(m.T @ m if rows >= cols else m @ m.T)
             assert np.abs(sigma**2 - lam).max() <= 1e-8
 
     def test_rejects_bad_input(self):
@@ -112,6 +113,99 @@ class TestSymEig:
     def test_rejects_nonsquare(self):
         with pytest.raises(ContractViolation):
             sym_eig(np.zeros((2, 3)))
+
+    def test_nonincreasing_and_sign_convention(self):
+        rng = np.random.default_rng(17)
+        s = rng.standard_normal((7, 7))
+        lam, q = sym_eig(s + s.T)
+        assert np.all(np.diff(lam) <= 0)
+        rows = np.argmax(np.abs(q), axis=0)
+        assert np.all(q[rows, np.arange(7)] >= 0)
+
+
+def _oracle_cases():
+    rng = np.random.default_rng(2024)
+    cases = {
+        "tall": rng.standard_normal((9, 4)),
+        "wide": rng.standard_normal((3, 8)),
+        "square": rng.standard_normal((6, 6)),
+        "rank2": rng.standard_normal((7, 2)) @ rng.standard_normal((2, 5)),
+        "rank1_wide": rng.standard_normal((3, 1)) @ rng.standard_normal((1, 6)),
+        "zero": np.zeros((4, 3)),
+        "one_by_one": np.array([[-2.5]]),
+    }
+    for i in range(6):
+        rows, cols = (int(x) for x in rng.integers(1, 10, size=2))
+        cases[f"random{i}_{rows}x{cols}"] = 10.0 ** rng.uniform(-3, 3) * rng.standard_normal(
+            (rows, cols)
+        )
+    return cases
+
+
+ORACLE_CASES = _oracle_cases()
+
+
+class TestLapackAgainstJacobi:
+    """LAPACK (production) and pure-Python Jacobi (oracle) are independent routes."""
+
+    @pytest.mark.parametrize("name", sorted(ORACLE_CASES))
+    def test_svd(self, name):
+        m = ORACLE_CASES[name]
+        fast, ref = svd(m), jacobi_svd(m)
+        scale = float(ref.sigma[0]) or 1.0
+        assert np.abs(fast.sigma - ref.sigma).max() <= 1e-10 * scale
+        assert np.all(np.diff(fast.sigma) <= 0)
+        gap = ref.sigma[0] - (ref.sigma[1] if ref.sigma.size > 1 else 0.0)
+        if gap > 1e-6 * scale:
+            # The first singular pair is unique up to sign, and the shared
+            # sign convention fixes it.  Vector error scales as 1 / gap.
+            tol = 1e-10 * scale / gap
+            big = int(np.argmax(np.abs(ref.u[:, 0])))
+            assert np.sign(fast.u[big, 0]) == np.sign(ref.u[big, 0]) == 1.0
+            assert np.abs(fast.u[:, 0] - ref.u[:, 0]).max() <= tol
+            assert np.abs(fast.v[:, 0] - ref.v[:, 0]).max() <= tol
+
+    @pytest.mark.parametrize("name", sorted(ORACLE_CASES))
+    def test_sym_eig(self, name):
+        m = ORACLE_CASES[name]
+        grams = [m.T @ m, m @ m.T]
+        if m.shape[0] == m.shape[1]:
+            grams.append((m + m.T) / 2)  # indefinite
+        for s in grams:
+            lam, q = sym_eig(s)
+            ref_lam, ref_q = jacobi_sym_eig(s)
+            scale = float(np.abs(ref_lam).max()) or 1.0
+            assert np.abs(lam - ref_lam).max() <= 1e-10 * scale
+            assert np.all(np.diff(lam) <= 0)
+            for j in range(lam.size):
+                neighbours = np.delete(ref_lam, j)
+                gap = np.abs(neighbours - ref_lam[j]).min() if neighbours.size else scale
+                if gap <= 1e-6 * scale:
+                    continue  # repeated eigenvalue: the eigenvector is not unique
+                big = int(np.argmax(np.abs(ref_q[:, j])))
+                assert np.sign(q[big, j]) == np.sign(ref_q[big, j]) == 1.0
+                # The oracle stops on an off-diagonal mass of 1e-12 *
+                # max(1, ||s||), absolute for small s; vector error ~ that / gap.
+                tol = 1e-10 * max(1.0, scale) / gap
+                assert np.abs(q[:, j] - ref_q[:, j]).max() <= tol
+
+
+class TestLapackFailure:
+    def test_svd_failure_is_numeric(self, monkeypatch):
+        def boom(*args, **kwargs):
+            raise np.linalg.LinAlgError("SVD did not converge")
+
+        monkeypatch.setattr(np.linalg, "svd", boom)
+        with pytest.raises(NumericFailure, match="svd did not converge"):
+            svd(np.eye(3))
+
+    def test_sym_eig_failure_is_numeric(self, monkeypatch):
+        def boom(*args, **kwargs):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        monkeypatch.setattr(np.linalg, "eigh", boom)
+        with pytest.raises(NumericFailure, match="sym_eig did not converge"):
+            sym_eig(np.eye(3))
 
 
 class TestOrthonormalInit:

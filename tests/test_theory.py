@@ -169,6 +169,19 @@ class TestSolveJoint:
         for sigma in result.per_class_sigma:
             assert float((sigma[1:] ** 4).sum()) <= 1e-6
 
+    def test_stopping_at_the_cap_is_not_converged(self):
+        graph, proj, targets = graph_proj_targets([4, 4], 0.1, 0.0, seed=10, d=6)
+        capped = solve_joint(
+            graph, proj, targets, 0.01, SolveOptions(init="random", seed=1, max_iters=3)
+        )
+        assert capped.iterations == 3 == len(capped.loss_trace) - 1
+        assert capped.converged is False
+        loose = solve_joint(
+            graph, proj, targets, 0.01, SolveOptions(init="random", seed=1, tol=1.0)
+        )
+        assert loose.iterations == 1
+        assert loose.converged is True
+
     def test_trace_nonincreasing(self):
         graph, proj, targets = graph_proj_targets([4, 4], 0.1, 0.0, seed=10, d=6)
         result = solve_joint(graph, proj, targets, 0.01, SolveOptions(init="random", seed=1))
