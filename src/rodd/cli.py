@@ -15,7 +15,6 @@ import argparse
 import hashlib
 import json
 import sys
-from dataclasses import replace
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -60,9 +59,10 @@ def run(argv=None) -> int:
         config = parse_config_file(args.config)
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
+        runs = _read_manifest(out / "run.json")
         handler = _HANDLERS[args.command]
         artifacts = handler(config, out, args.seed)
-        _append_manifest(args, config, out, artifacts)
+        _append_manifest(args, out, runs, artifacts)
         return 0
     except (ContractViolation, FormatError) as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -108,11 +108,20 @@ def _json_dump(path: Path, payload) -> None:
     path.write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
 
 
-def _append_manifest(args, config: RunConfig, out: Path, artifacts: dict) -> None:
-    manifest_path = out / "run.json"
-    runs = []
-    if manifest_path.exists():
-        runs = json.loads(manifest_path.read_text(encoding="utf-8")).get("runs", [])
+def _read_manifest(path: Path) -> list:
+    """The runs already recorded in run.json; [] when there is no manifest."""
+    if not path.exists():
+        return []
+    try:
+        payload = json.loads(path.read_text(encoding="utf-8"))
+    except ValueError as exc:
+        raise FormatError(f"{path} is not valid JSON: {exc}") from exc
+    if not isinstance(payload, dict) or not isinstance(payload.get("runs"), list):
+        raise FormatError(f"{path} must be an object with a 'runs' list")
+    return payload["runs"]
+
+
+def _append_manifest(args, out: Path, runs: list, artifacts: dict) -> None:
     digest = hashlib.sha256(Path(args.config).read_bytes()).hexdigest()
     runs.append(
         {
@@ -125,7 +134,7 @@ def _append_manifest(args, config: RunConfig, out: Path, artifacts: dict) -> Non
             "timestamp": datetime.now(timezone.utc).isoformat(),
         }
     )
-    _json_dump(manifest_path, {"runs": runs})
+    _json_dump(out / "run.json", {"runs": runs})
 
 
 # ---------------------------------------------------------------------------
@@ -484,17 +493,19 @@ def _cmd_verify_theory(config: RunConfig, out: Path, seed_override) -> dict:
     targets = theory.one_hot_targets(graph)
     opts = theory.SolveOptions(
         max_iters=int(config.get("theory.max_iters", 2000)),
-        lr=float(config.get("theory.lr", 0.05)),
         tol=float(config.get("theory.tol", 1e-12)),
         seed=seed,
     )
     mu = float(config.get("theory.mu", 1e-4))
-    result = theory.solve_joint(graph, proj, targets, mu, replace(opts))
-    lemma_report = theory.verify_lemma(graph, d, result)
     mu_values = parse_float_list(
         str(config.get("theory.mu_values", "1e-6,1e-4,1e-2,1,100")), "theory.mu_values"
     )
-    sweep = theory.mu_sweep(graph, proj, targets, sorted(mu_values), d, replace(opts))
+    solved = {}
+    sweep = theory.mu_sweep(graph, proj, targets, sorted(mu_values), d, opts, results=solved)
+    # The sweep starts every mu from the init solve_joint would use, so its
+    # solve at the headline mu is the lemma's solve.
+    result = solved.get(mu) or theory.solve_joint(graph, proj, targets, mu, opts)
+    lemma_report = theory.verify_lemma(graph, d, result)
     artifacts = {"theory_report": out / "theory_report.json"}
     _json_dump(artifacts["theory_report"], {"mu": mu, "lemma": lemma_report, "sweep": sweep})
     return artifacts

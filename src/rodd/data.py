@@ -271,9 +271,16 @@ CONFIG_SCHEMA: dict[str, type] = {
     "theory.mu": float,
     "theory.mu_values": str,
     "theory.max_iters": int,
-    "theory.lr": float,
+    "theory.lr": float,  # accepted and ignored: the solver's line search is exact
     "theory.tol": float,
     "theory.seed": int,
+}
+
+# Integer keys with a lower bound, checked at parse time.
+CONFIG_MINIMUM: dict[str, int] = {
+    "pretrain.batch_size": 1,
+    "train.batch_size": 1,
+    "theory.max_iters": 1,
 }
 
 
@@ -296,8 +303,8 @@ def parse_config(text: str) -> RunConfig:
     """Parse 'key = value' lines with '#' comments and '[section]' headers.
 
     Values are typed by the schema (integer, real, boolean, string); unknown
-    keys, duplicate keys, and type mismatches raise FormatError with the line
-    number.
+    keys, duplicate keys, type mismatches and values below a CONFIG_MINIMUM
+    bound raise FormatError with the line number.
     """
     values: dict = {}
     section = ""
@@ -323,6 +330,11 @@ def parse_config(text: str) -> RunConfig:
         if full_key in values:
             raise FormatError(f"line {lineno}: duplicate key '{full_key}'")
         values[full_key] = _parse_value(value, CONFIG_SCHEMA[full_key], full_key, lineno)
+        minimum = CONFIG_MINIMUM.get(full_key)
+        if minimum is not None and values[full_key] < minimum:
+            raise FormatError(
+                f"line {lineno}: '{full_key}' must be >= {minimum}, got {values[full_key]}"
+            )
     return RunConfig(values)
 
 

@@ -6,8 +6,10 @@ below an eta ceiling, solves the joint factorization-plus-regression problem
 
     L(F) = ||A - F F^T||_F^2 + mu ||F W - Y||_F^2
 
-in closed form (mu = 0, PSD A) and by gradient descent with backtracking, and
-verifies the per-class singular-value tail bounds
+in closed form (mu = 0, PSD A) and by Polak-Ribiere+ conjugate gradient with
+an exact line search (L along a line is a quartic, minimized through the real
+roots of its derivative cubic), and verifies the per-class singular-value
+tail bounds
 
     sum_{i>=2} sigma_i^2 <= sqrt(6 ((1+delta)^1.5 - 1))
     sum_{i>=2} sigma_i^4 <= 2 ((1+delta)^1.5 - 1)
@@ -27,7 +29,6 @@ from .linalg import as_matrix, svd, sym_eig
 
 NORMALIZATIONS = ("none", "unit-spectral-per-block", "doubly-stochastic-per-block")
 
-_BACKTRACK_CAP = 60
 _STEP_SLACK = 1e-12  # per-step nonincrease slack on the loss trace
 
 
@@ -108,7 +109,6 @@ class AugGraph:
 @dataclass
 class SolveOptions:
     max_iters: int = 2000
-    lr: float = 0.05
     tol: float = 1e-12
     init: str | np.ndarray = "auto"  # auto | closed-form | random | zeros | array
     seed: int = 0
@@ -120,8 +120,9 @@ class JointSolveResult:
     loss_trace: list[float]
     per_class_sigma: list[np.ndarray]
     mu: float
-    iterations: int  # gradient steps taken
+    iterations: int  # line-search steps taken
     converged: bool  # False when max_iters ran out before the tol test passed
+    grad_norm: float  # Frobenius norm of the gradient at f_star
 
 
 def build_adjacency(
@@ -219,7 +220,7 @@ def joint_loss_and_grad(adjacency, f, proj, targets, mu: float):
     """L(F) = ||A - F F^T||^2 + mu ||F W - Y||^2 and its gradient in F."""
     residual = adjacency - f @ f.T
     fit = f @ proj - targets
-    loss = float((residual * residual).sum() + mu * (fit * fit).sum())
+    loss = float(np.vdot(residual, residual) + mu * np.vdot(fit, fit))
     grad = -4.0 * (residual @ f) + 2.0 * mu * (fit @ proj.T)
     return loss, grad
 
@@ -278,6 +279,97 @@ def _initial_point(graph, d, opts):
     raise ContractViolation(f"unknown init {init!r}")
 
 
+def line_quartic(adjacency, f, direction, proj, mu: float, grad):
+    """(c1, c2, c3, c4) with L(F + tD) = L(F) + c1 t + c2 t^2 + c3 t^3 + c4 t^4.
+
+    grad is the gradient of L at F.  With R = A - F F^T,
+    S = F D^T + D F^T and P = D D^T the factorization residual along the line
+    is R - tS - t^2 P and the regression residual is (F W - Y) + t D W, so
+
+        c1 = <grad, D>
+        c2 = ||S||^2 - 2 <R, P> + mu ||D W||^2
+        c3 = 2 <S, P>
+        c4 = ||P||^2
+
+    and every inner product reduces to the d x d Gram matrices of F and D
+    plus the one product A D.
+    """
+    ff, df, dd = f.T @ f, direction.T @ f, direction.T @ direction
+    dw = direction @ proj
+    c2 = 2.0 * (
+        np.vdot(ff, dd)
+        + np.vdot(df, df)
+        + np.vdot(df, df.T)
+        - np.vdot(direction, adjacency @ direction)
+    ) + mu * np.vdot(dw, dw)
+    return (
+        float(np.vdot(grad, direction)),
+        float(c2),
+        4.0 * float(np.vdot(df, dd)),
+        float(np.vdot(dd, dd)),
+    )
+
+
+def _quartic_argmin(c1: float, c2: float, c3: float, c4: float) -> float:
+    """Minimizer over t > 0 of c1 t + c2 t^2 + c3 t^3 + c4 t^4, for c1 < 0 < c4.
+
+    The candidates are the real roots of the derivative cubic in closed form.
+    One real root comes from Cardano's formula (or, with three real roots,
+    the trigonometric form's largest in magnitude) and the other two from the
+    quadratic left by deflating it, because small roots next to a large one
+    lose their digits in either formula.  Every root is polished by Newton
+    steps, and the one with the lowest quartic value wins; 0 when none
+    lowers it.
+    """
+    # Monic derivative cubic t^3 + a t^2 + b t + c (c < 0, so no root is 0),
+    # depressed by t = x - a/3.
+    a, b, c = 0.75 * c3 / c4, 0.5 * c2 / c4, 0.25 * c1 / c4
+    p = b - a * a / 3.0
+    q = a * (2.0 * a * a - 9.0 * b) / 27.0 + c
+    disc = (0.5 * q) ** 2 + (p / 3.0) ** 3
+    if disc > 0.0 or p >= 0.0:
+        root = math.sqrt(max(disc, 0.0))
+        first = _cbrt(-0.5 * q + root) + _cbrt(-0.5 * q - root) - a / 3.0
+    else:
+        r = 2.0 * math.sqrt(-p / 3.0)
+        phi = math.acos(max(-1.0, min(1.0, 3.0 * q / (p * r))))
+        first = max(
+            (r * math.cos((phi - 2.0 * math.pi * k) / 3.0) - a / 3.0 for k in range(3)),
+            key=abs,
+        )
+    roots = [_cubic_newton(first, a, b, c)]
+    # The other two roots have product -c/first and sum (b + c/first)/first.
+    prod = -c / roots[0]
+    total = (b - prod) / roots[0]
+    gap = total * total - 4.0 * prod
+    if gap >= 0.0:
+        half = 0.5 * (total + math.copysign(math.sqrt(gap), total))
+        roots += [_cubic_newton(t, a, b, c) for t in (half, prod / half)]
+    best_t, best_value = 0.0, 0.0
+    for t in roots:
+        value = t * (c1 + t * (c2 + t * (c3 + t * c4)))
+        if t > 0.0 and value < best_value:
+            best_t, best_value = t, value
+    return best_t
+
+
+def _cubic_newton(t: float, a: float, b: float, c: float) -> float:
+    """Up to four Newton steps towards a root of t^3 + a t^2 + b t + c."""
+    for _ in range(4):
+        slope = b + t * (2.0 * a + 3.0 * t)
+        if slope == 0.0:
+            break
+        update = (c + t * (b + t * (a + t))) / slope
+        t -= update
+        if abs(update) <= 1e-15 * abs(t):
+            break
+    return t
+
+
+def _cbrt(x: float) -> float:
+    return math.copysign(abs(x) ** (1.0 / 3.0), x)
+
+
 def solve_joint(
     graph: AugGraph,
     proj,
@@ -285,13 +377,17 @@ def solve_joint(
     mu: float,
     opts: SolveOptions | None = None,
 ) -> JointSolveResult:
-    """Gradient descent with doubling/backtracking step control.
+    """Polak-Ribiere+ conjugate gradient with an exact line search.
 
-    The step doubles at each iteration and halves (up to 60 times) whenever
-    the candidate loss increases beyond a 1e-12 relative slack, so the loss
-    trace is nonincreasing.  Stops when the relative loss change drops below
-    opts.tol (converged) or max_iters is reached (not converged); exhausting
-    the line search raises NumericFailure.
+    Along a search direction D the loss is the quartic line_quartic gives, so
+    each step moves to its exact minimizer over t > 0 (the best real root of
+    the derivative cubic).  D is -grad plus the PR+ multiple of the previous
+    direction, and restarts at -grad whenever it is not a descent direction.
+    The loss and gradient are then recomputed at the new point, so the trace
+    holds evaluated losses; it must be nonincreasing within a 1e-12 relative
+    slack, and a non-finite or rising loss raises NumericFailure.  Stops when
+    the relative loss change drops below opts.tol (converged) or max_iters is
+    reached (not converged).
     """
     if mu < 0:
         raise ContractViolation("mu must be >= 0")
@@ -301,28 +397,35 @@ def solve_joint(
     a = graph.adjacency
     f = _initial_point(graph, d, opts)
     loss, grad = joint_loss_and_grad(a, f, proj, targets, mu)
+    grad_sq = float(np.vdot(grad, grad))
+    direction = -grad
     trace = [loss]
-    lr = opts.lr
     converged = False
     for iteration in range(opts.max_iters):
-        lr *= 2.0
-        accepted = False
-        for _ in range(_BACKTRACK_CAP + 1):
-            cand = f - lr * grad
-            cand_loss, cand_grad = joint_loss_and_grad(a, cand, proj, targets, mu)
-            if math.isfinite(cand_loss) and cand_loss <= loss + _STEP_SLACK * max(
-                1.0, abs(loss)
-            ):
-                accepted = True
-                break
-            lr /= 2.0
-        if not accepted:
+        if not np.vdot(grad, direction) < 0.0:
+            direction = -grad
+        norm = math.sqrt(np.vdot(direction, direction))
+        cand = f
+        if 0.0 < norm < math.inf:
+            unit = direction / norm
+            c1, c2, c3, c4 = line_quartic(a, f, unit, proj, mu, grad)
+            if c1 < 0.0:
+                cand = f + _quartic_argmin(c1, c2, c3, c4) * unit
+        cand_loss, cand_grad = joint_loss_and_grad(a, cand, proj, targets, mu)
+        if not (
+            math.isfinite(cand_loss)
+            and cand_loss <= loss + _STEP_SLACK * max(1.0, abs(loss))
+        ):
             raise NumericFailure(
-                f"line search exhausted after {_BACKTRACK_CAP} halvings "
-                f"at iteration {iteration} (loss {loss:.6e})"
+                f"loss went from {loss:.6e} to {cand_loss:.6e} "
+                f"at iteration {iteration}"
             )
+        cand_sq = float(np.vdot(cand_grad, cand_grad))
+        # Polak-Ribiere+: beta = max(0, <g', g' - g> / <g, g>).
+        beta = (cand_sq - np.vdot(cand_grad, grad)) / grad_sq if grad_sq > 0.0 else 0.0
+        direction = max(beta, 0.0) * direction - cand_grad
         prev = loss
-        f, loss, grad = cand, cand_loss, cand_grad
+        f, loss, grad, grad_sq = cand, cand_loss, cand_grad, cand_sq
         trace.append(loss)
         if abs(prev - loss) <= opts.tol * max(1.0, abs(prev)):
             converged = True
@@ -330,7 +433,9 @@ def solve_joint(
     sigmas = [
         svd(f[start:stop]).sigma for start, stop in graph.class_ranges
     ]
-    return JointSolveResult(f, trace, sigmas, mu, len(trace) - 1, converged)
+    return JointSolveResult(
+        f, trace, sigmas, mu, len(trace) - 1, converged, math.sqrt(grad_sq)
+    )
 
 
 def lemma_bounds(delta: float) -> tuple[float, float]:
@@ -347,7 +452,7 @@ def verify_lemma(
     Returns a JSON-ready report: delta, eta, normalization, per-class sigma
     and tail sums, the bound values (with sqrt(3 * bound4) reported alongside
     as a consistency check), an overall pass flag, and the solver's
-    iteration count and convergence flag.
+    iteration count, convergence flag and final gradient norm.
     """
     if result.f_star.shape != (graph.n, d):
         raise ContractViolation(
@@ -376,6 +481,7 @@ def verify_lemma(
         "pass": passed,
         "iterations": result.iterations,
         "converged": result.converged,
+        "grad_norm": result.grad_norm,
     }
 
 
@@ -387,14 +493,16 @@ def mu_sweep(
     d: int,
     opts: SolveOptions | None = None,
     tol: float = 1e-8,
+    results: dict | None = None,
 ) -> dict:
     """Solve the joint problem per mu from one shared initialization.
 
     Emits one row per mu with the max per-class fourth-power tail, the
     per-class dominance ratios sigma_1^2 / sum sigma_i^2, the lemma pass
-    flag, and the solver's iterations and convergence flag, plus the largest
-    listed mu whose solution still passes (an empirical lower estimate of the
-    crossover weight).
+    flag, and the solver's iterations, convergence flag and final gradient
+    norm, plus the largest listed mu whose solution still passes (an
+    empirical lower estimate of the crossover weight).  When results is a
+    dict, each mu's JointSolveResult is stored in it under that mu.
     """
     mu_values = [float(m) for m in mu_values]
     if any(m < 0 for m in mu_values):
@@ -414,6 +522,8 @@ def mu_sweep(
         result = solve_joint(
             graph, proj_arr, targets_arr, mu, replace(opts, init=shared_init)
         )
+        if results is not None:
+            results[mu] = result
         report = verify_lemma(graph, d, result, tol=tol)
         dominance = []
         for sigma in result.per_class_sigma:
@@ -428,6 +538,7 @@ def mu_sweep(
                 "lemma_pass": report["pass"],
                 "iterations": result.iterations,
                 "converged": result.converged,
+                "grad_norm": result.grad_norm,
             }
         )
         if report["pass"]:

@@ -11,8 +11,10 @@ import numpy as np
 import pytest
 
 import rodd
+from rodd import theory
 from rodd.cli import run
 from rodd.data import read_features
+from rodd.linalg import orthonormal_init
 
 SMALL_CFG = """
 [synth]
@@ -232,6 +234,40 @@ class TestExitCodes:
         assert run(["score", "--config", str(small_config), "--out", str(out)]) == 1
         assert expect in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "manifest, expect",
+        [
+            ("truncated", "run.json is not valid JSON"),
+            ('{"runs": 3}', "must be an object with a 'runs' list"),
+        ],
+    )
+    def test_bad_manifest(self, tmp_path, small_config, capsys, manifest, expect):
+        out = tmp_path / "m"
+        assert run(["synth", "--config", str(small_config), "--out", str(out)]) == 0
+        path = out / "run.json"
+        if manifest == "truncated":
+            path.write_bytes(path.read_bytes()[:40])
+        else:
+            path.write_text(manifest)
+        (out / "id_train.feat").unlink()
+        assert run(["synth", "--config", str(small_config), "--out", str(out)]) == 1
+        assert expect in capsys.readouterr().err
+        assert not (out / "id_train.feat").exists()  # rejected before the stage ran
+
+    @pytest.mark.parametrize(
+        "command, section, key",
+        [
+            ("pretrain", "pretrain", "batch_size"),
+            ("train", "train", "batch_size"),
+            ("verify-theory", "theory", "max_iters"),
+        ],
+    )
+    def test_count_below_one(self, tmp_path, capsys, command, section, key):
+        cfg = tmp_path / "zero.cfg"
+        cfg.write_text(f"[{section}]\n{key} = 0\n")
+        assert run([command, "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
+        assert f"line 2: '{section}.{key}' must be >= 1" in capsys.readouterr().err
+
     def test_missing_config_file(self, tmp_path):
         assert run(["synth", "--config", str(tmp_path / "nope.cfg"), "--out", str(tmp_path)]) == 1
 
@@ -301,6 +337,34 @@ class TestVerifyTheory:
         for entry in (lemma, *sweep["rows"]):
             assert 1 <= entry["iterations"] <= 3000
             assert entry["converged"] == (entry["iterations"] < 3000)
+            assert 0.0 <= entry["grad_norm"] < 1e-3
+
+    @pytest.mark.parametrize("mu", [1e-4, 3e-3])  # in mu_values, and not
+    def test_lemma_is_a_solve_at_the_headline_mu(self, tmp_path, mu):
+        cfg = tmp_path / "theory.cfg"
+        cfg.write_text(THEORY_CFG.replace("mu = 0.0001", f"mu = {mu}"))
+        out = tmp_path / "tout"
+        assert run(["verify-theory", "--config", str(cfg), "--out", str(out)]) == 0
+        payload = json.loads((out / "theory_report.json").read_text())
+        graph = theory.build_adjacency([5, 4], 0.05, 0.0, 11, "unit-spectral-per-block")
+        proj = orthonormal_init(9, 2, 12)
+        result = theory.solve_joint(
+            graph, proj, theory.one_hot_targets(graph), mu,
+            theory.SolveOptions(max_iters=3000, seed=11),
+        )
+        expect = json.loads(json.dumps(theory.verify_lemma(graph, 9, result)))
+        assert payload["mu"] == mu
+        assert payload["lemma"] == expect
+
+    def test_lr_is_ignored(self, tmp_path):
+        reports = []
+        for lr in ("0.05", "1e9"):
+            cfg = tmp_path / f"lr{lr}.cfg"
+            cfg.write_text(THEORY_CFG + f"lr = {lr}\n")
+            out = tmp_path / f"out{lr}"
+            assert run(["verify-theory", "--config", str(cfg), "--out", str(out)]) == 0
+            reports.append((out / "theory_report.json").read_bytes())
+        assert reports[0] == reports[1]
 
 
 class TestMcScoring:

@@ -172,3 +172,13 @@ class TestConfigParser:
         cfg = parse_config("[train]\nlr = 1\n")
         assert cfg.get("train.lr") == 1.0
         assert isinstance(cfg.get("train.lr"), float)
+
+    @pytest.mark.parametrize(
+        "section, key", [("pretrain", "batch_size"), ("train", "batch_size"), ("theory", "max_iters")]
+    )
+    def test_positive_count_keys(self, section, key):
+        with pytest.raises(FormatError, match=rf"line 3: '{section}\.{key}' must be >= 1, got 0"):
+            parse_config(f"# counts\n[{section}]\n{key} = 0\n")
+        with pytest.raises(FormatError, match="line 2"):
+            parse_config(f"[{section}]\n{key} = -4\n")
+        assert parse_config(f"[{section}]\n{key} = 1\n").get(f"{section}.{key}") == 1

@@ -1,24 +1,32 @@
 """Adjacency construction, closed-form and iterative solvers, tail bounds."""
 
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from gd_oracle import gd_solve
+from rodd.data import parse_config_file, parse_float_list, parse_int_list
 from rodd.errors import ContractViolation, NumericFailure
 from rodd.linalg import orthonormal_init, sym_eig
 from rodd.theory import (
     AugGraph,
     SolveOptions,
+    _initial_point,
+    _quartic_argmin,
     build_adjacency,
     closed_form_contrastive,
     joint_loss_and_grad,
     lemma_bounds,
+    line_quartic,
     mu_sweep,
     one_hot_targets,
     solve_joint,
     verify_lemma,
 )
+
+THEORY_CFG = Path(__file__).parents[1] / "configs" / "theory.cfg"
 
 
 def graph_proj_targets(sizes, delta, eta, seed, normalization="none", d=None):
@@ -244,6 +252,20 @@ class TestSolveJoint:
                 break
         assert best <= optimum + budget
 
+    def test_grad_norm_is_the_gradient_at_the_result(self):
+        graph, proj, targets = graph_proj_targets([4, 4], 0.1, 0.0, seed=10, d=6)
+        for opts in (SolveOptions(init="random", seed=1), SolveOptions(max_iters=5)):
+            result = solve_joint(graph, proj, targets, 0.01, opts)
+            _, grad = joint_loss_and_grad(graph.adjacency, result.f_star, proj, targets, 0.01)
+            assert result.grad_norm == pytest.approx(float(np.linalg.norm(grad)), rel=1e-12)
+
+    def test_stationary_start_stops_at_once(self):
+        graph, proj, targets = graph_proj_targets([3, 3], 0.1, 0.0, seed=21)
+        result = solve_joint(graph, proj, targets, 0.0, SolveOptions(init="zeros"))
+        assert result.iterations == 1 and result.converged
+        assert result.grad_norm == 0.0
+        assert np.array_equal(result.f_star, np.zeros((graph.n, graph.n)))
+
     def test_validates_inputs(self):
         graph, proj, targets = graph_proj_targets([3, 3], 0.0, 0.0, seed=14)
         with pytest.raises(ContractViolation):
@@ -336,3 +358,71 @@ class TestMuSweep:
             mu_sweep(graph, proj, targets, [1.0, 0.1], graph.n)
         with pytest.raises(ContractViolation):
             mu_sweep(graph, proj, targets, [-1.0, 0.1], graph.n)
+
+
+class TestLineSearch:
+    def test_quartic_matches_direct_evaluation(self):
+        rng = np.random.default_rng(40)
+        for sizes, d, mu in (([4, 3], 5, 0.3), ([6, 5, 4], 8, 1e-4), ([16, 16, 16], 12, 100.0)):
+            graph, proj, targets = graph_proj_targets(sizes, 0.1, 0.05, seed=d, d=d)
+            a = graph.adjacency
+            f = 0.3 * rng.standard_normal((graph.n, d))
+            direction = rng.standard_normal((graph.n, d))
+            loss, grad = joint_loss_and_grad(a, f, proj, targets, mu)
+            coeffs = line_quartic(a, f, direction, proj, mu, grad)
+            for t in (-0.7, -0.05, 0.01, 0.2, 1.5):
+                direct, _ = joint_loss_and_grad(a, f + t * direction, proj, targets, mu)
+                poly = loss + sum(c * t**k for k, c in enumerate(coeffs, start=1))
+                assert abs(poly - direct) <= 1e-10 * max(1.0, abs(direct))
+
+    def test_step_is_the_best_positive_root(self):
+        # Against np.roots on the derivative cubic, including coefficient
+        # ranges where two small roots sit next to a large one.
+        rng = np.random.default_rng(41)
+        for _ in range(3000):
+            c1 = -(10.0 ** rng.uniform(-10, 2))
+            c2 = rng.standard_normal() * 10.0 ** rng.uniform(-3, 3)
+            c3 = rng.standard_normal() * 10.0 ** rng.uniform(-3, 3)
+            c4 = 10.0 ** rng.uniform(-2, 1)
+
+            def quartic(t):
+                return t * (c1 + t * (c2 + t * (c3 + t * c4)))
+
+            roots = np.roots([4.0 * c4, 3.0 * c3, 2.0 * c2, c1])
+            real = roots.real[np.abs(roots.imag) <= 1e-7 * np.abs(roots)]
+            best = min(quartic(t) for t in real[real > 0])
+            t = _quartic_argmin(c1, c2, c3, c4)
+            assert t > 0.0
+            assert quartic(t) <= best + 1e-9 * abs(best)
+
+
+def _oracle_gap(graph, proj, mu, max_iters, seed):
+    """(solve_joint's final loss, the gradient-descent oracle's) from one init."""
+    targets = one_hot_targets(graph)
+    f0 = _initial_point(graph, proj.shape[0], SolveOptions(seed=seed))
+    result = solve_joint(graph, proj, targets, mu, SolveOptions(max_iters=max_iters, init=f0))
+    _, trace = gd_solve(graph.adjacency, f0, proj, targets, mu, max_iters)
+    return result.loss_trace[-1], trace[-1]
+
+
+class TestAgainstGradientDescent:
+    def test_shipped_theory_config(self):
+        cfg = parse_config_file(THEORY_CFG)
+        seed = cfg.get("theory.seed")
+        sizes = parse_int_list(cfg.get("theory.class_sizes"), "theory.class_sizes")
+        graph = build_adjacency(
+            sizes, cfg.get("theory.delta"), cfg.get("theory.eta"), seed,
+            cfg.get("theory.normalization"),
+        )
+        proj = orthonormal_init(cfg.get("theory.d"), len(sizes), seed + 1)
+        mu_values = parse_float_list(cfg.get("theory.mu_values"), "theory.mu_values")
+        assert cfg.get("theory.mu") in mu_values
+        for mu in mu_values:
+            ours, oracle = _oracle_gap(graph, proj, mu, cfg.get("theory.max_iters"), seed)
+            assert ours <= oracle, f"mu={mu}: {ours} > {oracle}"
+
+    def test_three_classes_of_sixteen(self):
+        graph = build_adjacency([16, 16, 16], 0.05, 0.0, 5, "unit-spectral-per-block")
+        proj = orthonormal_init(12, 3, 6)
+        ours, oracle = _oracle_gap(graph, proj, 1e-4, 4000, 5)
+        assert ours <= oracle
