@@ -235,7 +235,7 @@ def _cmd_pretrain(config: RunConfig, out: Path, seed_override) -> dict:
         seed=_stage_seed(config, "pretrain", seed_override),
     )
     model, history = contrastive.pretrain(model, dataset, cfg)
-    artifacts = {"model": out / "model.ckpt", "pretrain_history": out / "pretrain_history.json"}
+    artifacts = {"model": out / "pretrain.ckpt", "pretrain_history": out / "pretrain_history.json"}
     encoder.save_model(artifacts["model"], model)
     _json_dump(artifacts["pretrain_history"], {"loss": history})
     return artifacts
@@ -243,9 +243,9 @@ def _cmd_pretrain(config: RunConfig, out: Path, seed_override) -> dict:
 
 def _cmd_train(config: RunConfig, out: Path, seed_override) -> dict:
     dataset = _read_dataset(out / "id_train.feat")
-    ckpt = out / "model.ckpt"
-    if ckpt.exists():
-        model = encoder.load_model(ckpt)
+    pretrained = out / "pretrain.ckpt"
+    if pretrained.exists():
+        model = encoder.load_model(pretrained)
     else:
         model = _build_model_from_config(config, dataset.input_dim, dataset.class_count)
     cfg = encoder.TrainConfig(
@@ -261,8 +261,8 @@ def _cmd_train(config: RunConfig, out: Path, seed_override) -> dict:
         grad_clip=float(config.get("train.grad_clip", 5.0)),
     )
     model, history = encoder.train(model, dataset, cfg)
-    artifacts = {"model": ckpt, "train_history": out / "train_history.json"}
-    encoder.save_model(ckpt, model)
+    artifacts = {"model": out / "model.ckpt", "train_history": out / "train_history.json"}
+    encoder.save_model(artifacts["model"], model)
     _json_dump(artifacts["train_history"], {"history": history})
     return artifacts
 
@@ -324,20 +324,15 @@ def _cmd_score(config: RunConfig, out: Path, seed_override) -> dict:
         noise = contrastive.AugmentationSpec(
             gaussian_sigma=float(config.get("ood.mc_noise_sigma", 0.01))
         )
-        k_draws = int(config.get("ood.mc_draws", 50))
-        records = [
-            ood.mc_detect(
-                model,
-                subspaces,
-                dataset.inputs[i],
-                k_draws=k_draws,
-                noise=noise,
-                seed=seed ^ i,
-                sample_id=i,
-                abs_cosine=abs_cosine,
-            )
-            for i in range(dataset.n)
-        ]
+        records = ood.mc_score_records(
+            model,
+            subspaces,
+            dataset.inputs,
+            k_draws=int(config.get("ood.mc_draws", 50)),
+            noise=noise,
+            seed=seed,
+            abs_cosine=abs_cosine,
+        )
     else:
         raise ContractViolation(f"ood.mode must be 'single' or 'mc', got {mode!r}")
     stem = target.stem
@@ -362,38 +357,38 @@ def _cmd_corrupt(config: RunConfig, out: Path, seed_override) -> dict:
     return artifacts
 
 
-def _oriented_scores(model, subspaces, inputs, method: str, abs_cosine: bool):
-    if method == "rodd":
-        feats = encoder.features(model, inputs)
-        deltas, _ = ood.uncertainty_scores(feats, subspaces, abs_cosine=abs_cosine)
-        return -deltas, deltas
-    if method == "msp":
-        record = encoder.forward(model, inputs, mode="eval")
-        probs = encoder.softmax(record.logits)
-        top = probs.max(axis=1)
-        return top, None
-    raise ContractViolation(f"eval.method must be 'rodd' or 'msp', got {method!r}")
-
-
 def eval_pipeline(config: RunConfig, out: Path) -> dict:
     """Score ID test and OOD sets (clean plus configured corruption sweep).
 
     Emits one report row per (ood_set, corruption, severity) with the exact
-    EvalReport fields, plus the clean ID accuracy.
+    EvalReport fields, plus the clean ID accuracy.  The clean sets are
+    encoded once each; their scores, score tables and the accuracy all come
+    from those features.
     """
     model, subspaces = _load_scoring_state(out)
     id_test = _read_dataset(out / "id_test.feat")
     ood_set = _read_dataset(out / "ood.feat")
     method = str(config.get("eval.method", "rodd"))
+    if method not in ("rodd", "msp"):
+        raise ContractViolation(f"eval.method must be 'rodd' or 'msp', got {method!r}")
     abs_cosine = bool(config.get("ood.abs_cosine", False))
     tpr_target = float(config.get("eval.tpr_target", 0.95))
 
-    id_scores, _ = _oriented_scores(model, subspaces, id_test.inputs, method, abs_cosine)
-    record = encoder.forward(model, id_test.inputs, mode="eval")
+    def oriented_scores(feats, logits=None):
+        """Higher means more in-distribution."""
+        if method == "rodd":
+            deltas, _ = ood.uncertainty_scores(feats, subspaces, abs_cosine=abs_cosine)
+            return -deltas
+        if logits is None:
+            logits = encoder.head_logits(model, feats)
+        return encoder.softmax(logits).max(axis=1)
+
+    id_feats = encoder.features(model, id_test.inputs)
+    id_logits = encoder.head_logits(model, id_feats)
+    ood_feats = encoder.features(model, ood_set.inputs)
+    id_scores = oriented_scores(id_feats, id_logits)
     id_accuracy = (
-        metrics.accuracy(record.logits, id_test.labels)
-        if id_test.labels is not None
-        else None
+        metrics.accuracy(id_logits, id_test.labels) if id_test.labels is not None else None
     )
 
     rows = []
@@ -411,15 +406,11 @@ def eval_pipeline(config: RunConfig, out: Path) -> dict:
             }
         )
 
-    ood_scores, _ = _oriented_scores(model, subspaces, ood_set.inputs, method, abs_cosine)
+    ood_scores = oriented_scores(ood_feats)
     add_row("ood", "none", 0, id_scores, ood_scores)
     if method == "rodd":
-        score_tables["id_test"] = ood.score_records(
-            encoder.features(model, id_test.inputs), subspaces, abs_cosine=abs_cosine
-        )
-        score_tables["ood"] = ood.score_records(
-            encoder.features(model, ood_set.inputs), subspaces, abs_cosine=abs_cosine
-        )
+        score_tables["id_test"] = ood.score_records(id_feats, subspaces, abs_cosine=abs_cosine)
+        score_tables["ood"] = ood.score_records(ood_feats, subspaces, abs_cosine=abs_cosine)
 
     kind = config.get("corruption.kind")
     if kind is not None:
@@ -437,15 +428,11 @@ def eval_pipeline(config: RunConfig, out: Path) -> dict:
             spec = corruptions.CorruptionSpec(str(kind), severity, seed)
             if apply_to == "ood":
                 corrupted = corruptions.corrupt_dataset(ood_set, spec)
-                cur_scores, _ = _oriented_scores(
-                    model, subspaces, corrupted.inputs, method, abs_cosine
-                )
+                cur_scores = oriented_scores(encoder.features(model, corrupted.inputs))
                 add_row("ood", str(kind), severity, id_scores, cur_scores)
             else:
                 corrupted = corruptions.corrupt_dataset(id_test, spec)
-                cur_scores, _ = _oriented_scores(
-                    model, subspaces, corrupted.inputs, method, abs_cosine
-                )
+                cur_scores = oriented_scores(encoder.features(model, corrupted.inputs))
                 add_row("ood", str(kind), severity, cur_scores, ood_scores)
     return {"method": method, "id_accuracy": id_accuracy, "rows": rows, "score_tables": score_tables}
 

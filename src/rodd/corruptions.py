@@ -9,7 +9,7 @@ vectors rather than guessing a layout.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -33,6 +33,8 @@ BLUR_KERNEL_PASSES = ((3, 1), (3, 2), (5, 2), (7, 2), (9, 3))
 CONTRAST_FACTOR = (0.75, 0.6, 0.45, 0.3, 0.15)
 BRIGHTNESS_SHIFT = (0.05, 0.1, 0.15, 0.2, 0.3)
 PIXELATE_FACTOR = (0.9, 0.75, 0.6, 0.45, 0.3)
+# Kinds that need grid-shaped inputs; CLI feature files hold flat rows.
+GRID_KINDS = ("box_blur", "pixelate")
 
 
 @dataclass(frozen=True)
@@ -51,45 +53,66 @@ class CorruptionSpec:
 
 
 def apply_corruption(x, spec: CorruptionSpec) -> np.ndarray:
-    """Corrupt a [0, 1] vector or grid; output is clipped back to [0, 1]."""
+    """Corrupt a [0, 1] vector or grid; output is clipped back to [0, 1].
+
+    The flat kinds treat the input as one row of _corrupt_rows, drawing from
+    default_rng(spec.seed); blur and pixelate need a grid.
+    """
+    arr = _checked_unit_range(x)
+    if spec.kind in GRID_KINDS:
+        _require_grid(arr, spec.kind)
+        level = spec.severity - 1
+        if spec.kind == "box_blur":
+            kernel, passes = BLUR_KERNEL_PASSES[level]
+            out = arr
+            for _ in range(passes):
+                out = _box_filter(out, kernel)
+            return np.clip(out, 0.0, 1.0)
+        return _pixelate(arr, PIXELATE_FACTOR[level])
+    row = np.ascontiguousarray(arr).reshape(1, -1)
+    return _corrupt_rows(row, spec, [spec.seed]).reshape(arr.shape)
+
+
+def _checked_unit_range(x) -> np.ndarray:
     arr = np.asarray(x, dtype=np.float64)
     if not np.isfinite(arr).all():
         raise ContractViolation("input contains non-finite entries")
     if arr.size and (arr.min() < 0.0 or arr.max() > 1.0):
         raise ContractViolation("input entries must lie in [0, 1]")
+    return arr
+
+
+def _corrupt_rows(rows: np.ndarray, spec: CorruptionSpec, seeds) -> np.ndarray:
+    """A flat kind applied to every row of a 2-D array at once.
+
+    Row i draws its noise from default_rng(seeds[i]) in the order a single
+    row would, so each output row is the bytes of corrupting that row alone.
+    """
     level = spec.severity - 1
-    rng = np.random.default_rng(spec.seed)
     if spec.kind == "none":
-        return arr.copy()
+        return rows.copy()
+    if spec.kind == "contrast":
+        mean = rows.mean(axis=1, keepdims=True)
+        return np.clip((rows - mean) * CONTRAST_FACTOR[level] + mean, 0.0, 1.0)
+    if spec.kind == "brightness":
+        return np.clip(rows + BRIGHTNESS_SHIFT[level], 0.0, 1.0)
+    rngs = [np.random.default_rng(seed) for seed in seeds]
+    width = rows.shape[1]
     if spec.kind == "gaussian_noise":
-        noise = rng.standard_normal(arr.shape)
-        return np.clip(arr + GAUSSIAN_SIGMA[level] * noise, 0.0, 1.0)
+        noise = np.array([rng.standard_normal(width) for rng in rngs])
+        return np.clip(rows + GAUSSIAN_SIGMA[level] * noise, 0.0, 1.0)
     if spec.kind == "shot_noise":
         photons = SHOT_PHOTONS[level]
-        return np.clip(rng.poisson(arr * photons) / photons, 0.0, 1.0)
+        counts = np.array([rng.poisson(lam) for rng, lam in zip(rngs, rows * photons)])
+        return np.clip(counts / photons, 0.0, 1.0)
     if spec.kind == "impulse_noise":
-        out = arr.copy()
-        flat = out.reshape(-1)
-        k = int(round(IMPULSE_FRACTION[level] * flat.size))
+        out = rows.copy()
+        k = int(round(IMPULSE_FRACTION[level] * width))
         if k > 0:
-            where = rng.choice(flat.size, size=k, replace=False)
-            flat[where] = rng.integers(0, 2, size=k).astype(np.float64)
+            for row, rng in zip(out, rngs):
+                where = rng.choice(width, size=k, replace=False)
+                row[where] = rng.integers(0, 2, size=k).astype(np.float64)
         return out
-    if spec.kind == "contrast":
-        mean = arr.mean()
-        return np.clip((arr - mean) * CONTRAST_FACTOR[level] + mean, 0.0, 1.0)
-    if spec.kind == "brightness":
-        return np.clip(arr + BRIGHTNESS_SHIFT[level], 0.0, 1.0)
-    if spec.kind == "box_blur":
-        _require_grid(arr, spec.kind)
-        kernel, passes = BLUR_KERNEL_PASSES[level]
-        out = arr
-        for _ in range(passes):
-            out = _box_filter(out, kernel)
-        return np.clip(out, 0.0, 1.0)
-    if spec.kind == "pixelate":
-        _require_grid(arr, spec.kind)
-        return _pixelate(arr, PIXELATE_FACTOR[level])
     raise ContractViolation(f"unknown corruption kind {spec.kind!r}")
 
 
@@ -134,12 +157,14 @@ def corrupt_dataset(dataset, spec: CorruptionSpec):
     """Corrupt every sample with a per-sample seed of spec.seed XOR index.
 
     Per-sample seeding makes the result independent of iteration order; the
-    'none' kind returns an identical copy.
+    'none' kind returns an identical copy.  The whole matrix is checked and
+    corrupted at once, byte for byte the rows apply_corruption gives sample
+    by sample.  Blur and pixelate refuse dataset rows, which are flat.
     """
     from .data import Dataset
 
-    rows = [
-        apply_corruption(dataset.inputs[i], replace(spec, seed=spec.seed ^ i))
-        for i in range(dataset.n)
-    ]
-    return Dataset(np.vstack(rows), dataset.labels, dataset.class_count)
+    inputs = _checked_unit_range(dataset.inputs)
+    if spec.kind in GRID_KINDS:
+        _require_grid(inputs[0], spec.kind)  # raises: dataset rows are flat vectors
+    seeds = [spec.seed ^ i for i in range(dataset.n)]
+    return Dataset(_corrupt_rows(inputs, spec, seeds), dataset.labels, dataset.class_count)

@@ -14,6 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .corruptions import GRID_KINDS, KINDS
 from .errors import ContractViolation, FormatError
 from .linalg import as_matrix, orthonormal_init
 
@@ -278,8 +279,10 @@ CONFIG_SCHEMA: dict[str, type] = {
 
 # Integer keys with a lower bound, checked at parse time.
 CONFIG_MINIMUM: dict[str, int] = {
+    "model.feature_dim": 1,
     "pretrain.batch_size": 1,
     "train.batch_size": 1,
+    "ood.mc_draws": 1,
     "theory.max_iters": 1,
 }
 
@@ -303,8 +306,9 @@ def parse_config(text: str) -> RunConfig:
     """Parse 'key = value' lines with '#' comments and '[section]' headers.
 
     Values are typed by the schema (integer, real, boolean, string); unknown
-    keys, duplicate keys, type mismatches and values below a CONFIG_MINIMUM
-    bound raise FormatError with the line number.
+    keys, duplicate keys, type mismatches, values below a CONFIG_MINIMUM
+    bound, layer widths below 1 and corruption kinds that cannot run on flat
+    feature rows raise FormatError with the line number.
     """
     values: dict = {}
     section = ""
@@ -330,11 +334,7 @@ def parse_config(text: str) -> RunConfig:
         if full_key in values:
             raise FormatError(f"line {lineno}: duplicate key '{full_key}'")
         values[full_key] = _parse_value(value, CONFIG_SCHEMA[full_key], full_key, lineno)
-        minimum = CONFIG_MINIMUM.get(full_key)
-        if minimum is not None and values[full_key] < minimum:
-            raise FormatError(
-                f"line {lineno}: '{full_key}' must be >= {minimum}, got {values[full_key]}"
-            )
+        _check_range(values[full_key], full_key, lineno)
     return RunConfig(values)
 
 
@@ -344,6 +344,27 @@ def parse_config_file(path) -> RunConfig:
     except OSError as exc:
         raise FormatError(f"cannot read config {path}: {exc}") from exc
     return parse_config(text)
+
+
+def _check_range(value, key: str, lineno: int) -> None:
+    minimum = CONFIG_MINIMUM.get(key)
+    if minimum is not None and value < minimum:
+        raise FormatError(f"line {lineno}: '{key}' must be >= {minimum}, got {value}")
+    if key == "model.hidden_sizes":
+        try:
+            widths = parse_int_list(value, key)
+        except ContractViolation as exc:
+            raise FormatError(f"line {lineno}: {exc}") from None
+        if any(width < 1 for width in widths):
+            raise FormatError(f"line {lineno}: every '{key}' entry must be >= 1, got {value!r}")
+    if key == "corruption.kind":
+        if value not in KINDS:
+            raise FormatError(f"line {lineno}: unknown corruption kind {value!r}")
+        if value in GRID_KINDS:
+            raise FormatError(
+                f"line {lineno}: corruption kind {value!r} needs grid-shaped inputs, "
+                f"but feature files hold flat rows"
+            )
 
 
 def _parse_value(token: str, kind: type, key: str, lineno: int):

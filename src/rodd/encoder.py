@@ -178,14 +178,6 @@ def features(model: EncoderModel, batch) -> np.ndarray:
     return out
 
 
-def feature_vjp(model: EncoderModel, batch, dfeat) -> np.ndarray:
-    """Input gradient of sum(features * dfeat); reverse mode through the body."""
-    x = as_matrix(batch, "batch")
-    _, cache = _body_forward(model.layers, x)
-    _, dx = _body_backward(model.layers, cache, np.asarray(dfeat, dtype=np.float64))
-    return dx
-
-
 def _sigmoid(t):
     out = np.empty_like(t)
     pos = t >= 0
@@ -242,6 +234,16 @@ def forward(model: EncoderModel, batch, mode: str = "eval") -> ForwardRecord:
     feats, _ = _body_forward(model.layers, x)
     record, _ = _head_forward(model, feats, mode)
     return record
+
+
+def head_logits(model: EncoderModel, feats) -> np.ndarray:
+    """Eval-mode logits of encoder features; pure.
+
+    head_logits(model, features(model, x)) equals forward(model, x).logits,
+    so a caller that already has the features skips a second body pass.
+    """
+    record, _ = _head_forward(model, as_matrix(feats, "features"), "eval")
+    return record.logits
 
 
 def _head_backward(model, record, cache, dlogits, grads):

@@ -23,6 +23,9 @@ from .linalg import as_matrix, svd
 
 SCORE_COLUMNS = ("sample_id", "delta", "argmin_class", "mc_probability", "decision")
 UNIT_NORM_TOL = 1e-6  # loaded class directions must have norm 1 within this
+# Draw rows encoded per features call in Monte-Carlo scoring: whole rows of
+# k draws each, bounded so the draw and activation matrices stay a few MB.
+MC_CHUNK_DRAWS = 3200
 
 
 @dataclass
@@ -140,46 +143,82 @@ def mc_detect(
     sample_id: int = 0,
     abs_cosine: bool = False,
 ) -> ScoreRecord:
-    """Monte-Carlo accept probability from k stochastic input augmentations.
+    """Monte-Carlo accept probability of one sample: mc_score_records on one row.
 
-    Each draw is encoded in eval mode and scored; mc_probability is the
-    fraction of draws with angle at or below the threshold, and the decision
-    is ID iff that fraction reaches 0.5.  Degenerate-feature draws count as
-    rejections (angle pi in the record's mean delta) and are tallied on the
-    record.  Deterministic per seed.
+    The draws come from default_rng(seed); see mc_score_records for the
+    record's fields.  Deterministic per seed.
+    """
+    raw = np.asarray(raw_sample, dtype=np.float64)
+    if raw.ndim != 1:
+        raise ContractViolation(f"raw_sample must be a 1-D vector, got {raw.shape}")
+    return mc_score_records(
+        model, subspaces, raw[None, :], k_draws=k_draws, noise=noise, seed=seed,
+        start_id=sample_id, abs_cosine=abs_cosine,
+    )[0]
+
+
+def mc_score_records(
+    model: EncoderModel,
+    subspaces: ClassSubspaceSet,
+    raw_rows,
+    k_draws: int = 50,
+    noise: AugmentationSpec | None = None,
+    seed: int = 0,
+    start_id: int = 0,
+    abs_cosine: bool = False,
+) -> list[ScoreRecord]:
+    """Monte-Carlo accept probabilities from k stochastic augmentations per row.
+
+    Row i gets k_draws augmented copies drawn from default_rng(seed XOR i)
+    and the sample id start_id + i.  Each draw is encoded in eval mode and
+    scored; mc_probability is the fraction of draws with angle at or below
+    the threshold, the decision is ID iff that fraction reaches 0.5, and
+    argmin_class is the most-voted class among the valid draws (-1 when
+    there is none).  Degenerate-feature draws count as rejections (angle pi
+    in the record's mean delta) and are tallied on the record.  Rows are
+    encoded in chunks of about MC_CHUNK_DRAWS draws; a row with more draws
+    than that is encoded alone.
     """
     if k_draws < 1:
         raise ContractViolation(f"k_draws must be >= 1, got {k_draws}")
     noise = noise if noise is not None else AugmentationSpec(gaussian_sigma=0.01)
-    raw = np.asarray(raw_sample, dtype=np.float64)
-    if raw.ndim != 1:
-        raise ContractViolation(f"raw_sample must be a 1-D vector, got {raw.shape}")
-    rng = np.random.default_rng(seed)
-    draws = augment_batch(np.tile(raw, (k_draws, 1)), noise, rng)
-    feats = features(model, draws)
-    norms = np.linalg.norm(feats, axis=1)
-    valid = norms >= FEATURE_NORM_FLOOR
-    deltas = np.full(k_draws, math.pi)
-    argmins = np.full(k_draws, -1, dtype=np.int64)
-    if valid.any():
-        deltas[valid], argmins[valid] = uncertainty_scores(
-            feats[valid], subspaces, abs_cosine=abs_cosine
-        )
-    hits = int(((deltas <= subspaces.threshold) & valid).sum())
-    probability = hits / k_draws
-    if valid.any():
-        votes = np.bincount(argmins[valid], minlength=subspaces.n_classes)
-        arg_class = int(np.argmax(votes))
-    else:
-        arg_class = -1
-    return ScoreRecord(
-        sample_id=int(sample_id),
-        delta=float(deltas.mean()),
-        argmin_class=arg_class,
-        mc_probability=probability,
-        decision="ID" if probability >= 0.5 else "OOD",
-        degenerate_draws=int(k_draws - valid.sum()),
-    )
+    raw = as_matrix(raw_rows, "raw_rows")
+    per_chunk = max(1, MC_CHUNK_DRAWS // k_draws)
+    records = []
+    for lo in range(0, raw.shape[0], per_chunk):
+        ids = range(lo, min(lo + per_chunk, raw.shape[0]))
+        draws = np.vstack([
+            augment_batch(np.tile(raw[i], (k_draws, 1)), noise, np.random.default_rng(seed ^ i))
+            for i in ids
+        ])
+        feats = features(model, draws)
+        valid = np.linalg.norm(feats, axis=1) >= FEATURE_NORM_FLOOR
+        deltas = np.full(valid.size, math.pi)
+        argmins = np.full(valid.size, -1, dtype=np.int64)
+        if valid.any():
+            deltas[valid], argmins[valid] = uncertainty_scores(
+                feats[valid], subspaces, abs_cosine=abs_cosine
+            )
+        shape = (len(ids), k_draws)
+        deltas, argmins, valid = deltas.reshape(shape), argmins.reshape(shape), valid.reshape(shape)
+        hits = ((deltas <= subspaces.threshold) & valid).sum(axis=1)
+        n_valid = valid.sum(axis=1)
+        mean_deltas = deltas.mean(axis=1)
+        # A degenerate draw holds class -1, so it votes for no class.
+        votes = (argmins[:, :, None] == np.arange(subspaces.n_classes)).sum(axis=1)
+        for j, i in enumerate(ids):
+            probability = int(hits[j]) / k_draws
+            records.append(
+                ScoreRecord(
+                    sample_id=int(start_id + i),
+                    delta=float(mean_deltas[j]),
+                    argmin_class=int(np.argmax(votes[j])) if n_valid[j] else -1,
+                    mc_probability=probability,
+                    decision="ID" if probability >= 0.5 else "OOD",
+                    degenerate_draws=int(k_draws - n_valid[j]),
+                )
+            )
+    return records
 
 
 def score_records(

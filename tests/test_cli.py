@@ -86,6 +86,7 @@ class TestPipeline:
             "id_train.feat",
             "id_test.feat",
             "ood.feat",
+            "pretrain.ckpt",
             "model.ckpt",
             "pretrain_history.json",
             "train_history.json",
@@ -176,6 +177,17 @@ class TestDeterminism:
             )
         assert outputs[0] == outputs[1]
 
+    def test_train_rerun_in_place_is_identical(self, tmp_path, small_config):
+        out = tmp_path / "t"
+        for command in ("synth", "pretrain", "train"):
+            assert run([command, "--config", str(small_config), "--out", str(out)]) == 0
+        pretrained = (out / "pretrain.ckpt").read_bytes()
+        first = (out / "model.ckpt").read_bytes()
+        assert first != pretrained
+        assert run(["train", "--config", str(small_config), "--out", str(out)]) == 0
+        assert (out / "model.ckpt").read_bytes() == first
+        assert (out / "pretrain.ckpt").read_bytes() == pretrained
+
     def test_theory_report_byte_identical_across_reruns(self, tmp_path):
         cfg = tmp_path / "theory.cfg"
         cfg.write_text(THEORY_CFG)
@@ -260,6 +272,8 @@ class TestExitCodes:
             ("pretrain", "pretrain", "batch_size"),
             ("train", "train", "batch_size"),
             ("verify-theory", "theory", "max_iters"),
+            ("pretrain", "model", "feature_dim"),
+            ("score", "ood", "mc_draws"),
         ],
     )
     def test_count_below_one(self, tmp_path, capsys, command, section, key):
@@ -267,6 +281,25 @@ class TestExitCodes:
         cfg.write_text(f"[{section}]\n{key} = 0\n")
         assert run([command, "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
         assert f"line 2: '{section}.{key}' must be >= 1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("widths", ["0", "16,0", "16,-3"])
+    def test_layer_width_below_one(self, tmp_path, capsys, widths):
+        cfg = tmp_path / "w.cfg"
+        cfg.write_text(f"[model]\nhidden_sizes = {widths}\n")
+        assert run(["pretrain", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
+        assert "line 2: every 'model.hidden_sizes' entry must be >= 1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("kind", ["box_blur", "pixelate"])
+    @pytest.mark.parametrize("command", ["corrupt", "eval"])
+    def test_grid_corruption_rejected_at_parse(self, tmp_path, capsys, kind, command):
+        cfg = tmp_path / "grid.cfg"
+        cfg.write_text(SMALL_CFG.replace("kind = gaussian_noise", f"kind = {kind}"))
+        out = tmp_path / "g"
+        assert run([command, "--config", str(cfg), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert f"corruption kind '{kind}' needs grid-shaped inputs" in err
+        assert "flat rows" in err
+        assert not out.exists()  # rejected before the stage touched its inputs
 
     def test_missing_config_file(self, tmp_path):
         assert run(["synth", "--config", str(tmp_path / "nope.cfg"), "--out", str(tmp_path)]) == 1

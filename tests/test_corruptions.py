@@ -8,6 +8,7 @@ from rodd.corruptions import (
     BRIGHTNESS_SHIFT,
     CONTRAST_FACTOR,
     GAUSSIAN_SIGMA,
+    GRID_KINDS,
     IMPULSE_FRACTION,
     KINDS,
     PIXELATE_FACTOR,
@@ -162,3 +163,37 @@ class TestCorruptDataset:
         ]
         assert sweeps[0] == sweeps[1]
         assert len(set(sweeps[0])) == 5
+
+    @pytest.mark.parametrize("kind", [k for k in KINDS if k not in GRID_KINDS])
+    def test_matches_per_row_corruption(self, kind):
+        rng = np.random.default_rng(12)
+        inputs = rng.uniform(0.0, 1.0, size=(23, 17))
+        inputs[0, :2] = [0.0, 1.0]
+        ds = Dataset(inputs, None, 0)
+        for severity in range(1, 6):
+            spec = CorruptionSpec(kind, severity, 1234)
+            out = corrupt_dataset(ds, spec)
+            rows = [
+                apply_corruption(inputs[i], CorruptionSpec(kind, severity, 1234 ^ i))
+                for i in range(ds.n)
+            ]
+            assert out.inputs.tobytes() == np.vstack(rows).tobytes()
+
+    def test_gaussian_rows_draw_from_their_own_seed(self):
+        ds = self.make_dataset()
+        out = corrupt_dataset(ds, CorruptionSpec("gaussian_noise", 4, 9))
+        for i in (0, 7, 19):
+            noise = np.random.default_rng(9 ^ i).standard_normal(ds.input_dim)
+            expect = np.clip(ds.inputs[i] + GAUSSIAN_SIGMA[3] * noise, 0.0, 1.0)
+            assert np.array_equal(out.inputs[i], expect)
+
+    def test_rejects_out_of_range_rows(self):
+        ds = self.make_dataset()
+        ds.inputs[4, 2] = 1.5
+        with pytest.raises(ContractViolation, match=r"\[0, 1\]"):
+            corrupt_dataset(ds, CorruptionSpec("brightness", 1, 0))
+
+    @pytest.mark.parametrize("kind", GRID_KINDS)
+    def test_grid_kinds_refuse_flat_rows(self, kind):
+        with pytest.raises(ContractViolation, match="grid"):
+            corrupt_dataset(self.make_dataset(), CorruptionSpec(kind, 1, 0))

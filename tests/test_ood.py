@@ -4,7 +4,9 @@ import math
 
 import numpy as np
 import pytest
+from mc_oracle import mc_detect_one, mc_records_oracle
 
+from rodd import ood
 from rodd.contrastive import AugmentationSpec
 from rodd.encoder import DenseLayer, EncoderModel, build_model, features
 from rodd.errors import ContractViolation, DegenerateFeatureError
@@ -13,6 +15,7 @@ from rodd.ood import (
     ClassSubspaceSet,
     fit_subspaces,
     mc_detect,
+    mc_score_records,
     msp_score,
     score_records,
     subspaces_from_dict,
@@ -217,6 +220,68 @@ class TestMcDetect:
     def test_k_must_be_positive(self):
         with pytest.raises(ContractViolation):
             mc_detect(self.model, self.subspaces, self.sample, k_draws=0)
+
+
+def assert_matches_oracle(batched, oracle):
+    assert len(batched) == len(oracle)
+    for a, b in zip(batched, oracle):
+        assert (a.sample_id, a.mc_probability, a.decision, a.argmin_class, a.degenerate_draws) == (
+            b.sample_id, b.mc_probability, b.decision, b.argmin_class, b.degenerate_draws
+        )
+        assert abs(a.delta - b.delta) <= 1e-12
+
+
+class TestMcScoreRecords:
+    """The chunked scorer against the per-sample oracle loop."""
+
+    def setup_method(self):
+        self.model = build_model(6, 3, hidden_sizes=(10,), feature_dim=4, seed=21)
+        rng = np.random.default_rng(22)
+        train = rng.standard_normal((90, 6)) + 0.5
+        labels = np.arange(90) % 3
+        # A median threshold, so noisy draws land on both sides of it.
+        self.subspaces = fit_subspaces(features(self.model, train), labels, quantile=0.5)
+        self.rows = rng.standard_normal((70, 6)) + 0.5
+        self.noise = AugmentationSpec(gaussian_sigma=0.3)
+
+    def compare(self, rows, **kwargs):
+        kwargs = dict(noise=self.noise, seed=12345, start_id=4, **kwargs)
+        batched = mc_score_records(self.model, self.subspaces, rows, **kwargs)
+        assert_matches_oracle(batched, mc_records_oracle(self.model, self.subspaces, rows, **kwargs))
+        return batched
+
+    def test_rows_not_a_multiple_of_the_chunk(self):
+        assert self.rows.shape[0] % (ood.MC_CHUNK_DRAWS // 50) != 0
+        records = self.compare(self.rows, k_draws=50)
+        assert any(0.0 < r.mc_probability < 1.0 for r in records)
+        assert {r.decision for r in records} == {"ID", "OOD"}
+
+    def test_small_chunks(self, monkeypatch):
+        monkeypatch.setattr(ood, "MC_CHUNK_DRAWS", 7)  # two rows of 3 draws per chunk
+        self.compare(self.rows[:11], k_draws=3)
+
+    def test_draws_exceed_the_chunk(self):
+        self.compare(self.rows[:3], k_draws=ood.MC_CHUNK_DRAWS + 7)
+
+    def test_abs_cosine(self):
+        self.compare(self.rows[:40], k_draws=20, abs_cosine=True)
+
+    def test_all_zero_model(self):
+        dead = EncoderModel(
+            layers=[DenseLayer(np.zeros((6, 4)), None)],
+            class_proj=orthonormal_init(4, 3, 0),
+            sharpen_w=np.zeros(4),
+            bn_scale=np.asarray(1.0),
+        )
+        self.model = dead
+        records = self.compare(self.rows[:9], k_draws=5)
+        assert all(r.degenerate_draws == 5 and r.argmin_class == -1 for r in records)
+
+    def test_mc_detect_is_the_one_row_case(self):
+        record = mc_detect(self.model, self.subspaces, self.rows[5], k_draws=30,
+                           noise=self.noise, seed=77, sample_id=9)
+        expect = mc_detect_one(self.model, self.subspaces, self.rows[5], 30, self.noise, 77, 9, False)
+        assert_matches_oracle([record], [expect])
 
 
 class TestMspScore:
