@@ -237,7 +237,7 @@ def _cmd_pretrain(config: RunConfig, out: Path, seed_override) -> dict:
     model, history = contrastive.pretrain(model, dataset, cfg)
     artifacts = {"model": out / "pretrain.ckpt", "pretrain_history": out / "pretrain_history.json"}
     encoder.save_model(artifacts["model"], model)
-    _json_dump(artifacts["pretrain_history"], {"loss": history})
+    _json_dump(artifacts["pretrain_history"], history)
     return artifacts
 
 

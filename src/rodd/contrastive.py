@@ -8,13 +8,14 @@ objective within an infinity-norm budget before each update.
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
-from .encoder import EncoderModel, _body_backward, _body_forward, features
+from .encoder import EncoderModel, MomentumSGD, _body_backward, _body_forward, epoch_summary
 from .errors import ContractViolation, DivergenceError
 from .linalg import as_matrix
 
@@ -75,14 +76,6 @@ class PretrainConfig:
     seed: int = 0
 
 
-def augment(x, spec: AugmentationSpec, rng_seed: int) -> np.ndarray:
-    """One augmented copy of a single input vector, deterministic per seed."""
-    arr = np.asarray(x, dtype=np.float64)
-    if arr.ndim != 1:
-        raise ContractViolation(f"augment expects a 1-D vector, got shape {arr.shape}")
-    return augment_batch(arr[None, :], spec, np.random.default_rng(rng_seed))[0]
-
-
 def augment_batch(x, spec: AugmentationSpec, rng: np.random.Generator) -> np.ndarray:
     """Independently augment each row; the all-zero spec is an exact identity.
 
@@ -126,6 +119,14 @@ def batch_adjacency(pairing, n: int) -> np.ndarray:
     return a
 
 
+@functools.lru_cache(maxsize=8)
+def view_pair_adjacency(m: int) -> np.ndarray:
+    """Read-only batch_adjacency of 2m views where view i pairs with view m + i."""
+    a = batch_adjacency([(i, m + i) for i in range(m)], 2 * m)
+    a.flags.writeable = False
+    return a
+
+
 def spectral_contrastive_loss(batch_features, adjacency) -> tuple[float, np.ndarray]:
     """||A - F F^T||_F^2 and its gradient -4 (A - F F^T) F with respect to F."""
     f = as_matrix(batch_features, "features")
@@ -156,13 +157,19 @@ def adversarial_perturb(
     x0 = as_matrix(batch, "batch").copy()
     if spec.epsilon == 0.0:
         return x0
-    adjacency = batch_adjacency(pairing, x0.shape[0])
-    x = x0.copy()
+    return _perturb(model, x0, batch_adjacency(pairing, x0.shape[0]), spec)
+
+
+def _perturb(model, x0, adjacency, spec: AdversarialSpec) -> np.ndarray:
+    """Unchecked core of adversarial_perturb; x0 is left unchanged."""
+    if spec.epsilon == 0.0:
+        return x0
+    x = x0
     for _ in range(spec.steps):
-        feats, cache = _body_forward(model.layers, x)
+        feats, acts = _body_forward(model.layers, x, keep=True)
         residual = adjacency - feats @ feats.T
         dfeat = -4.0 * (residual @ feats)
-        _, dx = _body_backward(model.layers, cache, dfeat)
+        dx = _body_backward(model.layers, acts, dfeat)
         x = x + spec.step_size * np.sign(dx)
         x = x0 + np.clip(x - x0, -spec.epsilon, spec.epsilon)
     return x
@@ -172,65 +179,36 @@ def pretrain(model: EncoderModel, dataset, config: PretrainConfig):
     """Optimize the body on two augmented views per sample; head untouched.
 
     The per-batch objective is the spectral loss divided by the number of
-    view rows (keeps the step size meaningful across batch sizes); history
-    records that normalized value per epoch.  Deterministic per seed.
-    Returns (model, history).
+    view rows (keeps the step size meaningful across batch sizes).  Returns
+    (model, history); history maps each epoch_summary field ("loss" is the
+    normalized value) to its per-epoch list.  Deterministic per seed.
     """
     if dataset.n < 1:
         raise ContractViolation("dataset must be nonempty")
     rng = np.random.default_rng(config.seed)
-    body_params = {}
-    for i, layer in enumerate(model.layers):
-        body_params[f"layers.{i}.weight"] = layer.weight
-        if layer.bias is not None:
-            body_params[f"layers.{i}.bias"] = layer.bias
-    velocity = {k: np.zeros_like(v) for k, v in body_params.items()}
-    history = []
+    opt = MomentumSGD(model, config.momentum, config.grad_clip, body_only=True)
+    history = {"loss": [], "grad_norm": [], "clip_fraction": [], "lr": []}
     n = dataset.n
     for epoch in range(config.epochs):
         order = rng.permutation(n)
-        losses = []
+        losses, steps = [], []
         for start in range(0, n, config.batch_size):
             idx = order[start : start + config.batch_size]
             xb = dataset.inputs[idx]
             m = idx.size
             views = augment_batch(np.vstack([xb, xb]), config.aug, rng)
-            pairs = [(i, m + i) for i in range(m)]
+            adjacency = view_pair_adjacency(m)
             if config.adv is not None:
-                views = adversarial_perturb(model, views, pairs, config.adv)
-            adjacency = batch_adjacency(pairs, 2 * m)
-            feats, cache = _body_forward(model.layers, views)
+                views = _perturb(model, views, adjacency, config.adv)
+            feats, acts = _body_forward(model.layers, views, keep=True)
             loss, dfeat = spectral_contrastive_loss(feats, adjacency)
             scale = 1.0 / (2 * m)
             loss *= scale
             if not math.isfinite(loss):
                 raise DivergenceError(epoch)
-            grads, _ = _body_backward(model.layers, cache, dfeat * scale)
-            norm = math.sqrt(sum(float((g * g).sum()) for g in grads.values()))
-            clip = min(1.0, config.grad_clip / max(norm, 1e-12))
-            for key, param in body_params.items():
-                velocity[key] *= config.momentum
-                velocity[key] -= config.lr * clip * grads[key]
-                param += velocity[key]
+            _body_backward(model.layers, acts, dfeat * scale, opt.grads)
+            steps.append(opt.step(config.lr))
             losses.append(loss)
-        history.append(float(np.mean(losses)))
+        for key, value in epoch_summary(losses, steps, config.lr).items():
+            history[key].append(value)
     return model, history
-
-
-def pair_cosine_stats(model: EncoderModel, dataset, spec, seed: int, n_pairs: int = 64):
-    """Mean within-pair vs between-pair feature cosine on fresh view pairs."""
-    rng = np.random.default_rng(seed)
-    idx = rng.integers(0, dataset.n, size=n_pairs)
-    xb = dataset.inputs[idx]
-    views = augment_batch(np.vstack([xb, xb]), spec, rng)
-    feats = features(model, views)
-    norms = np.linalg.norm(feats, axis=1)
-    norms[norms == 0] = 1.0
-    unit = feats / norms[:, None]
-    cos = unit @ unit.T
-    within = np.array([cos[i, n_pairs + i] for i in range(n_pairs)])
-    mask = np.ones_like(cos, dtype=bool)
-    np.fill_diagonal(mask, False)
-    for i in range(n_pairs):
-        mask[i, n_pairs + i] = mask[n_pairs + i, i] = False
-    return float(within.mean()), float(cos[mask].mean())

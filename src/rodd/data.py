@@ -8,6 +8,7 @@ line-based run-config parser.
 from __future__ import annotations
 
 import math
+import operator
 import struct
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -277,14 +278,23 @@ CONFIG_SCHEMA: dict[str, type] = {
     "theory.seed": int,
 }
 
-# Integer keys with a lower bound, checked at parse time.
-CONFIG_MINIMUM: dict[str, int] = {
-    "model.feature_dim": 1,
-    "pretrain.batch_size": 1,
-    "train.batch_size": 1,
-    "ood.mc_draws": 1,
-    "theory.max_iters": 1,
+# Numeric keys with bounds, checked at parse time: each (op, limit) pair
+# must hold, so ">" and "<" give open bounds and ">=" a closed one.
+CONFIG_BOUNDS: dict[str, tuple[tuple[str, float], ...]] = {
+    "synth.per_class": ((">=", 1),),
+    "model.feature_dim": ((">=", 1),),
+    "pretrain.batch_size": ((">=", 1),),
+    "pretrain.lr": ((">", 0),),
+    "pretrain.momentum": ((">=", 0), ("<", 1)),
+    "train.batch_size": ((">=", 1),),
+    "train.lr": ((">", 0),),
+    "train.momentum": ((">=", 0), ("<", 1)),
+    "train.grad_clip": ((">", 0),),
+    "ood.mc_draws": ((">=", 1),),
+    "theory.max_iters": ((">=", 1),),
 }
+
+_BOUND_HOLDS = {">": operator.gt, ">=": operator.ge, "<": operator.lt}
 
 
 @dataclass(frozen=True)
@@ -306,7 +316,7 @@ def parse_config(text: str) -> RunConfig:
     """Parse 'key = value' lines with '#' comments and '[section]' headers.
 
     Values are typed by the schema (integer, real, boolean, string); unknown
-    keys, duplicate keys, type mismatches, values below a CONFIG_MINIMUM
+    keys, duplicate keys, type mismatches, values outside a CONFIG_BOUNDS
     bound, layer widths below 1 and corruption kinds that cannot run on flat
     feature rows raise FormatError with the line number.
     """
@@ -347,9 +357,9 @@ def parse_config_file(path) -> RunConfig:
 
 
 def _check_range(value, key: str, lineno: int) -> None:
-    minimum = CONFIG_MINIMUM.get(key)
-    if minimum is not None and value < minimum:
-        raise FormatError(f"line {lineno}: '{key}' must be >= {minimum}, got {value}")
+    for op, limit in CONFIG_BOUNDS.get(key, ()):
+        if not _BOUND_HOLDS[op](value, limit):
+            raise FormatError(f"line {lineno}: '{key}' must be {op} {limit}, got {value}")
     if key == "model.hidden_sizes":
         try:
             widths = parse_int_list(value, key)

@@ -13,7 +13,6 @@ differences in the test suite.
 
 from __future__ import annotations
 
-import copy
 import math
 import struct
 from dataclasses import dataclass
@@ -121,16 +120,29 @@ def build_model(
     return EncoderModel(layers, proj, sharpen, np.ones(()))
 
 
-def trainable_params(model: EncoderModel) -> dict[str, np.ndarray]:
-    """Mutable views of every trainable array (the class projection is frozen)."""
-    out: dict[str, np.ndarray] = {}
-    for i, layer in enumerate(model.layers):
-        out[f"layers.{i}.weight"] = layer.weight
+def _param_slots(model: EncoderModel, body_only: bool = False):
+    """(name, owner, attribute) of each trainable array in the order the
+    backward pass fills them: bn_scale, sharpen_w, then the layers from last
+    to first, weight before bias.  The frozen class projection is not one."""
+    slots = [] if body_only else [(name, model, name) for name in ("bn_scale", "sharpen_w")]
+    for i in range(len(model.layers) - 1, -1, -1):
+        layer = model.layers[i]
+        slots.append((f"layers.{i}.weight", layer, "weight"))
         if layer.bias is not None:
-            out[f"layers.{i}.bias"] = layer.bias
-    out["sharpen_w"] = model.sharpen_w
-    out["bn_scale"] = model.bn_scale
-    return out
+            slots.append((f"layers.{i}.bias", layer, "bias"))
+    return slots
+
+
+def _flat_buffer(slots):
+    """A zeroed float64 buffer packing the slots' arrays in order, and a
+    name -> view map shaped like each array."""
+    shapes = [getattr(owner, attr).shape for _, owner, attr in slots]
+    buffer = np.zeros(sum(math.prod(shape) for shape in shapes))
+    views, offset = {}, 0
+    for (name, _, _), shape in zip(slots, shapes):
+        views[name] = buffer[offset : offset + math.prod(shape)].reshape(shape)
+        offset += math.prod(shape)
+    return buffer, views
 
 
 # ---------------------------------------------------------------------------
@@ -138,33 +150,39 @@ def trainable_params(model: EncoderModel) -> dict[str, np.ndarray]:
 # ---------------------------------------------------------------------------
 
 
-def _body_forward(layers, x):
-    pre = []
-    acts = [x]
+def _body_forward(layers, x, keep=False):
+    """(features, activations): activations[i] is layer i's input, kept only
+    with keep.  Bias and ReLU act in place on each layer's fresh product."""
+    acts = [x] if keep else None
     h = x
     last = len(layers) - 1
     for i, layer in enumerate(layers):
-        z = h @ layer.weight
+        h = h @ layer.weight
         if layer.bias is not None:
-            z = z + layer.bias
-        pre.append(z)
-        h = np.maximum(z, 0.0) if i < last else z
-        acts.append(h)
-    return h, (pre, acts)
+            h += layer.bias
+        if i < last:
+            np.maximum(h, 0.0, out=h)
+        if keep:
+            acts.append(h)
+    return h, acts
 
 
-def _body_backward(layers, cache, dfeat):
-    pre, acts = cache
-    grads: dict[str, np.ndarray] = {}
+def _body_backward(layers, acts, dfeat, grads=None):
+    """Back-propagate dfeat through the body.  With grads, fill each layer's
+    gradients in place and return None; without, return the input gradient."""
     dh = dfeat
     last = len(layers) - 1
     for i in range(last, -1, -1):
-        dz = dh if i == last else dh * (pre[i] > 0.0)
-        grads[f"layers.{i}.weight"] = acts[i].T @ dz
-        if layers[i].bias is not None:
-            grads[f"layers.{i}.bias"] = dz.sum(axis=0)
+        # acts[i + 1] > 0 exactly where layer i's pre-activation is > 0.
+        dz = dh if i == last else dh * (acts[i + 1] > 0.0)
+        if grads is not None:
+            np.matmul(acts[i].T, dz, out=grads[f"layers.{i}.weight"])
+            if layers[i].bias is not None:
+                dz.sum(axis=0, out=grads[f"layers.{i}.bias"])
+            if i == 0:
+                return None
         dh = dz @ layers[i].weight.T
-    return grads, dh
+    return dh
 
 
 def features(model: EncoderModel, batch) -> np.ndarray:
@@ -247,18 +265,20 @@ def head_logits(model: EncoderModel, feats) -> np.ndarray:
 
 
 def _head_backward(model, record, cache, dlogits, grads):
+    """Gradient with respect to the features; fills grads' bn_scale and
+    sharpen_w gradients in place."""
     norms, unit, s_hat, inv, g, mode = cache
     dz = dlogits / g[:, None]
     # logits = z / g  =>  dL/dg_i = -(dlogits_i . logits_i) / g_i
     dg = -np.einsum("il,il->i", dlogits, record.logits) / g
     dt = dg * g * (1.0 - g)
-    grads["bn_scale"] = np.asarray((dt * s_hat).sum())
     ds_hat = dt * float(model.bn_scale)
     if mode == "train":
         ds = inv * (ds_hat - ds_hat.mean() - s_hat * (ds_hat * s_hat).mean())
     else:
         ds = ds_hat * inv
-    grads["sharpen_w"] = record.features.T @ ds
+    grads["bn_scale"][...] = (dt * s_hat).sum()
+    np.matmul(record.features.T, ds, out=grads["sharpen_w"])
     dfeat = ds[:, None] * model.sharpen_w[None, :]
     # z = (f / |f|) @ proj; derivative of x/|x| is (I - u u^T) / |x|
     dunit = dz @ model.class_proj.T
@@ -278,11 +298,13 @@ def cross_entropy(logits, labels) -> tuple[float, np.ndarray]:
     n = logits.shape[0]
     idx = np.arange(n)
     shifted = logits - logits.max(axis=1, keepdims=True)
-    lse = np.log(np.exp(shifted).sum(axis=1))
-    loss = float((lse - shifted[idx, labels]).mean())
-    dlogits = softmax(logits)
+    e = np.exp(shifted)
+    total = e.sum(axis=1)
+    loss = float((np.log(total) - shifted[idx, labels]).mean())
+    dlogits = e / total[:, None]  # the softmax
     dlogits[idx, labels] -= 1.0
-    return loss, dlogits / n
+    dlogits /= n
+    return loss, dlogits
 
 
 def _check_labels(labels, n, n_classes):
@@ -318,43 +340,91 @@ def loss_and_grad(
     if n < 2:
         raise ContractViolation("loss_and_grad needs a batch of at least 2")
     labels = _check_labels(labels, n, model.n_classes)
-    feats, body_cache = _body_forward(model.layers, x)
-    record, head_cache = _head_forward(model, feats, "train")
-    loss, dlogits = cross_entropy(record.logits, labels)
-    grads: dict[str, np.ndarray] = {}
-    dfeat = _head_backward(model, record, head_cache, dlogits, grads)
+    adjacency = None
     if contrastive_pairs is not None:
-        from .contrastive import batch_adjacency, spectral_contrastive_loss
+        from .contrastive import batch_adjacency
 
         adjacency = batch_adjacency(contrastive_pairs, n)
-        cl_loss, cl_grad = spectral_contrastive_loss(feats, adjacency)
-        loss = loss + mu * cl_loss
-        dfeat = dfeat + mu * cl_grad
-    body_grads, _ = _body_backward(model.layers, body_cache, dfeat)
-    grads.update(body_grads)
+    _, grads = _flat_buffer(_param_slots(model))
+    loss = _loss_and_grad(model, x, labels, grads, mu, adjacency)
     return loss, grads
 
 
-def input_gradient(model: EncoderModel, batch, dlogits=None, mode: str = "eval"):
-    """Gradient of sum(logits * dlogits) with respect to the batch inputs.
+def _loss_and_grad(model, x, labels, grads, mu=0.0, adjacency=None) -> float:
+    """Unchecked core of loss_and_grad: fills grads in place, returns the loss."""
+    feats, acts = _body_forward(model.layers, x, keep=True)
+    record, head_cache = _head_forward(model, feats, "train")
+    loss, dlogits = cross_entropy(record.logits, labels)
+    dfeat = _head_backward(model, record, head_cache, dlogits, grads)
+    if adjacency is not None:
+        from .contrastive import spectral_contrastive_loss
 
-    dlogits defaults to all-ones (the gradient of the summed logits).  Pure:
-    running statistics are left untouched even in train mode.
-    """
-    x = as_matrix(batch, "batch")
-    feats, body_cache = _body_forward(model.layers, x)
-    record, head_cache = _head_forward(model, feats, mode, update_running=False)
-    if dlogits is None:
-        dlogits = np.ones_like(record.logits)
-    scratch: dict[str, np.ndarray] = {}
-    dfeat = _head_backward(model, record, head_cache, np.asarray(dlogits, float), scratch)
-    _, dx = _body_backward(model.layers, body_cache, dfeat)
-    return dx
+        cl_loss, cl_grad = spectral_contrastive_loss(feats, adjacency)
+        loss = loss + mu * cl_loss
+        dfeat = dfeat + mu * cl_grad
+    _body_backward(model.layers, acts, dfeat, grads)
+    return loss
 
 
 # ---------------------------------------------------------------------------
 # Training
 # ---------------------------------------------------------------------------
+
+
+class MomentumSGD:
+    """SGD with momentum and global-norm clipping over one flat buffer.
+
+    Construction copies the model's trainable arrays (only the body's with
+    body_only) into one float64 buffer and rebinds them to views into it.
+    The backward pass fills `grads`, views of a gradient buffer of the same
+    layout, in place; `step` then updates every array at once.
+    """
+
+    def __init__(self, model: EncoderModel, momentum: float, grad_clip: float, body_only=False):
+        if not 0.0 <= momentum < 1.0:
+            raise ContractViolation(f"momentum must lie in [0, 1), got {momentum}")
+        if not grad_clip > 0.0:
+            raise ContractViolation(f"grad_clip must be > 0, got {grad_clip}")
+        self.momentum = momentum
+        self.grad_clip = grad_clip
+        slots = _param_slots(model, body_only)
+        self.params, views = _flat_buffer(slots)
+        for name, owner, attr in slots:
+            views[name][...] = getattr(owner, attr)
+            setattr(owner, attr, views[name])
+        self.grad, self.grads = _flat_buffer(slots)
+        self._sq, sq_views = _flat_buffer(slots)
+        self._sq_views = list(sq_views.values())
+        self.velocity = np.zeros_like(self.params)
+
+    def step(self, lr: float) -> tuple[float, bool]:
+        """Apply the filled gradient; returns its norm and whether it was clipped.
+
+        The squared norm is summed per array in gradient order, which keeps
+        the clip factor's bits those of a per-array loop.
+        """
+        np.multiply(self.grad, self.grad, out=self._sq)
+        norm = math.sqrt(sum(float(sq.sum()) for sq in self._sq_views))
+        clip = min(1.0, self.grad_clip / max(norm, 1e-12))
+        self.velocity *= self.momentum
+        self.velocity -= lr * clip * self.grad
+        self.params += self.velocity
+        return norm, clip < 1.0
+
+
+def epoch_summary(losses, steps, lr: float) -> dict:
+    """One epoch's mean "loss", mean pre-clip "grad_norm", "clip_fraction" of
+    its (norm, clipped) steps and "lr"; NaN where the epoch took no step."""
+
+    def mean(values):
+        return float(np.mean(values)) if values else float("nan")
+
+    return {
+        "loss": mean(losses),
+        "grad_norm": mean([norm for norm, _ in steps]),
+        "clip_fraction": mean([clipped for _, clipped in steps]),
+        "lr": lr,
+    }
 
 
 def _epoch_lr(base: float, epoch: int, epochs: int, cosine: bool) -> float:
@@ -368,9 +438,11 @@ def train(model: EncoderModel, dataset, config: TrainConfig):
 
     Deterministic for a fixed config/seed; the class projection is
     bit-identical before and after.  Returns (model, history) where history
-    has one {"epoch", "loss", "accuracy"} entry per epoch.  Trailing batches
-    of size 1 are skipped (batch statistics need at least 2 samples).
-    Raises DivergenceError with the epoch index if the loss goes non-finite.
+    has one entry per epoch: "epoch", "loss", "accuracy" (on the training
+    set after the epoch), then epoch_summary's health fields.  Trailing
+    batches of size 1 are skipped (batch statistics need at least 2
+    samples).  Raises DivergenceError with the epoch index if the loss goes
+    non-finite.
     """
     if dataset.labels is None:
         raise ContractViolation("training requires labeled data")
@@ -383,15 +455,18 @@ def train(model: EncoderModel, dataset, config: TrainConfig):
         raise ContractViolation(
             f"class {int(np.argmin(counts))} has no training samples"
         )
+    if config.contrastive:
+        from .contrastive import AugmentationSpec, augment_batch, view_pair_adjacency
+
+        spec = AugmentationSpec(gaussian_sigma=config.aug_gaussian_sigma)
     rng = np.random.default_rng(config.seed)
-    params = trainable_params(model)
-    velocity = {k: np.zeros_like(v) for k, v in params.items()}
+    opt = MomentumSGD(model, config.momentum, config.grad_clip)
     history = []
     n = dataset.n
     for epoch in range(config.epochs):
         lr = _epoch_lr(config.lr, epoch, config.epochs, config.cosine_decay)
         order = rng.permutation(n)
-        losses = []
+        losses, steps = [], []
         for start in range(0, n, config.batch_size):
             idx = order[start : start + config.batch_size]
             if idx.size < 2:
@@ -399,103 +474,33 @@ def train(model: EncoderModel, dataset, config: TrainConfig):
             xb = dataset.inputs[idx]
             yb = dataset.labels[idx]
             if config.contrastive:
-                from .contrastive import AugmentationSpec, augment_batch
-
-                spec = AugmentationSpec(gaussian_sigma=config.aug_gaussian_sigma)
                 views = augment_batch(np.vstack([xb, xb]), spec, rng)
-                pairs = [(i, idx.size + i) for i in range(idx.size)]
                 # The pairwise term is a raw squared norm over the batch, so
                 # weight it per view row to keep mu batch-size independent.
-                loss, grads = loss_and_grad(
+                loss = _loss_and_grad(
                     model,
                     views,
                     np.concatenate([yb, yb]),
+                    opt.grads,
                     mu=config.mu / (2 * idx.size),
-                    contrastive_pairs=pairs,
+                    adjacency=view_pair_adjacency(idx.size),
                 )
             else:
                 if config.input_noise > 0:
                     level = rng.uniform(0.0, config.input_noise)
                     xb = xb + level * rng.standard_normal(xb.shape)
-                loss, grads = loss_and_grad(model, xb, yb)
+                loss = _loss_and_grad(model, xb, yb, opt.grads)
             if not math.isfinite(loss):
                 raise DivergenceError(epoch)
-            norm = math.sqrt(sum(float((g * g).sum()) for g in grads.values()))
-            clip = min(1.0, config.grad_clip / max(norm, 1e-12))
-            for key, param in params.items():
-                velocity[key] *= config.momentum
-                velocity[key] -= lr * clip * grads[key]
-                param += velocity[key]
+            steps.append(opt.step(lr))
             losses.append(loss)
         record = forward(model, dataset.inputs, mode="eval")
         acc = float(
             (np.argmax(record.logits, axis=1) == dataset.labels).mean()
         )
-        history.append(
-            {
-                "epoch": epoch,
-                "loss": float(np.mean(losses)) if losses else float("nan"),
-                "accuracy": acc,
-            }
-        )
+        summary = epoch_summary(losses, steps, lr)
+        history.append({"epoch": epoch, "loss": summary.pop("loss"), "accuracy": acc, **summary})
     return model, history
-
-
-# ---------------------------------------------------------------------------
-# Gradient checking
-# ---------------------------------------------------------------------------
-
-
-def grad_check(model: EncoderModel, batch, labels, eps: float = 1e-5) -> float:
-    """Max relative error between analytic and central-difference gradients.
-
-    Relative error per scalar parameter is |analytic - numeric| divided by
-    max(|analytic|, |numeric|, 1e-8); the maximum over all trainable
-    parameters is returned.  The model is left untouched.
-    """
-    if not (1e-8 < eps < 1e-2):
-        raise ContractViolation(f"eps must lie in (1e-8, 1e-2), got {eps}")
-    work = copy.deepcopy(model)
-    _, analytic = loss_and_grad(work, batch, labels)
-    numeric = numeric_grads(copy.deepcopy(model), batch, labels, eps)
-    return max_relative_error(analytic, numeric)
-
-
-def numeric_grads(model, batch, labels, eps):
-    """Central finite differences of the cross-entropy loss, per parameter."""
-    params = trainable_params(model)
-    out = {}
-    for key, arr in params.items():
-        grad = np.zeros_like(arr)
-        flat = arr.reshape(-1)
-        gflat = grad.reshape(-1)
-        for i in range(flat.size):
-            orig = flat[i]
-            flat[i] = orig + eps
-            up, _ = _loss_value(model, batch, labels)
-            flat[i] = orig - eps
-            down, _ = _loss_value(model, batch, labels)
-            flat[i] = orig
-            gflat[i] = (up - down) / (2.0 * eps)
-        out[key] = grad
-    return out
-
-
-def _loss_value(model, batch, labels):
-    feats, _ = _body_forward(model.layers, as_matrix(batch, "batch"))
-    record, _ = _head_forward(model, feats, "train", update_running=False)
-    labels = np.asarray(labels, dtype=np.int64)
-    loss, _ = cross_entropy(record.logits, labels)
-    return loss, record
-
-
-def max_relative_error(analytic, numeric) -> float:
-    worst = 0.0
-    for key, a in analytic.items():
-        b = numeric[key]
-        denom = np.maximum(np.maximum(np.abs(a), np.abs(b)), 1e-8)
-        worst = max(worst, float((np.abs(a - b) / denom).max()))
-    return worst
 
 
 # ---------------------------------------------------------------------------

@@ -13,6 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from gradcheck import grad_check
 from rodd import contrastive, encoder, metrics, ood, theory
 from rodd.cli import run
 from rodd.data import read_cifar_binary, read_features, write_features
@@ -62,7 +63,7 @@ def test_criterion_01_gradient_correctness():
             )
             x = 0.5 * rng.standard_normal((6, input_dim)) + 1.0
             labels = rng.integers(0, 3, size=6)
-            worst_encoder = max(worst_encoder, encoder.grad_check(model, x, labels, eps=1e-5))
+            worst_encoder = max(worst_encoder, grad_check(model, x, labels, eps=1e-5))
 
     worst_theory = 0.0
     rng = np.random.default_rng(77)

@@ -282,6 +282,27 @@ class TestExitCodes:
         assert run([command, "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
         assert f"line 2: '{section}.{key}' must be >= 1" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "command, section, key, value, bound",
+        [
+            ("synth", "synth", "per_class", "0", ">= 1"),
+            ("pretrain", "pretrain", "lr", "-0.5", "> 0"),
+            ("train", "train", "lr", "0", "> 0"),
+            ("pretrain", "pretrain", "momentum", "1.5", "< 1"),
+            ("train", "train", "momentum", "-0.5", ">= 0"),
+            ("train", "train", "grad_clip", "-1", "> 0"),
+        ],
+    )
+    def test_optimizer_and_size_bounds(self, tmp_path, capsys, command, section, key, value, bound):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(f"[{section}]\n{key} = {value}\n")
+        out = tmp_path / "o"
+        assert run([command, "--config", str(cfg), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert f"line 2: '{section}.{key}' must be {bound}" in err
+        assert "Traceback" not in err
+        assert not out.exists()  # rejected before the stage ran
+
     @pytest.mark.parametrize("widths", ["0", "16,0", "16,-3"])
     def test_layer_width_below_one(self, tmp_path, capsys, widths):
         cfg = tmp_path / "w.cfg"

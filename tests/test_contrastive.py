@@ -5,15 +5,14 @@ import copy
 import numpy as np
 import pytest
 
+from contrastive_probes import augment, pair_cosine_stats
 from rodd.contrastive import (
     AdversarialSpec,
     AugmentationSpec,
     PretrainConfig,
     adversarial_perturb,
-    augment,
     augment_batch,
     batch_adjacency,
-    pair_cosine_stats,
     pretrain,
     spectral_contrastive_loss,
 )
@@ -230,7 +229,7 @@ class TestPretrain:
         model = build_model(4, 2, hidden_sizes=(6,), feature_dim=3, seed=5)
         snapshot = copy.deepcopy(model)
         model, history = pretrain(model, ds, PretrainConfig(epochs=0, seed=0))
-        assert history == []
+        assert history == {"loss": [], "grad_norm": [], "clip_fraction": [], "lr": []}
         for layer, ref in zip(model.layers, snapshot.layers):
             assert np.array_equal(layer.weight, ref.weight)
 
@@ -269,7 +268,7 @@ class TestPretrain:
         model, history = pretrain(
             model, ds, PretrainConfig(epochs=50, batch_size=32, lr=0.02, aug=spec, seed=4)
         )
-        assert history[-1] < history[0]
+        assert history["loss"][-1] < history["loss"][0]
         within, between = pair_cosine_stats(model, ds, spec, seed=99)
         assert within > between
 
@@ -282,5 +281,5 @@ class TestPretrain:
             ds,
             PretrainConfig(epochs=2, batch_size=10, aug=AugmentationSpec(gaussian_sigma=0.05), adv=adv, seed=5),
         )
-        assert len(history) == 2
-        assert all(np.isfinite(h) for h in history)
+        assert len(history["loss"]) == 2
+        assert all(np.isfinite(h) for h in history["loss"])

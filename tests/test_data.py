@@ -182,3 +182,22 @@ class TestConfigParser:
         with pytest.raises(FormatError, match="line 2"):
             parse_config(f"[{section}]\n{key} = -4\n")
         assert parse_config(f"[{section}]\n{key} = 1\n").get(f"{section}.{key}") == 1
+
+    @pytest.mark.parametrize(
+        "section, key, rejected, accepted",
+        [
+            ("synth", "per_class", {"0": ">= 1", "-2": ">= 1"}, ["1"]),
+            ("pretrain", "lr", {"-0.5": "> 0", "0": "> 0"}, ["1e-9", "0.02"]),
+            ("train", "lr", {"0": "> 0", "-1e-3": "> 0"}, ["1e-9", "0.05"]),
+            ("pretrain", "momentum", {"1.5": "< 1", "1": "< 1", "-0.1": ">= 0"}, ["0", "0.9"]),
+            ("train", "momentum", {"-0.5": ">= 0", "1.0": "< 1"}, ["0", "0.999"]),
+            ("train", "grad_clip", {"-1": "> 0", "0": "> 0"}, ["1e-12", "5"]),
+        ],
+    )
+    def test_bounded_keys(self, section, key, rejected, accepted):
+        for value, bound in rejected.items():
+            with pytest.raises(FormatError, match=rf"line 2: '{section}\.{key}' must be {bound}, got"):
+                parse_config(f"[{section}]\n{key} = {value}\n")
+        for value in accepted:
+            parsed = parse_config(f"[{section}]\n{key} = {value}\n").get(f"{section}.{key}")
+            assert parsed == float(value)

@@ -5,6 +5,13 @@ import copy
 import numpy as np
 import pytest
 
+from gradcheck import (
+    grad_check,
+    input_gradient,
+    max_relative_error,
+    numeric_grads,
+    trainable_params,
+)
 from rodd.data import Dataset, synth_gaussian_mixture
 from rodd.encoder import (
     DenseLayer,
@@ -13,15 +20,10 @@ from rodd.encoder import (
     build_model,
     cross_entropy,
     forward,
-    grad_check,
-    input_gradient,
     load_model,
     loss_and_grad,
-    max_relative_error,
-    numeric_grads,
     save_model,
     train,
-    trainable_params,
 )
 from rodd.errors import ContractViolation, DegenerateFeatureError, DivergenceError, FormatError
 from rodd.linalg import orthonormal_init
