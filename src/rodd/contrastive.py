@@ -201,6 +201,9 @@ def pretrain(model: EncoderModel, dataset, config: PretrainConfig):
             if config.adv is not None:
                 views = _perturb(model, views, adjacency, config.adv)
             feats, acts = _body_forward(model.layers, views, keep=True)
+            # Overflowing features are a diverging run, not a bad input.
+            if not np.isfinite(feats).all():
+                raise DivergenceError(epoch, "non-finite features")
             loss, dfeat = spectral_contrastive_loss(feats, adjacency)
             scale = 1.0 / (2 * m)
             loss *= scale

@@ -282,15 +282,23 @@ CONFIG_SCHEMA: dict[str, type] = {
 # must hold, so ">" and "<" give open bounds and ">=" a closed one.
 CONFIG_BOUNDS: dict[str, tuple[tuple[str, float], ...]] = {
     "synth.per_class": ((">=", 1),),
+    "synth.noise_sigma": ((">=", 0),),
+    "synth.ood_noise_sigma": ((">=", 0),),
     "model.feature_dim": ((">=", 1),),
     "pretrain.batch_size": ((">=", 1),),
     "pretrain.lr": ((">", 0),),
     "pretrain.momentum": ((">=", 0), ("<", 1)),
+    "pretrain.aug_gaussian_sigma": ((">=", 0),),
     "train.batch_size": ((">=", 1),),
     "train.lr": ((">", 0),),
     "train.momentum": ((">=", 0), ("<", 1)),
     "train.grad_clip": ((">", 0),),
+    "train.aug_gaussian_sigma": ((">=", 0),),
+    "train.input_noise": ((">=", 0),),
+    "ood.quantile": ((">", 0), ("<", 1)),
     "ood.mc_draws": ((">=", 1),),
+    "ood.mc_noise_sigma": ((">=", 0),),
+    "eval.tpr_target": ((">", 0), ("<", 1)),
     "theory.max_iters": ((">=", 1),),
 }
 

@@ -351,8 +351,14 @@ def loss_and_grad(
 
 
 def _loss_and_grad(model, x, labels, grads, mu=0.0, adjacency=None) -> float:
-    """Unchecked core of loss_and_grad: fills grads in place, returns the loss."""
+    """Unchecked core of loss_and_grad: fills grads in place, returns the loss.
+
+    With a contrastive term, non-finite features (a diverging run) return a
+    NaN loss before the spectral loss's input checks see them.
+    """
     feats, acts = _body_forward(model.layers, x, keep=True)
+    if adjacency is not None and not np.isfinite(feats).all():
+        return math.nan
     record, head_cache = _head_forward(model, feats, "train")
     loss, dlogits = cross_entropy(record.logits, labels)
     dfeat = _head_backward(model, record, head_cache, dlogits, grads)

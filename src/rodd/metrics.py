@@ -8,10 +8,8 @@ holds brute-force enumeration oracles that these must match exactly.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import asdict, dataclass
-from pathlib import Path
 
 import numpy as np
 
@@ -125,10 +123,6 @@ def evaluate_split(split: ScoreSplit, tpr_target: float = 0.95) -> EvalReport:
         n_ood=int(split.ood_scores.size),
         threshold_used=tau,
     )
-
-
-def write_report_json(path, report: EvalReport) -> None:
-    Path(path).write_text(json.dumps(report.to_dict(), indent=2) + "\n", encoding="utf-8")
 
 
 def report_csv_header() -> str:

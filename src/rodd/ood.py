@@ -4,8 +4,7 @@ Fits one unit direction per class (the first right singular vector of that
 class's feature matrix), scores test features by the smallest angle to any
 class direction, estimates the accept threshold as an empirical quantile of
 the training scores, and runs Monte-Carlo inference over stochastic input
-augmentations.  A max-softmax baseline scorer is included for comparison
-runs.
+augmentations.
 """
 
 from __future__ import annotations
@@ -17,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from .contrastive import AugmentationSpec, augment_batch
-from .encoder import FEATURE_NORM_FLOOR, EncoderModel, features, softmax
+from .encoder import FEATURE_NORM_FLOOR, EncoderModel, features
 from .errors import ContractViolation, DegenerateFeatureError, FormatError
 from .linalg import as_matrix, svd
 
@@ -120,17 +119,6 @@ def uncertainty_scores(
         cos = np.abs(cos)
     angles = np.arccos(np.clip(cos, -1.0, 1.0))
     return angles.min(axis=1), angles.argmin(axis=1)
-
-
-def uncertainty_score(
-    feat, subspaces: ClassSubspaceSet, abs_cosine: bool = False
-) -> tuple[float, int]:
-    """Angle score for a single feature vector: (delta, argmin class)."""
-    arr = np.asarray(feat, dtype=np.float64)
-    if arr.ndim != 1:
-        raise ContractViolation(f"expected a 1-D feature vector, got shape {arr.shape}")
-    deltas, argmins = uncertainty_scores(arr[None, :], subspaces, abs_cosine=abs_cosine)
-    return float(deltas[0]), int(argmins[0])
 
 
 def mc_detect(
@@ -236,16 +224,6 @@ def score_records(
         )
         for i in range(deltas.size)
     ]
-
-
-def msp_score(logits) -> float:
-    """Maximum softmax probability of a single logit vector."""
-    arr = np.asarray(logits, dtype=np.float64)
-    if arr.ndim != 1 or arr.size < 1:
-        raise ContractViolation(f"logits must be a nonempty 1-D vector, got {arr.shape}")
-    if not np.isfinite(arr).all():
-        raise ContractViolation("logits must be finite")
-    return float(softmax(arr[None, :])[0].max())
 
 
 def write_scores(path, records) -> None:

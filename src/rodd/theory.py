@@ -8,8 +8,13 @@ below an eta ceiling, solves the joint factorization-plus-regression problem
 
 in closed form (mu = 0, PSD A) and by Polak-Ribiere+ conjugate gradient with
 an exact line search (L along a line is a quartic, minimized through the real
-roots of its derivative cubic), and verifies the per-class singular-value
-tail bounds
+roots of its derivative cubic).  The first term does not change under
+F -> FQ for orthogonal Q, so at small mu the loss is nearly flat along those
+rotations and plain CG needs thousands of steps; every CG step is therefore
+followed by an exact gauge step, a Riemannian Newton step over Q in O(d) on
+mu ||F Q W - Y||^2 that reduces to the d x d matrices F^T F and F^T Y
+(Absil, Mahony and Sepulchre, Optimization Algorithms on Matrix Manifolds,
+2008).  It then verifies the per-class singular-value tail bounds
 
     sum_{i>=2} sigma_i^2 <= sqrt(6 ((1+delta)^1.5 - 1))
     sum_{i>=2} sigma_i^4 <= 2 ((1+delta)^1.5 - 1)
@@ -370,6 +375,107 @@ def _cbrt(x: float) -> float:
     return math.copysign(abs(x) ** (1.0 / 3.0), x)
 
 
+class _GaugeStep:
+    """One rotation F -> FQ, Q in O(d), that lowers ||F Q W - Y||^2.
+
+    Works in the coordinates of `frame`, an orthogonal matrix whose first L
+    columns are W's, so that there W = E = [I; 0]; solve_joint solves in
+    them.  The mu-term then depends on Q only through V = Q E on the Stiefel
+    manifold St(d, L), and everything reduces to G = F^T F and
+    R = G E - F^T Y.  A rotation Q = I + S + S^2/2 + O(|S|^3) with
+    S = [[O, -K^T], [K, 0]] (O skew L x L, K (d-L) x L, X = S E = [O; K])
+    changes the mu-term by
+
+        2 <R, X> + <X, G X> + <R, S X> + O(|S|^3),   S X = [O^2 - K^T K; K O],
+
+    a quadratic model in the L(L-1)/2 + L(d-L) free entries of O and K whose
+    minimizer is one Newton step.  Q is then I + S + S^2/2, which for skew S
+    is orthogonal to within |S|^4/4, polished by as many Newton-Schulz
+    iterations as that bound calls for (none once |S| is below 1e-4), or the
+    Cayley transform of S for a long step.  When the Newton step does not
+    lower the mu-term (an indefinite model far from the minimum), the step
+    majorizes G by ||G||_F I instead and takes the Procrustes solution this
+    leaves, which never raises the mu-term.  Either way Q is orthogonal to
+    rounding, so ||A - F F^T||^2 does not change.
+    """
+
+    def __init__(self, proj: np.ndarray):
+        d, ell = proj.shape
+        basis, tri = np.linalg.qr(proj, mode="complete")
+        basis[:, :ell] *= np.where(np.diag(tri) < 0.0, -1.0, 1.0)
+        self.frame = basis  # frame^T proj = [T; 0] with T upper triangular, ~ I
+        upper, lower = np.triu_indices(ell, 1)
+        n_skew = upper.size
+        n_free = n_skew + (d - ell) * ell
+        # lift maps the free parameters to X = [O; K], raveled row-major.
+        lift = np.zeros((d * ell, n_free))
+        lift[upper * ell + lower, np.arange(n_skew)] = 1.0
+        lift[lower * ell + upper, np.arange(n_skew)] = -1.0
+        lift[ell * ell :, n_skew:] = np.eye((d - ell) * ell)
+        cols = lift.reshape(d, ell, n_free)
+        skew = np.zeros((d, d, n_free))
+        skew[:, :ell] = cols
+        skew[:ell, ell:] = -cols[ell:].transpose(1, 0, 2)
+        self.ell = ell
+        self.lift_t = np.ascontiguousarray(lift.T)
+        # The model's quadratic form in vec(X) is kron(G, I) + M, M that of
+        # <R, S X>; its product with lift is G X + R O^T on every row of X,
+        # which is [G, R] @ stacked, less K R_top^T on the K rows.
+        self.stacked = np.vstack(
+            [lift.reshape(d, ell * n_free), cols[:ell].transpose(1, 0, 2).reshape(ell, -1)]
+        )
+        self.k_cols = cols[ell:]
+        self.skew_lift = skew.reshape(d * d, n_free)
+        self.eye = np.eye(d)
+        self.e_cols = self.eye[:, :ell]
+
+    def newton_system(self, f: np.ndarray, targets: np.ndarray):
+        """(G, R, Hessian, gradient) of the model in the free parameters."""
+        ell, d = self.ell, f.shape[1]
+        both = f.T @ np.concatenate((f, f[:, :ell] - targets), axis=1)  # [G, R]
+        gram, resid = both[:, :d], both[:, d:]
+        cols = (both @ self.stacked).reshape(self.lift_t.shape[::-1])
+        cols[ell * ell :] -= (resid[:ell] @ self.k_cols).reshape(cols[ell * ell :].shape)
+        half = self.lift_t @ cols
+        return gram, resid, half + half.T, 2.0 * (self.lift_t @ resid.ravel())
+
+    def rotation(self, f: np.ndarray, targets: np.ndarray) -> np.ndarray | None:
+        """The rotation, or None when none lowers the mu-term."""
+        gram, resid, hess, slope = self.newton_system(f, targets)
+        try:
+            params = np.linalg.solve(hess, -slope)
+        except np.linalg.LinAlgError:  # F = 0, or a singular model
+            params = np.full(len(slope), np.nan)
+        size = float(np.vdot(params, params))  # |S|_F^2 / 2
+        if math.isfinite(size):
+            skew = (self.skew_lift @ params).reshape(self.eye.shape)
+            if size <= 0.25:
+                q = self.eye + skew @ (self.eye + 0.5 * skew)
+                # Newton-Schulz: the error e of Q^T Q = I + E goes to 3/4 e^2.
+                error = size * size
+                while error > 1e-16:
+                    q = q @ (1.5 * self.eye - 0.5 * (q.T @ q))
+                    error *= 0.75 * error
+            else:
+                q = np.linalg.solve(self.eye - 0.5 * skew, self.eye + 0.5 * skew)
+            if self.change(q, gram, resid) < 0.0:
+                return q
+        # Majorization: tr(V^T G V) <= tr(V^T lam V) plus a linear term
+        # touching at V = E, minimized over O(d) by the polar factor.
+        target = np.zeros(self.eye.shape)
+        target[:, : self.ell] = math.sqrt(np.vdot(gram, gram)) * self.e_cols - resid
+        if not np.isfinite(target).all():
+            return None  # a non-finite F: solve_joint's loss check reports it
+        u, _, vt = np.linalg.svd(target)
+        q = u @ vt
+        return q if self.change(q, gram, resid) < 0.0 else None
+
+    def change(self, q, gram, resid) -> float:
+        """The mu-term's change under F -> FQ: <D, 2 R + G D>, D = Q E - E."""
+        move = q[:, : self.ell] - self.e_cols
+        return float(np.vdot(move, 2.0 * resid + gram @ move))
+
+
 def solve_joint(
     graph: AugGraph,
     proj,
@@ -377,25 +483,41 @@ def solve_joint(
     mu: float,
     opts: SolveOptions | None = None,
 ) -> JointSolveResult:
-    """Polak-Ribiere+ conjugate gradient with an exact line search.
+    """Polak-Ribiere+ conjugate gradient with an exact line search, each step
+    followed by an exact gauge step.
 
     Along a search direction D the loss is the quartic line_quartic gives, so
     each step moves to its exact minimizer over t > 0 (the best real root of
     the derivative cubic).  D is -grad plus the PR+ multiple of the previous
     direction, and restarts at -grad whenever it is not a descent direction.
-    The loss and gradient are then recomputed at the new point, so the trace
-    holds evaluated losses; it must be nonincreasing within a 1e-12 relative
-    slack, and a non-finite or rising loss raises NumericFailure.  Stops when
-    the relative loss change drops below opts.tol (converged) or max_iters is
-    reached (not converged).
+
+    ||A - F F^T||^2 does not change under F -> FQ with Q orthogonal, so only
+    the mu-term curves those directions, and at small mu plain CG crawls
+    along them.  For mu > 0 every line-search step is therefore followed by
+    a gauge step F -> FQ: one Riemannian Newton step over Q in O(d) on
+    ||F Q W - Y||^2, started from Q = I because the last step left F
+    gauge-fixed, kept only when it lowers the mu-term, with a majorized
+    Procrustes step as the fallback (see _GaugeStep).  The search direction
+    and the stored gradient are rotated by the same Q, so conjugacy
+    survives.  The solve then runs in a frame where W = [I; 0] and rotates F
+    back at the end; at mu = 0 it takes no gauge step and no frame.
+
+    The loss and gradient are evaluated once per step, after the gauge step,
+    so the trace holds evaluated losses, one per line-search step; it must
+    be nonincreasing within a 1e-12 relative slack, and a non-finite or
+    rising loss raises NumericFailure.  Stops when the relative loss change
+    drops below opts.tol (converged) or max_iters is reached (not
+    converged).
     """
     if mu < 0:
         raise ContractViolation("mu must be >= 0")
     opts = opts or SolveOptions()
     proj, targets = _validate_joint_inputs(graph, proj, targets)
-    d = proj.shape[0]
     a = graph.adjacency
-    f = _initial_point(graph, d, opts)
+    f = _initial_point(graph, proj.shape[0], opts)
+    gauge = _GaugeStep(proj) if mu > 0.0 else None
+    if gauge is not None:
+        f, proj = f @ gauge.frame, gauge.frame.T @ proj
     loss, grad = joint_loss_and_grad(a, f, proj, targets, mu)
     grad_sq = float(np.vdot(grad, grad))
     direction = -grad
@@ -411,6 +533,9 @@ def solve_joint(
             c1, c2, c3, c4 = line_quartic(a, f, unit, proj, mu, grad)
             if c1 < 0.0:
                 cand = f + _quartic_argmin(c1, c2, c3, c4) * unit
+        q = None if gauge is None else gauge.rotation(cand, targets)
+        if q is not None:
+            cand, direction, grad = cand @ q, direction @ q, grad @ q
         cand_loss, cand_grad = joint_loss_and_grad(a, cand, proj, targets, mu)
         if not (
             math.isfinite(cand_loss)
@@ -430,6 +555,8 @@ def solve_joint(
         if abs(prev - loss) <= opts.tol * max(1.0, abs(prev)):
             converged = True
             break
+    if gauge is not None:
+        f = f @ gauge.frame.T
     sigmas = [
         svd(f[start:stop]).sigma for start, stop in graph.class_ranges
     ]
@@ -452,7 +579,9 @@ def verify_lemma(
     Returns a JSON-ready report: delta, eta, normalization, per-class sigma
     and tail sums, the bound values (with sqrt(3 * bound4) reported alongside
     as a consistency check), an overall pass flag, and the solver's
-    iteration count, convergence flag and final gradient norm.
+    iteration count, convergence flag and final gradient norm.  The pass
+    flag needs every tail within its bound and a converged solve: tails of
+    a point the solver stopped at max_iters say nothing about the optimum.
     """
     if result.f_star.shape != (graph.n, d):
         raise ContractViolation(
@@ -460,7 +589,7 @@ def verify_lemma(
         )
     bound2, bound4 = lemma_bounds(graph.delta)
     per_class = []
-    passed = True
+    passed = result.converged
     for sigma in result.per_class_sigma:
         tail2 = float((sigma[1:] ** 2).sum())
         tail4 = float((sigma[1:] ** 4).sum())
@@ -499,10 +628,11 @@ def mu_sweep(
 
     Emits one row per mu with the max per-class fourth-power tail, the
     per-class dominance ratios sigma_1^2 / sum sigma_i^2, the lemma pass
-    flag, and the solver's iterations, convergence flag and final gradient
-    norm, plus the largest listed mu whose solution still passes (an
-    empirical lower estimate of the crossover weight).  When results is a
-    dict, each mu's JointSolveResult is stored in it under that mu.
+    flag (verify_lemma's, so it needs a converged solve), and the solver's
+    iterations, convergence flag and final gradient norm, plus the largest
+    listed mu whose solution still passes (an empirical lower estimate of
+    the crossover weight).  When results is a dict, each mu's
+    JointSolveResult is stored in it under that mu.
     """
     mu_values = [float(m) for m in mu_values]
     if any(m < 0 for m in mu_values):

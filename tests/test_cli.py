@@ -291,6 +291,14 @@ class TestExitCodes:
             ("pretrain", "pretrain", "momentum", "1.5", "< 1"),
             ("train", "train", "momentum", "-0.5", ">= 0"),
             ("train", "train", "grad_clip", "-1", "> 0"),
+            ("synth", "synth", "noise_sigma", "-1", ">= 0"),
+            ("synth", "synth", "ood_noise_sigma", "-0.5", ">= 0"),
+            ("pretrain", "pretrain", "aug_gaussian_sigma", "-0.05", ">= 0"),
+            ("train", "train", "aug_gaussian_sigma", "-0.05", ">= 0"),
+            ("train", "train", "input_noise", "-1", ">= 0"),
+            ("score", "ood", "mc_noise_sigma", "-0.01", ">= 0"),
+            ("fit", "ood", "quantile", "1.5", "< 1"),
+            ("eval", "eval", "tpr_target", "0", "> 0"),
         ],
     )
     def test_optimizer_and_size_bounds(self, tmp_path, capsys, command, section, key, value, bound):
@@ -343,6 +351,18 @@ class TestExitCodes:
         a, _ = read_features(out_a / "id_train.feat")
         b, _ = read_features(out_b / "id_train.feat")
         assert not np.array_equal(a, b)
+
+    def test_diverging_pretrain_exits_two(self, tmp_path, capsys):
+        diverging = tmp_path / "diverge.cfg"
+        diverging.write_text(SMALL_CFG.replace("lr = 0.02", "lr = 1e200"))
+        out = tmp_path / "pout"
+        assert run(["synth", "--config", str(diverging), "--out", str(out)]) == 0
+        with np.errstate(all="ignore"):
+            code = run(["pretrain", "--config", str(diverging), "--out", str(out)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "numeric failure: non-finite features at epoch 0" in err
+        assert "Traceback" not in err
 
     def test_numeric_failure_exits_two(self, tmp_path, small_config, capsys):
         diverging = tmp_path / "diverge.cfg"

@@ -192,6 +192,14 @@ class TestConfigParser:
             ("pretrain", "momentum", {"1.5": "< 1", "1": "< 1", "-0.1": ">= 0"}, ["0", "0.9"]),
             ("train", "momentum", {"-0.5": ">= 0", "1.0": "< 1"}, ["0", "0.999"]),
             ("train", "grad_clip", {"-1": "> 0", "0": "> 0"}, ["1e-12", "5"]),
+            ("synth", "noise_sigma", {"-1": ">= 0", "-1e-9": ">= 0"}, ["0", "1.0"]),
+            ("synth", "ood_noise_sigma", {"-0.5": ">= 0"}, ["0", "0.5"]),
+            ("pretrain", "aug_gaussian_sigma", {"-0.05": ">= 0"}, ["0", "0.05"]),
+            ("train", "aug_gaussian_sigma", {"-0.05": ">= 0"}, ["0", "0.05"]),
+            ("train", "input_noise", {"-1": ">= 0"}, ["0", "0.3"]),
+            ("ood", "mc_noise_sigma", {"-0.01": ">= 0"}, ["0", "0.01"]),
+            ("ood", "quantile", {"0": "> 0", "-0.5": "> 0", "1": "< 1", "1.5": "< 1"}, ["1e-9", "0.95"]),
+            ("eval", "tpr_target", {"0": "> 0", "1": "< 1", "2": "< 1"}, ["0.5", "0.95"]),
         ],
     )
     def test_bounded_keys(self, section, key, rejected, accepted):

@@ -294,6 +294,18 @@ class TestTrain:
             train(model, dataset, config)
         assert info.value.epoch in (0, 1, 2)
 
+    def test_contrastive_divergence_raises_with_epoch(self):
+        # Overflowing features must end as a divergence (exit 2), not as the
+        # spectral loss's non-finite-input contract error (exit 1).
+        dataset = blobs_dataset()
+        model = build_model(2, 2, hidden_sizes=(8,), feature_dim=4, seed=5)
+        config = TrainConfig(
+            epochs=3, batch_size=16, lr=1e200, seed=0, grad_clip=1e300, contrastive=True, mu=1.0
+        )
+        with np.errstate(all="ignore"), pytest.raises(DivergenceError) as info:
+            train(model, dataset, config)
+        assert info.value.epoch in (0, 1, 2)
+
     def test_contrastive_mode_runs_and_freezes_projection(self):
         dataset = blobs_dataset()
         model = build_model(2, 2, hidden_sizes=(8,), feature_dim=4, seed=6)

@@ -5,6 +5,7 @@ import math
 
 import numpy as np
 import pytest
+from metrics_probes import write_report_json
 
 from rodd.errors import ContractViolation
 from rodd.metrics import (
@@ -15,7 +16,6 @@ from rodd.metrics import (
     detection_error,
     evaluate_split,
     fpr_at_tpr,
-    write_report_json,
 )
 
 

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 from mc_oracle import mc_detect_one, mc_records_oracle
+from ood_probes import msp_score, uncertainty_score
 
 from rodd import ood
 from rodd.contrastive import AugmentationSpec
@@ -16,11 +17,9 @@ from rodd.ood import (
     fit_subspaces,
     mc_detect,
     mc_score_records,
-    msp_score,
     score_records,
     subspaces_from_dict,
     subspaces_to_dict,
-    uncertainty_score,
     uncertainty_scores,
     write_scores,
 )

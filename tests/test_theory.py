@@ -6,6 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from cg_oracle import cg_solve
 from gd_oracle import gd_solve
 from rodd.data import parse_config_file, parse_float_list, parse_int_list
 from rodd.errors import ContractViolation, NumericFailure
@@ -13,6 +14,7 @@ from rodd.linalg import orthonormal_init, sym_eig
 from rodd.theory import (
     AugGraph,
     SolveOptions,
+    _GaugeStep,
     _initial_point,
     _quartic_argmin,
     build_adjacency,
@@ -310,6 +312,16 @@ class TestVerifyLemma:
         )["bounds"]
         assert abs(report_bounds["bound2"] - report_bounds["bound2_from_bound4"]) <= 1e-15
 
+    def test_unconverged_solve_does_not_pass(self):
+        graph, proj, targets = graph_proj_targets(
+            [4, 3], 0.0, 0.0, seed=15, normalization="unit-spectral-per-block"
+        )
+        capped = solve_joint(graph, proj, targets, 1e-4, SolveOptions(init="random", max_iters=2))
+        assert not capped.converged
+        report = verify_lemma(graph, graph.n, capped, tol=math.inf)  # every tail "within"
+        assert report["pass"] is False
+        assert report["converged"] is False
+
     def test_bounds_monotone_in_delta(self):
         grid = [0.0, 0.01, 0.05, 0.1, 0.2, 0.5]
         values = [lemma_bounds(d) for d in grid]
@@ -351,6 +363,17 @@ class TestMuSweep:
         sweep = mu_sweep(graph, proj, targets, [1e-6, 1e-4, 1e-2, 1.0, 100.0], graph.n)
         assert sweep["rows"][0]["lemma_pass"]
         assert sweep["mu_min_estimate"] is not None
+
+    def test_capped_rows_do_not_pass(self):
+        graph, proj, targets = graph_proj_targets(
+            [4, 3], 0.0, 0.0, seed=18, normalization="unit-spectral-per-block"
+        )
+        sweep = mu_sweep(
+            graph, proj, targets, [1e-4, 1.0], graph.n, SolveOptions(init="random", max_iters=2)
+        )
+        assert [row["converged"] for row in sweep["rows"]] == [False, False]
+        assert [row["lemma_pass"] for row in sweep["rows"]] == [False, False]
+        assert sweep["mu_min_estimate"] is None
 
     def test_requires_sorted_nonnegative(self):
         graph, proj, targets = graph_proj_targets([3, 3], 0.0, 0.0, seed=20)
@@ -426,3 +449,136 @@ class TestAgainstGradientDescent:
         proj = orthonormal_init(12, 3, 6)
         ours, oracle = _oracle_gap(graph, proj, 1e-4, 4000, 5)
         assert ours <= oracle
+
+
+def _theory_cfg_problem():
+    """(graph, proj, mu values, max_iters, seed) of configs/theory.cfg."""
+    cfg = parse_config_file(THEORY_CFG)
+    seed = cfg.get("theory.seed")
+    sizes = parse_int_list(cfg.get("theory.class_sizes"), "theory.class_sizes")
+    graph = build_adjacency(
+        sizes, cfg.get("theory.delta"), cfg.get("theory.eta"), seed,
+        cfg.get("theory.normalization"),
+    )
+    proj = orthonormal_init(cfg.get("theory.d"), len(sizes), seed + 1)
+    mu_values = parse_float_list(cfg.get("theory.mu_values"), "theory.mu_values")
+    return graph, proj, mu_values, cfg.get("theory.max_iters"), seed
+
+
+def _mu_term(f, proj, targets):
+    fit = f @ proj - targets
+    return float(np.vdot(fit, fit))
+
+
+class TestGaugeStep:
+    def test_model_matches_finite_differences(self):
+        # The Newton model's gradient and Hessian in the free parameters
+        # against central differences of the mu-term along the Cayley
+        # rotation of S, which agrees with Q = I + S + S^2/2 to second order.
+        rng = np.random.default_rng(50)
+        for d, n_classes in ((6, 3), (5, 1), (4, 4), (7, 2)):
+            n = 12
+            f = rng.standard_normal((n, d))
+            targets = np.zeros((n, n_classes))
+            targets[np.arange(n), np.arange(n) % n_classes] = 1.0
+            gauge = _GaugeStep(np.eye(d)[:, :n_classes])
+            _, _, hess, grad = gauge.newton_system(f, targets)
+
+            def mu_term(params):
+                skew = (gauge.skew_lift @ params).reshape(d, d)
+                q = np.linalg.solve(np.eye(d) - skew / 2, np.eye(d) + skew / 2)
+                return _mu_term(f @ q, np.eye(d)[:, :n_classes], targets)
+
+            eps = 1e-4
+            basis = np.eye(grad.size) * eps
+            numeric_grad = [(mu_term(e) - mu_term(-e)) / (2 * eps) for e in basis]
+            numeric_hess = [
+                [
+                    (mu_term(e + g) - mu_term(e - g) - mu_term(g - e) + mu_term(-e - g))
+                    / (4 * eps * eps)
+                    for g in basis
+                ]
+                for e in basis
+            ]
+            scale = max(1.0, float(np.abs(hess).max()))
+            assert np.abs(grad - numeric_grad).max() <= 1e-6 * scale
+            assert np.abs(hess - np.array(numeric_hess)).max() <= 1e-5 * scale
+
+    def test_rotation_keeps_factorization_and_never_raises_mu_term(self):
+        # Random points far from gauge-fixed exercise the long-step and
+        # majorization branches; points just off a solution the Newton one.
+        graph, proj, mu_values, _, seed = _theory_cfg_problem()
+        targets = one_hot_targets(graph)
+        a = graph.adjacency
+        gauge = _GaugeStep(proj)
+        frame_proj = gauge.frame.T @ proj
+        solved = solve_joint(graph, proj, targets, 1e-4, SolveOptions(seed=seed)).f_star
+        rng = np.random.default_rng(51)
+        points = [rng.standard_normal(solved.shape) * s for s in (0.1, 1.0, 3.0)]
+        points += [solved + 1e-3 * rng.standard_normal(solved.shape) for _ in range(3)]
+        rotated = 0
+        for f in points:
+            f = f @ gauge.frame
+            q = gauge.rotation(f, targets)
+            if q is None:
+                continue
+            rotated += 1
+            assert np.abs(q.T @ q - np.eye(len(q))).max() <= 1e-14
+            before = float(np.sum((a - f @ f.T) ** 2))
+            after = float(np.sum((a - (f @ q) @ (f @ q).T) ** 2))
+            assert abs(after - before) <= 1e-12 * before
+            assert _mu_term(f @ q, frame_proj, targets) < _mu_term(f, frame_proj, targets)
+        assert rotated == len(points)
+        assert gauge.rotation(np.zeros_like(solved), targets) is None  # F = 0: nothing to turn
+        overflowed = solved.copy()
+        overflowed[0, 0] = np.inf
+        with np.errstate(all="ignore"):
+            assert gauge.rotation(overflowed, targets) is None  # left to the loss check
+
+    def test_result_is_rotation_stationary(self):
+        graph, proj, mu_values, max_iters, seed = _theory_cfg_problem()
+        targets = one_hot_targets(graph)
+        for mu in mu_values:
+            f = solve_joint(
+                graph, proj, targets, mu, SolveOptions(max_iters=max_iters, seed=seed)
+            ).f_star
+            moment = f.T @ (f @ proj - targets) @ proj.T
+            skew = (moment - moment.T) / 2
+            assert np.linalg.norm(skew) <= 1e-12 * np.linalg.norm(moment), f"mu={mu}"
+
+    def test_mu_zero_takes_no_gauge_step(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("a gauge step was built at mu = 0")
+
+        monkeypatch.setattr(_GaugeStep, "__init__", refuse)
+        graph, proj, targets = graph_proj_targets([5, 4], 0.05, 0.0, seed=52, d=6)
+        f0 = _initial_point(graph, 6, SolveOptions(init="random", seed=52))
+        result = solve_joint(graph, proj, targets, 0.0, SolveOptions(init=f0))
+        _, trace, converged = cg_solve(graph.adjacency, f0, proj, targets, 0.0, 2000)
+        assert result.loss_trace == trace
+        assert result.converged == converged
+
+
+class TestAgainstConjugateGradient:
+    """The gauge step must not cost accuracy: every solve converges, and
+    ends no higher than the plain CG loop from the same start."""
+
+    @staticmethod
+    def _check(graph, proj, mu_values, max_iters, seed):
+        targets = one_hot_targets(graph)
+        f0 = _initial_point(graph, proj.shape[0], SolveOptions(seed=seed))
+        for mu in mu_values:
+            result = solve_joint(
+                graph, proj, targets, mu, SolveOptions(max_iters=max_iters, init=f0)
+            )
+            _, trace, _ = cg_solve(graph.adjacency, f0, proj, targets, mu, max_iters)
+            assert result.converged, f"mu={mu}: stopped at max_iters"
+            assert result.loss_trace[-1] <= trace[-1] * (1 + 1e-7), f"mu={mu}"
+
+    def test_shipped_theory_config(self):
+        self._check(*_theory_cfg_problem())
+
+    def test_three_classes_of_sixteen(self):
+        graph = build_adjacency([16, 16, 16], 0.05, 0.0, 5, "unit-spectral-per-block")
+        proj = orthonormal_init(12, 3, 6)
+        self._check(graph, proj, [1e-6, 1e-4, 1e-2, 1.0, 100.0], 4000, 5)
