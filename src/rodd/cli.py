@@ -32,6 +32,7 @@ from .data import (
 )
 from .errors import ContractViolation, FormatError, NumericFailure
 from .linalg import orthonormal_init
+from .streams import check_seed
 
 COMMANDS = (
     "synth",
@@ -82,8 +83,17 @@ def _build_parser() -> argparse.ArgumentParser:
         cmd = sub.add_parser(name)
         cmd.add_argument("--config", required=True, help="run configuration file")
         cmd.add_argument("--out", required=True, help="output directory")
-        cmd.add_argument("--seed", type=int, default=None, help="seed override")
+        cmd.add_argument("--seed", type=_seed_arg, default=None, help="seed override")
     return parser
+
+
+def _seed_arg(text: str) -> int:
+    try:
+        return check_seed(int(text, 10))
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
+    except ContractViolation as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 def _stage_seed(config: RunConfig, section: str, override) -> int:
@@ -357,13 +367,14 @@ def _cmd_corrupt(config: RunConfig, out: Path, seed_override) -> dict:
     return artifacts
 
 
-def eval_pipeline(config: RunConfig, out: Path) -> dict:
+def eval_pipeline(config: RunConfig, out: Path, seed_override=None) -> dict:
     """Score ID test and OOD sets (clean plus configured corruption sweep).
 
     Emits one report row per (ood_set, corruption, severity) with the exact
     EvalReport fields, plus the clean ID accuracy.  The clean sets are
     encoded once each; their scores, score tables and the accuracy all come
-    from those features.
+    from those features.  The sweep's seed is --seed when given, else
+    corruption.seed, as for the corrupt stage.
     """
     model, subspaces = _load_scoring_state(out)
     id_test = _read_dataset(out / "id_test.feat")
@@ -423,7 +434,7 @@ def eval_pipeline(config: RunConfig, out: Path) -> dict:
             raise ContractViolation(
                 f"corruption.apply_to must be 'ood' or 'id', got {apply_to!r}"
             )
-        seed = int(config.get("corruption.seed", 0))
+        seed = _stage_seed(config, "corruption", seed_override)
         for severity in severities:
             spec = corruptions.CorruptionSpec(str(kind), severity, seed)
             if apply_to == "ood":
@@ -438,7 +449,7 @@ def eval_pipeline(config: RunConfig, out: Path) -> dict:
 
 
 def _cmd_eval(config: RunConfig, out: Path, seed_override) -> dict:
-    result = eval_pipeline(config, out)
+    result = eval_pipeline(config, out, seed_override)
     artifacts = {"eval_json": out / "eval.json", "eval_csv": out / "eval.csv"}
     payload = {
         "method": result["method"],

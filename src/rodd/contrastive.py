@@ -83,15 +83,45 @@ def augment_batch(x, spec: AugmentationSpec, rng: np.random.Generator) -> np.nda
     depend on the generator state, not on which parameters are active.
     """
     x = as_matrix(x, "x")
-    n, d = x.shape
-    noise = rng.standard_normal((n, d))
-    factors = 1.0 + rng.uniform(-spec.scale_jitter, spec.scale_jitter, size=n)
-    scores = rng.random((n, d))
-    out = (x + spec.gaussian_sigma * noise) * factors[:, None]
-    k = int(round(spec.mask_fraction * d))
+    noise, factors, scores = np.empty(x.shape), np.empty(x.shape[0]), np.empty(x.shape)
+    draw_augmentation(rng, spec, noise, factors, scores)
+    return apply_augmentation(x, spec, noise, factors, scores)
+
+
+def draw_augmentation(rng, spec: AugmentationSpec, noise, factors=None, scores=None) -> None:
+    """Fill the augmentation draws of noise's rows in place, in the fixed order.
+
+    noise gets standard normals, then factors 1 + U(-scale_jitter,
+    scale_jitter), one per row, then scores U[0, 1), one per entry.  Drawing
+    stops at the first array given as None, so a caller that discards the
+    stream afterwards can skip draws that cannot change its output.
+    """
+    rng.standard_normal(out=noise)
+    if factors is None:
+        return
+    factors[...] = 1.0 + rng.uniform(-spec.scale_jitter, spec.scale_jitter, size=factors.shape)
+    if scores is not None:
+        rng.random(out=scores)
+
+
+def mask_count(spec: AugmentationSpec, width: int) -> int:
+    """Entries zeroed per row of the given width; 0 means the mask is inactive."""
+    return int(round(spec.mask_fraction * width))
+
+
+def apply_augmentation(x, spec: AugmentationSpec, noise, factors=None, scores=None) -> np.ndarray:
+    """(x + sigma * noise) * factors, then each row's mask_count lowest-scored
+    entries set to 0; rows run along the last axis and x broadcasts against
+    noise.  factors None means all 1 (x * 1.0 is x); scores are read only
+    when the mask is active.
+    """
+    out = x + spec.gaussian_sigma * noise
+    if factors is not None:
+        out *= factors[..., None]
+    k = mask_count(spec, out.shape[-1])
     if k > 0:
-        drop = np.argsort(scores, axis=1, kind="stable")[:, :k]
-        np.put_along_axis(out, drop, 0.0, axis=1)
+        drop = np.argsort(scores, axis=-1, kind="stable")[..., :k]
+        np.put_along_axis(out, drop, 0.0, axis=-1)
     return out
 
 
@@ -138,10 +168,13 @@ def spectral_contrastive_loss(batch_features, adjacency) -> tuple[float, np.ndar
         )
     if n and float(np.abs(a - a.T).max()) > 1e-12:
         raise ContractViolation("adjacency must be symmetric")
+    return _spectral_loss(f, a)
+
+
+def _spectral_loss(f, a) -> tuple[float, np.ndarray]:
+    """Unchecked core of spectral_contrastive_loss, for the training loops."""
     residual = a - f @ f.T
-    loss = float((residual * residual).sum())
-    grad = -4.0 * (residual @ f)
-    return loss, grad
+    return float((residual * residual).sum()), -4.0 * (residual @ f)
 
 
 def adversarial_perturb(
@@ -167,8 +200,7 @@ def _perturb(model, x0, adjacency, spec: AdversarialSpec) -> np.ndarray:
     x = x0
     for _ in range(spec.steps):
         feats, acts = _body_forward(model.layers, x, keep=True)
-        residual = adjacency - feats @ feats.T
-        dfeat = -4.0 * (residual @ feats)
+        _, dfeat = _spectral_loss(feats, adjacency)
         dx = _body_backward(model.layers, acts, dfeat)
         x = x + spec.step_size * np.sign(dx)
         x = x0 + np.clip(x - x0, -spec.epsilon, spec.epsilon)
@@ -204,7 +236,7 @@ def pretrain(model: EncoderModel, dataset, config: PretrainConfig):
             # Overflowing features are a diverging run, not a bad input.
             if not np.isfinite(feats).all():
                 raise DivergenceError(epoch, "non-finite features")
-            loss, dfeat = spectral_contrastive_loss(feats, adjacency)
+            loss, dfeat = _spectral_loss(feats, adjacency)
             scale = 1.0 / (2 * m)
             loss *= scale
             if not math.isfinite(loss):

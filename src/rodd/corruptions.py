@@ -14,6 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ContractViolation
+from .streams import check_seed, row_streams, xor_seeds
 
 KINDS = (
     "none",
@@ -50,6 +51,7 @@ class CorruptionSpec:
             raise ContractViolation(
                 f"severity must be an integer in 1..5, got {self.severity}"
             )
+        check_seed(self.seed, "corruption seed")
 
 
 def apply_corruption(x, spec: CorruptionSpec) -> np.ndarray:
@@ -85,8 +87,9 @@ def _checked_unit_range(x) -> np.ndarray:
 def _corrupt_rows(rows: np.ndarray, spec: CorruptionSpec, seeds) -> np.ndarray:
     """A flat kind applied to every row of a 2-D array at once.
 
-    Row i draws its noise from default_rng(seeds[i]) in the order a single
-    row would, so each output row is the bytes of corrupting that row alone.
+    Row i draws its noise from its own stream, in the state of
+    default_rng(seeds[i]) (see streams.row_streams), in the order a single row
+    would, so each output row is the bytes of corrupting that row alone.
     """
     level = spec.severity - 1
     if spec.kind == "none":
@@ -96,20 +99,24 @@ def _corrupt_rows(rows: np.ndarray, spec: CorruptionSpec, seeds) -> np.ndarray:
         return np.clip((rows - mean) * CONTRAST_FACTOR[level] + mean, 0.0, 1.0)
     if spec.kind == "brightness":
         return np.clip(rows + BRIGHTNESS_SHIFT[level], 0.0, 1.0)
-    rngs = [np.random.default_rng(seed) for seed in seeds]
-    width = rows.shape[1]
+    streams = row_streams(seeds)
     if spec.kind == "gaussian_noise":
-        noise = np.array([rng.standard_normal(width) for rng in rngs])
+        noise = np.empty_like(rows)
+        for row, rng in zip(noise, streams):
+            rng.standard_normal(out=row)
         return np.clip(rows + GAUSSIAN_SIGMA[level] * noise, 0.0, 1.0)
     if spec.kind == "shot_noise":
         photons = SHOT_PHOTONS[level]
-        counts = np.array([rng.poisson(lam) for rng, lam in zip(rngs, rows * photons)])
+        counts = np.empty(rows.shape, dtype=np.int64)
+        for row, lam, rng in zip(counts, rows * photons, streams):
+            row[:] = rng.poisson(lam)
         return np.clip(counts / photons, 0.0, 1.0)
     if spec.kind == "impulse_noise":
         out = rows.copy()
+        width = rows.shape[1]
         k = int(round(IMPULSE_FRACTION[level] * width))
         if k > 0:
-            for row, rng in zip(out, rngs):
+            for row, rng in zip(out, streams):
                 where = rng.choice(width, size=k, replace=False)
                 row[where] = rng.integers(0, 2, size=k).astype(np.float64)
         return out
@@ -166,5 +173,5 @@ def corrupt_dataset(dataset, spec: CorruptionSpec):
     inputs = _checked_unit_range(dataset.inputs)
     if spec.kind in GRID_KINDS:
         _require_grid(inputs[0], spec.kind)  # raises: dataset rows are flat vectors
-    seeds = [spec.seed ^ i for i in range(dataset.n)]
-    return Dataset(_corrupt_rows(inputs, spec, seeds), dataset.labels, dataset.class_count)
+    corrupted = _corrupt_rows(inputs, spec, xor_seeds(spec.seed, dataset.n))
+    return Dataset(corrupted, dataset.labels, dataset.class_count)

@@ -18,6 +18,7 @@ import numpy as np
 from .corruptions import GRID_KINDS, KINDS
 from .errors import ContractViolation, FormatError
 from .linalg import as_matrix, orthonormal_init
+from .streams import SEED_LIMIT
 
 FEATURE_MAGIC = b"RODDFEAT1"
 
@@ -300,6 +301,8 @@ CONFIG_BOUNDS: dict[str, tuple[tuple[str, float], ...]] = {
     "ood.mc_noise_sigma": ((">=", 0),),
     "eval.tpr_target": ((">", 0), ("<", 1)),
     "theory.max_iters": ((">=", 1),),
+    # Every seed key: numpy seeds and rodd.streams take [0, 2**64).
+    **{key: ((">=", 0), ("<", SEED_LIMIT)) for key in CONFIG_SCHEMA if key.endswith("seed")},
 }
 
 _BOUND_HOLDS = {">": operator.gt, ">=": operator.ge, "<": operator.lt}

@@ -354,7 +354,7 @@ def _loss_and_grad(model, x, labels, grads, mu=0.0, adjacency=None) -> float:
     """Unchecked core of loss_and_grad: fills grads in place, returns the loss.
 
     With a contrastive term, non-finite features (a diverging run) return a
-    NaN loss before the spectral loss's input checks see them.
+    NaN loss at once, which the training loop reports as a divergence.
     """
     feats, acts = _body_forward(model.layers, x, keep=True)
     if adjacency is not None and not np.isfinite(feats).all():
@@ -363,9 +363,9 @@ def _loss_and_grad(model, x, labels, grads, mu=0.0, adjacency=None) -> float:
     loss, dlogits = cross_entropy(record.logits, labels)
     dfeat = _head_backward(model, record, head_cache, dlogits, grads)
     if adjacency is not None:
-        from .contrastive import spectral_contrastive_loss
+        from .contrastive import _spectral_loss
 
-        cl_loss, cl_grad = spectral_contrastive_loss(feats, adjacency)
+        cl_loss, cl_grad = _spectral_loss(feats, adjacency)
         loss = loss + mu * cl_loss
         dfeat = dfeat + mu * cl_grad
     _body_backward(model.layers, acts, dfeat, grads)

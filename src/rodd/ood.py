@@ -15,10 +15,11 @@ from pathlib import Path
 
 import numpy as np
 
-from .contrastive import AugmentationSpec, augment_batch
+from .contrastive import AugmentationSpec, apply_augmentation, draw_augmentation, mask_count
 from .encoder import FEATURE_NORM_FLOOR, EncoderModel, features
 from .errors import ContractViolation, DegenerateFeatureError, FormatError
 from .linalg import as_matrix, svd
+from .streams import check_seed, row_streams, xor_seeds
 
 SCORE_COLUMNS = ("sample_id", "delta", "argmin_class", "mc_probability", "decision")
 UNIT_NORM_TOL = 1e-6  # loaded class directions must have norm 1 within this
@@ -157,9 +158,10 @@ def mc_score_records(
 ) -> list[ScoreRecord]:
     """Monte-Carlo accept probabilities from k stochastic augmentations per row.
 
-    Row i gets k_draws augmented copies drawn from default_rng(seed XOR i)
-    and the sample id start_id + i.  Each draw is encoded in eval mode and
-    scored; mc_probability is the fraction of draws with angle at or below
+    Row i gets k_draws augmented copies drawn from its own stream, in the
+    state of default_rng(seed XOR i) (seed in [0, 2**64)), and the sample
+    id start_id + i.  Each draw is encoded in eval mode and scored;
+    mc_probability is the fraction of draws with angle at or below
     the threshold, the decision is ID iff that fraction reaches 0.5, and
     argmin_class is the most-voted class among the valid draws (-1 when
     there is none).  Degenerate-feature draws count as rejections (angle pi
@@ -171,15 +173,13 @@ def mc_score_records(
         raise ContractViolation(f"k_draws must be >= 1, got {k_draws}")
     noise = noise if noise is not None else AugmentationSpec(gaussian_sigma=0.01)
     raw = as_matrix(raw_rows, "raw_rows")
+    seeds = xor_seeds(check_seed(seed, "ood seed"), raw.shape[0])
     per_chunk = max(1, MC_CHUNK_DRAWS // k_draws)
     records = []
     for lo in range(0, raw.shape[0], per_chunk):
-        ids = range(lo, min(lo + per_chunk, raw.shape[0]))
-        draws = np.vstack([
-            augment_batch(np.tile(raw[i], (k_draws, 1)), noise, np.random.default_rng(seed ^ i))
-            for i in ids
-        ])
-        feats = features(model, draws)
+        hi = min(lo + per_chunk, raw.shape[0])
+        ids = range(lo, hi)
+        feats = features(model, _mc_draws(raw[lo:hi], k_draws, noise, seeds[lo:hi]))
         valid = np.linalg.norm(feats, axis=1) >= FEATURE_NORM_FLOOR
         deltas = np.full(valid.size, math.pi)
         argmins = np.full(valid.size, -1, dtype=np.int64)
@@ -207,6 +207,32 @@ def mc_score_records(
                 )
             )
     return records
+
+
+def _mc_draws(rows, k_draws, noise: AugmentationSpec, seeds) -> np.ndarray:
+    """The k_draws augmented copies of every row, stacked row by row.
+
+    Row i's copies are augment_batch of k_draws tiled copies of the row with
+    a fresh default_rng(seeds[i]), to the byte.  The row's stream is thrown
+    away afterwards, so it stops after its last draw that can change the
+    output: the jitter factors are drawn only when they scale or precede
+    active mask scores, and the mask scores only when the mask is active.
+    """
+    n, d = rows.shape
+    masked = mask_count(noise, d) > 0
+    gauss = np.empty((n, k_draws, d))
+    factors = np.empty((n, k_draws)) if masked or noise.scale_jitter > 0 else None
+    scores = np.empty((n, k_draws, d)) if masked else None
+    for j, rng in enumerate(row_streams(seeds)):
+        draw_augmentation(
+            rng,
+            noise,
+            gauss[j],
+            None if factors is None else factors[j],
+            None if scores is None else scores[j],
+        )
+    draws = apply_augmentation(rows[:, None, :], noise, gauss, factors, scores)
+    return draws.reshape(n * k_draws, d)
 
 
 def score_records(

@@ -158,6 +158,26 @@ class TestPipeline:
         assert np.abs(gram - np.eye(model.n_classes)).max() <= 1e-8
 
 
+    def test_eval_seed_override_sweeps_with_that_seed(self, tmp_path, pipeline_dir, small_config):
+        seeded = tmp_path / "seed99.cfg"
+        seeded.write_text(SMALL_CFG.replace("apply_to = ood\nseed = 3", "apply_to = ood\nseed = 99"))
+        reports = {}
+        for name, argv in (
+            ("config", ["--config", str(seeded)]),
+            ("override", ["--config", str(small_config), "--seed", "99"]),
+            ("default", ["--config", str(small_config)]),
+        ):
+            out = tmp_path / name
+            shutil.copytree(pipeline_dir, out)
+            (out / "run.json").unlink()
+            assert run(["eval", "--out", str(out), *argv]) == 0
+            reports[name] = (out / "eval.csv").read_bytes(), (out / "eval.json").read_bytes()
+        assert reports["override"] == reports["config"]
+        assert reports["default"] != reports["config"]
+        assert reports["default"] == ((pipeline_dir / "eval.csv").read_bytes(),
+                                      (pipeline_dir / "eval.json").read_bytes())
+
+
 class TestDeterminism:
     def test_reports_byte_identical_across_reruns(self, tmp_path, small_config):
         outputs = []
@@ -299,6 +319,15 @@ class TestExitCodes:
             ("score", "ood", "mc_noise_sigma", "-0.01", ">= 0"),
             ("fit", "ood", "quantile", "1.5", "< 1"),
             ("eval", "eval", "tpr_target", "0", "> 0"),
+            ("synth", "synth", "seed", "-1", ">= 0"),
+            ("synth", "synth", "ood_direction_seed", "-1", ">= 0"),
+            ("pretrain", "model", "seed", "-2", ">= 0"),
+            ("pretrain", "pretrain", "seed", str(2**64), f"< {2**64}"),
+            ("train", "train", "seed", "-1", ">= 0"),
+            ("score", "ood", "seed", "-1", ">= 0"),
+            ("corrupt", "corruption", "seed", "-3", ">= 0"),
+            ("eval", "corruption", "seed", "-3", ">= 0"),
+            ("verify-theory", "theory", "seed", str(2**64 + 1), f"< {2**64}"),
         ],
     )
     def test_optimizer_and_size_bounds(self, tmp_path, capsys, command, section, key, value, bound):
@@ -351,6 +380,22 @@ class TestExitCodes:
         a, _ = read_features(out_a / "id_train.feat")
         b, _ = read_features(out_b / "id_train.feat")
         assert not np.array_equal(a, b)
+
+    @pytest.mark.parametrize("command", ["synth", "pretrain", "score", "corrupt", "eval"])
+    @pytest.mark.parametrize("seed", ["-5", str(2**64), "seven"])
+    def test_seed_override_outside_u64(self, tmp_path, small_config, capsys, command, seed):
+        out = tmp_path / "o"
+        argv = [command, "--config", str(small_config), "--out", str(out), "--seed", seed]
+        assert run(argv) == 1
+        err = capsys.readouterr().err
+        assert "argument --seed:" in err
+        assert "[0, 2**64)" in err or "expected an integer" in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
+    def test_largest_seed_override(self, tmp_path, small_config):
+        argv = ["synth", "--config", str(small_config), "--out", str(tmp_path / "big")]
+        assert run(argv + ["--seed", str(2**64 - 1)]) == 0
 
     def test_diverging_pretrain_exits_two(self, tmp_path, capsys):
         diverging = tmp_path / "diverge.cfg"

@@ -108,6 +108,12 @@ class TestApplyCorruption:
         with pytest.raises(ContractViolation):
             apply_corruption(np.array([0.5, 1.5]), CorruptionSpec("gaussian_noise", 1, 0))
 
+    @pytest.mark.parametrize("seed", [-3, 2**64, 1.0])
+    def test_seed_outside_u64_rejected(self, seed):
+        match = r"corruption seed must be an integer in \[0, 2\*\*64\)"
+        with pytest.raises(ContractViolation, match=match):
+            CorruptionSpec("gaussian_noise", 1, seed)
+
     def test_unknown_kind_rejected(self):
         with pytest.raises(ContractViolation):
             CorruptionSpec("salt", 1, 0)
@@ -176,6 +182,18 @@ class TestCorruptDataset:
             rows = [
                 apply_corruption(inputs[i], CorruptionSpec(kind, severity, 1234 ^ i))
                 for i in range(ds.n)
+            ]
+            assert out.inputs.tobytes() == np.vstack(rows).tobytes()
+
+    @pytest.mark.parametrize("kind", [k for k in KINDS if k not in GRID_KINDS])
+    @pytest.mark.parametrize("seed", [2**32 + 5, 2**64 - 1])
+    def test_seed_beyond_32_bits_matches_per_row(self, kind, seed):
+        inputs = np.random.default_rng(13).uniform(0.0, 1.0, size=(9, 40))
+        for severity in (1, 5):
+            out = corrupt_dataset(Dataset(inputs, None, 0), CorruptionSpec(kind, severity, seed))
+            rows = [
+                apply_corruption(inputs[i], CorruptionSpec(kind, severity, seed ^ i))
+                for i in range(inputs.shape[0])
             ]
             assert out.inputs.tobytes() == np.vstack(rows).tobytes()
 

@@ -14,6 +14,17 @@ from rodd.data import (
 )
 from rodd.errors import ContractViolation, FormatError
 
+SEED_KEYS = [
+    ("synth", "seed"),
+    ("synth", "ood_direction_seed"),
+    ("model", "seed"),
+    ("pretrain", "seed"),
+    ("train", "seed"),
+    ("ood", "seed"),
+    ("corruption", "seed"),
+    ("theory", "seed"),
+]
+
 
 class TestGaussianMixture:
     def test_zero_noise_collapses_to_means(self):
@@ -200,6 +211,10 @@ class TestConfigParser:
             ("ood", "mc_noise_sigma", {"-0.01": ">= 0"}, ["0", "0.01"]),
             ("ood", "quantile", {"0": "> 0", "-0.5": "> 0", "1": "< 1", "1.5": "< 1"}, ["1e-9", "0.95"]),
             ("eval", "tpr_target", {"0": "> 0", "1": "< 1", "2": "< 1"}, ["0.5", "0.95"]),
+            *[
+                (section, key, {"-1": ">= 0", str(2**64): f"< {2**64}"}, ["0", str(2**63)])
+                for section, key in SEED_KEYS
+            ],
         ],
     )
     def test_bounded_keys(self, section, key, rejected, accepted):
@@ -209,3 +224,8 @@ class TestConfigParser:
         for value in accepted:
             parsed = parse_config(f"[{section}]\n{key} = {value}\n").get(f"{section}.{key}")
             assert parsed == float(value)
+
+    @pytest.mark.parametrize("section, key", SEED_KEYS)
+    def test_largest_seed_accepted(self, section, key):
+        parsed = parse_config(f"[{section}]\n{key} = {2**64 - 1}\n").get(f"{section}.{key}")
+        assert parsed == 2**64 - 1

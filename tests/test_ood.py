@@ -276,6 +276,28 @@ class TestMcScoreRecords:
         records = self.compare(self.rows[:9], k_draws=5)
         assert all(r.degenerate_draws == 5 and r.argmin_class == -1 for r in records)
 
+    @pytest.mark.parametrize(
+        "mask_fraction, scale_jitter",
+        [(0.0, 0.25), (0.3, 0.0), (0.3, 0.25), (0.05, 0.25)],  # 0.05 masks no entry of 6
+    )
+    def test_jitter_and_mask(self, mask_fraction, scale_jitter):
+        self.noise = AugmentationSpec(0.3, mask_fraction=mask_fraction, scale_jitter=scale_jitter)
+        records = self.compare(self.rows[:40], k_draws=20)
+        assert any(0.0 < r.mc_probability < 1.0 for r in records)
+
+    def test_seed_beyond_32_bits(self):
+        batched = mc_score_records(self.model, self.subspaces, self.rows[:20], k_draws=10,
+                                   noise=self.noise, seed=2**64 - 1)
+        oracle = mc_records_oracle(self.model, self.subspaces, self.rows[:20], k_draws=10,
+                                   noise=self.noise, seed=2**64 - 1)
+        assert_matches_oracle(batched, oracle)
+
+    @pytest.mark.parametrize("seed", [-1, 2**64])
+    def test_seed_outside_u64_rejected(self, seed):
+        match = r"ood seed must be an integer in \[0, 2\*\*64\)"
+        with pytest.raises(ContractViolation, match=match):
+            mc_score_records(self.model, self.subspaces, self.rows[:2], k_draws=3, seed=seed)
+
     def test_mc_detect_is_the_one_row_case(self):
         record = mc_detect(self.model, self.subspaces, self.rows[5], k_draws=30,
                            noise=self.noise, seed=77, sample_id=9)
