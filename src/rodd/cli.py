@@ -21,15 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from . import contrastive, corruptions, encoder, metrics, ood, theory
-from .data import (
-    Dataset,
-    RunConfig,
-    parse_config_file,
-    parse_float_list,
-    parse_int_list,
-    read_features,
-    write_features,
-)
+from .data import Dataset, RunConfig, parse_config_file, read_features, write_features
 from .errors import ContractViolation, FormatError, NumericFailure
 from .linalg import orthonormal_init
 from .streams import check_seed
@@ -97,9 +89,13 @@ def _seed_arg(text: str) -> int:
 
 
 def _stage_seed(config: RunConfig, section: str, override) -> int:
-    if override is not None:
-        return int(override)
-    return int(config.get(f"{section}.seed", 0))
+    return config.get(f"{section}.seed") if override is None else override
+
+
+def _derived(value, fallback):
+    """A key whose default depends on other values: its configured value,
+    else fallback (0 is a valid setting, so this tests for None)."""
+    return fallback if value is None else value
 
 
 def _need(path: Path) -> Path:
@@ -156,12 +152,12 @@ def _cmd_synth(config: RunConfig, out: Path, seed_override) -> dict:
     from .data import synth_gaussian_mixture, synth_ood_cluster
 
     seed = _stage_seed(config, "synth", seed_override)
-    n_classes = int(config.get("synth.classes", 4))
-    per_class = int(config.get("synth.per_class", 500))
-    test_per_class = int(config.get("synth.test_per_class", max(1, per_class // 5)))
-    input_dim = int(config.get("synth.input_dim", 32))
-    separation = float(config.get("synth.separation", 6.0))
-    noise_sigma = float(config.get("synth.noise_sigma", 1.0))
+    n_classes = config.get("synth.classes")
+    per_class = config.get("synth.per_class")
+    test_per_class = _derived(config.get("synth.test_per_class"), max(1, per_class // 5))
+    input_dim = config.get("synth.input_dim")
+    separation = config.get("synth.separation")
+    noise_sigma = config.get("synth.noise_sigma")
     full = synth_gaussian_mixture(
         n_classes, per_class + test_per_class, input_dim, separation, noise_sigma, seed
     )
@@ -173,16 +169,16 @@ def _cmd_synth(config: RunConfig, out: Path, seed_override) -> dict:
         test_idx.extend(range(start + per_class, start + block))
     ood_set = synth_ood_cluster(
         input_dim,
-        int(config.get("synth.ood_n", 500)),
-        int(config.get("synth.ood_direction_seed", seed + 1)),
-        float(config.get("synth.ood_offset_norm", 9.0)),
-        float(config.get("synth.ood_noise_sigma", noise_sigma)),
+        config.get("synth.ood_n"),
+        _derived(config.get("synth.ood_direction_seed"), seed + 1),
+        config.get("synth.ood_offset_norm"),
+        _derived(config.get("synth.ood_noise_sigma"), noise_sigma),
         seed + 2,
     )
     id_train = full.inputs[train_idx]
     id_test = full.inputs[test_idx]
     ood_inputs = ood_set.inputs
-    if bool(config.get("synth.scale_to_unit", True)):
+    if config.get("synth.scale_to_unit"):
         # Global affine map fitted on ID training data (robust percentile
         # range); keeps the geometry intact while making corruption kinds
         # (which expect [0, 1] inputs) applicable.  Values outside the
@@ -205,23 +201,12 @@ def _cmd_synth(config: RunConfig, out: Path, seed_override) -> dict:
 
 
 def _build_model_from_config(config: RunConfig, input_dim: int, n_classes: int):
-    hidden = tuple(
-        parse_int_list(str(config.get("model.hidden_sizes", "128,64")), "model.hidden_sizes")
-    )
     return encoder.build_model(
         input_dim,
         n_classes,
-        hidden_sizes=hidden,
-        feature_dim=int(config.get("model.feature_dim", 16)),
-        seed=int(config.get("model.seed", 0)),
-    )
-
-
-def _aug_from_config(config: RunConfig, section: str) -> contrastive.AugmentationSpec:
-    return contrastive.AugmentationSpec(
-        gaussian_sigma=float(config.get(f"{section}.aug_gaussian_sigma", 0.1)),
-        mask_fraction=float(config.get(f"{section}.aug_mask_fraction", 0.0)),
-        scale_jitter=float(config.get(f"{section}.aug_scale_jitter", 0.0)),
+        hidden_sizes=config.get("model.hidden_sizes"),
+        feature_dim=config.get("model.feature_dim"),
+        seed=config.get("model.seed"),
     )
 
 
@@ -229,18 +214,22 @@ def _cmd_pretrain(config: RunConfig, out: Path, seed_override) -> dict:
     dataset = _read_dataset(out / "id_train.feat")
     model = _build_model_from_config(config, dataset.input_dim, dataset.class_count)
     adv = None
-    if bool(config.get("pretrain.adversarial", False)):
+    if config.get("pretrain.adversarial"):
         adv = contrastive.AdversarialSpec(
-            epsilon=float(config.get("pretrain.adv_epsilon", 0.03)),
-            steps=int(config.get("pretrain.adv_steps", 3)),
-            step_size=float(config.get("pretrain.adv_step_size", 0.01)),
+            epsilon=config.get("pretrain.adv_epsilon"),
+            steps=config.get("pretrain.adv_steps"),
+            step_size=config.get("pretrain.adv_step_size"),
         )
     cfg = contrastive.PretrainConfig(
-        epochs=int(config.get("pretrain.epochs", 20)),
-        batch_size=int(config.get("pretrain.batch_size", 64)),
-        lr=float(config.get("pretrain.lr", 0.05)),
-        momentum=float(config.get("pretrain.momentum", 0.9)),
-        aug=_aug_from_config(config, "pretrain"),
+        epochs=config.get("pretrain.epochs"),
+        batch_size=config.get("pretrain.batch_size"),
+        lr=config.get("pretrain.lr"),
+        momentum=config.get("pretrain.momentum"),
+        aug=contrastive.AugmentationSpec(
+            gaussian_sigma=config.get("pretrain.aug_gaussian_sigma"),
+            mask_fraction=config.get("pretrain.aug_mask_fraction"),
+            scale_jitter=config.get("pretrain.aug_scale_jitter"),
+        ),
         adv=adv,
         seed=_stage_seed(config, "pretrain", seed_override),
     )
@@ -259,16 +248,16 @@ def _cmd_train(config: RunConfig, out: Path, seed_override) -> dict:
     else:
         model = _build_model_from_config(config, dataset.input_dim, dataset.class_count)
     cfg = encoder.TrainConfig(
-        epochs=int(config.get("train.epochs", 40)),
-        batch_size=int(config.get("train.batch_size", 64)),
-        lr=float(config.get("train.lr", 0.05)),
-        momentum=float(config.get("train.momentum", 0.9)),
-        mu=float(config.get("train.mu", 0.0)),
+        epochs=config.get("train.epochs"),
+        batch_size=config.get("train.batch_size"),
+        lr=config.get("train.lr"),
+        momentum=config.get("train.momentum"),
+        mu=config.get("train.mu"),
         seed=_stage_seed(config, "train", seed_override),
-        contrastive=bool(config.get("train.contrastive", False)),
-        aug_gaussian_sigma=float(config.get("train.aug_gaussian_sigma", 0.05)),
-        input_noise=float(config.get("train.input_noise", 0.0)),
-        grad_clip=float(config.get("train.grad_clip", 5.0)),
+        contrastive=config.get("train.contrastive"),
+        aug_gaussian_sigma=config.get("train.aug_gaussian_sigma"),
+        input_noise=config.get("train.input_noise"),
+        grad_clip=config.get("train.grad_clip"),
     )
     model, history = encoder.train(model, dataset, cfg)
     artifacts = {"model": out / "model.ckpt", "train_history": out / "train_history.json"}
@@ -286,8 +275,8 @@ def _cmd_fit(config: RunConfig, out: Path, seed_override) -> dict:
     subspaces = ood.fit_subspaces(
         feats,
         dataset.labels,
-        quantile=float(config.get("ood.quantile", 0.95)),
-        abs_cosine=bool(config.get("ood.abs_cosine", False)),
+        quantile=config.get("ood.quantile"),
+        abs_cosine=config.get("ood.abs_cosine"),
     )
     artifacts = {
         "subspaces": out / "subspaces.json",
@@ -322,29 +311,22 @@ def _resolve_target(out: Path, name: str) -> Path:
 
 def _cmd_score(config: RunConfig, out: Path, seed_override) -> dict:
     model, subspaces = _load_scoring_state(out)
-    target = _resolve_target(out, str(config.get("ood.target", "id_test.feat")))
+    target = _resolve_target(out, config.get("ood.target"))
     dataset = _read_dataset(target)
-    abs_cosine = bool(config.get("ood.abs_cosine", False))
-    mode = str(config.get("ood.mode", "single"))
-    if mode == "single":
+    abs_cosine = config.get("ood.abs_cosine")
+    if config.get("ood.mode") == "single":
         feats = encoder.features(model, dataset.inputs)
         records = ood.score_records(feats, subspaces, abs_cosine=abs_cosine)
-    elif mode == "mc":
-        seed = _stage_seed(config, "ood", seed_override)
-        noise = contrastive.AugmentationSpec(
-            gaussian_sigma=float(config.get("ood.mc_noise_sigma", 0.01))
-        )
+    else:
         records = ood.mc_score_records(
             model,
             subspaces,
             dataset.inputs,
-            k_draws=int(config.get("ood.mc_draws", 50)),
-            noise=noise,
-            seed=seed,
+            k_draws=config.get("ood.mc_draws"),
+            noise=contrastive.AugmentationSpec(gaussian_sigma=config.get("ood.mc_noise_sigma")),
+            seed=_stage_seed(config, "ood", seed_override),
             abs_cosine=abs_cosine,
         )
-    else:
-        raise ContractViolation(f"ood.mode must be 'single' or 'mc', got {mode!r}")
     stem = target.stem
     artifacts = {f"{stem}_scores": out / f"{stem}_scores.csv"}
     ood.write_scores(artifacts[f"{stem}_scores"], records)
@@ -352,13 +334,12 @@ def _cmd_score(config: RunConfig, out: Path, seed_override) -> dict:
 
 
 def _cmd_corrupt(config: RunConfig, out: Path, seed_override) -> dict:
-    target = _resolve_target(out, str(config.get("corruption.target", "ood.feat")))
+    target = _resolve_target(out, config.get("corruption.target"))
     dataset = _read_dataset(target)
-    kind = str(config.get("corruption.kind", "gaussian_noise"))
-    severities = parse_int_list(str(config.get("corruption.severities", "1,2,3,4,5")), "corruption.severities")
+    kind = _derived(config.get("corruption.kind"), "gaussian_noise")
     seed = _stage_seed(config, "corruption", seed_override)
     artifacts = {}
-    for severity in severities:
+    for severity in config.get("corruption.severities"):
         spec = corruptions.CorruptionSpec(kind, severity, seed)
         corrupted = corruptions.corrupt_dataset(dataset, spec)
         name = f"{target.stem}_{kind}_s{severity}"
@@ -370,81 +351,57 @@ def _cmd_corrupt(config: RunConfig, out: Path, seed_override) -> dict:
 def eval_pipeline(config: RunConfig, out: Path, seed_override=None) -> dict:
     """Score ID test and OOD sets (clean plus configured corruption sweep).
 
-    Emits one report row per (ood_set, corruption, severity) with the exact
-    EvalReport fields, plus the clean ID accuracy.  The clean sets are
-    encoded once each; their scores, score tables and the accuracy all come
-    from those features.  The sweep's seed is --seed when given, else
+    Emits one (ood_set, corruption, severity, EvalReport) row per evaluated
+    pair, plus the clean ID accuracy.  The clean sets are encoded and scored
+    once each; their report row, score tables and the accuracy all come from
+    those scores.  The sweep's seed is --seed when given, else
     corruption.seed, as for the corrupt stage.
     """
     model, subspaces = _load_scoring_state(out)
     id_test = _read_dataset(out / "id_test.feat")
     ood_set = _read_dataset(out / "ood.feat")
-    method = str(config.get("eval.method", "rodd"))
-    if method not in ("rodd", "msp"):
-        raise ContractViolation(f"eval.method must be 'rodd' or 'msp', got {method!r}")
-    abs_cosine = bool(config.get("ood.abs_cosine", False))
-    tpr_target = float(config.get("eval.tpr_target", 0.95))
+    method = config.get("eval.method")
+    abs_cosine = config.get("ood.abs_cosine")
 
-    def oriented_scores(feats, logits=None):
-        """Higher means more in-distribution."""
-        if method == "rodd":
-            deltas, _ = ood.uncertainty_scores(feats, subspaces, abs_cosine=abs_cosine)
-            return -deltas
-        if logits is None:
-            logits = encoder.head_logits(model, feats)
-        return encoder.softmax(logits).max(axis=1)
+    def oriented_scores(inputs):
+        """Scores of raw inputs, higher meaning more in-distribution, with the
+        features and, under rodd, the (deltas, argmin classes) they come from."""
+        feats = encoder.features(model, inputs)
+        if method == "msp":
+            return encoder.softmax(encoder.head_logits(model, feats)).max(axis=1), feats, None
+        deltas, argmins = ood.uncertainty_scores(feats, subspaces, abs_cosine=abs_cosine)
+        return -deltas, feats, (deltas, argmins)
 
-    id_feats = encoder.features(model, id_test.inputs)
-    id_logits = encoder.head_logits(model, id_feats)
-    ood_feats = encoder.features(model, ood_set.inputs)
-    id_scores = oriented_scores(id_feats, id_logits)
-    id_accuracy = (
-        metrics.accuracy(id_logits, id_test.labels) if id_test.labels is not None else None
-    )
+    id_scores, id_feats, id_angles = oriented_scores(id_test.inputs)
+    ood_scores, _, ood_angles = oriented_scores(ood_set.inputs)
+    id_accuracy = None
+    if id_test.labels is not None:
+        id_accuracy = metrics.accuracy(encoder.head_logits(model, id_feats), id_test.labels)
+    score_tables = {}
+    if method == "rodd":
+        score_tables["id_test"] = ood.angle_records(*id_angles, subspaces.threshold)
+        score_tables["ood"] = ood.angle_records(*ood_angles, subspaces.threshold)
 
     rows = []
-    score_tables = {}
 
-    def add_row(name, corruption, severity, id_side, ood_side):
+    def add_row(corruption, severity, id_side, ood_side):
         split = metrics.ScoreSplit(id_side, ood_side)
-        report = metrics.evaluate_split(split, tpr_target)
-        rows.append(
-            {
-                "ood_set": name,
-                "corruption": corruption,
-                "severity": severity,
-                **report.to_dict(),
-            }
-        )
+        report = metrics.evaluate_split(split, config.get("eval.tpr_target"))
+        rows.append(("ood", corruption, severity, report))
 
-    ood_scores = oriented_scores(ood_feats)
-    add_row("ood", "none", 0, id_scores, ood_scores)
-    if method == "rodd":
-        score_tables["id_test"] = ood.score_records(id_feats, subspaces, abs_cosine=abs_cosine)
-        score_tables["ood"] = ood.score_records(ood_feats, subspaces, abs_cosine=abs_cosine)
-
+    add_row("none", 0, id_scores, ood_scores)
     kind = config.get("corruption.kind")
     if kind is not None:
-        severities = parse_int_list(
-            str(config.get("corruption.severities", "1,2,3,4,5")),
-            "corruption.severities",
-        )
-        apply_to = str(config.get("corruption.apply_to", "ood"))
-        if apply_to not in ("ood", "id"):
-            raise ContractViolation(
-                f"corruption.apply_to must be 'ood' or 'id', got {apply_to!r}"
-            )
         seed = _stage_seed(config, "corruption", seed_override)
-        for severity in severities:
-            spec = corruptions.CorruptionSpec(str(kind), severity, seed)
-            if apply_to == "ood":
-                corrupted = corruptions.corrupt_dataset(ood_set, spec)
-                cur_scores = oriented_scores(encoder.features(model, corrupted.inputs))
-                add_row("ood", str(kind), severity, id_scores, cur_scores)
+        on_ood = config.get("corruption.apply_to") == "ood"
+        for severity in config.get("corruption.severities"):
+            spec = corruptions.CorruptionSpec(kind, severity, seed)
+            corrupted = corruptions.corrupt_dataset(ood_set if on_ood else id_test, spec)
+            cur_scores = oriented_scores(corrupted.inputs)[0]
+            if on_ood:
+                add_row(kind, severity, id_scores, cur_scores)
             else:
-                corrupted = corruptions.corrupt_dataset(id_test, spec)
-                cur_scores = oriented_scores(encoder.features(model, corrupted.inputs))
-                add_row("ood", str(kind), severity, cur_scores, ood_scores)
+                add_row(kind, severity, cur_scores, ood_scores)
     return {"method": method, "id_accuracy": id_accuracy, "rows": rows, "score_tables": score_tables}
 
 
@@ -454,21 +411,15 @@ def _cmd_eval(config: RunConfig, out: Path, seed_override) -> dict:
     payload = {
         "method": result["method"],
         "id_accuracy": result["id_accuracy"],
-        "rows": result["rows"],
+        "rows": [
+            {"ood_set": name, "corruption": corruption, "severity": severity, **report.to_dict()}
+            for name, corruption, severity, report in result["rows"]
+        ],
     }
     _json_dump(artifacts["eval_json"], payload)
-    header = "ood_set,corruption,severity," + metrics.report_csv_header()
-    lines = [header]
-    for row in result["rows"]:
-        report = metrics.EvalReport(
-            fpr95=row["fpr95"],
-            auroc=row["auroc"],
-            detection_error=row["detection_error"],
-            n_id=row["n_id"],
-            n_ood=row["n_ood"],
-            threshold_used=row["threshold_used"],
-        )
-        lines.append(f"{row['ood_set']},{row['corruption']},{row['severity']},{report.csv_row()}")
+    lines = ["ood_set,corruption,severity," + metrics.report_csv_header()]
+    for name, corruption, severity, report in result["rows"]:
+        lines.append(f"{name},{corruption},{severity},{report.csv_row()}")
     artifacts["eval_csv"].write_text("\n".join(lines) + "\n", encoding="utf-8")
     for name, records in result["score_tables"].items():
         artifacts[f"{name}_scores"] = out / f"{name}_scores.csv"
@@ -478,28 +429,25 @@ def _cmd_eval(config: RunConfig, out: Path, seed_override) -> dict:
 
 def _cmd_verify_theory(config: RunConfig, out: Path, seed_override) -> dict:
     seed = _stage_seed(config, "theory", seed_override)
-    sizes = parse_int_list(str(config.get("theory.class_sizes", "6,5")), "theory.class_sizes")
+    sizes = config.get("theory.class_sizes")
     graph = theory.build_adjacency(
         sizes,
-        float(config.get("theory.delta", 0.05)),
-        float(config.get("theory.eta", 0.0)),
+        config.get("theory.delta"),
+        config.get("theory.eta"),
         seed,
-        str(config.get("theory.normalization", "unit-spectral-per-block")),
+        config.get("theory.normalization"),
     )
-    d = int(config.get("theory.d", graph.n))
+    d = _derived(config.get("theory.d"), graph.n)
     proj = orthonormal_init(d, len(sizes), seed + 1)
     targets = theory.one_hot_targets(graph)
     opts = theory.SolveOptions(
-        max_iters=int(config.get("theory.max_iters", 2000)),
-        tol=float(config.get("theory.tol", 1e-12)),
-        seed=seed,
+        max_iters=config.get("theory.max_iters"), tol=config.get("theory.tol"), seed=seed
     )
-    mu = float(config.get("theory.mu", 1e-4))
-    mu_values = parse_float_list(
-        str(config.get("theory.mu_values", "1e-6,1e-4,1e-2,1,100")), "theory.mu_values"
-    )
+    mu = config.get("theory.mu")
     solved = {}
-    sweep = theory.mu_sweep(graph, proj, targets, sorted(mu_values), d, opts, results=solved)
+    sweep = theory.mu_sweep(
+        graph, proj, targets, sorted(config.get("theory.mu_values")), d, opts, results=solved
+    )
     # The sweep starts every mu from the init solve_joint would use, so its
     # solve at the headline mu is the lemma's solve.
     result = solved.get(mu) or theory.solve_joint(graph, proj, targets, mu, opts)

@@ -19,6 +19,7 @@ from .corruptions import GRID_KINDS, KINDS
 from .errors import ContractViolation, FormatError
 from .linalg import as_matrix, orthonormal_init
 from .streams import SEED_LIMIT
+from .theory import NORMALIZATIONS
 
 FEATURE_MAGIC = b"RODDFEAT1"
 
@@ -204,108 +205,112 @@ def read_features(path) -> tuple[np.ndarray, np.ndarray | None]:
 # Run configuration
 # ---------------------------------------------------------------------------
 
-# Every key the config format accepts, with its expected type.  Unknown keys
-# are rejected with the offending line number (strict provenance).
-CONFIG_SCHEMA: dict[str, type] = {
+
+@dataclass(frozen=True)
+class ConfigKey:
+    """One config key: its type (the entry type of a list), default, bounds
+    and, for a string, its allowed values.
+
+    Each (op, limit) bound must hold for the value, or for every entry of a
+    list, so ">" and "<" give open bounds and ">=" and "<=" closed ones.  A default
+    of None on a key the pipeline reads means its stage derives the value.
+    """
+
+    kind: type
+    default: object = None
+    bounds: tuple = ()
+    choices: tuple = ()
+    is_list: bool = False
+
+
+_AT_LEAST_1 = ((">=", 1),)
+_NONNEGATIVE = ((">=", 0),)
+_POSITIVE = ((">", 0),)
+_UNIT_OPEN = ((">", 0), ("<", 1))
+_MOMENTUM = ((">=", 0), ("<", 1))
+_SEED = ((">=", 0), ("<", SEED_LIMIT))  # numpy seeds and rodd.streams take [0, 2**64)
+# Feature files hold flat rows, so the grid kinds cannot run on them.
+_FLAT_KINDS = tuple(kind for kind in KINDS if kind not in GRID_KINDS)
+
+# Every key the config format accepts.  Unknown keys are rejected with the
+# offending line number (strict provenance).
+CONFIG: dict[str, ConfigKey] = {
     # data synthesis
-    "synth.classes": int,
-    "synth.per_class": int,
-    "synth.test_per_class": int,
-    "synth.input_dim": int,
-    "synth.separation": float,
-    "synth.noise_sigma": float,
-    "synth.ood_n": int,
-    "synth.ood_offset_norm": float,
-    "synth.ood_noise_sigma": float,
-    "synth.ood_direction_seed": int,
-    "synth.scale_to_unit": bool,
-    "synth.seed": int,
+    "synth.classes": ConfigKey(int, 4),
+    "synth.per_class": ConfigKey(int, 500, _AT_LEAST_1),
+    "synth.test_per_class": ConfigKey(int, None, _AT_LEAST_1),  # per_class // 5, at least 1
+    "synth.input_dim": ConfigKey(int, 32),
+    "synth.separation": ConfigKey(float, 6.0),
+    "synth.noise_sigma": ConfigKey(float, 1.0, _NONNEGATIVE),
+    "synth.ood_n": ConfigKey(int, 500),
+    "synth.ood_offset_norm": ConfigKey(float, 9.0),
+    "synth.ood_noise_sigma": ConfigKey(float, None, _NONNEGATIVE),  # synth.noise_sigma
+    "synth.ood_direction_seed": ConfigKey(int, None, _SEED),  # synth seed + 1
+    "synth.scale_to_unit": ConfigKey(bool, True),
+    "synth.seed": ConfigKey(int, 0, _SEED),
     # model
-    "model.hidden_sizes": str,
-    "model.feature_dim": int,
-    "model.seed": int,
+    "model.hidden_sizes": ConfigKey(int, (128, 64), _AT_LEAST_1, is_list=True),
+    "model.feature_dim": ConfigKey(int, 16, _AT_LEAST_1),
+    "model.seed": ConfigKey(int, 0, _SEED),
     # contrastive pre-training
-    "pretrain.epochs": int,
-    "pretrain.batch_size": int,
-    "pretrain.lr": float,
-    "pretrain.momentum": float,
-    "pretrain.aug_gaussian_sigma": float,
-    "pretrain.aug_mask_fraction": float,
-    "pretrain.aug_scale_jitter": float,
-    "pretrain.adversarial": bool,
-    "pretrain.adv_epsilon": float,
-    "pretrain.adv_steps": int,
-    "pretrain.adv_step_size": float,
-    "pretrain.seed": int,
+    "pretrain.epochs": ConfigKey(int, 20, _NONNEGATIVE),
+    "pretrain.batch_size": ConfigKey(int, 64, _AT_LEAST_1),
+    "pretrain.lr": ConfigKey(float, 0.05, _POSITIVE),
+    "pretrain.momentum": ConfigKey(float, 0.9, _MOMENTUM),
+    "pretrain.aug_gaussian_sigma": ConfigKey(float, 0.1, _NONNEGATIVE),
+    "pretrain.aug_mask_fraction": ConfigKey(float, 0.0),
+    "pretrain.aug_scale_jitter": ConfigKey(float, 0.0),
+    "pretrain.adversarial": ConfigKey(bool, False),
+    "pretrain.adv_epsilon": ConfigKey(float, 0.03),
+    "pretrain.adv_steps": ConfigKey(int, 3),
+    "pretrain.adv_step_size": ConfigKey(float, 0.01),
+    "pretrain.seed": ConfigKey(int, 0, _SEED),
     # supervised fine-tuning
-    "train.epochs": int,
-    "train.batch_size": int,
-    "train.lr": float,
-    "train.momentum": float,
-    "train.mu": float,
-    "train.contrastive": bool,
-    "train.aug_gaussian_sigma": float,
-    "train.input_noise": float,
-    "train.grad_clip": float,
-    "train.seed": int,
+    "train.epochs": ConfigKey(int, 40, _NONNEGATIVE),
+    "train.batch_size": ConfigKey(int, 64, _AT_LEAST_1),
+    "train.lr": ConfigKey(float, 0.05, _POSITIVE),
+    "train.momentum": ConfigKey(float, 0.9, _MOMENTUM),
+    "train.mu": ConfigKey(float, 0.0),
+    "train.contrastive": ConfigKey(bool, False),
+    "train.aug_gaussian_sigma": ConfigKey(float, 0.05, _NONNEGATIVE),
+    "train.input_noise": ConfigKey(float, 0.0, _NONNEGATIVE),
+    "train.grad_clip": ConfigKey(float, 5.0, _POSITIVE),
+    "train.seed": ConfigKey(int, 0, _SEED),
     # OOD scoring
-    "ood.quantile": float,
-    "ood.mode": str,
-    "ood.mc_draws": int,
-    "ood.mc_noise_sigma": float,
-    "ood.abs_cosine": bool,
-    "ood.target": str,
-    "ood.seed": int,
+    "ood.quantile": ConfigKey(float, 0.95, _UNIT_OPEN),
+    "ood.mode": ConfigKey(str, "single", choices=("single", "mc")),
+    "ood.mc_draws": ConfigKey(int, 50, _AT_LEAST_1),
+    "ood.mc_noise_sigma": ConfigKey(float, 0.01, _NONNEGATIVE),
+    "ood.abs_cosine": ConfigKey(bool, False),
+    "ood.target": ConfigKey(str, "id_test.feat"),
+    "ood.seed": ConfigKey(int, 0, _SEED),
     # evaluation
-    "eval.tpr_target": float,
-    "eval.method": str,
-    # corruption sweeps
-    "corruption.kind": str,
-    "corruption.severities": str,
-    "corruption.apply_to": str,
-    "corruption.target": str,
-    "corruption.seed": int,
+    "eval.tpr_target": ConfigKey(float, 0.95, _UNIT_OPEN),
+    "eval.method": ConfigKey(str, "rodd", choices=("rodd", "msp")),
+    # corruption sweeps; without a kind, eval runs no sweep and corrupt
+    # applies gaussian_noise
+    "corruption.kind": ConfigKey(str, None, choices=_FLAT_KINDS),
+    "corruption.severities": ConfigKey(int, (1, 2, 3, 4, 5), ((">=", 1), ("<=", 5)), is_list=True),
+    "corruption.apply_to": ConfigKey(str, "ood", choices=("ood", "id")),
+    "corruption.target": ConfigKey(str, "ood.feat"),
+    "corruption.seed": ConfigKey(int, 0, _SEED),
     # spectral-theory verification
-    "theory.class_sizes": str,
-    "theory.delta": float,
-    "theory.eta": float,
-    "theory.normalization": str,
-    "theory.d": int,
-    "theory.mu": float,
-    "theory.mu_values": str,
-    "theory.max_iters": int,
-    "theory.lr": float,  # accepted and ignored: the solver's line search is exact
-    "theory.tol": float,
-    "theory.seed": int,
+    "theory.class_sizes": ConfigKey(int, (6, 5), _AT_LEAST_1, is_list=True),
+    "theory.delta": ConfigKey(float, 0.05),
+    "theory.eta": ConfigKey(float, 0.0),
+    "theory.normalization": ConfigKey(str, "unit-spectral-per-block", choices=NORMALIZATIONS),
+    "theory.d": ConfigKey(int),  # the graph's size
+    "theory.mu": ConfigKey(float, 1e-4),
+    "theory.mu_values": ConfigKey(
+        float, (1e-6, 1e-4, 1e-2, 1.0, 100.0), _NONNEGATIVE, is_list=True
+    ),
+    "theory.max_iters": ConfigKey(int, 2000, _AT_LEAST_1),
+    "theory.lr": ConfigKey(float),  # accepted and ignored: the solver's line search is exact
+    "theory.tol": ConfigKey(float, 1e-12, _NONNEGATIVE),
+    "theory.seed": ConfigKey(int, 0, _SEED),
 }
 
-# Numeric keys with bounds, checked at parse time: each (op, limit) pair
-# must hold, so ">" and "<" give open bounds and ">=" a closed one.
-CONFIG_BOUNDS: dict[str, tuple[tuple[str, float], ...]] = {
-    "synth.per_class": ((">=", 1),),
-    "synth.noise_sigma": ((">=", 0),),
-    "synth.ood_noise_sigma": ((">=", 0),),
-    "model.feature_dim": ((">=", 1),),
-    "pretrain.batch_size": ((">=", 1),),
-    "pretrain.lr": ((">", 0),),
-    "pretrain.momentum": ((">=", 0), ("<", 1)),
-    "pretrain.aug_gaussian_sigma": ((">=", 0),),
-    "train.batch_size": ((">=", 1),),
-    "train.lr": ((">", 0),),
-    "train.momentum": ((">=", 0), ("<", 1)),
-    "train.grad_clip": ((">", 0),),
-    "train.aug_gaussian_sigma": ((">=", 0),),
-    "train.input_noise": ((">=", 0),),
-    "ood.quantile": ((">", 0), ("<", 1)),
-    "ood.mc_draws": ((">=", 1),),
-    "ood.mc_noise_sigma": ((">=", 0),),
-    "eval.tpr_target": ((">", 0), ("<", 1)),
-    "theory.max_iters": ((">=", 1),),
-    # Every seed key: numpy seeds and rodd.streams take [0, 2**64).
-    **{key: ((">=", 0), ("<", SEED_LIMIT)) for key in CONFIG_SCHEMA if key.endswith("seed")},
-}
-
-_BOUND_HOLDS = {">": operator.gt, ">=": operator.ge, "<": operator.lt}
+_BOUND_HOLDS = {">": operator.gt, ">=": operator.ge, "<": operator.lt, "<=": operator.le}
 
 
 @dataclass(frozen=True)
@@ -314,22 +319,20 @@ class RunConfig:
 
     values: dict = field(default_factory=dict)
 
-    def get(self, key, default=None):
-        return self.values.get(key, default)
-
-    def require(self, key):
-        if key not in self.values:
-            raise ContractViolation(f"config is missing required key '{key}'")
-        return self.values[key]
+    def get(self, key):
+        """The parsed value of key, else its CONFIG default; KeyError for a key
+        not in CONFIG."""
+        return self.values[key] if key in self.values else CONFIG[key].default
 
 
 def parse_config(text: str) -> RunConfig:
     """Parse 'key = value' lines with '#' comments and '[section]' headers.
 
-    Values are typed by the schema (integer, real, boolean, string); unknown
-    keys, duplicate keys, type mismatches, values outside a CONFIG_BOUNDS
-    bound, layer widths below 1 and corruption kinds that cannot run on flat
-    feature rows raise FormatError with the line number.
+    Values are typed by CONFIG (integer, real, boolean, string, or a
+    comma-separated integer or real list, parsed once into a tuple); unknown
+    keys, duplicate keys, type mismatches, non-finite reals, values or list
+    entries outside their bounds and strings outside their allowed values
+    raise FormatError with the line number.
     """
     values: dict = {}
     section = ""
@@ -350,12 +353,11 @@ def parse_config(text: str) -> RunConfig:
         if not key:
             raise FormatError(f"line {lineno}: missing key before '='")
         full_key = f"{section}.{key}" if section else key
-        if full_key not in CONFIG_SCHEMA:
+        if full_key not in CONFIG:
             raise FormatError(f"line {lineno}: unknown key '{full_key}'")
         if full_key in values:
             raise FormatError(f"line {lineno}: duplicate key '{full_key}'")
-        values[full_key] = _parse_value(value, CONFIG_SCHEMA[full_key], full_key, lineno)
-        _check_range(values[full_key], full_key, lineno)
+        values[full_key] = _parse_value(value, full_key, lineno)
     return RunConfig(values)
 
 
@@ -367,28 +369,40 @@ def parse_config_file(path) -> RunConfig:
     return parse_config(text)
 
 
-def _check_range(value, key: str, lineno: int) -> None:
-    for op, limit in CONFIG_BOUNDS.get(key, ()):
-        if not _BOUND_HOLDS[op](value, limit):
-            raise FormatError(f"line {lineno}: '{key}' must be {op} {limit}, got {value}")
-    if key == "model.hidden_sizes":
+def _parse_value(token: str, key: str, lineno: int):
+    spec = CONFIG[key]
+    if spec.is_list:
         try:
-            widths = parse_int_list(value, key)
-        except ContractViolation as exc:
-            raise FormatError(f"line {lineno}: {exc}") from None
-        if any(width < 1 for width in widths):
-            raise FormatError(f"line {lineno}: every '{key}' entry must be >= 1, got {value!r}")
-    if key == "corruption.kind":
-        if value not in KINDS:
-            raise FormatError(f"line {lineno}: unknown corruption kind {value!r}")
+            value = tuple(spec.kind(part.strip()) for part in token.split(",") if part.strip())
+        except ValueError:
+            noun = "integer" if spec.kind is int else "number"
+            raise FormatError(
+                f"line {lineno}: '{key}' must be a comma-separated {noun} list"
+            ) from None
+        entries, subject, shown = value, f"every '{key}' entry", repr(token)
+    else:
+        value = _parse_scalar(token, spec.kind, key, lineno)
+        entries, subject, shown = (value,), f"'{key}'", value
+    for entry in entries:
+        if spec.kind is float and not math.isfinite(entry):
+            raise FormatError(f"line {lineno}: {subject} must be finite, got {token!r}")
+        for op, limit in spec.bounds:
+            if not _BOUND_HOLDS[op](entry, limit):
+                raise FormatError(f"line {lineno}: {subject} must be {op} {limit}, got {shown}")
+    if spec.choices and value not in spec.choices:
+        if key != "corruption.kind":
+            allowed = ", ".join(repr(choice) for choice in spec.choices)
+            raise FormatError(f"line {lineno}: '{key}' must be one of {allowed}, got {value!r}")
         if value in GRID_KINDS:
             raise FormatError(
                 f"line {lineno}: corruption kind {value!r} needs grid-shaped inputs, "
                 f"but feature files hold flat rows"
             )
+        raise FormatError(f"line {lineno}: unknown corruption kind {value!r}")
+    return value
 
 
-def _parse_value(token: str, kind: type, key: str, lineno: int):
+def _parse_scalar(token: str, kind: type, key: str, lineno: int):
     if kind is bool:
         if token.lower() in ("true", "yes", "on", "1"):
             return True
@@ -404,27 +418,9 @@ def _parse_value(token: str, kind: type, key: str, lineno: int):
             ) from None
     if kind is float:
         try:
-            out = float(token)
+            return float(token)
         except ValueError:
             raise FormatError(
                 f"line {lineno}: '{key}' expects a real number, got {token!r}"
             ) from None
-        if not math.isfinite(out):
-            raise FormatError(f"line {lineno}: '{key}' must be finite, got {token!r}")
-        return out
     return token
-
-
-def parse_int_list(token: str, key: str) -> list[int]:
-    """Parse a comma-separated integer list from a config string value."""
-    try:
-        return [int(part.strip()) for part in token.split(",") if part.strip()]
-    except ValueError:
-        raise ContractViolation(f"'{key}' must be a comma-separated integer list") from None
-
-
-def parse_float_list(token: str, key: str) -> list[float]:
-    try:
-        return [float(part.strip()) for part in token.split(",") if part.strip()]
-    except ValueError:
-        raise ContractViolation(f"'{key}' must be a comma-separated number list") from None

@@ -240,13 +240,18 @@ def score_records(
 ) -> list[ScoreRecord]:
     """Deterministic single-pass records: decision is delta <= threshold."""
     deltas, argmins = uncertainty_scores(feats, subspaces, abs_cosine=abs_cosine)
+    return angle_records(deltas, argmins, subspaces.threshold, start_id)
+
+
+def angle_records(deltas, argmins, threshold: float, start_id: int = 0) -> list[ScoreRecord]:
+    """score_records from uncertainty_scores' (deltas, argmin classes) pair."""
     return [
         ScoreRecord(
             sample_id=start_id + i,
             delta=float(deltas[i]),
             argmin_class=int(argmins[i]),
             mc_probability=None,
-            decision="ID" if deltas[i] <= subspaces.threshold else "OOD",
+            decision="ID" if deltas[i] <= threshold else "OOD",
         )
         for i in range(deltas.size)
     ]

@@ -13,7 +13,7 @@ import pytest
 import rodd
 from rodd import theory
 from rodd.cli import run
-from rodd.data import read_features
+from rodd.data import CONFIG, read_features
 from rodd.linalg import orthonormal_init
 
 SMALL_CFG = """
@@ -328,6 +328,14 @@ class TestExitCodes:
             ("corrupt", "corruption", "seed", "-3", ">= 0"),
             ("eval", "corruption", "seed", "-3", ">= 0"),
             ("verify-theory", "theory", "seed", str(2**64 + 1), f"< {2**64}"),
+            ("pretrain", "pretrain", "epochs", "-3", ">= 0"),
+            ("train", "train", "epochs", "-3", ">= 0"),
+            ("synth", "synth", "test_per_class", "0", ">= 1"),
+            ("verify-theory", "theory", "tol", "-1", ">= 0"),
+            ("score", "ood", "mode", "multi", "one of 'single', 'mc'"),
+            ("eval", "eval", "method", "energy", "one of 'rodd', 'msp'"),
+            ("eval", "corruption", "apply_to", "both", "one of 'ood', 'id'"),
+            ("verify-theory", "theory", "normalization", "unit", "one of 'none', "),
         ],
     )
     def test_optimizer_and_size_bounds(self, tmp_path, capsys, command, section, key, value, bound):
@@ -337,6 +345,31 @@ class TestExitCodes:
         assert run([command, "--config", str(cfg), "--out", str(out)]) == 1
         err = capsys.readouterr().err
         assert f"line 2: '{section}.{key}' must be {bound}" in err
+        assert "Traceback" not in err
+        assert not out.exists()  # rejected before the stage ran
+
+    @pytest.mark.parametrize(
+        "command, section, key, value, message",
+        [
+            ("corrupt", "corruption", "severities", "1,6", "every 'corruption.severities' entry must be <= 5"),
+            ("eval", "corruption", "severities", "0,1", "every 'corruption.severities' entry must be >= 1"),
+            ("verify-theory", "theory", "class_sizes", "6,0", "every 'theory.class_sizes' entry must be >= 1"),
+            ("verify-theory", "theory", "mu_values", "1e-4,-1", "every 'theory.mu_values' entry must be >= 0"),
+            ("verify-theory", "theory", "mu_values", "1e400", "every 'theory.mu_values' entry must be finite"),
+            ("verify-theory", "theory", "mu_values", "1,nan", "every 'theory.mu_values' entry must be finite"),
+            ("verify-theory", "theory", "mu_values", "1,big", "'theory.mu_values' must be a comma-separated number list"),
+            ("corrupt", "corruption", "kind", "fog", "unknown corruption kind 'fog'"),
+        ],
+    )
+    def test_list_entries_and_kinds_checked_at_parse(
+        self, tmp_path, capsys, command, section, key, value, message
+    ):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(f"# checked before any artifact\n[{section}]\n{key} = {value}\n")
+        out = tmp_path / "o"
+        assert run([command, "--config", str(cfg), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert f"line 3: {message}" in err
         assert "Traceback" not in err
         assert not out.exists()  # rejected before the stage ran
 
@@ -484,6 +517,39 @@ class TestVerifyTheory:
             assert run(["verify-theory", "--config", str(cfg), "--out", str(out)]) == 0
             reports.append((out / "theory_report.json").read_bytes())
         assert reports[0] == reports[1]
+
+
+class TestConfigDefaults:
+    def test_stated_defaults_match_empty_config(self, tmp_path):
+        # Every key with a fixed default, written out, must give the bytes an
+        # empty config gives: the handlers read the same table.
+        sections = {}
+        for key, spec in CONFIG.items():
+            if spec.default is not None:
+                section, name = key.split(".", 1)
+                sections.setdefault(section, []).append(f"{name} = {_config_text(spec.default)}")
+        stated = tmp_path / "stated.cfg"
+        stated.write_text("".join(f"[{s}]\n" + "\n".join(lines) + "\n" for s, lines in sections.items()))
+        empty = tmp_path / "empty.cfg"
+        empty.write_text("")
+        outputs = {}
+        for cfg in (stated, empty):
+            out = tmp_path / cfg.stem
+            for command in ("synth", "verify-theory"):
+                assert run([command, "--config", str(cfg), "--out", str(out)]) == 0
+            outputs[cfg.stem] = {
+                name: (out / name).read_bytes()
+                for name in ("id_train.feat", "id_test.feat", "ood.feat", "theory_report.json")
+            }
+        assert outputs["stated"] == outputs["empty"]
+
+
+def _config_text(value) -> str:
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, tuple):
+        return ",".join(repr(entry) for entry in value)
+    return value if isinstance(value, str) else repr(value)
 
 
 class TestMcScoring:

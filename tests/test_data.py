@@ -1,9 +1,12 @@
 """Dataset generators, binary formats, and the config parser."""
 
+import re
+
 import numpy as np
 import pytest
 
 from rodd.data import (
+    CONFIG,
     Dataset,
     parse_config,
     read_cifar_binary,
@@ -215,6 +218,10 @@ class TestConfigParser:
                 (section, key, {"-1": ">= 0", str(2**64): f"< {2**64}"}, ["0", str(2**63)])
                 for section, key in SEED_KEYS
             ],
+            ("pretrain", "epochs", {"-3": ">= 0", "-1": ">= 0"}, ["0", "20"]),
+            ("train", "epochs", {"-3": ">= 0"}, ["0", "40"]),
+            ("synth", "test_per_class", {"0": ">= 1", "-5": ">= 1"}, ["1", "250"]),
+            ("theory", "tol", {"-1": ">= 0", "-1e-30": ">= 0"}, ["0", "1e-12"]),
         ],
     )
     def test_bounded_keys(self, section, key, rejected, accepted):
@@ -229,3 +236,72 @@ class TestConfigParser:
     def test_largest_seed_accepted(self, section, key):
         parsed = parse_config(f"[{section}]\n{key} = {2**64 - 1}\n").get(f"{section}.{key}")
         assert parsed == 2**64 - 1
+
+    @pytest.mark.parametrize(
+        "key, rejected, accepted",
+        [
+            ("ood.mode", ["multi", "MC", ""], ["single", "mc"]),
+            ("eval.method", ["energy"], ["rodd", "msp"]),
+            ("corruption.apply_to", ["both"], ["ood", "id"]),
+            ("theory.normalization", ["unit"], ["none", "doubly-stochastic-per-block"]),
+        ],
+    )
+    def test_choice_keys(self, key, rejected, accepted):
+        section, name = key.split(".")
+        for value in rejected:
+            with pytest.raises(FormatError, match=rf"line 2: '{key}' must be one of '"):
+                parse_config(f"[{section}]\n{name} = {value}\n")
+        for value in accepted:
+            assert parse_config(f"[{section}]\n{name} = {value}\n").get(key) == value
+
+    def test_unknown_corruption_kind(self):
+        with pytest.raises(FormatError, match="line 2: unknown corruption kind 'fog'"):
+            parse_config("[corruption]\nkind = fog\n")
+
+    @pytest.mark.parametrize(
+        "key, value, message",
+        [
+            ("corruption.severities", "1,6", "every 'corruption.severities' entry must be <= 5, got '1,6'"),
+            ("corruption.severities", "0", "every 'corruption.severities' entry must be >= 1, got '0'"),
+            ("corruption.severities", "1,two", "'corruption.severities' must be a comma-separated integer list"),
+            ("theory.class_sizes", "6,0", "every 'theory.class_sizes' entry must be >= 1, got '6,0'"),
+            ("theory.mu_values", "1e-4,-1e-9", "every 'theory.mu_values' entry must be >= 0, got '1e-4,-1e-9'"),
+            ("theory.mu_values", "1e400", "every 'theory.mu_values' entry must be finite, got '1e400'"),
+            ("theory.mu_values", "inf,1", "every 'theory.mu_values' entry must be finite, got 'inf,1'"),
+            ("theory.mu_values", "1,x", "'theory.mu_values' must be a comma-separated number list"),
+        ],
+    )
+    def test_list_entries_checked(self, key, value, message):
+        section, name = key.split(".")
+        with pytest.raises(FormatError, match="line 2: " + re.escape(message)):
+            parse_config(f"[{section}]\n{name} = {value}\n")
+
+    def test_lists_parse_once_into_tuples(self):
+        cfg = parse_config(
+            "[theory]\nclass_sizes = 16, 16,16\nmu_values = 0,1e-6,1\n[corruption]\nseverities = 2\n"
+        )
+        assert cfg.get("theory.class_sizes") == (16, 16, 16)
+        assert cfg.get("theory.mu_values") == (0.0, 1e-6, 1.0)
+        assert all(type(mu) is float for mu in cfg.get("theory.mu_values"))
+        assert cfg.get("corruption.severities") == (2,)
+
+    def test_unset_keys_read_their_default(self):
+        cfg = parse_config("[train]\nepochs = 3\n")
+        assert cfg.get("train.epochs") == 3
+        assert cfg.get("pretrain.epochs") == CONFIG["pretrain.epochs"].default == 20
+        assert cfg.get("corruption.kind") is None
+        assert cfg.get("synth.ood_direction_seed") is None
+
+    @pytest.mark.parametrize("key", ["train.epoch", "epochs", "theory.learning_rate"])
+    def test_get_of_a_key_outside_the_table_raises(self, key):
+        with pytest.raises(KeyError):
+            parse_config("").get(key)
+
+    @pytest.mark.parametrize("key", sorted(k for k, spec in CONFIG.items() if spec.default is not None))
+    def test_default_has_the_declared_type(self, key):
+        # A default of the wrong type (1 for 1.0) would change report bytes;
+        # tests/test_cli.py checks that every default passes the parser.
+        spec = CONFIG[key]
+        entries = spec.default if spec.is_list else (spec.default,)
+        assert isinstance(spec.default, tuple) == spec.is_list
+        assert all(type(entry) is spec.kind for entry in entries)

@@ -8,7 +8,7 @@ import pytest
 
 from cg_oracle import cg_solve
 from gd_oracle import gd_solve
-from rodd.data import parse_config_file, parse_float_list, parse_int_list
+from rodd.data import parse_config_file
 from rodd.errors import ContractViolation, NumericFailure
 from rodd.linalg import orthonormal_init, sym_eig
 from rodd.theory import (
@@ -432,13 +432,13 @@ class TestAgainstGradientDescent:
     def test_shipped_theory_config(self):
         cfg = parse_config_file(THEORY_CFG)
         seed = cfg.get("theory.seed")
-        sizes = parse_int_list(cfg.get("theory.class_sizes"), "theory.class_sizes")
+        sizes = cfg.get("theory.class_sizes")
         graph = build_adjacency(
             sizes, cfg.get("theory.delta"), cfg.get("theory.eta"), seed,
             cfg.get("theory.normalization"),
         )
         proj = orthonormal_init(cfg.get("theory.d"), len(sizes), seed + 1)
-        mu_values = parse_float_list(cfg.get("theory.mu_values"), "theory.mu_values")
+        mu_values = cfg.get("theory.mu_values")
         assert cfg.get("theory.mu") in mu_values
         for mu in mu_values:
             ours, oracle = _oracle_gap(graph, proj, mu, cfg.get("theory.max_iters"), seed)
@@ -455,13 +455,13 @@ def _theory_cfg_problem():
     """(graph, proj, mu values, max_iters, seed) of configs/theory.cfg."""
     cfg = parse_config_file(THEORY_CFG)
     seed = cfg.get("theory.seed")
-    sizes = parse_int_list(cfg.get("theory.class_sizes"), "theory.class_sizes")
+    sizes = cfg.get("theory.class_sizes")
     graph = build_adjacency(
         sizes, cfg.get("theory.delta"), cfg.get("theory.eta"), seed,
         cfg.get("theory.normalization"),
     )
     proj = orthonormal_init(cfg.get("theory.d"), len(sizes), seed + 1)
-    mu_values = parse_float_list(cfg.get("theory.mu_values"), "theory.mu_values")
+    mu_values = cfg.get("theory.mu_values")
     return graph, proj, mu_values, cfg.get("theory.max_iters"), seed
 
 
