@@ -5,8 +5,8 @@ Every stage reads its inputs from and writes its artifacts into the --out
 directory, so stages can be rerun or swapped individually (externally
 produced RODDFEAT1 features can be scored without the encoder).  Each
 invocation appends an entry to run.json recording the config hash, the seed,
-and the artifact paths.  Exit codes: 0 success, 1 contract/format errors,
-2 numeric failures.
+and the artifact paths.  Exit codes: 0 success, 1 contract/format errors and
+unusable paths (OSError), 2 numeric failures.
 """
 
 from __future__ import annotations
@@ -25,17 +25,6 @@ from .data import Dataset, RunConfig, parse_config_file, read_features, write_fe
 from .errors import ContractViolation, FormatError, NumericFailure
 from .linalg import orthonormal_init
 from .streams import check_seed
-
-COMMANDS = (
-    "synth",
-    "pretrain",
-    "train",
-    "fit",
-    "score",
-    "eval",
-    "corrupt",
-    "verify-theory",
-)
 
 
 def main(argv=None) -> None:
@@ -57,7 +46,7 @@ def run(argv=None) -> int:
         artifacts = handler(config, out, args.seed)
         _append_manifest(args, out, runs, artifacts)
         return 0
-    except (ContractViolation, FormatError) as exc:
+    except (ContractViolation, FormatError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except NumericFailure as exc:
@@ -71,7 +60,7 @@ def _build_parser() -> argparse.ArgumentParser:
         description="OOD detection pipeline with orthonormal class embeddings",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in COMMANDS:
+    for name in _HANDLERS:
         cmd = sub.add_parser(name)
         cmd.add_argument("--config", required=True, help="run configuration file")
         cmd.add_argument("--out", required=True, help="output directory")

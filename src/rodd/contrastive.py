@@ -157,50 +157,26 @@ def view_pair_adjacency(m: int) -> np.ndarray:
     return a
 
 
-def spectral_contrastive_loss(batch_features, adjacency) -> tuple[float, np.ndarray]:
-    """||A - F F^T||_F^2 and its gradient -4 (A - F F^T) F with respect to F."""
-    f = as_matrix(batch_features, "features")
-    a = as_matrix(adjacency, "adjacency")
-    n = f.shape[0]
-    if a.shape != (n, n):
-        raise ContractViolation(
-            f"adjacency shape {a.shape} does not match {n} feature rows"
-        )
-    if n and float(np.abs(a - a.T).max()) > 1e-12:
-        raise ContractViolation("adjacency must be symmetric")
-    return _spectral_loss(f, a)
-
-
-def _spectral_loss(f, a) -> tuple[float, np.ndarray]:
-    """Unchecked core of spectral_contrastive_loss, for the training loops."""
+def spectral_contrastive_loss(f, a) -> tuple[float, np.ndarray]:
+    """||A - F F^T||_F^2 and its gradient -4 (A - F F^T) F with respect to F;
+    unchecked: A is symmetric, with one row per row of F."""
     residual = a - f @ f.T
     return float((residual * residual).sum()), -4.0 * (residual @ f)
 
 
-def adversarial_perturb(
-    model: EncoderModel, batch, pairing, spec: AdversarialSpec
-) -> np.ndarray:
+def _perturb(model, x0, adjacency, spec: AdversarialSpec) -> np.ndarray:
     """Projected sign-gradient ascent on the pairwise spectral objective.
 
     Each step moves every coordinate by +-step_size along the sign of the
     input gradient and re-projects onto the infinity-norm ball of radius
-    epsilon around the original batch.  epsilon = 0 returns the input
-    unchanged.
+    epsilon around x0, which is left unchanged.  epsilon = 0 returns x0.
     """
-    x0 = as_matrix(batch, "batch").copy()
-    if spec.epsilon == 0.0:
-        return x0
-    return _perturb(model, x0, batch_adjacency(pairing, x0.shape[0]), spec)
-
-
-def _perturb(model, x0, adjacency, spec: AdversarialSpec) -> np.ndarray:
-    """Unchecked core of adversarial_perturb; x0 is left unchanged."""
     if spec.epsilon == 0.0:
         return x0
     x = x0
     for _ in range(spec.steps):
         feats, acts = _body_forward(model.layers, x, keep=True)
-        _, dfeat = _spectral_loss(feats, adjacency)
+        _, dfeat = spectral_contrastive_loss(feats, adjacency)
         dx = _body_backward(model.layers, acts, dfeat)
         x = x + spec.step_size * np.sign(dx)
         x = x0 + np.clip(x - x0, -spec.epsilon, spec.epsilon)
@@ -236,7 +212,7 @@ def pretrain(model: EncoderModel, dataset, config: PretrainConfig):
             # Overflowing features are a diverging run, not a bad input.
             if not np.isfinite(feats).all():
                 raise DivergenceError(epoch, "non-finite features")
-            loss, dfeat = _spectral_loss(feats, adjacency)
+            loss, dfeat = spectral_contrastive_loss(feats, adjacency)
             scale = 1.0 / (2 * m)
             loss *= scale
             if not math.isfinite(loss):

@@ -2,9 +2,8 @@
 
 The per-severity parameter tables are this artifact's own (the usual
 benchmark tables are not restated by any single source); each kind's
-controlling parameter is strictly monotone in severity.  Blur and pixelate
-need grid-shaped inputs (2-D, or 3-D with trailing channels) and refuse flat
-vectors rather than guessing a layout.
+controlling parameter is strictly monotone in severity.  Every kind acts on
+flat rows, the layout of the RODDFEAT1 feature files.
 """
 
 from __future__ import annotations
@@ -21,21 +20,15 @@ KINDS = (
     "gaussian_noise",
     "shot_noise",
     "impulse_noise",
-    "box_blur",
     "contrast",
     "brightness",
-    "pixelate",
 )
 
 GAUSSIAN_SIGMA = (0.04, 0.08, 0.12, 0.18, 0.26)
 SHOT_PHOTONS = (60.0, 25.0, 12.0, 5.0, 3.0)
 IMPULSE_FRACTION = (0.01, 0.03, 0.06, 0.10, 0.17)
-BLUR_KERNEL_PASSES = ((3, 1), (3, 2), (5, 2), (7, 2), (9, 3))
 CONTRAST_FACTOR = (0.75, 0.6, 0.45, 0.3, 0.15)
 BRIGHTNESS_SHIFT = (0.05, 0.1, 0.15, 0.2, 0.3)
-PIXELATE_FACTOR = (0.9, 0.75, 0.6, 0.45, 0.3)
-# Kinds that need grid-shaped inputs; CLI feature files hold flat rows.
-GRID_KINDS = ("box_blur", "pixelate")
 
 
 @dataclass(frozen=True)
@@ -55,22 +48,10 @@ class CorruptionSpec:
 
 
 def apply_corruption(x, spec: CorruptionSpec) -> np.ndarray:
-    """Corrupt a [0, 1] vector or grid; output is clipped back to [0, 1].
-
-    The flat kinds treat the input as one row of _corrupt_rows, drawing from
-    default_rng(spec.seed); blur and pixelate need a grid.
+    """Corrupt a [0, 1] array as one row of _corrupt_rows, drawing from
+    default_rng(spec.seed); output is clipped back to [0, 1].
     """
     arr = _checked_unit_range(x)
-    if spec.kind in GRID_KINDS:
-        _require_grid(arr, spec.kind)
-        level = spec.severity - 1
-        if spec.kind == "box_blur":
-            kernel, passes = BLUR_KERNEL_PASSES[level]
-            out = arr
-            for _ in range(passes):
-                out = _box_filter(out, kernel)
-            return np.clip(out, 0.0, 1.0)
-        return _pixelate(arr, PIXELATE_FACTOR[level])
     row = np.ascontiguousarray(arr).reshape(1, -1)
     return _corrupt_rows(row, spec, [spec.seed]).reshape(arr.shape)
 
@@ -85,7 +66,7 @@ def _checked_unit_range(x) -> np.ndarray:
 
 
 def _corrupt_rows(rows: np.ndarray, spec: CorruptionSpec, seeds) -> np.ndarray:
-    """A flat kind applied to every row of a 2-D array at once.
+    """A kind applied to every row of a 2-D array at once.
 
     Row i draws its noise from its own stream, in the state of
     default_rng(seeds[i]) (see streams.row_streams), in the order a single row
@@ -120,44 +101,6 @@ def _corrupt_rows(rows: np.ndarray, spec: CorruptionSpec, seeds) -> np.ndarray:
                 where = rng.choice(width, size=k, replace=False)
                 row[where] = rng.integers(0, 2, size=k).astype(np.float64)
         return out
-    raise ContractViolation(f"unknown corruption kind {spec.kind!r}")
-
-
-def _require_grid(arr, kind):
-    if arr.ndim not in (2, 3):
-        raise ContractViolation(
-            f"{kind} needs a grid-shaped input (2-D, or 3-D with channels last), "
-            f"got shape {arr.shape}"
-        )
-
-
-def _box_filter(arr, kernel):
-    out = _box_axis(arr, kernel, axis=0)
-    return _box_axis(out, kernel, axis=1)
-
-
-def _box_axis(arr, kernel, axis):
-    pad = kernel // 2
-    pad_spec = [(0, 0)] * arr.ndim
-    pad_spec[axis] = (pad, pad)
-    padded = np.pad(arr, pad_spec, mode="edge")
-    windows = np.lib.stride_tricks.sliding_window_view(padded, kernel, axis=axis)
-    return windows.mean(axis=-1)
-
-
-def _pixelate(arr, factor):
-    h, w = arr.shape[:2]
-    nh = max(1, int(round(h * factor)))
-    nw = max(1, int(round(w * factor)))
-    ys = (np.arange(h) * nh) // h
-    xs = (np.arange(w) * nw) // w
-    rows = np.zeros((nh,) + arr.shape[1:])
-    np.add.at(rows, ys, arr)
-    rows /= np.bincount(ys, minlength=nh).reshape((nh,) + (1,) * (arr.ndim - 1))
-    cols = np.zeros((nh, nw) + arr.shape[2:])
-    np.add.at(cols, (slice(None), xs), rows)
-    cols /= np.bincount(xs, minlength=nw).reshape((1, nw) + (1,) * (arr.ndim - 2))
-    return cols[ys][:, xs]
 
 
 def corrupt_dataset(dataset, spec: CorruptionSpec):
@@ -166,12 +109,10 @@ def corrupt_dataset(dataset, spec: CorruptionSpec):
     Per-sample seeding makes the result independent of iteration order; the
     'none' kind returns an identical copy.  The whole matrix is checked and
     corrupted at once, byte for byte the rows apply_corruption gives sample
-    by sample.  Blur and pixelate refuse dataset rows, which are flat.
+    by sample.
     """
     from .data import Dataset
 
     inputs = _checked_unit_range(dataset.inputs)
-    if spec.kind in GRID_KINDS:
-        _require_grid(inputs[0], spec.kind)  # raises: dataset rows are flat vectors
     corrupted = _corrupt_rows(inputs, spec, xor_seeds(spec.seed, dataset.n))
     return Dataset(corrupted, dataset.labels, dataset.class_count)

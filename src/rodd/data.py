@@ -15,8 +15,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .corruptions import GRID_KINDS, KINDS
-from .errors import ContractViolation, FormatError
+from .corruptions import KINDS
+from .errors import ContractViolation, FormatError, NumericFailure
 from .linalg import as_matrix, orthonormal_init
 from .streams import SEED_LIMIT
 from .theory import NORMALIZATIONS
@@ -148,9 +148,14 @@ def write_features(path, features, labels=None) -> None:
 
     Layout (little-endian): magic "RODDFEAT1", u32 n, u32 d, u32 has_labels,
     n*d f32 features row-major, then (if has_labels) n u32 labels.  Features
-    are quantized to f32 on disk; labels round-trip exactly.
+    are quantized to f32 on disk, and a value beyond the f32 range is a
+    NumericFailure; labels round-trip exactly.
     """
     feats = as_matrix(features, "features")
+    with np.errstate(over="ignore"):
+        quantized = feats.astype("<f4")
+    if not np.isfinite(quantized).all():
+        raise NumericFailure(f"{path}: features overflow the f32 range of the file format")
     n, d = feats.shape
     has_labels = labels is not None
     if has_labels:
@@ -162,7 +167,7 @@ def write_features(path, features, labels=None) -> None:
     blob = bytearray()
     blob += FEATURE_MAGIC
     blob += struct.pack("<III", n, d, int(has_labels))
-    blob += feats.astype("<f4").tobytes()
+    blob += quantized.tobytes()
     if has_labels:
         blob += labels.astype("<u4").tobytes()
     Path(path).write_bytes(bytes(blob))
@@ -229,8 +234,6 @@ _POSITIVE = ((">", 0),)
 _UNIT_OPEN = ((">", 0), ("<", 1))
 _MOMENTUM = ((">=", 0), ("<", 1))
 _SEED = ((">=", 0), ("<", SEED_LIMIT))  # numpy seeds and rodd.streams take [0, 2**64)
-# Feature files hold flat rows, so the grid kinds cannot run on them.
-_FLAT_KINDS = tuple(kind for kind in KINDS if kind not in GRID_KINDS)
 
 # Every key the config format accepts.  Unknown keys are rejected with the
 # offending line number (strict provenance).
@@ -289,7 +292,7 @@ CONFIG: dict[str, ConfigKey] = {
     "eval.method": ConfigKey(str, "rodd", choices=("rodd", "msp")),
     # corruption sweeps; without a kind, eval runs no sweep and corrupt
     # applies gaussian_noise
-    "corruption.kind": ConfigKey(str, None, choices=_FLAT_KINDS),
+    "corruption.kind": ConfigKey(str, None, choices=KINDS),
     "corruption.severities": ConfigKey(int, (1, 2, 3, 4, 5), ((">=", 1), ("<=", 5)), is_list=True),
     "corruption.apply_to": ConfigKey(str, "ood", choices=("ood", "id")),
     "corruption.target": ConfigKey(str, "ood.feat"),
@@ -390,15 +393,8 @@ def _parse_value(token: str, key: str, lineno: int):
             if not _BOUND_HOLDS[op](entry, limit):
                 raise FormatError(f"line {lineno}: {subject} must be {op} {limit}, got {shown}")
     if spec.choices and value not in spec.choices:
-        if key != "corruption.kind":
-            allowed = ", ".join(repr(choice) for choice in spec.choices)
-            raise FormatError(f"line {lineno}: '{key}' must be one of {allowed}, got {value!r}")
-        if value in GRID_KINDS:
-            raise FormatError(
-                f"line {lineno}: corruption kind {value!r} needs grid-shaped inputs, "
-                f"but feature files hold flat rows"
-            )
-        raise FormatError(f"line {lineno}: unknown corruption kind {value!r}")
+        allowed = ", ".join(repr(choice) for choice in spec.choices)
+        raise FormatError(f"line {lineno}: '{key}' must be one of {allowed}, got {value!r}")
     return value
 
 

@@ -307,54 +307,12 @@ def cross_entropy(logits, labels) -> tuple[float, np.ndarray]:
     return loss, dlogits
 
 
-def _check_labels(labels, n, n_classes):
-    labels = np.asarray(labels, dtype=np.int64)
-    if labels.shape != (n,):
-        raise ContractViolation(f"labels shape {labels.shape} != ({n},)")
-    if labels.size and (labels.min() < 0 or labels.max() >= n_classes):
-        raise ContractViolation(f"labels must lie in [0, {n_classes})")
-    return labels
-
-
-def loss_and_grad(
-    model: EncoderModel,
-    batch,
-    labels,
-    mu: float = 0.0,
-    contrastive_pairs=None,
-) -> tuple[float, dict[str, np.ndarray]]:
-    """Training loss and gradients for every trainable parameter.
-
-    Loss is the mean softmax cross-entropy of the sharpened cosine logits;
-    when contrastive_pairs is given, mu times the pairwise spectral term on
-    the batch features is added and its gradient flows through the body.
-    Uses train-mode batch statistics (and updates the running ones).  The
-    frozen class projection receives no gradient.
-    """
-    x = as_matrix(batch, "batch")
-    n = x.shape[0]
-    if x.shape[1] != model.input_dim:
-        raise ContractViolation(
-            f"batch has {x.shape[1]} columns, model expects {model.input_dim}"
-        )
-    if n < 2:
-        raise ContractViolation("loss_and_grad needs a batch of at least 2")
-    labels = _check_labels(labels, n, model.n_classes)
-    adjacency = None
-    if contrastive_pairs is not None:
-        from .contrastive import batch_adjacency
-
-        adjacency = batch_adjacency(contrastive_pairs, n)
-    _, grads = _flat_buffer(_param_slots(model))
-    loss = _loss_and_grad(model, x, labels, grads, mu, adjacency)
-    return loss, grads
-
-
 def _loss_and_grad(model, x, labels, grads, mu=0.0, adjacency=None) -> float:
-    """Unchecked core of loss_and_grad: fills grads in place, returns the loss.
-
-    With a contrastive term, non-finite features (a diverging run) return a
-    NaN loss at once, which the training loop reports as a divergence.
+    """Mean cross-entropy of the sharpened cosine logits, plus mu times the
+    pairwise spectral term when an adjacency is given; fills grads (views of
+    a _flat_buffer) in place, in train mode.  Unchecked: x has >= 2 rows and
+    labels lie in [0, n_classes).  With the spectral term, non-finite
+    features (a diverging run) return NaN, which the training loop reports.
     """
     feats, acts = _body_forward(model.layers, x, keep=True)
     if adjacency is not None and not np.isfinite(feats).all():
@@ -363,9 +321,9 @@ def _loss_and_grad(model, x, labels, grads, mu=0.0, adjacency=None) -> float:
     loss, dlogits = cross_entropy(record.logits, labels)
     dfeat = _head_backward(model, record, head_cache, dlogits, grads)
     if adjacency is not None:
-        from .contrastive import _spectral_loss
+        from .contrastive import spectral_contrastive_loss
 
-        cl_loss, cl_grad = _spectral_loss(feats, adjacency)
+        cl_loss, cl_grad = spectral_contrastive_loss(feats, adjacency)
         loss = loss + mu * cl_loss
         dfeat = dfeat + mu * cl_grad
     _body_backward(model.layers, acts, dfeat, grads)

@@ -1,4 +1,4 @@
-"""Central finite-difference gradient checker for rodd.encoder.loss_and_grad.
+"""Central finite-difference gradient checker for rodd.encoder._loss_and_grad.
 
 The analytic gradients are hand-derived; these helpers compare them with
 central differences of the cross-entropy loss, one scalar parameter at a
@@ -16,10 +16,12 @@ from rodd.encoder import (
     EncoderModel,
     _body_backward,
     _body_forward,
+    _flat_buffer,
     _head_backward,
     _head_forward,
+    _loss_and_grad,
+    _param_slots,
     cross_entropy,
-    loss_and_grad,
 )
 from rodd.errors import ContractViolation
 from rodd.linalg import as_matrix
@@ -35,6 +37,12 @@ def trainable_params(model: EncoderModel) -> dict[str, np.ndarray]:
     out["sharpen_w"] = model.sharpen_w
     out["bn_scale"] = model.bn_scale
     return out
+
+
+def loss_and_grad(model, x, labels, mu=0.0, adjacency=None):
+    """The training loss and a fresh name -> gradient map of every trainable array."""
+    _, grads = _flat_buffer(_param_slots(model))
+    return _loss_and_grad(model, x, labels, grads, mu, adjacency), grads
 
 
 def grad_check(model: EncoderModel, batch, labels, eps: float = 1e-5) -> float:

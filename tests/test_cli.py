@@ -13,7 +13,7 @@ import pytest
 import rodd
 from rodd import theory
 from rodd.cli import run
-from rodd.data import CONFIG, read_features
+from rodd.data import CONFIG, read_features, write_features
 from rodd.linalg import orthonormal_init
 
 SMALL_CFG = """
@@ -358,7 +358,7 @@ class TestExitCodes:
             ("verify-theory", "theory", "mu_values", "1e400", "every 'theory.mu_values' entry must be finite"),
             ("verify-theory", "theory", "mu_values", "1,nan", "every 'theory.mu_values' entry must be finite"),
             ("verify-theory", "theory", "mu_values", "1,big", "'theory.mu_values' must be a comma-separated number list"),
-            ("corrupt", "corruption", "kind", "fog", "unknown corruption kind 'fog'"),
+            ("corrupt", "corruption", "kind", "fog", "'corruption.kind' must be one of 'none', "),
         ],
     )
     def test_list_entries_and_kinds_checked_at_parse(
@@ -388,8 +388,8 @@ class TestExitCodes:
         out = tmp_path / "g"
         assert run([command, "--config", str(cfg), "--out", str(out)]) == 1
         err = capsys.readouterr().err
-        assert f"corruption kind '{kind}' needs grid-shaped inputs" in err
-        assert "flat rows" in err
+        assert f"line 43: 'corruption.kind' must be one of 'none', " in err
+        assert f"got '{kind}'" in err
         assert not out.exists()  # rejected before the stage touched its inputs
 
     def test_missing_config_file(self, tmp_path):
@@ -455,6 +455,42 @@ class TestExitCodes:
             code = run(["train", "--config", str(diverging), "--out", str(out)])
         assert code == 2
         assert "numeric failure" in capsys.readouterr().err
+
+    def test_features_beyond_f32_exit_two(self, tmp_path, small_config, capsys):
+        # One input of 3e38 is a valid f32, but the features fit encodes from
+        # it are not: the cast must fail loudly instead of writing inf.
+        out = tmp_path / "big"
+        assert run(["synth", "--config", str(small_config), "--out", str(out)]) == 0
+        feats, labels = read_features(out / "id_train.feat")
+        feats[0, 0] = 3e38
+        write_features(out / "id_train.feat", feats, labels)
+        assert run(["train", "--config", str(small_config), "--out", str(out)]) == 0
+        capsys.readouterr()
+        assert run(["fit", "--config", str(small_config), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "numeric failure: " in err and "f32" in err
+        assert "Warning" not in err
+        written = out / "id_train_features.feat"
+        assert not written.exists() or np.isfinite(read_features(written)[0]).all()
+
+    def test_out_is_a_file(self, tmp_path, small_config, capsys):
+        out = tmp_path / "taken"
+        out.write_text("not a directory\n")
+        assert run(["synth", "--config", str(small_config), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert "Traceback" not in err
+
+    def test_target_is_a_directory(self, tmp_path, small_config, pipeline_dir, capsys):
+        out = tmp_path / "run"
+        shutil.copytree(pipeline_dir, out)
+        (out / "adir").mkdir()
+        cfg = tmp_path / "dir_target.cfg"
+        cfg.write_text(SMALL_CFG.replace("mode = single", "mode = single\ntarget = adir"))
+        assert run(["score", "--config", str(cfg), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert "Traceback" not in err
 
 
 THEORY_CFG = """

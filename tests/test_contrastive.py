@@ -10,7 +10,7 @@ from rodd.contrastive import (
     AdversarialSpec,
     AugmentationSpec,
     PretrainConfig,
-    adversarial_perturb,
+    _perturb,
     augment_batch,
     batch_adjacency,
     pretrain,
@@ -134,21 +134,12 @@ class TestSpectralLoss:
             loss, _ = spectral_contrastive_loss(f, a)
             assert loss >= 0.0
 
-    def test_dimension_mismatch(self):
-        with pytest.raises(ContractViolation):
-            spectral_contrastive_loss(np.ones((3, 2)), np.ones((4, 4)))
-
-    def test_asymmetric_adjacency_rejected(self):
-        a = np.array([[1.0, 0.5], [0.0, 1.0]])
-        with pytest.raises(ContractViolation):
-            spectral_contrastive_loss(np.ones((2, 1)), a)
-
 
 class TestAdversarialPerturb:
     def test_zero_epsilon_is_identity(self):
         model = build_model(4, 2, hidden_sizes=(6,), feature_dim=3, seed=1)
         x = np.random.default_rng(6).standard_normal((4, 4))
-        out = adversarial_perturb(model, x, [(0, 1), (2, 3)], AdversarialSpec(epsilon=0.0))
+        out = _perturb(model, x, batch_adjacency([(0, 1), (2, 3)], 4), AdversarialSpec(epsilon=0.0))
         assert np.array_equal(out, x)
 
     def test_single_step_structure(self):
@@ -156,7 +147,7 @@ class TestAdversarialPerturb:
         x = np.random.default_rng(7).standard_normal((4, 4)) + 1.0
         with pytest.warns(UserWarning):  # 1 step cannot reach the full budget
             spec = AdversarialSpec(epsilon=0.05, steps=1, step_size=0.02)
-        out = adversarial_perturb(model, x, [(0, 1), (2, 3)], spec)
+        out = _perturb(model, x, batch_adjacency([(0, 1), (2, 3)], 4), spec)
         delta = out - x
         allowed = {-0.02, 0.0, 0.02}
         assert set(np.round(delta.ravel(), 12)).issubset(allowed)
@@ -172,28 +163,26 @@ class TestAdversarialPerturb:
             bn_scale=np.asarray(1.0),
         )
         x = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
-        pairs = [(0, 1)]
-        adjacency = batch_adjacency(pairs, 2)
+        adjacency = batch_adjacency([(0, 1)], 2)
         _, dfeat = spectral_contrastive_loss(x, adjacency)
         with pytest.warns(UserWarning):
             spec = AdversarialSpec(epsilon=0.5, steps=1, step_size=0.1)
-        out = adversarial_perturb(model, x, pairs, spec)
+        out = _perturb(model, x, adjacency, spec)
         assert np.array_equal(out - x, 0.1 * np.sign(dfeat))
 
     def test_budget_invariant_multi_step(self):
         model = build_model(5, 2, hidden_sizes=(7,), feature_dim=4, seed=3)
         x = np.random.default_rng(8).standard_normal((6, 5))
         spec = AdversarialSpec(epsilon=0.03, steps=5, step_size=0.02)
-        out = adversarial_perturb(model, x, [(0, 3), (1, 4), (2, 5)], spec)
+        out = _perturb(model, x, batch_adjacency([(0, 3), (1, 4), (2, 5)], 6), spec)
         assert np.abs(out - x).max() <= spec.epsilon + 1e-12
 
     def test_loss_increases_on_fixed_instance(self):
         model = build_model(5, 2, hidden_sizes=(7,), feature_dim=4, seed=4)
         x = np.random.default_rng(9).standard_normal((6, 5)) + 1.0
-        pairs = [(0, 3), (1, 4), (2, 5)]
-        adjacency = batch_adjacency(pairs, 6)
+        adjacency = batch_adjacency([(0, 3), (1, 4), (2, 5)], 6)
         spec = AdversarialSpec(epsilon=0.1, steps=3, step_size=0.05)
-        out = adversarial_perturb(model, x, pairs, spec)
+        out = _perturb(model, x, adjacency, spec)
         before, _ = spectral_contrastive_loss(features(model, x), adjacency)
         after, _ = spectral_contrastive_loss(features(model, out), adjacency)
         assert after >= before
@@ -204,13 +193,12 @@ class TestAdversarialPerturb:
         model = build_model(5, 2, hidden_sizes=(7,), feature_dim=4, seed=5)
         rng = np.random.default_rng(10)
         spec = AdversarialSpec(epsilon=0.1, steps=3, step_size=0.05)
-        pairs = [(0, 4), (1, 5), (2, 6), (3, 7)]
-        adjacency = batch_adjacency(pairs, 8)
+        adjacency = batch_adjacency([(0, 4), (1, 5), (2, 6), (3, 7)], 8)
         increased = 0
         trials = 20
         for _ in range(trials):
             x = rng.standard_normal((8, 5)) + 1.0
-            out = adversarial_perturb(model, x, pairs, spec)
+            out = _perturb(model, x, adjacency, spec)
             before, _ = spectral_contrastive_loss(features(model, x), adjacency)
             after, _ = spectral_contrastive_loss(features(model, out), adjacency)
             increased += after >= before

@@ -8,10 +8,12 @@ import pytest
 from gradcheck import (
     grad_check,
     input_gradient,
+    loss_and_grad,
     max_relative_error,
     numeric_grads,
     trainable_params,
 )
+from rodd.contrastive import batch_adjacency
 from rodd.data import Dataset, synth_gaussian_mixture
 from rodd.encoder import (
     DenseLayer,
@@ -21,7 +23,6 @@ from rodd.encoder import (
     cross_entropy,
     forward,
     load_model,
-    loss_and_grad,
     save_model,
     train,
 )
@@ -155,10 +156,10 @@ class TestLossAndGrad:
         model = build_model(4, 2, hidden_sizes=(6,), feature_dim=4, seed=9)
         x = rng.standard_normal((6, 4))
         labels = rng.integers(0, 2, size=6)
-        pairs = [(0, 3), (1, 4), (2, 5)]
+        adjacency = batch_adjacency([(0, 3), (1, 4), (2, 5)], 6)
         mu = 0.3
         work = copy.deepcopy(model)
-        _, analytic = loss_and_grad(work, x, labels, mu=mu, contrastive_pairs=pairs)
+        _, analytic = loss_and_grad(work, x, labels, mu=mu, adjacency=adjacency)
         params = trainable_params(model)
         eps = 1e-5
         worst = 0.0
@@ -168,13 +169,9 @@ class TestLossAndGrad:
             for i in range(flat.size):
                 orig = flat[i]
                 flat[i] = orig + eps
-                up, _ = loss_and_grad(
-                    copy.deepcopy(model), x, labels, mu=mu, contrastive_pairs=pairs
-                )
+                up, _ = loss_and_grad(copy.deepcopy(model), x, labels, mu=mu, adjacency=adjacency)
                 flat[i] = orig - eps
-                down, _ = loss_and_grad(
-                    copy.deepcopy(model), x, labels, mu=mu, contrastive_pairs=pairs
-                )
+                down, _ = loss_and_grad(copy.deepcopy(model), x, labels, mu=mu, adjacency=adjacency)
                 flat[i] = orig
                 numeric = (up - down) / (2 * eps)
                 worst = max(
@@ -188,11 +185,6 @@ class TestLossAndGrad:
         x = rng.standard_normal((4, 5))
         _, grads = loss_and_grad(model, x, rng.integers(0, 2, size=4))
         assert "class_proj" not in grads
-
-    def test_label_out_of_range(self):
-        model = build_model(5, 2, hidden_sizes=(6,), feature_dim=4, seed=2)
-        with pytest.raises(ContractViolation):
-            loss_and_grad(model, np.ones((2, 5)), np.array([0, 2]))
 
 
 class TestGradCheck:

@@ -5,7 +5,7 @@ import pytest
 
 from rodd import ood
 from rodd.contrastive import AugmentationSpec
-from rodd.corruptions import GRID_KINDS, KINDS, CorruptionSpec, corrupt_dataset
+from rodd.corruptions import KINDS, CorruptionSpec, corrupt_dataset
 from rodd.data import Dataset
 from rodd.encoder import build_model, features
 from rodd.errors import ContractViolation
@@ -105,7 +105,7 @@ class TestOneGeneratorPerCall:
             lambda: [np.random.default_rng(i) for i in range(3)]
         ) == 3
 
-    @pytest.mark.parametrize("kind", [k for k in KINDS if k not in GRID_KINDS])
+    @pytest.mark.parametrize("kind", KINDS)
     def test_corrupt_dataset(self, kind):
         inputs = np.random.default_rng(1).uniform(0.0, 1.0, size=(1000, 12))
         dataset = Dataset(inputs, None, 0)
