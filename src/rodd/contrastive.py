@@ -190,6 +190,8 @@ def pretrain(model: EncoderModel, dataset, config: PretrainConfig):
     view rows (keeps the step size meaningful across batch sizes).  Returns
     (model, history); history maps each epoch_summary field ("loss" is the
     normalized value) to its per-epoch list.  Deterministic per seed.
+    Raises DivergenceError with the epoch index if the features, the loss
+    or the gradient norm go non-finite.
     """
     if dataset.n < 1:
         raise ContractViolation("dataset must be nonempty")
@@ -219,6 +221,8 @@ def pretrain(model: EncoderModel, dataset, config: PretrainConfig):
                 raise DivergenceError(epoch)
             _body_backward(model.layers, acts, dfeat * scale, opt.grads)
             steps.append(opt.step(config.lr))
+            if not math.isfinite(steps[-1][0]):
+                raise DivergenceError(epoch, "non-finite gradient norm")
             losses.append(loss)
         for key, value in epoch_summary(losses, steps, config.lr).items():
             history[key].append(value)

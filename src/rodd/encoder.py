@@ -405,8 +405,8 @@ def train(model: EncoderModel, dataset, config: TrainConfig):
     has one entry per epoch: "epoch", "loss", "accuracy" (on the training
     set after the epoch), then epoch_summary's health fields.  Trailing
     batches of size 1 are skipped (batch statistics need at least 2
-    samples).  Raises DivergenceError with the epoch index if the loss goes
-    non-finite.
+    samples).  Raises DivergenceError with the epoch index if the loss or
+    the gradient norm goes non-finite.
     """
     if dataset.labels is None:
         raise ContractViolation("training requires labeled data")
@@ -457,6 +457,8 @@ def train(model: EncoderModel, dataset, config: TrainConfig):
             if not math.isfinite(loss):
                 raise DivergenceError(epoch)
             steps.append(opt.step(lr))
+            if not math.isfinite(steps[-1][0]):
+                raise DivergenceError(epoch, "non-finite gradient norm")
             losses.append(loss)
         record = forward(model, dataset.inputs, mode="eval")
         acc = float(

@@ -442,6 +442,24 @@ class TestExitCodes:
         assert "numeric failure: non-finite features at epoch 0" in err
         assert "Traceback" not in err
 
+    def test_overflowing_pretrain_gradient_exits_two(self, tmp_path, small_config, capsys):
+        # One input of 3e38 leaves the features finite, but the squared
+        # gradient norm overflows: a history of Infinity is not valid JSON.
+        out = tmp_path / "big"
+        assert run(["synth", "--config", str(small_config), "--out", str(out)]) == 0
+        feats, labels = read_features(out / "id_train.feat")
+        feats[0, 0] = 3e38
+        write_features(out / "id_train.feat", feats, labels)
+        capsys.readouterr()
+        with np.errstate(all="ignore"):
+            code = run(["pretrain", "--config", str(small_config), "--out", str(out)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "numeric failure: non-finite gradient norm at epoch 0" in err
+        assert "Traceback" not in err
+        history = out / "pretrain_history.json"
+        assert not history.exists() or "Infinity" not in history.read_text()
+
     def test_numeric_failure_exits_two(self, tmp_path, small_config, capsys):
         diverging = tmp_path / "diverge.cfg"
         diverging.write_text(
