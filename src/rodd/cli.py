@@ -328,9 +328,8 @@ def _cmd_corrupt(config: RunConfig, out: Path, seed_override) -> dict:
     kind = _derived(config.get("corruption.kind"), "gaussian_noise")
     seed = _stage_seed(config, "corruption", seed_override)
     artifacts = {}
-    for severity in config.get("corruption.severities"):
-        spec = corruptions.CorruptionSpec(kind, severity, seed)
-        corrupted = corruptions.corrupt_dataset(dataset, spec)
+    severities = config.get("corruption.severities")
+    for severity, corrupted in corruptions.severity_sweep(dataset, kind, severities, seed):
         name = f"{target.stem}_{kind}_s{severity}"
         artifacts[name] = out / f"{name}.feat"
         write_features(artifacts[name], corrupted.inputs, corrupted.labels)
@@ -383,9 +382,10 @@ def eval_pipeline(config: RunConfig, out: Path, seed_override=None) -> dict:
     if kind is not None:
         seed = _stage_seed(config, "corruption", seed_override)
         on_ood = config.get("corruption.apply_to") == "ood"
-        for severity in config.get("corruption.severities"):
-            spec = corruptions.CorruptionSpec(kind, severity, seed)
-            corrupted = corruptions.corrupt_dataset(ood_set if on_ood else id_test, spec)
+        sweep = corruptions.severity_sweep(
+            ood_set if on_ood else id_test, kind, config.get("corruption.severities"), seed
+        )
+        for severity, corrupted in sweep:
             cur_scores = oriented_scores(corrupted.inputs)[0]
             if on_ood:
                 add_row(kind, severity, id_scores, cur_scores)

@@ -65,12 +65,13 @@ def _checked_unit_range(x) -> np.ndarray:
     return arr
 
 
-def _corrupt_rows(rows: np.ndarray, spec: CorruptionSpec, seeds) -> np.ndarray:
+def _corrupt_rows(rows: np.ndarray, spec: CorruptionSpec, seeds, noise=None) -> np.ndarray:
     """A kind applied to every row of a 2-D array at once.
 
     Row i draws its noise from its own stream, in the state of
     default_rng(seeds[i]) (see streams.row_streams), in the order a single row
     would, so each output row is the bytes of corrupting that row alone.
+    Under gaussian_noise, noise may hold those standard-normal draws already.
     """
     level = spec.severity - 1
     if spec.kind == "none":
@@ -80,12 +81,13 @@ def _corrupt_rows(rows: np.ndarray, spec: CorruptionSpec, seeds) -> np.ndarray:
         return np.clip((rows - mean) * CONTRAST_FACTOR[level] + mean, 0.0, 1.0)
     if spec.kind == "brightness":
         return np.clip(rows + BRIGHTNESS_SHIFT[level], 0.0, 1.0)
-    streams = row_streams(seeds)
     if spec.kind == "gaussian_noise":
-        noise = np.empty_like(rows)
-        for row, rng in zip(noise, streams):
-            rng.standard_normal(out=row)
-        return np.clip(rows + GAUSSIAN_SIGMA[level] * noise, 0.0, 1.0)
+        if noise is None:
+            noise = _standard_normal_rows(rows.shape, seeds)
+        out = GAUSSIAN_SIGMA[level] * noise
+        out += rows
+        return np.clip(out, 0.0, 1.0, out=out)
+    streams = row_streams(seeds)
     if spec.kind == "shot_noise":
         photons = SHOT_PHOTONS[level]
         counts = np.empty(rows.shape, dtype=np.int64)
@@ -103,16 +105,54 @@ def _corrupt_rows(rows: np.ndarray, spec: CorruptionSpec, seeds) -> np.ndarray:
         return out
 
 
-def corrupt_dataset(dataset, spec: CorruptionSpec):
+def _standard_normal_rows(shape, seeds) -> np.ndarray:
+    """Row i of the result is default_rng(seeds[i]).standard_normal(shape[1])."""
+    noise = np.empty(shape)
+    for row, rng in zip(noise, row_streams(seeds)):
+        rng.standard_normal(out=row)
+    return noise
+
+
+@dataclass
+class _SweepRows:
+    """One severity sweep's rows, checked once, and under gaussian_noise the
+    rows' standard-normal draws, taken by the first severity and shared."""
+
+    inputs: np.ndarray
+    noise: np.ndarray | None = None
+
+
+def corrupt_dataset(dataset, spec: CorruptionSpec, sweep: _SweepRows | None = None):
     """Corrupt every sample with a per-sample seed of spec.seed XOR index.
 
     Per-sample seeding makes the result independent of iteration order; the
     'none' kind returns an identical copy.  The whole matrix is checked and
     corrupted at once, byte for byte the rows apply_corruption gives sample
-    by sample.
+    by sample.  severity_sweep passes its sweep state: the rows it checked,
+    and the draws every severity of its gaussian_noise sweep shares.
     """
     from .data import Dataset
 
-    inputs = _checked_unit_range(dataset.inputs)
-    corrupted = _corrupt_rows(inputs, spec, xor_seeds(spec.seed, dataset.n))
+    seeds = xor_seeds(spec.seed, dataset.n)
+    if sweep is None:
+        sweep = _SweepRows(_checked_unit_range(dataset.inputs))
+    if spec.kind == "gaussian_noise" and sweep.noise is None:
+        sweep.noise = _standard_normal_rows(sweep.inputs.shape, seeds)
+    corrupted = _corrupt_rows(sweep.inputs, spec, seeds, sweep.noise)
     return Dataset(corrupted, dataset.labels, dataset.class_count)
+
+
+def severity_sweep(dataset, kind: str, severities, seed: int):
+    """Yield (severity, corrupt_dataset(dataset, CorruptionSpec(kind,
+    severity, seed))) for each severity in the given order, one at a time.
+
+    The rows are checked once.  Every severity draws row i's noise from the
+    same stream, so a gaussian_noise sweep draws each row's standard normals
+    once and only scales them by each severity's sigma; shot and impulse
+    noise draw per severity, as their draws depend on it.  Nothing is kept
+    once the sweep ends.
+    """
+    specs = [CorruptionSpec(kind, severity, seed) for severity in severities]
+    sweep = _SweepRows(_checked_unit_range(dataset.inputs))
+    for spec in specs:
+        yield spec.severity, corrupt_dataset(dataset, spec, sweep)

@@ -365,10 +365,12 @@ class MomentumSGD:
         """Apply the filled gradient; returns its norm and whether it was clipped.
 
         The squared norm is summed per array in gradient order, which keeps
-        the clip factor's bits those of a per-array loop.
+        the clip factor's bits those of a per-array loop.  An overflowing
+        norm comes back as inf, without a warning, for the caller to reject.
         """
-        np.multiply(self.grad, self.grad, out=self._sq)
-        norm = math.sqrt(sum(float(sq.sum()) for sq in self._sq_views))
+        with np.errstate(over="ignore"):
+            np.multiply(self.grad, self.grad, out=self._sq)
+            norm = math.sqrt(sum(float(sq.sum()) for sq in self._sq_views))
         clip = min(1.0, self.grad_clip / max(norm, 1e-12))
         self.velocity *= self.momentum
         self.velocity -= lr * clip * self.grad

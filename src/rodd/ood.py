@@ -115,6 +115,12 @@ def uncertainty_scores(
     bad = np.nonzero(norms < FEATURE_NORM_FLOOR)[0]
     if bad.size:
         raise DegenerateFeatureError(int(bad[0]), float(norms[bad[0]]))
+    return _min_angles(feats, norms, subspaces, abs_cosine)
+
+
+def _min_angles(feats, norms, subspaces: ClassSubspaceSet, abs_cosine: bool):
+    """uncertainty_scores unchecked: feats a finite float64 matrix and norms
+    its row norms, every one at or above FEATURE_NORM_FLOOR."""
     cos = (feats / norms[:, None]) @ subspaces.direction_matrix()
     if abs_cosine:
         cos = np.abs(cos)
@@ -180,13 +186,14 @@ def mc_score_records(
         hi = min(lo + per_chunk, raw.shape[0])
         ids = range(lo, hi)
         feats = features(model, _mc_draws(raw[lo:hi], k_draws, noise, seeds[lo:hi]))
-        valid = np.linalg.norm(feats, axis=1) >= FEATURE_NORM_FLOOR
+        norms = np.linalg.norm(feats, axis=1)
+        valid = norms >= FEATURE_NORM_FLOOR
+        kept, kept_norms = (feats, norms) if valid.all() else (feats[valid], norms[valid])
+        if not np.isfinite(kept_norms).all():
+            as_matrix(kept, "features")  # rejects non-finite features
         deltas = np.full(valid.size, math.pi)
         argmins = np.full(valid.size, -1, dtype=np.int64)
-        if valid.any():
-            deltas[valid], argmins[valid] = uncertainty_scores(
-                feats[valid], subspaces, abs_cosine=abs_cosine
-            )
+        deltas[valid], argmins[valid] = _min_angles(kept, kept_norms, subspaces, abs_cosine)
         shape = (len(ids), k_draws)
         deltas, argmins, valid = deltas.reshape(shape), argmins.reshape(shape), valid.reshape(shape)
         hits = ((deltas <= subspaces.threshold) & valid).sum(axis=1)

@@ -2,7 +2,9 @@
 
 bench/tracing.py replaces named rodd functions by module attribute, and its
 install raises when one of them is gone, so renaming or removing a traced
-function would stop every traced benchmark run; it fails here first.  The
+function would stop every traced benchmark run; it fails here first.  A
+hot path that stops calling a traced name zeroes that layer in every traced
+run, so the tests also check that the layers they cover record time.  The
 tracer is loaded by path and not edited.
 """
 
@@ -10,10 +12,11 @@ import importlib
 import importlib.util
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from rodd.contrastive import PretrainConfig
-from rodd.data import synth_gaussian_mixture
+from rodd.data import Dataset, synth_gaussian_mixture
 from rodd.encoder import build_model
 
 TRACING = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
@@ -68,3 +71,20 @@ def test_pretrain_records_spectral_loss_time(tracing):
         tracer.uninstall()
     assert tracer.self_s["contrastive.pretrain"] > 0.0
     assert tracer.self_s["contrastive.loss"] > 0.0
+
+
+def test_severity_sweep_records_corruption_time(tracing):
+    from rodd import corruptions
+
+    inputs = np.random.default_rng(1).uniform(0.0, 1.0, size=(200, 16))
+    dataset = Dataset(inputs, None, 0)
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        swept = list(corruptions.severity_sweep(dataset, "gaussian_noise", [1, 2, 3, 4, 5], 7))
+    finally:
+        tracer.uninstall()
+    assert len(swept) == 5
+    assert tracer.self_s["corruptions.corrupt"] > 0.0
+    name = list(tracer._ids).index("corruptions.corrupt")
+    assert sum(span[0] == name for span in tracer.spans) == 5  # one span per severity

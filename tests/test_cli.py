@@ -460,6 +460,26 @@ class TestExitCodes:
         history = out / "pretrain_history.json"
         assert not history.exists() or "Infinity" not in history.read_text()
 
+    def test_overflowing_pretrain_gradient_warns_nothing(self, tmp_path, small_config):
+        # The same run in a fresh interpreter, with numpy's warnings as they
+        # ship: the numeric failure is the only thing on stderr.
+        out = tmp_path / "big"
+        assert run(["synth", "--config", str(small_config), "--out", str(out)]) == 0
+        feats, labels = read_features(out / "id_train.feat")
+        feats[0, 0] = 3e38
+        write_features(out / "id_train.feat", feats, labels)
+        env = dict(os.environ, PYTHONPATH=str(Path(rodd.__file__).parents[1]))
+        proc = subprocess.run(
+            [sys.executable, "-m", "rodd.cli", "pretrain", "--config", str(small_config),
+             "--out", str(out)],
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert proc.returncode == 2
+        assert proc.stderr == "numeric failure: non-finite gradient norm at epoch 0\n"
+
     def test_numeric_failure_exits_two(self, tmp_path, small_config, capsys):
         diverging = tmp_path / "diverge.cfg"
         diverging.write_text(

@@ -13,6 +13,7 @@ from rodd.corruptions import (
     CorruptionSpec,
     apply_corruption,
     corrupt_dataset,
+    severity_sweep,
 )
 from rodd.data import Dataset
 from rodd.errors import ContractViolation
@@ -169,3 +170,34 @@ class TestCorruptDataset:
         with pytest.raises(ContractViolation, match=r"\[0, 1\]"):
             corrupt_dataset(ds, CorruptionSpec("brightness", 1, 0))
 
+
+class TestSeveritySweep:
+    """One sweep against a corrupt_dataset call per severity, byte for byte."""
+
+    def make_dataset(self):
+        rng = np.random.default_rng(14)
+        inputs = rng.uniform(0.0, 1.0, size=(21, 26))
+        inputs[0, :2] = [0.0, 1.0]
+        return Dataset(inputs, rng.integers(0, 3, 21), 3)
+
+    @pytest.mark.parametrize("kind", KINDS)
+    @pytest.mark.parametrize("seed", [0, 2**64 - 1])
+    def test_matches_corrupt_dataset_per_severity(self, kind, seed):
+        ds = self.make_dataset()
+        severities = [5, 1, 3, 3]  # unsorted, with a repeat
+        swept = list(severity_sweep(ds, kind, severities, seed))
+        assert [severity for severity, _ in swept] == severities
+        for severity, out in swept:
+            expect = corrupt_dataset(ds, CorruptionSpec(kind, severity, seed))
+            assert out.inputs.tobytes() == expect.inputs.tobytes()
+            assert np.array_equal(out.labels, ds.labels) and out.class_count == 3
+
+    def test_rows_checked(self):
+        ds = self.make_dataset()
+        ds.inputs[2, 5] = -0.5
+        with pytest.raises(ContractViolation, match=r"\[0, 1\]"):
+            list(severity_sweep(ds, "gaussian_noise", [1, 2], 0))
+
+    def test_bad_severity_rejected_before_any_set(self):
+        with pytest.raises(ContractViolation, match="severity"):
+            next(severity_sweep(self.make_dataset(), "contrast", [1, 6], 0))

@@ -276,6 +276,50 @@ class TestMcScoreRecords:
         records = self.compare(self.rows[:9], k_draws=5)
         assert all(r.degenerate_draws == 5 and r.argmin_class == -1 for r in records)
 
+    def test_partly_degenerate_chunk(self):
+        # A bias-free ReLU body whose features vanish when both hidden units
+        # are off: draws around the origin mix valid and degenerate ones.
+        self.model = EncoderModel(
+            layers=[
+                DenseLayer(np.random.default_rng(23).standard_normal((6, 2)), None),
+                DenseLayer(np.eye(2, 4), None),
+            ],
+            class_proj=orthonormal_init(4, 3, 0),
+            sharpen_w=np.zeros(4),
+            bn_scale=np.asarray(1.0),
+        )
+        self.subspaces = ClassSubspaceSet(list(np.eye(4)[:3]), threshold=0.5, quantile_used=0.5)
+        records = self.compare(self.rows[:30] * 1e-3, k_draws=20)  # one chunk
+        assert any(0 < r.degenerate_draws < 20 for r in records)
+        assert {r.decision for r in records} == {"ID", "OOD"}
+        assert {r.argmin_class for r in records} >= {0, 1}
+
+    def test_overflowing_features_are_rejected(self):
+        self.model = EncoderModel(
+            layers=[DenseLayer(np.full((6, 4), 1e308), None)],
+            class_proj=orthonormal_init(4, 3, 0),
+            sharpen_w=np.zeros(4),
+            bn_scale=np.asarray(1.0),
+        )
+        with np.errstate(over="ignore"), pytest.raises(ContractViolation, match="non-finite"):
+            mc_score_records(self.model, self.subspaces, np.ones((3, 6)), k_draws=4)
+
+    def test_one_norm_pass_per_chunk(self, monkeypatch):
+        real_norm = np.linalg.norm
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args[0].shape)
+            return real_norm(*args, **kwargs)
+
+        monkeypatch.setattr(ood, "MC_CHUNK_DRAWS", 100)  # ten rows of 10 draws per chunk
+        monkeypatch.setattr(np.linalg, "norm", counted)
+        records = mc_score_records(
+            self.model, self.subspaces, self.rows[:30], k_draws=10, noise=self.noise, seed=3
+        )
+        assert all(r.degenerate_draws == 0 for r in records)
+        assert calls == [(100, 4)] * 3
+
     @pytest.mark.parametrize(
         "mask_fraction, scale_jitter",
         [(0.0, 0.25), (0.3, 0.0), (0.3, 0.25), (0.05, 0.25)],  # 0.05 masks no entry of 6

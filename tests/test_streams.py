@@ -3,9 +3,9 @@
 import numpy as np
 import pytest
 
-from rodd import ood
+from rodd import corruptions, ood
 from rodd.contrastive import AugmentationSpec
-from rodd.corruptions import KINDS, CorruptionSpec, corrupt_dataset
+from rodd.corruptions import KINDS, CorruptionSpec, corrupt_dataset, severity_sweep
 from rodd.data import Dataset
 from rodd.encoder import build_model, features
 from rodd.errors import ContractViolation
@@ -129,3 +129,39 @@ class TestOneGeneratorPerCall:
             lambda: ood.mc_score_records(model, subspaces, rows, k_draws=5, noise=noise, seed=9)
         )
         assert count <= 1
+
+
+def count_stream_resets(call) -> int:
+    """How many row streams the corruptions module resets during call()."""
+    count = 0
+    real_row_streams = corruptions.row_streams
+
+    def counted(seeds):
+        nonlocal count
+        for rng in real_row_streams(seeds):
+            count += 1
+            yield rng
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(corruptions, "row_streams", counted)
+        call()
+    return count
+
+
+class TestOneDrawPerSweep:
+    """Perf guard without timing: a gaussian_noise sweep draws each row once."""
+
+    def sweep(self, kind):
+        inputs = np.random.default_rng(4).uniform(0.0, 1.0, size=(40, 100))
+        return lambda: list(severity_sweep(Dataset(inputs, None, 0), kind, [1, 2, 3, 4, 5], 2**40))
+
+    def test_gaussian_noise_resets_each_row_once(self):
+        assert count_stream_resets(self.sweep("gaussian_noise")) == 40
+
+    def test_no_draw_is_kept_between_sweeps(self):
+        sweep = self.sweep("gaussian_noise")
+        assert count_stream_resets(lambda: (sweep(), sweep())) == 80
+
+    @pytest.mark.parametrize("kind", ["shot_noise", "impulse_noise"])
+    def test_severity_dependent_draws_reset_per_severity(self, kind):
+        assert count_stream_resets(self.sweep(kind)) == 5 * 40
