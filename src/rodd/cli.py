@@ -15,6 +15,7 @@ import argparse
 import hashlib
 import json
 import sys
+from dataclasses import asdict
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -305,14 +306,15 @@ def _cmd_score(config: RunConfig, out: Path, seed_override) -> dict:
     abs_cosine = config.get("ood.abs_cosine")
     if config.get("ood.mode") == "single":
         feats = encoder.features(model, dataset.inputs)
-        records = ood.score_records(feats, subspaces, abs_cosine=abs_cosine)
+        deltas, argmins = ood.uncertainty_scores(feats, subspaces, abs_cosine=abs_cosine)
+        records = ood.angle_records(deltas, argmins, subspaces.threshold)
     else:
         records = ood.mc_score_records(
             model,
             subspaces,
             dataset.inputs,
             k_draws=config.get("ood.mc_draws"),
-            noise=contrastive.AugmentationSpec(gaussian_sigma=config.get("ood.mc_noise_sigma")),
+            noise_sigma=config.get("ood.mc_noise_sigma"),
             seed=_stage_seed(config, "ood", seed_override),
             abs_cosine=abs_cosine,
         )
@@ -336,14 +338,14 @@ def _cmd_corrupt(config: RunConfig, out: Path, seed_override) -> dict:
     return artifacts
 
 
-def eval_pipeline(config: RunConfig, out: Path, seed_override=None) -> dict:
+def _cmd_eval(config: RunConfig, out: Path, seed_override) -> dict:
     """Score ID test and OOD sets (clean plus configured corruption sweep).
 
-    Emits one (ood_set, corruption, severity, EvalReport) row per evaluated
-    pair, plus the clean ID accuracy.  The clean sets are encoded and scored
-    once each; their report row, score tables and the accuracy all come from
-    those scores.  The sweep's seed is --seed when given, else
-    corruption.seed, as for the corrupt stage.
+    Writes one eval.json / eval.csv row per evaluated (ood_set, corruption,
+    severity) pair, plus the clean ID accuracy.  The clean sets are encoded
+    and scored once each; their report row, score tables and the accuracy
+    all come from those scores.  The sweep's seed is --seed when given,
+    else corruption.seed, as for the corrupt stage.
     """
     model, subspaces = _load_scoring_state(out)
     id_test = _read_dataset(out / "id_test.feat")
@@ -365,17 +367,13 @@ def eval_pipeline(config: RunConfig, out: Path, seed_override=None) -> dict:
     id_accuracy = None
     if id_test.labels is not None:
         id_accuracy = metrics.accuracy(encoder.head_logits(model, id_feats), id_test.labels)
-    score_tables = {}
-    if method == "rodd":
-        score_tables["id_test"] = ood.angle_records(*id_angles, subspaces.threshold)
-        score_tables["ood"] = ood.angle_records(*ood_angles, subspaces.threshold)
-
     rows = []
 
     def add_row(corruption, severity, id_side, ood_side):
         split = metrics.ScoreSplit(id_side, ood_side)
         report = metrics.evaluate_split(split, config.get("eval.tpr_target"))
-        rows.append(("ood", corruption, severity, report))
+        rows.append({"ood_set": "ood", "corruption": corruption, "severity": severity,
+                     **asdict(report)})
 
     add_row("none", 0, id_scores, ood_scores)
     kind = config.get("corruption.kind")
@@ -391,28 +389,19 @@ def eval_pipeline(config: RunConfig, out: Path, seed_override=None) -> dict:
                 add_row(kind, severity, id_scores, cur_scores)
             else:
                 add_row(kind, severity, cur_scores, ood_scores)
-    return {"method": method, "id_accuracy": id_accuracy, "rows": rows, "score_tables": score_tables}
-
-
-def _cmd_eval(config: RunConfig, out: Path, seed_override) -> dict:
-    result = eval_pipeline(config, out, seed_override)
     artifacts = {"eval_json": out / "eval.json", "eval_csv": out / "eval.csv"}
-    payload = {
-        "method": result["method"],
-        "id_accuracy": result["id_accuracy"],
-        "rows": [
-            {"ood_set": name, "corruption": corruption, "severity": severity, **report.to_dict()}
-            for name, corruption, severity, report in result["rows"]
-        ],
-    }
+    payload = {"method": method, "id_accuracy": id_accuracy, "rows": rows}
     _json_dump(artifacts["eval_json"], payload)
-    lines = ["ood_set,corruption,severity," + metrics.report_csv_header()]
-    for name, corruption, severity, report in result["rows"]:
-        lines.append(f"{name},{corruption},{severity},{report.csv_row()}")
+    lines = [",".join(rows[0])] + [
+        ",".join(repr(v) if isinstance(v, float) else str(v) for v in row.values())
+        for row in rows
+    ]
     artifacts["eval_csv"].write_text("\n".join(lines) + "\n", encoding="utf-8")
-    for name, records in result["score_tables"].items():
-        artifacts[f"{name}_scores"] = out / f"{name}_scores.csv"
-        ood.write_scores(artifacts[f"{name}_scores"], records)
+    if method == "rodd":
+        for name, angles in (("id_test", id_angles), ("ood", ood_angles)):
+            artifacts[f"{name}_scores"] = out / f"{name}_scores.csv"
+            records = ood.angle_records(*angles, subspaces.threshold)
+            ood.write_scores(artifacts[f"{name}_scores"], records)
     return artifacts
 
 
@@ -428,19 +417,18 @@ def _cmd_verify_theory(config: RunConfig, out: Path, seed_override) -> dict:
     )
     d = _derived(config.get("theory.d"), graph.n)
     proj = orthonormal_init(d, len(sizes), seed + 1)
-    targets = theory.one_hot_targets(graph)
     opts = theory.SolveOptions(
         max_iters=config.get("theory.max_iters"), tol=config.get("theory.tol"), seed=seed
     )
     mu = config.get("theory.mu")
     solved = {}
     sweep = theory.mu_sweep(
-        graph, proj, targets, sorted(config.get("theory.mu_values")), d, opts, results=solved
+        graph, proj, sorted(config.get("theory.mu_values")), opts, results=solved
     )
     # The sweep starts every mu from the init solve_joint would use, so its
     # solve at the headline mu is the lemma's solve.
-    result = solved.get(mu) or theory.solve_joint(graph, proj, targets, mu, opts)
-    lemma_report = theory.verify_lemma(graph, d, result)
+    result = solved.get(mu) or theory.solve_joint(graph, proj, mu, opts)
+    lemma_report = theory.verify_lemma(graph, result)
     artifacts = {"theory_report": out / "theory_report.json"}
     _json_dump(artifacts["theory_report"], {"mu": mu, "lemma": lemma_report, "sweep": sweep})
     return artifacts

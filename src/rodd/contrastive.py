@@ -79,49 +79,20 @@ class PretrainConfig:
 def augment_batch(x, spec: AugmentationSpec, rng: np.random.Generator) -> np.ndarray:
     """Independently augment each row; the all-zero spec is an exact identity.
 
-    Draw order is fixed (noise, jitter factors, mask scores) so results only
-    depend on the generator state, not on which parameters are active.
+    Each row becomes (x + gaussian_sigma * z) * (1 + U(-scale_jitter,
+    scale_jitter)), then its round(mask_fraction * width) lowest-scored
+    entries are set to 0 under U[0, 1) scores.  Draw order is fixed (noise,
+    jitter factors, mask scores) so results only depend on the generator
+    state, not on which parameters are active.
     """
     x = as_matrix(x, "x")
-    noise, factors, scores = np.empty(x.shape), np.empty(x.shape[0]), np.empty(x.shape)
-    draw_augmentation(rng, spec, noise, factors, scores)
-    return apply_augmentation(x, spec, noise, factors, scores)
-
-
-def draw_augmentation(rng, spec: AugmentationSpec, noise, factors=None, scores=None) -> None:
-    """Fill the augmentation draws of noise's rows in place, in the fixed order.
-
-    noise gets standard normals, then factors 1 + U(-scale_jitter,
-    scale_jitter), one per row, then scores U[0, 1), one per entry.  Drawing
-    stops at the first array given as None, so a caller that discards the
-    stream afterwards can skip draws that cannot change its output.
-    """
-    rng.standard_normal(out=noise)
-    if factors is None:
-        return
-    factors[...] = 1.0 + rng.uniform(-spec.scale_jitter, spec.scale_jitter, size=factors.shape)
-    if scores is not None:
-        rng.random(out=scores)
-
-
-def mask_count(spec: AugmentationSpec, width: int) -> int:
-    """Entries zeroed per row of the given width; 0 means the mask is inactive."""
-    return int(round(spec.mask_fraction * width))
-
-
-def apply_augmentation(x, spec: AugmentationSpec, noise, factors=None, scores=None) -> np.ndarray:
-    """(x + sigma * noise) * factors, then each row's mask_count lowest-scored
-    entries set to 0; rows run along the last axis and x broadcasts against
-    noise.  factors None means all 1 (x * 1.0 is x); scores are read only
-    when the mask is active.
-    """
-    out = x + spec.gaussian_sigma * noise
-    if factors is not None:
-        out *= factors[..., None]
-    k = mask_count(spec, out.shape[-1])
+    out = x + spec.gaussian_sigma * rng.standard_normal(x.shape)
+    out *= 1.0 + rng.uniform(-spec.scale_jitter, spec.scale_jitter, size=(x.shape[0], 1))
+    scores = rng.random(x.shape)
+    k = int(round(spec.mask_fraction * x.shape[1]))
     if k > 0:
-        drop = np.argsort(scores, axis=-1, kind="stable")[..., :k]
-        np.put_along_axis(out, drop, 0.0, axis=-1)
+        drop = np.argsort(scores, axis=1, kind="stable")[:, :k]
+        np.put_along_axis(out, drop, 0.0, axis=1)
     return out
 
 

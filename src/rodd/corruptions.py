@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ContractViolation
-from .streams import check_seed, row_streams, xor_seeds
+from .streams import check_seed, row_streams, standard_normal_rows, xor_seeds
 
 KINDS = (
     "none",
@@ -83,7 +83,7 @@ def _corrupt_rows(rows: np.ndarray, spec: CorruptionSpec, seeds, noise=None) -> 
         return np.clip(rows + BRIGHTNESS_SHIFT[level], 0.0, 1.0)
     if spec.kind == "gaussian_noise":
         if noise is None:
-            noise = _standard_normal_rows(rows.shape, seeds)
+            noise = standard_normal_rows(seeds, rows.shape[1])
         out = GAUSSIAN_SIGMA[level] * noise
         out += rows
         return np.clip(out, 0.0, 1.0, out=out)
@@ -103,14 +103,6 @@ def _corrupt_rows(rows: np.ndarray, spec: CorruptionSpec, seeds, noise=None) -> 
                 where = rng.choice(width, size=k, replace=False)
                 row[where] = rng.integers(0, 2, size=k).astype(np.float64)
         return out
-
-
-def _standard_normal_rows(shape, seeds) -> np.ndarray:
-    """Row i of the result is default_rng(seeds[i]).standard_normal(shape[1])."""
-    noise = np.empty(shape)
-    for row, rng in zip(noise, row_streams(seeds)):
-        rng.standard_normal(out=row)
-    return noise
 
 
 @dataclass
@@ -137,7 +129,7 @@ def corrupt_dataset(dataset, spec: CorruptionSpec, sweep: _SweepRows | None = No
     if sweep is None:
         sweep = _SweepRows(_checked_unit_range(dataset.inputs))
     if spec.kind == "gaussian_noise" and sweep.noise is None:
-        sweep.noise = _standard_normal_rows(sweep.inputs.shape, seeds)
+        sweep.noise = standard_normal_rows(seeds, sweep.inputs.shape[1])
     corrupted = _corrupt_rows(sweep.inputs, spec, seeds, sweep.noise)
     return Dataset(corrupted, dataset.labels, dataset.class_count)
 

@@ -333,9 +333,9 @@ def parse_config(text: str) -> RunConfig:
 
     Values are typed by CONFIG (integer, real, boolean, string, or a
     comma-separated integer or real list, parsed once into a tuple); unknown
-    keys, duplicate keys, type mismatches, non-finite reals, values or list
-    entries outside their bounds and strings outside their allowed values
-    raise FormatError with the line number.
+    keys, duplicate keys, type mismatches, empty lists, non-finite reals,
+    values or list entries outside their bounds and strings outside their
+    allowed values raise FormatError with the line number.
     """
     values: dict = {}
     section = ""
@@ -382,6 +382,8 @@ def _parse_value(token: str, key: str, lineno: int):
             raise FormatError(
                 f"line {lineno}: '{key}' must be a comma-separated {noun} list"
             ) from None
+        if not value:
+            raise FormatError(f"line {lineno}: '{key}' must list at least one value")
         entries, subject, shown = value, f"every '{key}' entry", repr(token)
     else:
         value = _parse_scalar(token, spec.kind, key, lineno)

@@ -92,7 +92,6 @@ class TrainConfig:
     # level drawn uniformly from [0, input_noise], so the encoder sees every
     # perturbation scale up to the cap.  0 disables it.
     input_noise: float = 0.0
-    cosine_decay: bool = True
     grad_clip: float = 5.0  # global-norm cap; sharpening amplifies gradients by 1/g
 
 
@@ -393,9 +392,8 @@ def epoch_summary(losses, steps, lr: float) -> dict:
     }
 
 
-def _epoch_lr(base: float, epoch: int, epochs: int, cosine: bool) -> float:
-    if not cosine:
-        return base
+def _epoch_lr(base: float, epoch: int, epochs: int) -> float:
+    """Cosine decay from base towards 0 over the epochs."""
     return base * 0.5 * (1.0 + math.cos(math.pi * epoch / max(1, epochs)))
 
 
@@ -430,7 +428,7 @@ def train(model: EncoderModel, dataset, config: TrainConfig):
     history = []
     n = dataset.n
     for epoch in range(config.epochs):
-        lr = _epoch_lr(config.lr, epoch, config.epochs, config.cosine_decay)
+        lr = _epoch_lr(config.lr, epoch, config.epochs)
         order = rng.permutation(n)
         losses, steps = [], []
         for start in range(0, n, config.batch_size):

@@ -9,14 +9,11 @@ holds brute-force enumeration oracles that these must match exactly.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ContractViolation
-
-EVAL_FIELDS = ("fpr95", "auroc", "detection_error", "n_id", "n_ood", "threshold_used")
-
 
 @dataclass(frozen=True)
 class ScoreSplit:
@@ -43,19 +40,6 @@ class EvalReport:
     n_id: int
     n_ood: int
     threshold_used: float
-
-    def to_dict(self) -> dict:
-        return asdict(self)
-
-    def csv_row(self) -> str:
-        return ",".join(repr(v) if isinstance(v, float) else str(v) for v in (
-            self.fpr95,
-            self.auroc,
-            self.detection_error,
-            self.n_id,
-            self.n_ood,
-            self.threshold_used,
-        ))
 
 
 def fpr_at_tpr(split: ScoreSplit, tpr_target: float = 0.95) -> tuple[float, float]:
@@ -123,7 +107,3 @@ def evaluate_split(split: ScoreSplit, tpr_target: float = 0.95) -> EvalReport:
         n_ood=int(split.ood_scores.size),
         threshold_used=tau,
     )
-
-
-def report_csv_header() -> str:
-    return ",".join(EVAL_FIELDS)

@@ -3,8 +3,8 @@
 Fits one unit direction per class (the first right singular vector of that
 class's feature matrix), scores test features by the smallest angle to any
 class direction, estimates the accept threshold as an empirical quantile of
-the training scores, and runs Monte-Carlo inference over stochastic input
-augmentations.
+the training scores, and runs Monte-Carlo inference over gaussian input
+noise.
 """
 
 from __future__ import annotations
@@ -15,11 +15,10 @@ from pathlib import Path
 
 import numpy as np
 
-from .contrastive import AugmentationSpec, apply_augmentation, draw_augmentation, mask_count
 from .encoder import FEATURE_NORM_FLOOR, EncoderModel, features
 from .errors import ContractViolation, DegenerateFeatureError, FormatError
 from .linalg import as_matrix, svd
-from .streams import check_seed, row_streams, xor_seeds
+from .streams import check_seed, standard_normal_rows, xor_seeds
 
 SCORE_COLUMNS = ("sample_id", "delta", "argmin_class", "mc_probability", "decision")
 UNIT_NORM_TOL = 1e-6  # loaded class directions must have norm 1 within this
@@ -133,7 +132,7 @@ def mc_detect(
     subspaces: ClassSubspaceSet,
     raw_sample,
     k_draws: int = 50,
-    noise: AugmentationSpec | None = None,
+    noise_sigma: float = 0.01,
     seed: int = 0,
     sample_id: int = 0,
     abs_cosine: bool = False,
@@ -147,7 +146,7 @@ def mc_detect(
     if raw.ndim != 1:
         raise ContractViolation(f"raw_sample must be a 1-D vector, got {raw.shape}")
     return mc_score_records(
-        model, subspaces, raw[None, :], k_draws=k_draws, noise=noise, seed=seed,
+        model, subspaces, raw[None, :], k_draws=k_draws, noise_sigma=noise_sigma, seed=seed,
         start_id=sample_id, abs_cosine=abs_cosine,
     )[0]
 
@@ -157,16 +156,17 @@ def mc_score_records(
     subspaces: ClassSubspaceSet,
     raw_rows,
     k_draws: int = 50,
-    noise: AugmentationSpec | None = None,
+    noise_sigma: float = 0.01,
     seed: int = 0,
     start_id: int = 0,
     abs_cosine: bool = False,
 ) -> list[ScoreRecord]:
-    """Monte-Carlo accept probabilities from k stochastic augmentations per row.
+    """Monte-Carlo accept probabilities from k noisy copies per row.
 
-    Row i gets k_draws augmented copies drawn from its own stream, in the
-    state of default_rng(seed XOR i) (seed in [0, 2**64)), and the sample
-    id start_id + i.  Each draw is encoded in eval mode and scored;
+    Row i's k_draws copies are x_i + noise_sigma * z, with z the row's
+    k_draws * width standard normals from default_rng(seed XOR i) (seed in
+    [0, 2**64); see streams.standard_normal_rows), and its sample id is
+    start_id + i.  Each draw is encoded in eval mode and scored;
     mc_probability is the fraction of draws with angle at or below
     the threshold, the decision is ID iff that fraction reaches 0.5, and
     argmin_class is the most-voted class among the valid draws (-1 when
@@ -177,15 +177,22 @@ def mc_score_records(
     """
     if k_draws < 1:
         raise ContractViolation(f"k_draws must be >= 1, got {k_draws}")
-    noise = noise if noise is not None else AugmentationSpec(gaussian_sigma=0.01)
+    if not (math.isfinite(noise_sigma) and noise_sigma >= 0):
+        raise ContractViolation(f"noise_sigma must be finite and >= 0, got {noise_sigma}")
     raw = as_matrix(raw_rows, "raw_rows")
+    width = raw.shape[1]
     seeds = xor_seeds(check_seed(seed, "ood seed"), raw.shape[0])
     per_chunk = max(1, MC_CHUNK_DRAWS // k_draws)
     records = []
     for lo in range(0, raw.shape[0], per_chunk):
         hi = min(lo + per_chunk, raw.shape[0])
         ids = range(lo, hi)
-        feats = features(model, _mc_draws(raw[lo:hi], k_draws, noise, seeds[lo:hi]))
+        # x + sigma * z built in place, so a chunk holds one draw array; IEEE
+        # products and sums commute, so the bytes are those of x + sigma * z.
+        draws = standard_normal_rows(seeds[lo:hi], k_draws * width).reshape(-1, k_draws, width)
+        draws *= noise_sigma
+        draws += raw[lo:hi, None, :]
+        feats = features(model, draws.reshape(-1, width))
         norms = np.linalg.norm(feats, axis=1)
         valid = norms >= FEATURE_NORM_FLOOR
         kept, kept_norms = (feats, norms) if valid.all() else (feats[valid], norms[valid])
@@ -216,45 +223,12 @@ def mc_score_records(
     return records
 
 
-def _mc_draws(rows, k_draws, noise: AugmentationSpec, seeds) -> np.ndarray:
-    """The k_draws augmented copies of every row, stacked row by row.
-
-    Row i's copies are augment_batch of k_draws tiled copies of the row with
-    a fresh default_rng(seeds[i]), to the byte.  The row's stream is thrown
-    away afterwards, so it stops after its last draw that can change the
-    output: the jitter factors are drawn only when they scale or precede
-    active mask scores, and the mask scores only when the mask is active.
-    """
-    n, d = rows.shape
-    masked = mask_count(noise, d) > 0
-    gauss = np.empty((n, k_draws, d))
-    factors = np.empty((n, k_draws)) if masked or noise.scale_jitter > 0 else None
-    scores = np.empty((n, k_draws, d)) if masked else None
-    for j, rng in enumerate(row_streams(seeds)):
-        draw_augmentation(
-            rng,
-            noise,
-            gauss[j],
-            None if factors is None else factors[j],
-            None if scores is None else scores[j],
-        )
-    draws = apply_augmentation(rows[:, None, :], noise, gauss, factors, scores)
-    return draws.reshape(n * k_draws, d)
-
-
-def score_records(
-    feats, subspaces: ClassSubspaceSet, start_id: int = 0, abs_cosine: bool = False
-) -> list[ScoreRecord]:
-    """Deterministic single-pass records: decision is delta <= threshold."""
-    deltas, argmins = uncertainty_scores(feats, subspaces, abs_cosine=abs_cosine)
-    return angle_records(deltas, argmins, subspaces.threshold, start_id)
-
-
-def angle_records(deltas, argmins, threshold: float, start_id: int = 0) -> list[ScoreRecord]:
-    """score_records from uncertainty_scores' (deltas, argmin classes) pair."""
+def angle_records(deltas, argmins, threshold: float) -> list[ScoreRecord]:
+    """Single-pass records from uncertainty_scores' (deltas, argmin classes)
+    pair: the decision is delta <= threshold."""
     return [
         ScoreRecord(
-            sample_id=start_id + i,
+            sample_id=i,
             delta=float(deltas[i]),
             argmin_class=int(argmins[i]),
             mc_probability=None,

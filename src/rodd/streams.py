@@ -1,6 +1,6 @@
 """Per-row random streams, seeded for all rows in one vectorized pass.
 
-Row-wise randomness in rodd (input corruption, Monte-Carlo augmentation)
+Row-wise randomness in rodd (input corruption, Monte-Carlo scoring noise)
 gives row i its own stream default_rng(seed ^ i), so a row's result does not
 depend on which other rows are processed with it.  Building one generator per
 row costs far more than the few draws a row takes, so row_streams reproduces
@@ -115,3 +115,11 @@ def row_streams(seeds):
             "uinteger": 0,
         }
         yield rng
+
+
+def standard_normal_rows(seeds, width: int) -> np.ndarray:
+    """Row i of the result is default_rng(seeds[i]).standard_normal(width)."""
+    rows = np.empty((len(seeds), width))
+    for row, rng in zip(rows, row_streams(seeds)):
+        rng.standard_normal(out=row)
+    return rows

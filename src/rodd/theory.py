@@ -121,7 +121,7 @@ class AugGraph:
 class SolveOptions:
     max_iters: int = 2000
     tol: float = 1e-12
-    init: str | np.ndarray = "auto"  # auto | closed-form | random | zeros | array
+    init: str | np.ndarray = "auto"  # auto | closed-form | random | array
     seed: int = 0
 
 
@@ -236,9 +236,8 @@ def joint_loss_and_grad(adjacency, f, proj, targets, mu: float):
     return loss, grad
 
 
-def _validate_joint_inputs(graph, proj, targets):
+def _validate_proj(graph, proj):
     proj = as_matrix(proj, "proj")
-    targets = as_matrix(targets, "targets")
     n_classes = len(graph.class_ranges)
     if proj.shape[1] != n_classes:
         raise ContractViolation(
@@ -247,19 +246,7 @@ def _validate_joint_inputs(graph, proj, targets):
     gram = proj.T @ proj
     if float(np.abs(gram - np.eye(n_classes)).max()) > 1e-8:
         raise ContractViolation("projection columns must be orthonormal within 1e-8")
-    if targets.shape != (graph.n, n_classes):
-        raise ContractViolation(
-            f"targets shape {targets.shape} != ({graph.n}, {n_classes})"
-        )
-    for label, (start, stop) in enumerate(graph.class_ranges):
-        block = targets[start:stop]
-        expect = np.zeros(n_classes)
-        expect[label] = 1.0
-        if not np.array_equal(block, np.tile(expect, (stop - start, 1))):
-            raise ContractViolation(
-                f"target rows [{start}, {stop}) must be one-hot at class {label}"
-            )
-    return proj, targets
+    return proj
 
 
 def one_hot_targets(graph: AugGraph) -> np.ndarray:
@@ -285,8 +272,6 @@ def _initial_point(graph, d, opts):
     if init == "random":
         rng = np.random.default_rng(opts.seed)
         return 0.01 * rng.standard_normal((graph.n, d))
-    if init == "zeros":
-        return np.zeros((graph.n, d))
     raise ContractViolation(f"unknown init {init!r}")
 
 
@@ -501,12 +486,12 @@ class _GaugeStep:
 def solve_joint(
     graph: AugGraph,
     proj,
-    targets,
     mu: float,
     opts: SolveOptions | None = None,
 ) -> JointSolveResult:
     """Preconditioned Polak-Ribiere+ conjugate gradient with an exact line
-    search, each step followed by an exact gauge step.
+    search, each step followed by an exact gauge step; the targets Y are
+    one_hot_targets(graph).
 
     Along a search direction D the loss is the quartic line_quartic gives, so
     each step moves to its exact minimizer over t > 0 (the best real root of
@@ -547,7 +532,8 @@ def solve_joint(
     if mu < 0:
         raise ContractViolation("mu must be >= 0")
     opts = opts or SolveOptions()
-    proj, targets = _validate_joint_inputs(graph, proj, targets)
+    proj = _validate_proj(graph, proj)
+    targets = one_hot_targets(graph)
     a = graph.adjacency
     f = _initial_point(graph, proj.shape[0], opts)
     gauge = _GaugeStep(proj) if mu > 0.0 else None
@@ -628,9 +614,7 @@ def lemma_bounds(delta: float) -> tuple[float, float]:
     return math.sqrt(6.0 * core), 2.0 * core
 
 
-def verify_lemma(
-    graph: AugGraph, d: int, result: JointSolveResult, tol: float = 1e-8
-) -> dict:
+def verify_lemma(graph: AugGraph, result: JointSolveResult, tol: float = 1e-8) -> dict:
     """Compare per-class singular tails against the closed-form bounds.
 
     Returns a JSON-ready report: delta, eta, normalization, per-class sigma
@@ -640,9 +624,9 @@ def verify_lemma(
     flag needs every tail within its bound and a converged solve: tails of
     a point the solver stopped at max_iters say nothing about the optimum.
     """
-    if result.f_star.shape != (graph.n, d):
+    if result.f_star.shape[0] != graph.n:
         raise ContractViolation(
-            f"result shape {result.f_star.shape} does not match graph n={graph.n}, d={d}"
+            f"result has {result.f_star.shape[0]} rows, graph n={graph.n}"
         )
     bound2, bound4 = lemma_bounds(graph.delta)
     per_class = []
@@ -674,9 +658,7 @@ def verify_lemma(
 def mu_sweep(
     graph: AugGraph,
     proj,
-    targets,
     mu_values,
-    d: int,
     opts: SolveOptions | None = None,
     tol: float = 1e-8,
     results: dict | None = None,
@@ -697,21 +679,16 @@ def mu_sweep(
     if mu_values != sorted(mu_values):
         raise ContractViolation("mu values must be sorted ascending")
     opts = opts or SolveOptions()
-    proj_arr, targets_arr = _validate_joint_inputs(graph, proj, targets)
-    if proj_arr.shape[0] != d:
-        raise ContractViolation(
-            f"projection rows {proj_arr.shape[0]} must equal d={d}"
-        )
+    proj = _validate_proj(graph, proj)
+    d = proj.shape[0]
     shared_init = _initial_point(graph, d, opts)
     rows = []
     passing = []
     for mu in mu_values:
-        result = solve_joint(
-            graph, proj_arr, targets_arr, mu, replace(opts, init=shared_init)
-        )
+        result = solve_joint(graph, proj, mu, replace(opts, init=shared_init))
         if results is not None:
             results[mu] = result
-        report = verify_lemma(graph, d, result, tol=tol)
+        report = verify_lemma(graph, result, tol=tol)
         dominance = []
         for sigma in result.per_class_sigma:
             total = float((sigma**2).sum())

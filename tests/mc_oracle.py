@@ -16,10 +16,11 @@ from rodd.encoder import FEATURE_NORM_FLOOR, features
 from rodd.ood import ScoreRecord, uncertainty_scores
 
 
-def mc_detect_one(model, subspaces, raw_sample, k_draws, noise, seed, sample_id, abs_cosine):
-    """Score one sample from k_draws augmentations drawn from default_rng(seed)."""
+def mc_detect_one(model, subspaces, raw_sample, k_draws, noise_sigma, seed, sample_id, abs_cosine):
+    """Score one sample from k_draws gaussian augmentations drawn from default_rng(seed)."""
     raw = np.asarray(raw_sample, dtype=np.float64)
     rng = np.random.default_rng(seed)
+    noise = AugmentationSpec(gaussian_sigma=noise_sigma)
     draws = augment_batch(np.tile(raw, (k_draws, 1)), noise, rng)
     feats = features(model, draws)
     norms = np.linalg.norm(feats, axis=1)
@@ -48,11 +49,12 @@ def mc_detect_one(model, subspaces, raw_sample, k_draws, noise, seed, sample_id,
 
 
 def mc_records_oracle(
-    model, subspaces, raw_rows, k_draws=50, noise=None, seed=0, start_id=0, abs_cosine=False
+    model, subspaces, raw_rows, k_draws=50, noise_sigma=0.01, seed=0, start_id=0, abs_cosine=False
 ) -> list[ScoreRecord]:
     """Row i scored alone from default_rng(seed XOR i), with id start_id + i."""
-    noise = noise if noise is not None else AugmentationSpec(gaussian_sigma=0.01)
     return [
-        mc_detect_one(model, subspaces, row, k_draws, noise, seed ^ i, start_id + i, abs_cosine)
+        mc_detect_one(
+            model, subspaces, row, k_draws, noise_sigma, seed ^ i, start_id + i, abs_cosine
+        )
         for i, row in enumerate(np.asarray(raw_rows, dtype=np.float64))
     ]

@@ -8,10 +8,11 @@ round-trip tests.
 from __future__ import annotations
 
 import json
+from dataclasses import asdict
 from pathlib import Path
 
 from rodd.metrics import EvalReport
 
 
 def write_report_json(path, report: EvalReport) -> None:
-    Path(path).write_text(json.dumps(report.to_dict(), indent=2) + "\n", encoding="utf-8")
+    Path(path).write_text(json.dumps(asdict(report), indent=2) + "\n", encoding="utf-8")

@@ -108,7 +108,7 @@ def train(model, dataset, config):
     history = []
     n = dataset.n
     for epoch in range(config.epochs):
-        lr = _epoch_lr(config.lr, epoch, config.epochs, config.cosine_decay)
+        lr = _epoch_lr(config.lr, epoch, config.epochs)
         order = rng.permutation(n)
         losses = []
         for start in range(0, n, config.batch_size):

@@ -178,14 +178,12 @@ def test_criterion_03_closed_form_vs_iterative():
         lam, _ = sym_eig(graph.adjacency)
         optimum = float((lam[d:] ** 2).sum())
         budget = 1e-6 * float((lam**2).sum())
-        targets = theory.one_hot_targets(graph)
         started = time.perf_counter()
         best = math.inf
         for attempt in range(5):
             result = theory.solve_joint(
                 graph,
                 proj,
-                targets,
                 0.0,
                 theory.SolveOptions(init=init, seed=attempt, max_iters=8000),
             )
@@ -214,11 +212,10 @@ def test_criterion_04_tail_bounds():
             [8, 6, 5], delta, 0.0, seed=21, normalization="unit-spectral-per-block"
         )
         proj = orthonormal_init(graph.n, 3, 22)
-        targets = theory.one_hot_targets(graph)
         result = theory.solve_joint(
-            graph, proj, targets, 1e-4, theory.SolveOptions(seed=2, max_iters=6000)
+            graph, proj, 1e-4, theory.SolveOptions(seed=2, max_iters=6000)
         )
-        report = theory.verify_lemma(graph, graph.n, result, tol=1e-8)
+        report = theory.verify_lemma(graph, result, tol=1e-8)
         bound2, bound4 = theory.lemma_bounds(delta)
         worst2 = max(entry["tail2"] for entry in report["per_class"])
         worst4 = max(entry["tail4"] for entry in report["per_class"])
@@ -250,9 +247,8 @@ def test_criterion_05_mu_sweep_prefix():
         [6, 5], 0.05, 0.0, seed=31, normalization="unit-spectral-per-block"
     )
     proj = orthonormal_init(graph.n, 2, 32)
-    targets = theory.one_hot_targets(graph)
     sweep = theory.mu_sweep(
-        graph, proj, targets, [1e-6, 1e-4, 1e-2, 1.0, 100.0], graph.n,
+        graph, proj, [1e-6, 1e-4, 1e-2, 1.0, 100.0],
         theory.SolveOptions(seed=3, max_iters=6000),
     )
     rows = sweep["rows"]
@@ -360,12 +356,11 @@ def test_criterion_09_monte_carlo_inference(e2e):
         json.loads((out / "subspaces.json").read_text())
     )
     feats, _ = read_features(out / "ood.feat")
-    noise = contrastive.AugmentationSpec(gaussian_sigma=0.01)
     granular = True
     identical = True
     for i in range(5):
-        a = ood.mc_detect(model, subspaces, feats[i], noise=noise, seed=100 + i, sample_id=i)
-        b = ood.mc_detect(model, subspaces, feats[i], noise=noise, seed=100 + i, sample_id=i)
+        a = ood.mc_detect(model, subspaces, feats[i], noise_sigma=0.01, seed=100 + i, sample_id=i)
+        b = ood.mc_detect(model, subspaces, feats[i], noise_sigma=0.01, seed=100 + i, sample_id=i)
         identical = identical and a == b
         granular = granular and abs(a.mc_probability * 50 - round(a.mc_probability * 50)) == 0
         granular = granular and 0.0 <= a.mc_probability <= 1.0

@@ -128,6 +128,15 @@ class TestPipeline:
             "ood_set,corruption,severity,fpr95,auroc,detection_error,n_id,n_ood,threshold_used"
         )
 
+    def test_eval_csv_cells_are_the_json_rows(self, pipeline_dir):
+        rows = json.loads((pipeline_dir / "eval.json").read_text())["rows"]
+        lines = (pipeline_dir / "eval.csv").read_text().splitlines()
+        assert len(lines) == len(rows) + 1
+        for line, row in zip(lines[1:], rows):
+            assert lines[0].split(",") == list(row)
+            cells = [repr(v) if isinstance(v, float) else str(v) for v in row.values()]
+            assert line.split(",") == cells
+
     def test_manifest_accumulates_stages(self, pipeline_dir, small_config):
         manifest = json.loads((pipeline_dir / "run.json").read_text())
         commands = [entry["command"] for entry in manifest["runs"]]
@@ -359,6 +368,11 @@ class TestExitCodes:
             ("verify-theory", "theory", "mu_values", "1,nan", "every 'theory.mu_values' entry must be finite"),
             ("verify-theory", "theory", "mu_values", "1,big", "'theory.mu_values' must be a comma-separated number list"),
             ("corrupt", "corruption", "kind", "fog", "'corruption.kind' must be one of 'none', "),
+            ("corrupt", "corruption", "severities", "", "'corruption.severities' must list at least one value"),
+            ("eval", "corruption", "severities", "", "'corruption.severities' must list at least one value"),
+            ("verify-theory", "theory", "mu_values", "", "'theory.mu_values' must list at least one value"),
+            ("verify-theory", "theory", "class_sizes", " ,", "'theory.class_sizes' must list at least one value"),
+            ("pretrain", "model", "hidden_sizes", "", "'model.hidden_sizes' must list at least one value"),
         ],
     )
     def test_list_entries_and_kinds_checked_at_parse(
@@ -575,10 +589,9 @@ class TestVerifyTheory:
         graph = theory.build_adjacency([5, 4], 0.05, 0.0, 11, "unit-spectral-per-block")
         proj = orthonormal_init(9, 2, 12)
         result = theory.solve_joint(
-            graph, proj, theory.one_hot_targets(graph), mu,
-            theory.SolveOptions(max_iters=3000, seed=11),
+            graph, proj, mu, theory.SolveOptions(max_iters=3000, seed=11)
         )
-        expect = json.loads(json.dumps(theory.verify_lemma(graph, 9, result)))
+        expect = json.loads(json.dumps(theory.verify_lemma(graph, result)))
         assert payload["mu"] == mu
         assert payload["lemma"] == expect
 

@@ -276,6 +276,13 @@ class TestConfigParser:
         with pytest.raises(FormatError, match="line 2: " + re.escape(message)):
             parse_config(f"[{section}]\n{name} = {value}\n")
 
+    @pytest.mark.parametrize("key", sorted(k for k, spec in CONFIG.items() if spec.is_list))
+    @pytest.mark.parametrize("value", ["", " , ,"])
+    def test_empty_list_rejected(self, key, value):
+        section, name = key.split(".")
+        with pytest.raises(FormatError, match=rf"line 2: '{key}' must list at least one value"):
+            parse_config(f"[{section}]\n{name} = {value}\n")
+
     def test_lists_parse_once_into_tuples(self):
         cfg = parse_config(
             "[theory]\nclass_sizes = 16, 16,16\nmu_values = 0,1e-6,1\n[corruption]\nseverities = 2\n"

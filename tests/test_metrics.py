@@ -202,9 +202,3 @@ class TestEvalReport:
             assert 0.0 <= report.fpr95 <= 1.0
             assert 0.0 <= report.auroc <= 1.0
             assert 0.0 <= report.detection_error <= 1.0
-
-    def test_csv_row_matches_fields(self):
-        report = EvalReport(0.1, 0.9, 0.05, 10, 20, -0.5)
-        row = report.csv_row().split(",")
-        assert len(row) == 6
-        assert float(row[0]) == 0.1 and int(row[3]) == 10 and float(row[5]) == -0.5

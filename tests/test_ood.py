@@ -8,7 +8,6 @@ from mc_oracle import mc_detect_one, mc_records_oracle
 from ood_probes import msp_score, uncertainty_score
 
 from rodd import ood
-from rodd.contrastive import AugmentationSpec
 from rodd.encoder import DenseLayer, EncoderModel, build_model, features
 from rodd.errors import ContractViolation, DegenerateFeatureError
 from rodd.linalg import orthonormal_init, sym_eig
@@ -16,8 +15,8 @@ from rodd.ood import (
     ClassSubspaceSet,
     fit_subspaces,
     mc_detect,
+    angle_records,
     mc_score_records,
-    score_records,
     subspaces_from_dict,
     subspaces_to_dict,
     uncertainty_scores,
@@ -174,30 +173,27 @@ class TestMcDetect:
 
     def test_zero_noise_probability_is_degenerate(self):
         record = mc_detect(
-            self.model, self.subspaces, self.sample, k_draws=50,
-            noise=AugmentationSpec(), seed=3,
+            self.model, self.subspaces, self.sample, k_draws=50, noise_sigma=0.0, seed=3,
         )
         assert record.mc_probability in (0.0, 1.0)
 
     def test_single_draw_is_indicator(self):
         record = mc_detect(
-            self.model, self.subspaces, self.sample, k_draws=1,
-            noise=AugmentationSpec(), seed=3,
+            self.model, self.subspaces, self.sample, k_draws=1, noise_sigma=0.0, seed=3,
         )
         delta, _ = uncertainty_score(features(self.model, self.sample[None])[0], self.subspaces)
         expected = 1.0 if delta <= self.subspaces.threshold else 0.0
         assert record.mc_probability == expected
 
     def test_deterministic_record(self):
-        kwargs = dict(k_draws=50, noise=AugmentationSpec(gaussian_sigma=0.05), seed=11, sample_id=4)
+        kwargs = dict(k_draws=50, noise_sigma=0.05, seed=11, sample_id=4)
         a = mc_detect(self.model, self.subspaces, self.sample, **kwargs)
         b = mc_detect(self.model, self.subspaces, self.sample, **kwargs)
         assert a == b
 
     def test_probability_is_binomial_proportion(self):
         record = mc_detect(
-            self.model, self.subspaces, self.sample, k_draws=50,
-            noise=AugmentationSpec(gaussian_sigma=0.2), seed=13,
+            self.model, self.subspaces, self.sample, k_draws=50, noise_sigma=0.2, seed=13,
         )
         assert 0.0 <= record.mc_probability <= 1.0
         assert abs(record.mc_probability * 50 - round(record.mc_probability * 50)) <= 1e-12
@@ -209,8 +205,7 @@ class TestMcDetect:
             sharpen_w=np.zeros(3),
             bn_scale=np.asarray(1.0),
         )
-        record = mc_detect(dead, self.subspaces, self.sample, k_draws=10,
-                           noise=AugmentationSpec(), seed=1)
+        record = mc_detect(dead, self.subspaces, self.sample, k_draws=10, noise_sigma=0.0, seed=1)
         assert record.degenerate_draws == 10
         assert record.mc_probability == 0.0
         assert record.decision == "OOD"
@@ -219,6 +214,11 @@ class TestMcDetect:
     def test_k_must_be_positive(self):
         with pytest.raises(ContractViolation):
             mc_detect(self.model, self.subspaces, self.sample, k_draws=0)
+
+    @pytest.mark.parametrize("sigma", [math.nan, math.inf, -0.1])
+    def test_noise_sigma_must_be_finite_and_nonnegative(self, sigma):
+        with pytest.raises(ContractViolation, match="noise_sigma"):
+            mc_detect(self.model, self.subspaces, self.sample, noise_sigma=sigma)
 
 
 def assert_matches_oracle(batched, oracle):
@@ -241,10 +241,10 @@ class TestMcScoreRecords:
         # A median threshold, so noisy draws land on both sides of it.
         self.subspaces = fit_subspaces(features(self.model, train), labels, quantile=0.5)
         self.rows = rng.standard_normal((70, 6)) + 0.5
-        self.noise = AugmentationSpec(gaussian_sigma=0.3)
+        self.noise_sigma = 0.3
 
     def compare(self, rows, **kwargs):
-        kwargs = dict(noise=self.noise, seed=12345, start_id=4, **kwargs)
+        kwargs = dict(noise_sigma=self.noise_sigma, seed=12345, start_id=4, **kwargs)
         batched = mc_score_records(self.model, self.subspaces, rows, **kwargs)
         assert_matches_oracle(batched, mc_records_oracle(self.model, self.subspaces, rows, **kwargs))
         return batched
@@ -315,25 +315,17 @@ class TestMcScoreRecords:
         monkeypatch.setattr(ood, "MC_CHUNK_DRAWS", 100)  # ten rows of 10 draws per chunk
         monkeypatch.setattr(np.linalg, "norm", counted)
         records = mc_score_records(
-            self.model, self.subspaces, self.rows[:30], k_draws=10, noise=self.noise, seed=3
+            self.model, self.subspaces, self.rows[:30], k_draws=10,
+            noise_sigma=self.noise_sigma, seed=3,
         )
         assert all(r.degenerate_draws == 0 for r in records)
         assert calls == [(100, 4)] * 3
 
-    @pytest.mark.parametrize(
-        "mask_fraction, scale_jitter",
-        [(0.0, 0.25), (0.3, 0.0), (0.3, 0.25), (0.05, 0.25)],  # 0.05 masks no entry of 6
-    )
-    def test_jitter_and_mask(self, mask_fraction, scale_jitter):
-        self.noise = AugmentationSpec(0.3, mask_fraction=mask_fraction, scale_jitter=scale_jitter)
-        records = self.compare(self.rows[:40], k_draws=20)
-        assert any(0.0 < r.mc_probability < 1.0 for r in records)
-
     def test_seed_beyond_32_bits(self):
         batched = mc_score_records(self.model, self.subspaces, self.rows[:20], k_draws=10,
-                                   noise=self.noise, seed=2**64 - 1)
+                                   noise_sigma=self.noise_sigma, seed=2**64 - 1)
         oracle = mc_records_oracle(self.model, self.subspaces, self.rows[:20], k_draws=10,
-                                   noise=self.noise, seed=2**64 - 1)
+                                   noise_sigma=self.noise_sigma, seed=2**64 - 1)
         assert_matches_oracle(batched, oracle)
 
     @pytest.mark.parametrize("seed", [-1, 2**64])
@@ -342,10 +334,17 @@ class TestMcScoreRecords:
         with pytest.raises(ContractViolation, match=match):
             mc_score_records(self.model, self.subspaces, self.rows[:2], k_draws=3, seed=seed)
 
+    @pytest.mark.parametrize("sigma", [math.nan, math.inf, -0.1])
+    def test_noise_sigma_must_be_finite_and_nonnegative(self, sigma):
+        with pytest.raises(ContractViolation, match="noise_sigma"):
+            mc_score_records(self.model, self.subspaces, self.rows[:2], noise_sigma=sigma)
+
     def test_mc_detect_is_the_one_row_case(self):
         record = mc_detect(self.model, self.subspaces, self.rows[5], k_draws=30,
-                           noise=self.noise, seed=77, sample_id=9)
-        expect = mc_detect_one(self.model, self.subspaces, self.rows[5], 30, self.noise, 77, 9, False)
+                           noise_sigma=self.noise_sigma, seed=77, sample_id=9)
+        expect = mc_detect_one(
+            self.model, self.subspaces, self.rows[5], 30, self.noise_sigma, 77, 9, False
+        )
         assert_matches_oracle([record], [expect])
 
 
@@ -379,7 +378,7 @@ class TestScoreTable:
     def test_csv_columns_exact(self, tmp_path):
         subspaces = axis_subspaces(threshold=0.8)
         feats = np.array([[1.0, 0.1], [0.1, 1.0], [-1.0, -1.0]])
-        records = score_records(feats, subspaces)
+        records = angle_records(*uncertainty_scores(feats, subspaces), subspaces.threshold)
         path = tmp_path / "scores.csv"
         write_scores(path, records)
         lines = path.read_text().strip().split("\n")
@@ -397,7 +396,7 @@ class TestScoreTable:
         labels[:2] = [0, 1]
         subspaces = fit_subspaces(feats, labels, quantile=0.9)
         record = mc_detect(model, subspaces, rng.standard_normal(4) + 1.0, k_draws=5,
-                           noise=AugmentationSpec(gaussian_sigma=0.1), seed=0)
+                           noise_sigma=0.1, seed=0)
         path = tmp_path / "mc.csv"
         write_scores(path, [record])
         row = path.read_text().strip().split("\n")[1].split(",")

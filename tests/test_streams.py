@@ -3,13 +3,19 @@
 import numpy as np
 import pytest
 
-from rodd import corruptions, ood
-from rodd.contrastive import AugmentationSpec
+from rodd import corruptions, ood, streams
 from rodd.corruptions import KINDS, CorruptionSpec, corrupt_dataset, severity_sweep
 from rodd.data import Dataset
 from rodd.encoder import build_model, features
 from rodd.errors import ContractViolation
-from rodd.streams import SEED_LIMIT, check_seed, pcg64_states, row_streams, xor_seeds
+from rodd.streams import (
+    SEED_LIMIT,
+    check_seed,
+    pcg64_states,
+    row_streams,
+    standard_normal_rows,
+    xor_seeds,
+)
 
 EDGE_SEEDS = [0, 1, 2**32 - 1, 2**32, 2**63, 2**64 - 1]
 
@@ -77,6 +83,16 @@ class TestRowStreams:
         assert xor_seeds(6, 4).tolist() == [6, 7, 4, 5]
 
 
+class TestStandardNormalRows:
+    @pytest.mark.parametrize("width", [1, 50 * 6])  # one entry; k = 50 draws of d = 6
+    def test_rows_match_default_rng(self, width):
+        seeds = [0, 2**32, 2**64 - 1]
+        rows = standard_normal_rows(seeds, width)
+        assert rows.shape == (3, width)
+        for seed, row in zip(seeds, rows):
+            assert row.tobytes() == np.random.default_rng(seed).standard_normal(width).tobytes()
+
+
 def count_generator_constructions(call) -> int:
     """How many default_rng and PCG64 constructions call() makes."""
     count = 0
@@ -112,29 +128,25 @@ class TestOneGeneratorPerCall:
         spec = CorruptionSpec(kind, 5, 2**40)
         assert count_generator_constructions(lambda: corrupt_dataset(dataset, spec)) <= 1
 
-    @pytest.mark.parametrize(
-        "noise",
-        [
-            AugmentationSpec(gaussian_sigma=0.05),
-            AugmentationSpec(gaussian_sigma=0.05, mask_fraction=0.3, scale_jitter=0.2),
-        ],
-    )
-    def test_mc_score_records(self, noise):
+    def test_mc_score_records(self):
         rng = np.random.default_rng(2)
         model = build_model(6, 3, hidden_sizes=(8,), feature_dim=4, seed=1)
         train = rng.standard_normal((30, 6)) + 0.5
         subspaces = ood.fit_subspaces(features(model, train), np.arange(30) % 3, quantile=0.5)
         rows = rng.standard_normal((100, 6))
         count = count_generator_constructions(
-            lambda: ood.mc_score_records(model, subspaces, rows, k_draws=5, noise=noise, seed=9)
+            lambda: ood.mc_score_records(
+                model, subspaces, rows, k_draws=5, noise_sigma=0.05, seed=9
+            )
         )
         assert count <= 1
 
 
 def count_stream_resets(call) -> int:
-    """How many row streams the corruptions module resets during call()."""
+    """How many row streams the corruptions module resets during call(),
+    its gaussian draws through streams.standard_normal_rows included."""
     count = 0
-    real_row_streams = corruptions.row_streams
+    real_row_streams = streams.row_streams
 
     def counted(seeds):
         nonlocal count
@@ -144,6 +156,7 @@ def count_stream_resets(call) -> int:
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(corruptions, "row_streams", counted)
+        mp.setattr(streams, "row_streams", counted)
         call()
     return count
 

@@ -159,7 +159,7 @@ class TestSolveJoint:
         graph, proj, targets = graph_proj_targets([4, 3], 0.0, 0.0, seed=8)
         lam, _ = sym_eig(graph.adjacency)
         optimum = float((lam[graph.n :] ** 2).sum())
-        result = solve_joint(graph, proj, targets, 0.0, SolveOptions(init="closed-form"))
+        result = solve_joint(graph, proj, 0.0, SolveOptions(init="closed-form"))
         assert result.loss_trace[-1] <= optimum + 1e-9
 
     def test_zero_adjacency_beats_naive_point(self):
@@ -169,33 +169,33 @@ class TestSolveJoint:
         targets = one_hot_targets(graph)
         naive = targets @ proj.T
         naive_loss, _ = joint_loss_and_grad(graph.adjacency, naive, proj, targets, 1.0)
-        result = solve_joint(graph, proj, targets, 1.0, SolveOptions(init="random", seed=3))
+        result = solve_joint(graph, proj, 1.0, SolveOptions(init="random", seed=3))
         assert result.loss_trace[-1] <= naive_loss
 
     def test_delta_zero_blocks_become_rank_one(self):
         graph, proj, targets = graph_proj_targets(
             [5, 4], 0.0, 0.0, seed=9, normalization="unit-spectral-per-block"
         )
-        result = solve_joint(graph, proj, targets, 1e-4, SolveOptions())
+        result = solve_joint(graph, proj, 1e-4, SolveOptions())
         for sigma in result.per_class_sigma:
             assert float((sigma[1:] ** 4).sum()) <= 1e-6
 
     def test_stopping_at_the_cap_is_not_converged(self):
         graph, proj, targets = graph_proj_targets([4, 4], 0.1, 0.0, seed=10, d=6)
         capped = solve_joint(
-            graph, proj, targets, 0.01, SolveOptions(init="random", seed=1, max_iters=3)
+            graph, proj, 0.01, SolveOptions(init="random", seed=1, max_iters=3)
         )
         assert capped.iterations == 3 == len(capped.loss_trace) - 1
         assert capped.converged is False
         loose = solve_joint(
-            graph, proj, targets, 0.01, SolveOptions(init="random", seed=1, tol=1.0)
+            graph, proj, 0.01, SolveOptions(init="random", seed=1, tol=1.0)
         )
         assert loose.iterations == 1
         assert loose.converged is True
 
     def test_trace_nonincreasing(self):
         graph, proj, targets = graph_proj_targets([4, 4], 0.1, 0.0, seed=10, d=6)
-        result = solve_joint(graph, proj, targets, 0.01, SolveOptions(init="random", seed=1))
+        result = solve_joint(graph, proj, 0.01, SolveOptions(init="random", seed=1))
         trace = np.array(result.loss_trace)
         slack = 1e-12 * np.maximum(1.0, np.abs(trace[:-1]))
         assert np.all(np.diff(trace) <= slack)
@@ -236,7 +236,6 @@ class TestSolveJoint:
         # to 5 restart seeds allowed.
         graph = rank_two_block_graph([8, 7], eps=0.2, seed=13)
         proj = orthonormal_init(2, 2, 14)
-        targets = one_hot_targets(graph)
         lam, _ = sym_eig(graph.adjacency)
         optimum = float((lam[2:] ** 2).sum())
         assert optimum > 1.0  # the tail is genuinely nontrivial
@@ -246,7 +245,6 @@ class TestSolveJoint:
             result = solve_joint(
                 graph,
                 proj,
-                targets,
                 0.0,
                 SolveOptions(init="random", seed=attempt, max_iters=8000),
             )
@@ -258,13 +256,13 @@ class TestSolveJoint:
     def test_grad_norm_is_the_gradient_at_the_result(self):
         graph, proj, targets = graph_proj_targets([4, 4], 0.1, 0.0, seed=10, d=6)
         for opts in (SolveOptions(init="random", seed=1), SolveOptions(max_iters=5)):
-            result = solve_joint(graph, proj, targets, 0.01, opts)
+            result = solve_joint(graph, proj, 0.01, opts)
             _, grad = joint_loss_and_grad(graph.adjacency, result.f_star, proj, targets, 0.01)
             assert result.grad_norm == pytest.approx(float(np.linalg.norm(grad)), rel=1e-12)
 
     def test_stationary_start_stops_at_once(self):
         graph, proj, targets = graph_proj_targets([3, 3], 0.1, 0.0, seed=21)
-        result = solve_joint(graph, proj, targets, 0.0, SolveOptions(init="zeros"))
+        result = solve_joint(graph, proj, 0.0, SolveOptions(init=np.zeros((graph.n, graph.n))))
         assert result.iterations == 1 and result.converged
         assert result.grad_norm == 0.0
         assert np.array_equal(result.f_star, np.zeros((graph.n, graph.n)))
@@ -279,15 +277,11 @@ class TestSolveJoint:
     def test_validates_inputs(self):
         graph, proj, targets = graph_proj_targets([3, 3], 0.0, 0.0, seed=14)
         with pytest.raises(ContractViolation):
-            solve_joint(graph, proj * 2.0, targets, 0.0)  # not orthonormal
-        bad_targets = targets.copy()
-        bad_targets[0] = 0.0
+            solve_joint(graph, proj * 2.0, 0.0)  # not orthonormal
         with pytest.raises(ContractViolation):
-            solve_joint(graph, proj, bad_targets, 0.0)
+            solve_joint(graph, proj, -1.0)
         with pytest.raises(ContractViolation):
-            solve_joint(graph, proj, targets, -1.0)
-        with pytest.raises(ContractViolation):
-            solve_joint(graph, proj, targets, 0.0, SolveOptions(init="magic"))
+            solve_joint(graph, proj, 0.0, SolveOptions(init="magic"))
 
 
 class TestVerifyLemma:
@@ -295,8 +289,8 @@ class TestVerifyLemma:
         graph, proj, targets = graph_proj_targets(
             [4, 3], 0.0, 0.0, seed=15, normalization="unit-spectral-per-block"
         )
-        result = solve_joint(graph, proj, targets, 0.0, SolveOptions())
-        report = verify_lemma(graph, graph.n, result)
+        result = solve_joint(graph, proj, 0.0, SolveOptions())
+        report = verify_lemma(graph, result)
         assert report["bounds"]["bound2"] == 0.0
         assert report["bounds"]["bound4"] == 0.0
         assert report["pass"]
@@ -324,11 +318,17 @@ class TestVerifyLemma:
         graph, proj, targets = graph_proj_targets(
             [4, 3], 0.0, 0.0, seed=15, normalization="unit-spectral-per-block"
         )
-        capped = solve_joint(graph, proj, targets, 1e-4, SolveOptions(init="random", max_iters=2))
+        capped = solve_joint(graph, proj, 1e-4, SolveOptions(init="random", max_iters=2))
         assert not capped.converged
-        report = verify_lemma(graph, graph.n, capped, tol=math.inf)  # every tail "within"
+        report = verify_lemma(graph, capped, tol=math.inf)  # every tail "within"
         assert report["pass"] is False
         assert report["converged"] is False
+
+    def test_result_rows_must_match_the_graph(self):
+        _, result = _solved([4, 3], 0.0, seed=15)
+        other = build_adjacency([4, 4], 0.0, 0.0, 15, "unit-spectral-per-block")
+        with pytest.raises(ContractViolation, match="result has 7 rows, graph n=8"):
+            verify_lemma(other, result)
 
     def test_bounds_monotone_in_delta(self):
         grid = [0.0, 0.01, 0.05, 0.1, 0.2, 0.5]
@@ -341,9 +341,8 @@ class TestVerifyLemma:
 def _solved(sizes, delta, seed):
     graph = build_adjacency(sizes, delta, 0.0, seed, "unit-spectral-per-block")
     proj = orthonormal_init(graph.n, len(sizes), seed + 1)
-    targets = one_hot_targets(graph)
-    result = solve_joint(graph, proj, targets, 1e-4, SolveOptions(seed=seed))
-    return graph, graph.n, result
+    result = solve_joint(graph, proj, 1e-4, SolveOptions(seed=seed))
+    return graph, result
 
 
 class TestMuSweep:
@@ -351,7 +350,7 @@ class TestMuSweep:
         graph, proj, targets = graph_proj_targets(
             [4, 3], 0.05, 0.0, seed=17, normalization="unit-spectral-per-block"
         )
-        sweep = mu_sweep(graph, proj, targets, [0.0, 0.01, 1.0], graph.n)
+        sweep = mu_sweep(graph, proj, [0.0, 0.01, 1.0])
         assert [row["mu"] for row in sweep["rows"]] == [0.0, 0.01, 1.0]
         for row in sweep["rows"]:
             assert len(row["dominance"]) == 2
@@ -360,7 +359,7 @@ class TestMuSweep:
         graph, proj, targets = graph_proj_targets(
             [4, 3], 0.0, 0.0, seed=18, normalization="unit-spectral-per-block"
         )
-        sweep = mu_sweep(graph, proj, targets, [0.0], graph.n)
+        sweep = mu_sweep(graph, proj, [0.0])
         assert sweep["rows"][0]["lemma_pass"]
         assert sweep["mu_min_estimate"] == 0.0
 
@@ -368,7 +367,7 @@ class TestMuSweep:
         graph, proj, targets = graph_proj_targets(
             [6, 5], 0.05, 0.0, seed=19, normalization="unit-spectral-per-block"
         )
-        sweep = mu_sweep(graph, proj, targets, [1e-6, 1e-4, 1e-2, 1.0, 100.0], graph.n)
+        sweep = mu_sweep(graph, proj, [1e-6, 1e-4, 1e-2, 1.0, 100.0])
         assert sweep["rows"][0]["lemma_pass"]
         assert sweep["mu_min_estimate"] is not None
 
@@ -377,7 +376,7 @@ class TestMuSweep:
             [4, 3], 0.0, 0.0, seed=18, normalization="unit-spectral-per-block"
         )
         sweep = mu_sweep(
-            graph, proj, targets, [1e-4, 1.0], graph.n, SolveOptions(init="random", max_iters=2)
+            graph, proj, [1e-4, 1.0], SolveOptions(init="random", max_iters=2)
         )
         assert [row["converged"] for row in sweep["rows"]] == [False, False]
         assert [row["lemma_pass"] for row in sweep["rows"]] == [False, False]
@@ -386,9 +385,9 @@ class TestMuSweep:
     def test_requires_sorted_nonnegative(self):
         graph, proj, targets = graph_proj_targets([3, 3], 0.0, 0.0, seed=20)
         with pytest.raises(ContractViolation):
-            mu_sweep(graph, proj, targets, [1.0, 0.1], graph.n)
+            mu_sweep(graph, proj, [1.0, 0.1])
         with pytest.raises(ContractViolation):
-            mu_sweep(graph, proj, targets, [-1.0, 0.1], graph.n)
+            mu_sweep(graph, proj, [-1.0, 0.1])
 
 
 class TestLineSearch:
@@ -431,7 +430,7 @@ def _oracle_gap(graph, proj, mu, max_iters, seed):
     """(solve_joint's final loss, the gradient-descent oracle's) from one init."""
     targets = one_hot_targets(graph)
     f0 = _initial_point(graph, proj.shape[0], SolveOptions(seed=seed))
-    result = solve_joint(graph, proj, targets, mu, SolveOptions(max_iters=max_iters, init=f0))
+    result = solve_joint(graph, proj, mu, SolveOptions(max_iters=max_iters, init=f0))
     _, trace = gd_solve(graph.adjacency, f0, proj, targets, mu, max_iters)
     return result.loss_trace[-1], trace[-1]
 
@@ -520,7 +519,7 @@ class TestGaugeStep:
         a = graph.adjacency
         gauge = _GaugeStep(proj)
         frame_proj = gauge.frame.T @ proj
-        solved = solve_joint(graph, proj, targets, 1e-4, SolveOptions(seed=seed)).f_star
+        solved = solve_joint(graph, proj, 1e-4, SolveOptions(seed=seed)).f_star
         rng = np.random.default_rng(51)
         points = [rng.standard_normal(solved.shape) * s for s in (0.1, 1.0, 3.0)]
         points += [solved + 1e-3 * rng.standard_normal(solved.shape) for _ in range(3)]
@@ -548,7 +547,7 @@ class TestGaugeStep:
         targets = one_hot_targets(graph)
         for mu in mu_values:
             f = solve_joint(
-                graph, proj, targets, mu, SolveOptions(max_iters=max_iters, seed=seed)
+                graph, proj, mu, SolveOptions(max_iters=max_iters, seed=seed)
             ).f_star
             moment = f.T @ (f @ proj - targets) @ proj.T
             skew = (moment - moment.T) / 2
@@ -563,7 +562,7 @@ class TestGaugeStep:
         gauge = _GaugeStep(proj)
         frame_proj = gauge.frame.T @ proj
         solved = solve_joint(
-            graph, proj, targets, 1e-4, SolveOptions(max_iters=max_iters, seed=seed)
+            graph, proj, 1e-4, SolveOptions(max_iters=max_iters, seed=seed)
         ).f_star @ gauge.frame
         flipped = solved.copy()
         flipped[:, 1] *= -1.0
@@ -586,7 +585,7 @@ class TestGaugeStep:
         monkeypatch.setattr(_GaugeStep, "__init__", refuse)
         graph, proj, targets = graph_proj_targets([5, 4], 0.05, 0.0, seed=52, d=6)
         f0 = _initial_point(graph, 6, SolveOptions(init="random", seed=52))
-        result = solve_joint(graph, proj, targets, 0.0, SolveOptions(init=f0))
+        result = solve_joint(graph, proj, 0.0, SolveOptions(init=f0))
         _, trace, _ = cg_solve(graph.adjacency, f0, proj, targets, 0.0, 2000)
         assert result.converged
         assert result.loss_trace[-1] <= trace[-1] * (1 + 1e-7)
@@ -602,7 +601,7 @@ class TestAgainstConjugateGradient:
         f0 = _initial_point(graph, proj.shape[0], SolveOptions(seed=seed))
         for mu in mu_values:
             result = solve_joint(
-                graph, proj, targets, mu, SolveOptions(max_iters=max_iters, init=f0)
+                graph, proj, mu, SolveOptions(max_iters=max_iters, init=f0)
             )
             _, trace, _ = cg_solve(graph.adjacency, f0, proj, targets, mu, max_iters)
             assert result.converged, f"mu={mu}: stopped at max_iters"
