@@ -86,8 +86,12 @@ def augment_batch(x, spec: AugmentationSpec, rng: np.random.Generator) -> np.nda
     state, not on which parameters are active.
     """
     x = as_matrix(x, "x")
-    out = x + spec.gaussian_sigma * rng.standard_normal(x.shape)
-    out *= 1.0 + rng.uniform(-spec.scale_jitter, spec.scale_jitter, size=(x.shape[0], 1))
+    out = rng.standard_normal(x.shape)
+    out *= spec.gaussian_sigma
+    out += x
+    factors = rng.uniform(-spec.scale_jitter, spec.scale_jitter, size=(x.shape[0], 1))
+    if spec.scale_jitter:  # without jitter every factor is 1
+        out *= 1.0 + factors
     scores = rng.random(x.shape)
     k = int(round(spec.mask_fraction * x.shape[1]))
     if k > 0:
@@ -131,8 +135,12 @@ def view_pair_adjacency(m: int) -> np.ndarray:
 def spectral_contrastive_loss(f, a) -> tuple[float, np.ndarray]:
     """||A - F F^T||_F^2 and its gradient -4 (A - F F^T) F with respect to F;
     unchecked: A is symmetric, with one row per row of F."""
-    residual = a - f @ f.T
-    return float((residual * residual).sum()), -4.0 * (residual @ f)
+    residual = f @ f.T
+    np.subtract(a, residual, out=residual)
+    grad = residual @ f
+    grad *= -4.0
+    residual *= residual
+    return float(residual.sum()), grad
 
 
 def _perturb(model, x0, adjacency, spec: AdversarialSpec) -> np.ndarray:
@@ -190,7 +198,8 @@ def pretrain(model: EncoderModel, dataset, config: PretrainConfig):
             loss *= scale
             if not math.isfinite(loss):
                 raise DivergenceError(epoch)
-            _body_backward(model.layers, acts, dfeat * scale, opt.grads)
+            dfeat *= scale
+            _body_backward(model.layers, acts, dfeat, opt.grads)
             steps.append(opt.step(config.lr))
             if not math.isfinite(steps[-1][0]):
                 raise DivergenceError(epoch, "non-finite gradient norm")

@@ -219,6 +219,7 @@ class ConfigKey:
     Each (op, limit) bound must hold for the value, or for every entry of a
     list, so ">" and "<" give open bounds and ">=" and "<=" closed ones.  A default
     of None on a key the pipeline reads means its stage derives the value.
+    A distinct list names each entry once: a repeat would redo a sweep point.
     """
 
     kind: type
@@ -226,6 +227,7 @@ class ConfigKey:
     bounds: tuple = ()
     choices: tuple = ()
     is_list: bool = False
+    distinct: bool = False
 
 
 _AT_LEAST_1 = ((">=", 1),)
@@ -293,7 +295,9 @@ CONFIG: dict[str, ConfigKey] = {
     # corruption sweeps; without a kind, eval runs no sweep and corrupt
     # applies gaussian_noise
     "corruption.kind": ConfigKey(str, None, choices=KINDS),
-    "corruption.severities": ConfigKey(int, (1, 2, 3, 4, 5), ((">=", 1), ("<=", 5)), is_list=True),
+    "corruption.severities": ConfigKey(
+        int, (1, 2, 3, 4, 5), ((">=", 1), ("<=", 5)), is_list=True, distinct=True
+    ),
     "corruption.apply_to": ConfigKey(str, "ood", choices=("ood", "id")),
     "corruption.target": ConfigKey(str, "ood.feat"),
     "corruption.seed": ConfigKey(int, 0, _SEED),
@@ -305,7 +309,7 @@ CONFIG: dict[str, ConfigKey] = {
     "theory.d": ConfigKey(int),  # the graph's size
     "theory.mu": ConfigKey(float, 1e-4),
     "theory.mu_values": ConfigKey(
-        float, (1e-6, 1e-4, 1e-2, 1.0, 100.0), _NONNEGATIVE, is_list=True
+        float, (1e-6, 1e-4, 1e-2, 1.0, 100.0), _NONNEGATIVE, is_list=True, distinct=True
     ),
     "theory.max_iters": ConfigKey(int, 2000, _AT_LEAST_1),
     "theory.lr": ConfigKey(float),  # accepted and ignored: the solver's line search is exact
@@ -375,15 +379,20 @@ def parse_config_file(path) -> RunConfig:
 def _parse_value(token: str, key: str, lineno: int):
     spec = CONFIG[key]
     if spec.is_list:
+        parts = [part.strip() for part in token.split(",")]
+        if not any(parts):
+            raise FormatError(f"line {lineno}: '{key}' must list at least one value")
+        if "" in parts:
+            raise FormatError(f"line {lineno}: '{key}' has an empty entry in {token!r}")
         try:
-            value = tuple(spec.kind(part.strip()) for part in token.split(",") if part.strip())
+            value = tuple(spec.kind(part) for part in parts)
         except ValueError:
             noun = "integer" if spec.kind is int else "number"
             raise FormatError(
                 f"line {lineno}: '{key}' must be a comma-separated {noun} list"
             ) from None
-        if not value:
-            raise FormatError(f"line {lineno}: '{key}' must list at least one value")
+        if spec.distinct and len(set(value)) < len(value):
+            raise FormatError(f"line {lineno}: '{key}' repeats an entry in {token!r}")
         entries, subject, shown = value, f"every '{key}' entry", repr(token)
     else:
         value = _parse_scalar(token, spec.kind, key, lineno)

@@ -172,15 +172,17 @@ def _body_backward(layers, acts, dfeat, grads=None):
     dh = dfeat
     last = len(layers) - 1
     for i in range(last, -1, -1):
-        # acts[i + 1] > 0 exactly where layer i's pre-activation is > 0.
-        dz = dh if i == last else dh * (acts[i + 1] > 0.0)
+        if i < last:
+            # acts[i + 1] > 0 exactly where layer i's pre-activation is > 0;
+            # dh is the product below, never the caller's dfeat.
+            dh *= acts[i + 1] > 0.0
         if grads is not None:
-            np.matmul(acts[i].T, dz, out=grads[f"layers.{i}.weight"])
+            np.matmul(acts[i].T, dh, out=grads[f"layers.{i}.weight"])
             if layers[i].bias is not None:
-                dz.sum(axis=0, out=grads[f"layers.{i}.bias"])
+                dh.sum(axis=0, out=grads[f"layers.{i}.bias"])
             if i == 0:
                 return None
-        dh = dz @ layers[i].weight.T
+        dh = dh @ layers[i].weight.T
     return dh
 
 
@@ -196,33 +198,34 @@ def features(model: EncoderModel, batch) -> np.ndarray:
 
 
 def _sigmoid(t):
-    out = np.empty_like(t)
-    pos = t >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-t[pos]))
-    e = np.exp(t[~pos])
-    out[~pos] = e / (1.0 + e)
-    return out
+    """The logistic function; exp is taken of -|t| only, so it never overflows."""
+    e = np.exp(-np.abs(t))
+    denom = 1.0 + e
+    return np.where(t >= 0, 1.0 / denom, e / denom)
 
 
 def _head_forward(model, feats, mode, update_running=True):
-    norms = np.linalg.norm(feats, axis=1)
-    bad = np.nonzero(norms < FEATURE_NORM_FLOOR)[0]
-    if bad.size:
-        raise DegenerateFeatureError(int(bad[0]), float(norms[bad[0]]))
+    # The operations np.linalg.norm, np.mean and np.var run, bit for bit,
+    # without their per-call overhead; fmin skips NaN rows as `<` does.
+    norms = np.sqrt((feats * feats).sum(axis=1))
+    if np.fmin.reduce(norms, initial=math.inf) < FEATURE_NORM_FLOOR:
+        bad = int(np.argmax(norms < FEATURE_NORM_FLOOR))
+        raise DegenerateFeatureError(bad, float(norms[bad]))
     unit = feats / norms[:, None]
     z = unit @ model.class_proj
     s = feats @ model.sharpen_w
     if mode == "train":
-        mean = float(s.mean())
-        var = float(s.var())
+        mean = float(s.sum() / len(s))
+        s_hat = s - mean
+        var = float((s_hat * s_hat).sum() / len(s))
         if update_running:
             model.bn_mean = (1.0 - BN_MOMENTUM) * model.bn_mean + BN_MOMENTUM * mean
             model.bn_var = (1.0 - BN_MOMENTUM) * model.bn_var + BN_MOMENTUM * var
     else:
-        mean = model.bn_mean
+        s_hat = s - model.bn_mean
         var = model.bn_var
     inv = 1.0 / math.sqrt(var + BN_EPS)
-    s_hat = (s - mean) * inv
+    s_hat *= inv
     t = float(model.bn_scale) * s_hat
     g = _sigmoid(t)
     logits = z / g[:, None]
@@ -273,7 +276,9 @@ def _head_backward(model, record, cache, dlogits, grads):
     dt = dg * g * (1.0 - g)
     ds_hat = dt * float(model.bn_scale)
     if mode == "train":
-        ds = inv * (ds_hat - ds_hat.mean() - s_hat * (ds_hat * s_hat).mean())
+        ds = ds_hat - ds_hat.sum() / len(ds_hat)
+        ds -= s_hat * ((ds_hat * s_hat).sum() / len(ds_hat))
+        ds *= inv
     else:
         ds = ds_hat * inv
     grads["bn_scale"][...] = (dt * s_hat).sum()
@@ -282,7 +287,9 @@ def _head_backward(model, record, cache, dlogits, grads):
     # z = (f / |f|) @ proj; derivative of x/|x| is (I - u u^T) / |x|
     dunit = dz @ model.class_proj.T
     radial = np.einsum("ij,ij->i", unit, dunit)
-    dfeat = dfeat + (dunit - unit * radial[:, None]) / norms[:, None]
+    dunit -= unit * radial[:, None]
+    dunit /= norms[:, None]
+    dfeat += dunit
     return dfeat
 
 
@@ -297,10 +304,10 @@ def cross_entropy(logits, labels) -> tuple[float, np.ndarray]:
     n = logits.shape[0]
     idx = np.arange(n)
     shifted = logits - logits.max(axis=1, keepdims=True)
-    e = np.exp(shifted)
-    total = e.sum(axis=1)
-    loss = float((np.log(total) - shifted[idx, labels]).mean())
-    dlogits = e / total[:, None]  # the softmax
+    dlogits = np.exp(shifted)
+    total = dlogits.sum(axis=1)
+    loss = float((np.log(total) - shifted[idx, labels]).sum() / n)
+    dlogits /= total[:, None]  # the softmax
     dlogits[idx, labels] -= 1.0
     dlogits /= n
     return loss, dlogits
@@ -357,7 +364,8 @@ class MomentumSGD:
             setattr(owner, attr, views[name])
         self.grad, self.grads = _flat_buffer(slots)
         self._sq, sq_views = _flat_buffer(slots)
-        self._sq_views = list(sq_views.values())
+        # add.reduce of an array's flat slice is the pairwise sum its sum() takes.
+        self._sq_slices = [view.reshape(-1) for view in sq_views.values()]
         self.velocity = np.zeros_like(self.params)
 
     def step(self, lr: float) -> tuple[float, bool]:
@@ -369,10 +377,10 @@ class MomentumSGD:
         """
         with np.errstate(over="ignore"):
             np.multiply(self.grad, self.grad, out=self._sq)
-            norm = math.sqrt(sum(float(sq.sum()) for sq in self._sq_views))
+            norm = math.sqrt(sum(map(np.add.reduce, self._sq_slices)))
         clip = min(1.0, self.grad_clip / max(norm, 1e-12))
         self.velocity *= self.momentum
-        self.velocity -= lr * clip * self.grad
+        self.velocity -= np.multiply(self.grad, lr * clip, out=self._sq)
         self.params += self.velocity
         return norm, clip < 1.0
 
@@ -452,7 +460,9 @@ def train(model: EncoderModel, dataset, config: TrainConfig):
             else:
                 if config.input_noise > 0:
                     level = rng.uniform(0.0, config.input_noise)
-                    xb = xb + level * rng.standard_normal(xb.shape)
+                    noise = rng.standard_normal(xb.shape)
+                    noise *= level
+                    xb += noise  # xb is a fresh copy of its rows
                 loss = _loss_and_grad(model, xb, yb, opt.grads)
             if not math.isfinite(loss):
                 raise DivergenceError(epoch)

@@ -7,6 +7,11 @@ dict-based loops they replaced, with the forward and backward pass they
 used (activation cache, fresh gradient arrays, a layer-0 input gradient),
 kept so the tests can check that the new core changes no bit of the
 parameters, batch-norm statistics or losses.
+
+The head forward, cross-entropy, spectral loss, view augmentation and step
+arithmetic are kept here too, as plain whole-array numpy expressions
+(np.linalg.norm, mean, var, a boolean-mask sigmoid, fresh temporaries), so
+the in-place arithmetic of the program is checked against them bit for bit.
 """
 
 from __future__ import annotations
@@ -16,14 +21,79 @@ import math
 import numpy as np
 
 from gradcheck import trainable_params
-from rodd.contrastive import (
-    AugmentationSpec,
-    augment_batch,
-    batch_adjacency,
-    spectral_contrastive_loss,
-)
-from rodd.encoder import _epoch_lr, _head_forward, softmax
-from rodd.errors import DivergenceError
+from rodd.contrastive import AugmentationSpec, batch_adjacency
+from rodd.encoder import BN_EPS, BN_MOMENTUM, FEATURE_NORM_FLOOR, ForwardRecord, _epoch_lr
+from rodd.errors import DegenerateFeatureError, DivergenceError
+from rodd.linalg import as_matrix
+
+
+def sigmoid(t):
+    out = np.empty_like(t)
+    pos = t >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-t[pos]))
+    e = np.exp(t[~pos])
+    out[~pos] = e / (1.0 + e)
+    return out
+
+
+def head_forward(model, feats, mode, update_running=True):
+    norms = np.linalg.norm(feats, axis=1)
+    bad = np.nonzero(norms < FEATURE_NORM_FLOOR)[0]
+    if bad.size:
+        raise DegenerateFeatureError(int(bad[0]), float(norms[bad[0]]))
+    unit = feats / norms[:, None]
+    z = unit @ model.class_proj
+    s = feats @ model.sharpen_w
+    if mode == "train":
+        mean = float(s.mean())
+        var = float(s.var())
+        if update_running:
+            model.bn_mean = (1.0 - BN_MOMENTUM) * model.bn_mean + BN_MOMENTUM * mean
+            model.bn_var = (1.0 - BN_MOMENTUM) * model.bn_var + BN_MOMENTUM * var
+    else:
+        mean = model.bn_mean
+        var = model.bn_var
+    inv = 1.0 / math.sqrt(var + BN_EPS)
+    s_hat = (s - mean) * inv
+    t = float(model.bn_scale) * s_hat
+    g = sigmoid(t)
+    logits = z / g[:, None]
+    return ForwardRecord(feats, z, g, logits), (norms, unit, s_hat, inv, g, mode)
+
+
+def softmax(logits):
+    shifted = logits - logits.max(axis=1, keepdims=True)
+    e = np.exp(shifted)
+    return e / e.sum(axis=1, keepdims=True)
+
+
+def spectral_contrastive_loss(f, a):
+    residual = a - f @ f.T
+    return float((residual * residual).sum()), -4.0 * (residual @ f)
+
+
+def augment_batch(x, spec, rng):
+    x = as_matrix(x, "x")
+    out = x + spec.gaussian_sigma * rng.standard_normal(x.shape)
+    out *= 1.0 + rng.uniform(-spec.scale_jitter, spec.scale_jitter, size=(x.shape[0], 1))
+    scores = rng.random(x.shape)
+    k = int(round(spec.mask_fraction * x.shape[1]))
+    if k > 0:
+        drop = np.argsort(scores, axis=1, kind="stable")[:, :k]
+        np.put_along_axis(out, drop, 0.0, axis=1)
+    return out
+
+
+def step(params, velocity, grads, lr, momentum, grad_clip):
+    """One momentum step, array by array; grads in gradient order.  Returns
+    (norm, clipped) as MomentumSGD.step does."""
+    norm = math.sqrt(sum(float((g * g).sum()) for g in grads.values()))
+    clip = min(1.0, grad_clip / max(norm, 1e-12))
+    for key, param in params.items():
+        velocity[key] *= momentum
+        velocity[key] -= lr * clip * grads[key]
+        param += velocity[key]
+    return norm, clip < 1.0
 
 
 def body_forward(layers, x):
@@ -86,7 +156,7 @@ def cross_entropy(logits, labels):
 
 def loss_and_grad(model, x, labels, mu=0.0, contrastive_pairs=None):
     feats, body_cache = body_forward(model.layers, x)
-    record, head_cache = _head_forward(model, feats, "train")
+    record, head_cache = head_forward(model, feats, "train")
     loss, dlogits = cross_entropy(record.logits, labels)
     grads: dict[str, np.ndarray] = {}
     dfeat = head_backward(model, record, head_cache, dlogits, grads)
@@ -135,15 +205,10 @@ def train(model, dataset, config):
                 loss, grads = loss_and_grad(model, xb, yb)
             if not math.isfinite(loss):
                 raise DivergenceError(epoch)
-            norm = math.sqrt(sum(float((g * g).sum()) for g in grads.values()))
-            clip = min(1.0, config.grad_clip / max(norm, 1e-12))
-            for key, param in params.items():
-                velocity[key] *= config.momentum
-                velocity[key] -= lr * clip * grads[key]
-                param += velocity[key]
+            step(params, velocity, grads, lr, config.momentum, config.grad_clip)
             losses.append(loss)
         feats, _ = body_forward(model.layers, dataset.inputs)
-        record, _ = _head_forward(model, feats, "eval")
+        record, _ = head_forward(model, feats, "eval")
         acc = float((np.argmax(record.logits, axis=1) == dataset.labels).mean())
         history.append((float(np.mean(losses)) if losses else float("nan"), acc))
     return model, history
@@ -156,8 +221,7 @@ def adversarial_perturb(model, x0, pairing, spec):
     x = x0.copy()
     for _ in range(spec.steps):
         feats, cache = body_forward(model.layers, x)
-        residual = adjacency - feats @ feats.T
-        dfeat = -4.0 * (residual @ feats)
+        _, dfeat = spectral_contrastive_loss(feats, adjacency)
         _, dx = body_backward(model.layers, cache, dfeat)
         x = x + spec.step_size * np.sign(dx)
         x = x0 + np.clip(x - x0, -spec.epsilon, spec.epsilon)
@@ -194,12 +258,7 @@ def pretrain(model, dataset, config):
             if not math.isfinite(loss):
                 raise DivergenceError(epoch)
             grads, _ = body_backward(model.layers, cache, dfeat * scale)
-            norm = math.sqrt(sum(float((g * g).sum()) for g in grads.values()))
-            clip = min(1.0, config.grad_clip / max(norm, 1e-12))
-            for key, param in body_params.items():
-                velocity[key] *= config.momentum
-                velocity[key] -= config.lr * clip * grads[key]
-                param += velocity[key]
+            step(body_params, velocity, grads, config.lr, config.momentum, config.grad_clip)
             losses.append(loss)
         history.append(float(np.mean(losses)))
     return model, history

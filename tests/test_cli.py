@@ -312,6 +312,26 @@ class TestExitCodes:
         assert f"line 2: '{section}.{key}' must be >= 1" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
+        "command, key, value, message",
+        [
+            ("corrupt", "corruption.severities", "1,,3,", "has an empty entry in '1,,3,'"),
+            ("pretrain", "model.hidden_sizes", ",16", "has an empty entry in ',16'"),
+            ("corrupt", "corruption.severities", "5,1,3,3", "repeats an entry in '5,1,3,3'"),
+            ("verify-theory", "theory.mu_values", "1,1e-4,1", "repeats an entry in '1,1e-4,1'"),
+        ],
+    )
+    def test_malformed_list(self, tmp_path, capsys, command, key, value, message):
+        section, name = key.split(".")
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(f"[{section}]\n{name} = {value}\n")
+        out = tmp_path / "o"
+        assert run([command, "--config", str(cfg), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert f"line 2: '{key}' {message}" in err
+        assert "Traceback" not in err
+        assert not out.exists()  # rejected before the stage ran
+
+    @pytest.mark.parametrize(
         "command, section, key, value, bound",
         [
             ("synth", "synth", "per_class", "0", ">= 1"),

@@ -283,6 +283,41 @@ class TestConfigParser:
         with pytest.raises(FormatError, match=rf"line 2: '{key}' must list at least one value"):
             parse_config(f"[{section}]\n{name} = {value}\n")
 
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("corruption.severities", "1,,3,"),
+            ("corruption.severities", "2,"),
+            ("model.hidden_sizes", ",16"),
+            ("theory.class_sizes", "6, ,5"),
+            ("theory.mu_values", "1e-4,,1"),
+        ],
+    )
+    def test_empty_entry_rejected(self, key, value):
+        section, name = key.split(".")
+        message = f"line 2: '{key}' has an empty entry in {value!r}"
+        with pytest.raises(FormatError, match=re.escape(message)):
+            parse_config(f"[{section}]\n{name} = {value}\n")
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("corruption.severities", "5,1,3,3"),
+            ("theory.mu_values", "1e-4,1,0.0001"),
+            ("theory.mu_values", "0,-0"),
+        ],
+    )
+    def test_repeated_sweep_entry_rejected(self, key, value):
+        section, name = key.split(".")
+        message = f"line 2: '{key}' repeats an entry in {value!r}"
+        with pytest.raises(FormatError, match=re.escape(message)):
+            parse_config(f"[{section}]\n{name} = {value}\n")
+
+    def test_repeats_allowed_in_size_lists(self):
+        cfg = parse_config("[model]\nhidden_sizes = 16,16\n[theory]\nclass_sizes = 5,5\n")
+        assert cfg.get("model.hidden_sizes") == (16, 16)
+        assert cfg.get("theory.class_sizes") == (5, 5)
+
     def test_lists_parse_once_into_tuples(self):
         cfg = parse_config(
             "[theory]\nclass_sizes = 16, 16,16\nmu_values = 0,1e-6,1\n[corruption]\nseverities = 2\n"

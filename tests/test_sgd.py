@@ -6,10 +6,30 @@ import numpy as np
 import pytest
 
 import sgd_oracle
-from rodd.contrastive import AdversarialSpec, AugmentationSpec, PretrainConfig, pretrain
+from rodd.contrastive import (
+    AdversarialSpec,
+    AugmentationSpec,
+    PretrainConfig,
+    augment_batch,
+    batch_adjacency,
+    pretrain,
+    spectral_contrastive_loss,
+    view_pair_adjacency,
+)
 from rodd.data import synth_gaussian_mixture
-from rodd.encoder import MomentumSGD, TrainConfig, _body_forward, build_model, features, train
-from rodd.errors import ContractViolation
+from rodd.encoder import (
+    MomentumSGD,
+    TrainConfig,
+    _body_backward,
+    _body_forward,
+    _head_backward,
+    _head_forward,
+    build_model,
+    cross_entropy,
+    features,
+    train,
+)
+from rodd.errors import ContractViolation, DegenerateFeatureError
 
 
 def small_model(seed=3, drop_bias=None):
@@ -177,3 +197,184 @@ class TestCacheFreeForward:
         _body_forward(model.layers, x)
         _body_forward(model.layers, x, keep=True)
         assert np.array_equal(x, snapshot)
+
+
+def same_bits(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def head_inputs(scale):
+    """A 5-feature model and 10 feature rows; rows 0 and 1 are equal, so in
+    eval mode, with bn_mean set to their sharpening input, their t is +-0."""
+    model = small_model()
+    feats = np.random.default_rng(11).standard_normal((10, 5))
+    feats[1] = feats[0]
+    feats[2] *= 40.0
+    model.bn_scale = np.asarray(scale)
+    model.bn_mean = float((feats @ model.sharpen_w)[0])
+    model.bn_var = 0.3
+    return model, feats
+
+
+# 300 pushes |t| past 100 (g near 0 and 1); a signed zero scale makes every
+# train-mode t a signed zero.
+HEAD_SCALES = [1.5, -2.0, 300.0, 0.0, -0.0]
+
+
+class TestHeadLossStepMatchOracle:
+    """The program's in-place head, loss, step and augmentation arithmetic
+    against the whole-array expressions of sgd_oracle, bit for bit."""
+
+    @pytest.mark.parametrize("mode", ["train", "eval"])
+    @pytest.mark.parametrize("scale", HEAD_SCALES)
+    def test_head_forward(self, mode, scale):
+        model, feats = head_inputs(scale)
+        reference = copy.deepcopy(model)
+        record, cache = _head_forward(model, feats, mode)
+        ref_record, ref_cache = sgd_oracle.head_forward(reference, feats, mode)
+        for name in ("features", "z", "g", "logits"):
+            assert same_bits(getattr(record, name), getattr(ref_record, name)), name
+        for got, want in zip(cache, ref_cache):
+            assert same_bits(got, want)
+        assert (model.bn_mean, model.bn_var) == (reference.bn_mean, reference.bn_var)
+        t = scale * cache[2]
+        if scale == 0.0:
+            assert not t.any()
+        else:
+            assert (t < 0).any() and (t > 0).any()
+        if mode == "eval" and scale in (1.5, -2.0):
+            assert not t[:2].any() and np.signbit(t[:2]).all() == (scale < 0)
+        if scale == 300.0:
+            assert np.abs(t).max() > 100.0
+
+    def test_head_forward_degenerate_rows_and_empty_batch(self):
+        model, feats = head_inputs(1.0)
+        feats[3] = np.nan
+        feats[6] = 0.0
+        for forward in (_head_forward, sgd_oracle.head_forward):
+            with pytest.raises(DegenerateFeatureError) as caught:
+                forward(model, feats, "eval")
+            assert caught.value.sample_index == 6
+        empty, _ = _head_forward(model, feats[:0], "eval")
+        assert empty.logits.shape == (0, 3)
+
+    @pytest.mark.parametrize("mode", ["train", "eval"])
+    @pytest.mark.parametrize("scale", [1.5, -2.0, 20.0])
+    def test_head_backward(self, mode, scale):
+        model, feats = head_inputs(scale)
+        record, cache = sgd_oracle.head_forward(model, feats, mode)
+        dlogits = np.random.default_rng(12).standard_normal(record.logits.shape)
+        grads = {"bn_scale": np.zeros(()), "sharpen_w": np.zeros(5)}
+        dfeat = _head_backward(model, record, cache, dlogits, grads)
+        ref_grads = {}
+        ref_dfeat = sgd_oracle.head_backward(model, record, cache, dlogits, ref_grads)
+        assert same_bits(dfeat, ref_dfeat)
+        assert same_bits(grads["bn_scale"], ref_grads["bn_scale"])
+        assert same_bits(grads["sharpen_w"], ref_grads["sharpen_w"])
+
+    @pytest.mark.parametrize("n", [2, 7, 64, 300])
+    def test_cross_entropy(self, n):
+        rng = np.random.default_rng(n)
+        logits = rng.standard_normal((n, 4)) * 30.0
+        labels = rng.integers(0, 4, n)
+        loss, dlogits = cross_entropy(logits, labels)
+        ref_loss, ref_dlogits = sgd_oracle.cross_entropy(logits, labels)
+        assert loss.hex() == ref_loss.hex()
+        assert same_bits(dlogits, ref_dlogits)
+
+    @pytest.mark.parametrize("grad_clip", [1e-3, 1e9])
+    def test_step(self, grad_clip):
+        # layers.0.weight holds 2,560 entries, enough for numpy's blocked
+        # pairwise summation to differ from a plain running sum.
+        model = build_model(40, 3, hidden_sizes=(64, 32), feature_dim=8, seed=5)
+        opt = MomentumSGD(model, 0.9, grad_clip)
+        layout = [(name, view.shape) for name, view in opt.grads.items()]
+
+        def split(flat):
+            out, offset = {}, 0
+            for name, shape in layout:
+                size = int(np.prod(shape))
+                out[name] = flat[offset : offset + size].reshape(shape).copy()
+                offset += size
+            return out
+
+        params, velocity = split(opt.params), split(opt.velocity)
+        rng = np.random.default_rng(13)
+        for lr in (0.1, 0.05, 0.01):
+            opt.grad[:] = rng.standard_normal(opt.grad.size) * rng.uniform(0.1, 10.0)
+            expected = sgd_oracle.step(params, velocity, split(opt.grad), lr, 0.9, grad_clip)
+            assert opt.step(lr) == expected
+            assert expected[1] == (grad_clip < 1.0)
+            assert same_bits(opt.params, np.concatenate([params[n].ravel() for n, _ in layout]))
+            assert same_bits(opt.velocity, np.concatenate([velocity[n].ravel() for n, _ in layout]))
+
+    @pytest.mark.parametrize("m", [1, 5, 40])
+    def test_spectral_loss(self, m):
+        f = np.random.default_rng(m).standard_normal((2 * m, 6))
+        a = view_pair_adjacency(m)
+        loss, grad = spectral_contrastive_loss(f, a)
+        ref_loss, ref_grad = sgd_oracle.spectral_contrastive_loss(f, a)
+        assert loss.hex() == ref_loss.hex()
+        assert same_bits(grad, ref_grad)
+
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            AugmentationSpec(),
+            AugmentationSpec(gaussian_sigma=0.1),
+            AugmentationSpec(gaussian_sigma=0.1, scale_jitter=0.2),
+            AugmentationSpec(gaussian_sigma=0.05, mask_fraction=0.3),
+        ],
+        ids=["identity", "jitter_0", "jitter", "mask"],
+    )
+    def test_augment_batch(self, spec):
+        x = np.random.default_rng(14).standard_normal((9, 10))
+        x[0, :3] = (-0.0, 0.0, 1e300)
+        rng, ref_rng = np.random.default_rng(15), np.random.default_rng(15)
+        out = augment_batch(x, spec, rng)
+        assert same_bits(out, sgd_oracle.augment_batch(x, spec, ref_rng))
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+
+class TestCallerArraysUnchanged:
+    """The in-place arithmetic writes only to arrays it made itself."""
+
+    @pytest.mark.parametrize(
+        "spec",
+        [AugmentationSpec(), AugmentationSpec(gaussian_sigma=0.1, scale_jitter=0.2, mask_fraction=0.3)],
+    )
+    def test_augment_batch_input(self, spec):
+        x = np.random.default_rng(16).standard_normal((6, 8))
+        snapshot = x.copy()
+        out = augment_batch(x, spec, np.random.default_rng(0))
+        assert not np.shares_memory(out, x)
+        assert same_bits(x, snapshot)
+
+    def test_spectral_loss_inputs_and_cached_adjacency(self):
+        f = np.random.default_rng(17).standard_normal((8, 5))
+        snapshot = f.copy()
+        a = view_pair_adjacency(4)
+        spectral_contrastive_loss(f, a)
+        assert same_bits(f, snapshot)
+        assert view_pair_adjacency(4) is a and not a.flags.writeable
+        assert same_bits(a, batch_adjacency([(i, 4 + i) for i in range(4)], 8))
+
+    @pytest.mark.parametrize("with_grads", [True, False])
+    def test_body_backward_inputs(self, with_grads):
+        model = small_model()
+        opt = MomentumSGD(model, 0.9, 5.0)
+        x = np.random.default_rng(18).standard_normal((7, 6))
+        _, acts = _body_forward(model.layers, x, keep=True)
+        dfeat = np.random.default_rng(19).standard_normal((7, 5))
+        acts_before, dfeat_before = [a.copy() for a in acts], dfeat.copy()
+        _body_backward(model.layers, acts, dfeat, opt.grads if with_grads else None)
+        assert same_bits(dfeat, dfeat_before)
+        assert all(same_bits(a, b) for a, b in zip(acts, acts_before))
+
+    @pytest.mark.parametrize("case", ["input_noise", "contrastive"])
+    def test_train_dataset_inputs(self, case):
+        ds = dataset()
+        snapshot = ds.inputs.copy()
+        train(small_model(), ds, TrainConfig(epochs=2, batch_size=16, seed=5, **TRAIN_CASES[case]))
+        assert same_bits(ds.inputs, snapshot)
