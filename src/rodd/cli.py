@@ -201,15 +201,19 @@ def _build_model_from_config(config: RunConfig, input_dim: int, n_classes: int):
 
 
 def _cmd_pretrain(config: RunConfig, out: Path, seed_override) -> dict:
-    dataset = _read_dataset(out / "id_train.feat")
-    model = _build_model_from_config(config, dataset.input_dim, dataset.class_count)
     adv = None
     if config.get("pretrain.adversarial"):
-        adv = contrastive.AdversarialSpec(
-            epsilon=config.get("pretrain.adv_epsilon"),
-            steps=config.get("pretrain.adv_steps"),
-            step_size=config.get("pretrain.adv_step_size"),
+        epsilon, steps, step_size = (
+            config.get(f"pretrain.adv_{key}") for key in ("epsilon", "steps", "step_size")
         )
+        if steps * step_size < epsilon:
+            raise ContractViolation(
+                "pretrain.adv_steps * pretrain.adv_step_size must reach pretrain.adv_epsilon, "
+                f"got {steps} * {step_size} < {epsilon}"
+            )
+        adv = contrastive.AdversarialSpec(epsilon, steps, step_size)
+    dataset = _read_dataset(out / "id_train.feat")
+    model = _build_model_from_config(config, dataset.input_dim, dataset.class_count)
     cfg = contrastive.PretrainConfig(
         epochs=config.get("pretrain.epochs"),
         batch_size=config.get("pretrain.batch_size"),
@@ -226,7 +230,7 @@ def _cmd_pretrain(config: RunConfig, out: Path, seed_override) -> dict:
     model, history = contrastive.pretrain(model, dataset, cfg)
     artifacts = {"model": out / "pretrain.ckpt", "pretrain_history": out / "pretrain_history.json"}
     encoder.save_model(artifacts["model"], model)
-    _json_dump(artifacts["pretrain_history"], history)
+    _json_dump(artifacts["pretrain_history"], {"history": history})
     return artifacts
 
 

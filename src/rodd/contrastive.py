@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .encoder import EncoderModel, MomentumSGD, _body_backward, _body_forward, epoch_summary
+from .encoder import EncoderModel, MomentumSGD, _body_backward, _body_forward, run_epochs
 from .errors import ContractViolation, DivergenceError
 from .linalg import as_matrix
 
@@ -132,6 +132,12 @@ def view_pair_adjacency(m: int) -> np.ndarray:
     return a
 
 
+def view_pairs(xb, spec: AugmentationSpec, rng: np.random.Generator):
+    """Two augmented views of each row of xb, the first views stacked above
+    the second, and the cached adjacency that pairs them."""
+    return augment_batch(np.vstack([xb, xb]), spec, rng), view_pair_adjacency(len(xb))
+
+
 def spectral_contrastive_loss(f, a) -> tuple[float, np.ndarray]:
     """||A - F F^T||_F^2 and its gradient -4 (A - F F^T) F with respect to F;
     unchecked: A is symmetric, with one row per row of F."""
@@ -166,44 +172,30 @@ def pretrain(model: EncoderModel, dataset, config: PretrainConfig):
     """Optimize the body on two augmented views per sample; head untouched.
 
     The per-batch objective is the spectral loss divided by the number of
-    view rows (keeps the step size meaningful across batch sizes).  Returns
-    (model, history); history maps each epoch_summary field ("loss" is the
-    normalized value) to its per-epoch list.  Deterministic per seed.
-    Raises DivergenceError with the epoch index if the features, the loss
-    or the gradient norm go non-finite.
+    view rows (keeps the step size meaningful across batch sizes), and a
+    one-row tail batch is trained on.  Returns (model, history), history
+    holding encoder.run_epochs' entry per epoch ("loss" is the normalized
+    value).  Deterministic per seed.  Raises DivergenceError with the epoch
+    index if the features, the loss or the gradient norm go non-finite.
     """
-    if dataset.n < 1:
-        raise ContractViolation("dataset must be nonempty")
     rng = np.random.default_rng(config.seed)
     opt = MomentumSGD(model, config.momentum, config.grad_clip, body_only=True)
-    history = {"loss": [], "grad_norm": [], "clip_fraction": [], "lr": []}
-    n = dataset.n
-    for epoch in range(config.epochs):
-        order = rng.permutation(n)
-        losses, steps = [], []
-        for start in range(0, n, config.batch_size):
-            idx = order[start : start + config.batch_size]
-            xb = dataset.inputs[idx]
-            m = idx.size
-            views = augment_batch(np.vstack([xb, xb]), config.aug, rng)
-            adjacency = view_pair_adjacency(m)
-            if config.adv is not None:
-                views = _perturb(model, views, adjacency, config.adv)
-            feats, acts = _body_forward(model.layers, views, keep=True)
-            # Overflowing features are a diverging run, not a bad input.
-            if not np.isfinite(feats).all():
-                raise DivergenceError(epoch, "non-finite features")
-            loss, dfeat = spectral_contrastive_loss(feats, adjacency)
-            scale = 1.0 / (2 * m)
-            loss *= scale
-            if not math.isfinite(loss):
-                raise DivergenceError(epoch)
+
+    def batch_loss(epoch, idx):
+        views, adjacency = view_pairs(dataset.inputs[idx], config.aug, rng)
+        if config.adv is not None:
+            views = _perturb(model, views, adjacency, config.adv)
+        feats, acts = _body_forward(model.layers, views, keep=True)
+        # Overflowing features are a diverging run, not a bad input.
+        if not np.isfinite(feats).all():
+            raise DivergenceError(epoch, "non-finite features")
+        loss, dfeat = spectral_contrastive_loss(feats, adjacency)
+        scale = 1.0 / len(views)
+        loss *= scale
+        if math.isfinite(loss):
             dfeat *= scale
             _body_backward(model.layers, acts, dfeat, opt.grads)
-            steps.append(opt.step(config.lr))
-            if not math.isfinite(steps[-1][0]):
-                raise DivergenceError(epoch, "non-finite gradient norm")
-            losses.append(loss)
-        for key, value in epoch_summary(losses, steps, config.lr).items():
-            history[key].append(value)
-    return model, history
+        return loss
+
+    lrs = [config.lr] * config.epochs
+    return model, list(run_epochs(opt, dataset.n, config.batch_size, lrs, rng, batch_loss))

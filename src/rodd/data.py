@@ -234,7 +234,7 @@ _AT_LEAST_1 = ((">=", 1),)
 _NONNEGATIVE = ((">=", 0),)
 _POSITIVE = ((">", 0),)
 _UNIT_OPEN = ((">", 0), ("<", 1))
-_MOMENTUM = ((">=", 0), ("<", 1))
+_UNIT_HALF_OPEN = ((">=", 0), ("<", 1))
 _SEED = ((">=", 0), ("<", SEED_LIMIT))  # numpy seeds and rodd.streams take [0, 2**64)
 
 # Every key the config format accepts.  Unknown keys are rejected with the
@@ -261,21 +261,21 @@ CONFIG: dict[str, ConfigKey] = {
     "pretrain.epochs": ConfigKey(int, 20, _NONNEGATIVE),
     "pretrain.batch_size": ConfigKey(int, 64, _AT_LEAST_1),
     "pretrain.lr": ConfigKey(float, 0.05, _POSITIVE),
-    "pretrain.momentum": ConfigKey(float, 0.9, _MOMENTUM),
+    "pretrain.momentum": ConfigKey(float, 0.9, _UNIT_HALF_OPEN),
     "pretrain.aug_gaussian_sigma": ConfigKey(float, 0.1, _NONNEGATIVE),
-    "pretrain.aug_mask_fraction": ConfigKey(float, 0.0),
-    "pretrain.aug_scale_jitter": ConfigKey(float, 0.0),
+    "pretrain.aug_mask_fraction": ConfigKey(float, 0.0, _UNIT_HALF_OPEN),
+    "pretrain.aug_scale_jitter": ConfigKey(float, 0.0, _NONNEGATIVE),
     "pretrain.adversarial": ConfigKey(bool, False),
-    "pretrain.adv_epsilon": ConfigKey(float, 0.03),
-    "pretrain.adv_steps": ConfigKey(int, 3),
-    "pretrain.adv_step_size": ConfigKey(float, 0.01),
+    "pretrain.adv_epsilon": ConfigKey(float, 0.03, _NONNEGATIVE),
+    "pretrain.adv_steps": ConfigKey(int, 3, _AT_LEAST_1),
+    "pretrain.adv_step_size": ConfigKey(float, 0.01, _POSITIVE),
     "pretrain.seed": ConfigKey(int, 0, _SEED),
     # supervised fine-tuning
     "train.epochs": ConfigKey(int, 40, _NONNEGATIVE),
-    "train.batch_size": ConfigKey(int, 64, _AT_LEAST_1),
+    "train.batch_size": ConfigKey(int, 64, ((">=", 2),)),  # batch statistics need 2 rows
     "train.lr": ConfigKey(float, 0.05, _POSITIVE),
-    "train.momentum": ConfigKey(float, 0.9, _MOMENTUM),
-    "train.mu": ConfigKey(float, 0.0),
+    "train.momentum": ConfigKey(float, 0.9, _UNIT_HALF_OPEN),
+    "train.mu": ConfigKey(float, 0.0, _NONNEGATIVE),
     "train.contrastive": ConfigKey(bool, False),
     "train.aug_gaussian_sigma": ConfigKey(float, 0.05, _NONNEGATIVE),
     "train.input_noise": ConfigKey(float, 0.0, _NONNEGATIVE),

@@ -385,19 +385,39 @@ class MomentumSGD:
         return norm, clip < 1.0
 
 
-def epoch_summary(losses, steps, lr: float) -> dict:
-    """One epoch's mean "loss", mean pre-clip "grad_norm", "clip_fraction" of
-    its (norm, clipped) steps and "lr"; NaN where the epoch took no step."""
+def run_epochs(opt: MomentumSGD, n: int, batch_size: int, lrs, rng, batch_loss, min_batch=1):
+    """Momentum-SGD epochs over n rows, one per learning rate in lrs.
 
-    def mean(values):
-        return float(np.mean(values)) if values else float("nan")
-
-    return {
-        "loss": mean(losses),
-        "grad_norm": mean([norm for norm, _ in steps]),
-        "clip_fraction": mean([clipped for _, clipped in steps]),
-        "lr": lr,
-    }
+    Each epoch draws one permutation of the rows from rng and steps once per
+    batch of batch_size rows, skipping a tail batch of fewer than min_batch rows.
+    batch_loss(epoch, idx) returns the loss of rows idx and, when it is
+    finite, leaves its gradient in opt.grads.  Yields one entry per epoch:
+    "epoch", the mean batch "loss", the mean pre-clip "grad_norm", the
+    "clip_fraction" of clipped steps and the "lr".  Raises
+    ContractViolation unless every epoch takes a step, and DivergenceError
+    with the epoch index on a non-finite loss or gradient norm.
+    """
+    if min(n, batch_size) < min_batch:
+        raise ContractViolation(
+            f"training needs at least {min_batch} rows and a batch_size of at "
+            f"least {min_batch}, got {n} rows and batch_size {batch_size}"
+        )
+    for epoch, lr in enumerate(lrs):
+        order = rng.permutation(n)
+        steps = []
+        for start in range(0, n, batch_size):
+            idx = order[start : start + batch_size]
+            if idx.size < min_batch:
+                continue
+            loss = batch_loss(epoch, idx)
+            if not math.isfinite(loss):
+                raise DivergenceError(epoch)
+            norm, clip = opt.step(lr)
+            if not math.isfinite(norm):
+                raise DivergenceError(epoch, "non-finite gradient norm")
+            steps.append((loss, norm, clip))
+        loss, norm, clipped = (float(np.mean(column)) for column in zip(*steps))
+        yield {"epoch": epoch, "loss": loss, "grad_norm": norm, "clip_fraction": clipped, "lr": lr}
 
 
 def _epoch_lr(base: float, epoch: int, epochs: int) -> float:
@@ -410,11 +430,11 @@ def train(model: EncoderModel, dataset, config: TrainConfig):
 
     Deterministic for a fixed config/seed; the class projection is
     bit-identical before and after.  Returns (model, history) where history
-    has one entry per epoch: "epoch", "loss", "accuracy" (on the training
-    set after the epoch), then epoch_summary's health fields.  Trailing
-    batches of size 1 are skipped (batch statistics need at least 2
-    samples).  Raises DivergenceError with the epoch index if the loss or
-    the gradient norm goes non-finite.
+    has one entry per epoch: run_epochs' entry with "accuracy" (on the
+    training set after the epoch) after "loss".  Batch statistics need 2
+    rows: a one-row tail batch is skipped, and fewer than 2 rows or a
+    batch_size below 2 is a ContractViolation.  Raises DivergenceError with
+    the epoch index if the loss or the gradient norm goes non-finite.
     """
     if dataset.labels is None:
         raise ContractViolation("training requires labeled data")
@@ -428,54 +448,35 @@ def train(model: EncoderModel, dataset, config: TrainConfig):
             f"class {int(np.argmin(counts))} has no training samples"
         )
     if config.contrastive:
-        from .contrastive import AugmentationSpec, augment_batch, view_pair_adjacency
+        from .contrastive import AugmentationSpec, view_pairs
 
         spec = AugmentationSpec(gaussian_sigma=config.aug_gaussian_sigma)
     rng = np.random.default_rng(config.seed)
     opt = MomentumSGD(model, config.momentum, config.grad_clip)
+
+    def batch_loss(epoch, idx):
+        xb = dataset.inputs[idx]
+        yb = dataset.labels[idx]
+        if config.contrastive:
+            views, adjacency = view_pairs(xb, spec, rng)
+            # The pairwise term is a raw squared norm over the batch, so
+            # weight it per view row to keep mu batch-size independent.
+            labels, mu = np.concatenate([yb, yb]), config.mu / len(views)
+            return _loss_and_grad(model, views, labels, opt.grads, mu, adjacency)
+        if config.input_noise > 0:
+            level = rng.uniform(0.0, config.input_noise)
+            noise = rng.standard_normal(xb.shape)
+            noise *= level
+            xb += noise  # xb is a fresh copy of its rows
+        return _loss_and_grad(model, xb, yb, opt.grads)
+
+    lrs = [_epoch_lr(config.lr, epoch, config.epochs) for epoch in range(config.epochs)]
     history = []
-    n = dataset.n
-    for epoch in range(config.epochs):
-        lr = _epoch_lr(config.lr, epoch, config.epochs)
-        order = rng.permutation(n)
-        losses, steps = [], []
-        for start in range(0, n, config.batch_size):
-            idx = order[start : start + config.batch_size]
-            if idx.size < 2:
-                continue
-            xb = dataset.inputs[idx]
-            yb = dataset.labels[idx]
-            if config.contrastive:
-                views = augment_batch(np.vstack([xb, xb]), spec, rng)
-                # The pairwise term is a raw squared norm over the batch, so
-                # weight it per view row to keep mu batch-size independent.
-                loss = _loss_and_grad(
-                    model,
-                    views,
-                    np.concatenate([yb, yb]),
-                    opt.grads,
-                    mu=config.mu / (2 * idx.size),
-                    adjacency=view_pair_adjacency(idx.size),
-                )
-            else:
-                if config.input_noise > 0:
-                    level = rng.uniform(0.0, config.input_noise)
-                    noise = rng.standard_normal(xb.shape)
-                    noise *= level
-                    xb += noise  # xb is a fresh copy of its rows
-                loss = _loss_and_grad(model, xb, yb, opt.grads)
-            if not math.isfinite(loss):
-                raise DivergenceError(epoch)
-            steps.append(opt.step(lr))
-            if not math.isfinite(steps[-1][0]):
-                raise DivergenceError(epoch, "non-finite gradient norm")
-            losses.append(loss)
+    for entry in run_epochs(opt, dataset.n, config.batch_size, lrs, rng, batch_loss, min_batch=2):
         record = forward(model, dataset.inputs, mode="eval")
-        acc = float(
-            (np.argmax(record.logits, axis=1) == dataset.labels).mean()
-        )
-        summary = epoch_summary(losses, steps, lr)
-        history.append({"epoch": epoch, "loss": summary.pop("loss"), "accuracy": acc, **summary})
+        acc = float((np.argmax(record.logits, axis=1) == dataset.labels).mean())
+        epoch, loss = entry.pop("epoch"), entry.pop("loss")
+        history.append({"epoch": epoch, "loss": loss, "accuracy": acc, **entry})
     return model, history
 
 

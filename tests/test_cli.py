@@ -202,6 +202,8 @@ class TestDeterminism:
                     "ood_scores.csv": (out / "ood_scores.csv").read_bytes(),
                     "model.ckpt": (out / "model.ckpt").read_bytes(),
                     "subspaces.json": (out / "subspaces.json").read_bytes(),
+                    "pretrain_history.json": (out / "pretrain_history.json").read_bytes(),
+                    "train_history.json": (out / "train_history.json").read_bytes(),
                 }
             )
         assert outputs[0] == outputs[1]
@@ -299,7 +301,6 @@ class TestExitCodes:
         "command, section, key",
         [
             ("pretrain", "pretrain", "batch_size"),
-            ("train", "train", "batch_size"),
             ("verify-theory", "theory", "max_iters"),
             ("pretrain", "model", "feature_dim"),
             ("score", "ood", "mc_draws"),
@@ -513,6 +514,49 @@ class TestExitCodes:
         )
         assert proc.returncode == 2
         assert proc.stderr == "numeric failure: non-finite gradient norm at epoch 0\n"
+
+    @pytest.mark.parametrize(
+        "command, config_text, message",
+        [
+            ("train", "[train]\nbatch_size = 1\n", "line 2: 'train.batch_size' must be >= 2, got 1"),
+            (None, "", "training needs at least 2 rows and a batch_size of at least 2, got 1 rows"),
+            ("train", "[train]\ncontrastive = true\nmu = -1\n", "line 3: 'train.mu' must be >= 0"),
+            (
+                "pretrain",
+                "[pretrain]\nadversarial = true\nadv_epsilon = 0.1\nadv_steps = 2\nadv_step_size = 0.01\n",
+                "pretrain.adv_steps * pretrain.adv_step_size must reach pretrain.adv_epsilon",
+            ),
+        ],
+        ids=["batch_size_1", "one_row_id_train", "negative_mu", "unreachable_adv_budget"],
+    )
+    def test_training_that_cannot_run_exits_one(
+        self, tmp_path, small_config, command, config_text, message
+    ):
+        # Each used to exit 0 with a NaN or runaway loss, or with a bare
+        # UserWarning on stderr; now the error line is all stderr holds.
+        out = tmp_path / "o"
+        assert run(["synth", "--config", str(small_config), "--out", str(out)]) == 0
+        if command is None:  # a one-row id_train.feat, trained with the defaults
+            feats, labels = read_features(out / "id_train.feat")
+            write_features(out / "id_train.feat", feats[:1], np.zeros(1, dtype=int))
+            command = "train"
+        cfg = tmp_path / "case.cfg"
+        cfg.write_text(config_text)
+        before = {path.name: path.read_bytes() for path in out.iterdir()}
+        env = dict(os.environ, PYTHONPATH=str(Path(rodd.__file__).parents[1]))
+        proc = subprocess.run(
+            [sys.executable, "-m", "rodd.cli", command, "--config", str(cfg), "--out", str(out)],
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert proc.returncode == 1
+        assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
+        assert message in proc.stderr
+        for marker in ("Warning", "Traceback", "NaN"):
+            assert marker not in proc.stderr
+        assert {path.name: path.read_bytes() for path in out.iterdir()} == before  # nothing written
 
     def test_numeric_failure_exits_two(self, tmp_path, small_config, capsys):
         diverging = tmp_path / "diverge.cfg"

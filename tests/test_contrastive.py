@@ -16,7 +16,7 @@ from rodd.contrastive import (
     pretrain,
     spectral_contrastive_loss,
 )
-from rodd.data import synth_gaussian_mixture
+from rodd.data import Dataset, synth_gaussian_mixture
 from rodd.encoder import DenseLayer, EncoderModel, build_model, features
 from rodd.errors import ContractViolation
 from rodd.linalg import orthonormal_init
@@ -212,12 +212,20 @@ class TestAdversarialPerturb:
 
 
 class TestPretrain:
+    def test_one_row_trains_and_batch_size_zero_is_rejected(self):
+        ds = Dataset(synth_gaussian_mixture(2, 20, 4, 3.0, 0.3, seed=0).inputs[:1], None, 0)
+        model = build_model(4, 2, hidden_sizes=(6,), feature_dim=3, seed=5)
+        _, history = pretrain(model, ds, PretrainConfig(epochs=2, batch_size=1, seed=0))
+        assert len(history) == 2
+        with pytest.raises(ContractViolation, match="batch_size of at least 1, got 1 rows and batch_size 0"):
+            pretrain(model, ds, PretrainConfig(epochs=1, batch_size=0, seed=0))
+
     def test_zero_epochs_unchanged(self):
         ds = synth_gaussian_mixture(2, 20, 4, 3.0, 0.3, seed=0)
         model = build_model(4, 2, hidden_sizes=(6,), feature_dim=3, seed=5)
         snapshot = copy.deepcopy(model)
         model, history = pretrain(model, ds, PretrainConfig(epochs=0, seed=0))
-        assert history == {"loss": [], "grad_norm": [], "clip_fraction": [], "lr": []}
+        assert history == []
         for layer, ref in zip(model.layers, snapshot.layers):
             assert np.array_equal(layer.weight, ref.weight)
 
@@ -256,7 +264,7 @@ class TestPretrain:
         model, history = pretrain(
             model, ds, PretrainConfig(epochs=50, batch_size=32, lr=0.02, aug=spec, seed=4)
         )
-        assert history["loss"][-1] < history["loss"][0]
+        assert history[-1]["loss"] < history[0]["loss"]
         within, between = pair_cosine_stats(model, ds, spec, seed=99)
         assert within > between
 
@@ -269,5 +277,5 @@ class TestPretrain:
             ds,
             PretrainConfig(epochs=2, batch_size=10, aug=AugmentationSpec(gaussian_sigma=0.05), adv=adv, seed=5),
         )
-        assert len(history["loss"]) == 2
-        assert all(np.isfinite(h) for h in history["loss"])
+        assert len(history) == 2
+        assert all(np.isfinite(entry["loss"]) for entry in history)

@@ -188,7 +188,7 @@ class TestConfigParser:
         assert isinstance(cfg.get("train.lr"), float)
 
     @pytest.mark.parametrize(
-        "section, key", [("pretrain", "batch_size"), ("train", "batch_size"), ("theory", "max_iters")]
+        "section, key", [("pretrain", "batch_size"), ("theory", "max_iters")]
     )
     def test_positive_count_keys(self, section, key):
         with pytest.raises(FormatError, match=rf"line 3: '{section}\.{key}' must be >= 1, got 0"):
@@ -222,6 +222,13 @@ class TestConfigParser:
             ("train", "epochs", {"-3": ">= 0"}, ["0", "40"]),
             ("synth", "test_per_class", {"0": ">= 1", "-5": ">= 1"}, ["1", "250"]),
             ("theory", "tol", {"-1": ">= 0", "-1e-30": ">= 0"}, ["0", "1e-12"]),
+            ("train", "batch_size", {"1": ">= 2", "0": ">= 2", "-4": ">= 2"}, ["2", "64"]),
+            ("train", "mu", {"-1": ">= 0", "-1e-9": ">= 0"}, ["0", "0.3"]),
+            ("pretrain", "aug_mask_fraction", {"-0.1": ">= 0", "1": "< 1"}, ["0", "0.5"]),
+            ("pretrain", "aug_scale_jitter", {"-0.1": ">= 0"}, ["0", "0.2"]),
+            ("pretrain", "adv_epsilon", {"-0.03": ">= 0"}, ["0", "0.03"]),
+            ("pretrain", "adv_steps", {"0": ">= 1", "-2": ">= 1"}, ["1", "3"]),
+            ("pretrain", "adv_step_size", {"0": "> 0", "-0.01": "> 0"}, ["1e-9", "0.01"]),
         ],
     )
     def test_bounded_keys(self, section, key, rejected, accepted):

@@ -332,6 +332,15 @@ class TestTrain:
         with pytest.raises(ContractViolation, match="class 1"):
             train(model, ds, TrainConfig(epochs=1))
 
+    @pytest.mark.parametrize("labels, batch_size", [([0], 64), ([0, 1, 0, 1], 1)])
+    def test_rejects_a_run_without_a_step(self, labels, batch_size):
+        # Batch statistics need two rows: one row, or batches of one, would
+        # leave every epoch without a step and its loss NaN.
+        ds = Dataset(np.arange(2.0 * len(labels)).reshape(-1, 2), labels, max(labels) + 1)
+        model = build_model(2, ds.class_count, hidden_sizes=(8,), feature_dim=4, seed=0)
+        with pytest.raises(ContractViolation, match="at least 2 rows and a batch_size of at least 2"):
+            train(model, ds, TrainConfig(epochs=1, batch_size=batch_size))
+
 
 class TestCheckpoint:
     def test_round_trip_bytes(self, tmp_path):

@@ -119,9 +119,16 @@ class TestPretrainMatchesOracle:
         reference, ref_history = sgd_oracle.pretrain(copy.deepcopy(model), ds, config)
         trained, history = pretrain(model, ds, config)
         assert_same_model(trained, reference)
-        assert history["loss"] == ref_history
-        assert history["lr"] == [config.lr] * 3
-        assert all(0.0 <= f <= 1.0 for f in history["clip_fraction"])
+        assert [entry["loss"] for entry in history] == ref_history
+        assert [entry["lr"] for entry in history] == [config.lr] * 3
+        assert all(0.0 <= entry["clip_fraction"] <= 1.0 for entry in history)
+
+    def test_entry_is_a_fine_tune_entry_without_accuracy(self):
+        ds = dataset()
+        _, pretrain_history = pretrain(small_model(), ds, PretrainConfig(epochs=2, batch_size=16))
+        _, train_history = train(small_model(), ds, TrainConfig(epochs=2, batch_size=16))
+        for entry, fine_tune in zip(pretrain_history, train_history, strict=True):
+            assert list(entry) == [key for key in fine_tune if key != "accuracy"]
 
     def test_body_only_buffer_leaves_head_arrays_alone(self):
         model = small_model()
