@@ -4,16 +4,15 @@ corrupt | verify-theory.
 Every stage reads its inputs from and writes its artifacts into the --out
 directory, so stages can be rerun or swapped individually (externally
 produced RODDFEAT1 features can be scored without the encoder).  Each
-invocation appends an entry to run.json recording the config hash, the seed,
-and the artifact paths.  Exit codes: 0 success, 1 contract/format errors and
-unusable paths (OSError), 2 numeric failures.
+invocation appends an entry to run.json recording the config hash, the seed
+the stage ran with, and the artifact paths.  Exit codes: 0 success,
+1 contract/format errors and unusable paths (OSError), 2 numeric failures.
 """
 
 from __future__ import annotations
 
 import argparse
 import hashlib
-import json
 import sys
 from dataclasses import asdict
 from datetime import datetime, timezone
@@ -22,7 +21,8 @@ from pathlib import Path
 import numpy as np
 
 from . import contrastive, corruptions, encoder, metrics, ood, theory
-from .data import Dataset, RunConfig, parse_config_file, read_features, write_features
+from .data import Dataset, RunConfig, parse_config_file, read_features, read_json, write_csv
+from .data import write_features, write_json
 from .errors import ContractViolation, FormatError, NumericFailure
 from .linalg import orthonormal_init
 from .streams import check_seed
@@ -43,9 +43,10 @@ def run(argv=None) -> int:
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
         runs = _read_manifest(out / "run.json")
-        handler = _HANDLERS[args.command]
-        artifacts = handler(config, out, args.seed)
-        _append_manifest(args, out, runs, artifacts)
+        handler, section = _HANDLERS[args.command]
+        seed = None if section is None else _derived(args.seed, config.get(f"{section}.seed"))
+        artifacts = handler(config, out, seed)
+        _append_manifest(args, seed, out, runs, artifacts)
         return 0
     except (ContractViolation, FormatError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -78,59 +79,42 @@ def _seed_arg(text: str) -> int:
         raise argparse.ArgumentTypeError(str(exc)) from None
 
 
-def _stage_seed(config: RunConfig, section: str, override) -> int:
-    return config.get(f"{section}.seed") if override is None else override
-
-
 def _derived(value, fallback):
-    """A key whose default depends on other values: its configured value,
-    else fallback (0 is a valid setting, so this tests for None)."""
+    """value, else fallback when it is None (0 is a valid setting): a key
+    whose default depends on other values, or --seed over a config seed."""
     return fallback if value is None else value
 
 
-def _need(path: Path) -> Path:
-    if not path.exists():
-        raise FormatError(f"missing artifact: {path}")
-    return path
-
-
 def _read_dataset(path: Path) -> Dataset:
-    feats, labels = read_features(_need(path))
+    feats, labels = read_features(path)
     class_count = int(labels.max()) + 1 if labels is not None and labels.size else 0
     return Dataset(feats, labels, class_count)
-
-
-def _json_dump(path: Path, payload) -> None:
-    path.write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
 
 
 def _read_manifest(path: Path) -> list:
     """The runs already recorded in run.json; [] when there is no manifest."""
     if not path.exists():
         return []
-    try:
-        payload = json.loads(path.read_text(encoding="utf-8"))
-    except ValueError as exc:
-        raise FormatError(f"{path} is not valid JSON: {exc}") from exc
+    payload = read_json(path)
     if not isinstance(payload, dict) or not isinstance(payload.get("runs"), list):
         raise FormatError(f"{path} must be an object with a 'runs' list")
     return payload["runs"]
 
 
-def _append_manifest(args, out: Path, runs: list, artifacts: dict) -> None:
+def _append_manifest(args, seed, out: Path, runs: list, artifacts: dict) -> None:
     digest = hashlib.sha256(Path(args.config).read_bytes()).hexdigest()
     runs.append(
         {
             "command": args.command,
             "config_path": str(args.config),
             "config_sha256": digest,
-            "seed": args.seed,
+            "seed": seed,
             "out": str(out),
             "artifacts": {k: str(v) for k, v in sorted(artifacts.items())},
             "timestamp": datetime.now(timezone.utc).isoformat(),
         }
     )
-    _json_dump(out / "run.json", {"runs": runs})
+    write_json(out / "run.json", {"runs": runs})
 
 
 # ---------------------------------------------------------------------------
@@ -138,10 +122,9 @@ def _append_manifest(args, out: Path, runs: list, artifacts: dict) -> None:
 # ---------------------------------------------------------------------------
 
 
-def _cmd_synth(config: RunConfig, out: Path, seed_override) -> dict:
+def _cmd_synth(config: RunConfig, out: Path, seed: int) -> dict:
     from .data import synth_gaussian_mixture, synth_ood_cluster
 
-    seed = _stage_seed(config, "synth", seed_override)
     n_classes = config.get("synth.classes")
     per_class = config.get("synth.per_class")
     test_per_class = _derived(config.get("synth.test_per_class"), max(1, per_class // 5))
@@ -200,7 +183,7 @@ def _build_model_from_config(config: RunConfig, input_dim: int, n_classes: int):
     )
 
 
-def _cmd_pretrain(config: RunConfig, out: Path, seed_override) -> dict:
+def _cmd_pretrain(config: RunConfig, out: Path, seed: int) -> dict:
     adv = None
     if config.get("pretrain.adversarial"):
         epsilon, steps, step_size = (
@@ -225,16 +208,16 @@ def _cmd_pretrain(config: RunConfig, out: Path, seed_override) -> dict:
             scale_jitter=config.get("pretrain.aug_scale_jitter"),
         ),
         adv=adv,
-        seed=_stage_seed(config, "pretrain", seed_override),
+        seed=seed,
     )
     model, history = contrastive.pretrain(model, dataset, cfg)
     artifacts = {"model": out / "pretrain.ckpt", "pretrain_history": out / "pretrain_history.json"}
     encoder.save_model(artifacts["model"], model)
-    _json_dump(artifacts["pretrain_history"], {"history": history})
+    write_json(artifacts["pretrain_history"], {"history": history})
     return artifacts
 
 
-def _cmd_train(config: RunConfig, out: Path, seed_override) -> dict:
+def _cmd_train(config: RunConfig, out: Path, seed: int) -> dict:
     dataset = _read_dataset(out / "id_train.feat")
     pretrained = out / "pretrain.ckpt"
     if pretrained.exists():
@@ -247,7 +230,7 @@ def _cmd_train(config: RunConfig, out: Path, seed_override) -> dict:
         lr=config.get("train.lr"),
         momentum=config.get("train.momentum"),
         mu=config.get("train.mu"),
-        seed=_stage_seed(config, "train", seed_override),
+        seed=seed,
         contrastive=config.get("train.contrastive"),
         aug_gaussian_sigma=config.get("train.aug_gaussian_sigma"),
         input_noise=config.get("train.input_noise"),
@@ -256,15 +239,15 @@ def _cmd_train(config: RunConfig, out: Path, seed_override) -> dict:
     model, history = encoder.train(model, dataset, cfg)
     artifacts = {"model": out / "model.ckpt", "train_history": out / "train_history.json"}
     encoder.save_model(artifacts["model"], model)
-    _json_dump(artifacts["train_history"], {"history": history})
+    write_json(artifacts["train_history"], {"history": history})
     return artifacts
 
 
-def _cmd_fit(config: RunConfig, out: Path, seed_override) -> dict:
+def _cmd_fit(config: RunConfig, out: Path, seed: None) -> dict:
     dataset = _read_dataset(out / "id_train.feat")
     if dataset.labels is None:
         raise ContractViolation("fit requires a labeled id_train.feat")
-    model = encoder.load_model(_need(out / "model.ckpt"))
+    model = encoder.load_model(out / "model.ckpt")
     feats = encoder.features(model, dataset.inputs)
     subspaces = ood.fit_subspaces(
         feats,
@@ -277,18 +260,14 @@ def _cmd_fit(config: RunConfig, out: Path, seed_override) -> dict:
         "id_train_features": out / "id_train_features.feat",
     }
     write_features(artifacts["id_train_features"], feats, dataset.labels)
-    _json_dump(artifacts["subspaces"], ood.subspaces_to_dict(subspaces))
+    write_json(artifacts["subspaces"], ood.subspaces_to_dict(subspaces))
     return artifacts
 
 
 def _load_scoring_state(out: Path):
-    model = encoder.load_model(_need(out / "model.ckpt"))
-    path = _need(out / "subspaces.json")
-    try:
-        payload = json.loads(path.read_text(encoding="utf-8"))
-    except ValueError as exc:
-        raise FormatError(f"{path} is not valid JSON: {exc}") from exc
-    subspaces = ood.subspaces_from_dict(payload)
+    model = encoder.load_model(out / "model.ckpt")
+    path = out / "subspaces.json"
+    subspaces = ood.subspaces_from_dict(read_json(path))
     dim = subspaces.direction_matrix().shape[0]
     if dim != model.feature_dim:
         raise FormatError(
@@ -300,10 +279,10 @@ def _load_scoring_state(out: Path):
 
 def _resolve_target(out: Path, name: str) -> Path:
     candidate = out / name
-    return candidate if candidate.exists() else _need(Path(name))
+    return candidate if candidate.exists() else Path(name)
 
 
-def _cmd_score(config: RunConfig, out: Path, seed_override) -> dict:
+def _cmd_score(config: RunConfig, out: Path, seed: int) -> dict:
     model, subspaces = _load_scoring_state(out)
     target = _resolve_target(out, config.get("ood.target"))
     dataset = _read_dataset(target)
@@ -319,7 +298,7 @@ def _cmd_score(config: RunConfig, out: Path, seed_override) -> dict:
             dataset.inputs,
             k_draws=config.get("ood.mc_draws"),
             noise_sigma=config.get("ood.mc_noise_sigma"),
-            seed=_stage_seed(config, "ood", seed_override),
+            seed=seed,
             abs_cosine=abs_cosine,
         )
     stem = target.stem
@@ -328,11 +307,10 @@ def _cmd_score(config: RunConfig, out: Path, seed_override) -> dict:
     return artifacts
 
 
-def _cmd_corrupt(config: RunConfig, out: Path, seed_override) -> dict:
+def _cmd_corrupt(config: RunConfig, out: Path, seed: int) -> dict:
     target = _resolve_target(out, config.get("corruption.target"))
     dataset = _read_dataset(target)
     kind = _derived(config.get("corruption.kind"), "gaussian_noise")
-    seed = _stage_seed(config, "corruption", seed_override)
     artifacts = {}
     severities = config.get("corruption.severities")
     for severity, corrupted in corruptions.severity_sweep(dataset, kind, severities, seed):
@@ -342,7 +320,7 @@ def _cmd_corrupt(config: RunConfig, out: Path, seed_override) -> dict:
     return artifacts
 
 
-def _cmd_eval(config: RunConfig, out: Path, seed_override) -> dict:
+def _cmd_eval(config: RunConfig, out: Path, seed: int) -> dict:
     """Score ID test and OOD sets (clean plus configured corruption sweep).
 
     Writes one eval.json / eval.csv row per evaluated (ood_set, corruption,
@@ -382,7 +360,6 @@ def _cmd_eval(config: RunConfig, out: Path, seed_override) -> dict:
     add_row("none", 0, id_scores, ood_scores)
     kind = config.get("corruption.kind")
     if kind is not None:
-        seed = _stage_seed(config, "corruption", seed_override)
         on_ood = config.get("corruption.apply_to") == "ood"
         sweep = corruptions.severity_sweep(
             ood_set if on_ood else id_test, kind, config.get("corruption.severities"), seed
@@ -395,12 +372,8 @@ def _cmd_eval(config: RunConfig, out: Path, seed_override) -> dict:
                 add_row(kind, severity, cur_scores, ood_scores)
     artifacts = {"eval_json": out / "eval.json", "eval_csv": out / "eval.csv"}
     payload = {"method": method, "id_accuracy": id_accuracy, "rows": rows}
-    _json_dump(artifacts["eval_json"], payload)
-    lines = [",".join(rows[0])] + [
-        ",".join(repr(v) if isinstance(v, float) else str(v) for v in row.values())
-        for row in rows
-    ]
-    artifacts["eval_csv"].write_text("\n".join(lines) + "\n", encoding="utf-8")
+    write_json(artifacts["eval_json"], payload)
+    write_csv(artifacts["eval_csv"], rows[0], (row.values() for row in rows))
     if method == "rodd":
         for name, angles in (("id_test", id_angles), ("ood", ood_angles)):
             artifacts[f"{name}_scores"] = out / f"{name}_scores.csv"
@@ -409,8 +382,7 @@ def _cmd_eval(config: RunConfig, out: Path, seed_override) -> dict:
     return artifacts
 
 
-def _cmd_verify_theory(config: RunConfig, out: Path, seed_override) -> dict:
-    seed = _stage_seed(config, "theory", seed_override)
+def _cmd_verify_theory(config: RunConfig, out: Path, seed: int) -> dict:
     sizes = config.get("theory.class_sizes")
     graph = theory.build_adjacency(
         sizes,
@@ -434,19 +406,21 @@ def _cmd_verify_theory(config: RunConfig, out: Path, seed_override) -> dict:
     result = solved.get(mu) or theory.solve_joint(graph, proj, mu, opts)
     lemma_report = theory.verify_lemma(graph, result)
     artifacts = {"theory_report": out / "theory_report.json"}
-    _json_dump(artifacts["theory_report"], {"mu": mu, "lemma": lemma_report, "sweep": sweep})
+    write_json(artifacts["theory_report"], {"mu": mu, "lemma": lemma_report, "sweep": sweep})
     return artifacts
 
 
+# Each stage's handler and the config section of the seed it runs with; fit
+# draws nothing, so it takes no seed and records null.
 _HANDLERS = {
-    "synth": _cmd_synth,
-    "pretrain": _cmd_pretrain,
-    "train": _cmd_train,
-    "fit": _cmd_fit,
-    "score": _cmd_score,
-    "eval": _cmd_eval,
-    "corrupt": _cmd_corrupt,
-    "verify-theory": _cmd_verify_theory,
+    "synth": (_cmd_synth, "synth"),
+    "pretrain": (_cmd_pretrain, "pretrain"),
+    "train": (_cmd_train, "train"),
+    "fit": (_cmd_fit, None),
+    "score": (_cmd_score, "ood"),
+    "eval": (_cmd_eval, "corruption"),
+    "corrupt": (_cmd_corrupt, "corruption"),
+    "verify-theory": (_cmd_verify_theory, "theory"),
 }
 
 

@@ -1,12 +1,15 @@
 """Dataset ingestion and persistence.
 
 Synthetic generators for desk-scale experiments, a CIFAR-binary reader, the
-RODDFEAT1 feature-file format (f32 on disk, f64 in memory), and the strict
-line-based run-config parser.
+RODDFEAT1 feature-file format (f32 on disk, f64 in memory), the artifact
+codec every stage reads and writes through (a bounded little-endian reader
+for binary files, JSON in and out, CSV out), and the strict line-based
+run-config parser.
 """
 
 from __future__ import annotations
 
+import json
 import math
 import operator
 import struct
@@ -123,7 +126,7 @@ def read_cifar_binary(path) -> Dataset:
     Each record is one label byte (0-9) followed by 3072 pixel bytes
     (1024 R, 1024 G, 1024 B, row-major 32x32); pixels are scaled to [0, 1].
     """
-    data = Path(path).read_bytes()
+    data = _artifact_bytes(path)
     if len(data) % _CIFAR_RECORD != 0:
         raise FormatError(
             f"{path}: length {len(data)} is not a multiple of {_CIFAR_RECORD}; "
@@ -164,46 +167,95 @@ def write_features(path, features, labels=None) -> None:
             raise ContractViolation(f"labels shape {labels.shape} != ({n},)")
         if labels.size and (labels.min() < 0 or labels.max() >= 2**32):
             raise ContractViolation("labels must fit in u32")
-    blob = bytearray()
-    blob += FEATURE_MAGIC
-    blob += struct.pack("<III", n, d, int(has_labels))
-    blob += quantized.tobytes()
-    if has_labels:
-        blob += labels.astype("<u4").tobytes()
-    Path(path).write_bytes(bytes(blob))
+    with open(path, "wb") as out:
+        out.write(FEATURE_MAGIC + struct.pack("<III", n, d, int(has_labels)))
+        out.write(quantized.tobytes())
+        if has_labels:
+            out.write(labels.astype("<u4").tobytes())
 
 
 def read_features(path) -> tuple[np.ndarray, np.ndarray | None]:
     """Read a RODDFEAT1 file back as (float64 features, labels or None)."""
-    data = Path(path).read_bytes()
-    if len(data) < len(FEATURE_MAGIC) or data[: len(FEATURE_MAGIC)] != FEATURE_MAGIC:
-        raise FormatError(f"{path}: bad magic, expected {FEATURE_MAGIC!r}")
-    header_end = len(FEATURE_MAGIC) + 12
-    if len(data) < header_end:
-        raise FormatError(
-            f"{path}: truncated header, expected {header_end} bytes, "
-            f"found {len(data)} ({header_end - len(data)} missing)"
-        )
-    n, d, has_labels = struct.unpack("<III", data[len(FEATURE_MAGIC) : header_end])
-    expected = header_end + 4 * n * d + (4 * n if has_labels else 0)
-    if len(data) != expected:
-        raise FormatError(
-            f"{path}: expected {expected} bytes, found {len(data)} "
-            f"({expected - len(data)} missing)"
-            if len(data) < expected
-            else f"{path}: expected {expected} bytes, found {len(data)} "
-            f"({len(data) - expected} extra)"
-        )
-    feats = np.frombuffer(
-        data, dtype="<f4", count=n * d, offset=header_end
-    ).astype(np.float64)
-    feats = feats.reshape(n, d)
-    labels = None
-    if has_labels:
-        labels = np.frombuffer(
-            data, dtype="<u4", count=n, offset=header_end + 4 * n * d
-        ).astype(np.int64)
+    reader = BinaryReader(path, FEATURE_MAGIC)
+    n, d, has_labels = reader.unpack("<III")
+    feats = reader.array("f4", n * d).reshape(n, d)
+    labels = reader.array("u4", n, np.int64) if has_labels else None
+    reader.close()
     return feats, labels
+
+
+# ---------------------------------------------------------------------------
+# Artifact codec
+# ---------------------------------------------------------------------------
+
+
+def _artifact_bytes(path) -> bytes:
+    try:
+        return Path(path).read_bytes()
+    except FileNotFoundError:
+        raise FormatError(f"missing artifact: {path}") from None
+
+
+class BinaryReader:
+    """Reads a little-endian binary artifact front to back.
+
+    Opening checks the magic.  Every read checks that its bytes are there,
+    and close rejects bytes left over, so a malformed file is a FormatError
+    naming the path: a missing artifact, a bad magic, a truncation with the
+    count of missing bytes, or trailing bytes.
+    """
+
+    def __init__(self, path, magic: bytes):
+        self.path = path
+        self.data = _artifact_bytes(path)
+        if not self.data.startswith(magic):
+            raise FormatError(f"{path}: bad magic, expected {magic!r}")
+        self.pos = len(magic)
+
+    def _advance(self, size: int) -> int:
+        start, self.pos = self.pos, self.pos + size
+        if self.pos > len(self.data):
+            raise FormatError(
+                f"{self.path}: truncated, needed {self.pos} bytes, found "
+                f"{len(self.data)} ({self.pos - len(self.data)} missing)"
+            )
+        return start
+
+    def unpack(self, fmt: str) -> tuple:
+        """The next values of the little-endian struct format fmt."""
+        return struct.unpack_from(fmt, self.data, self._advance(struct.calcsize(fmt)))
+
+    def array(self, disk_type: str, count: int, dtype=np.float64) -> np.ndarray:
+        """The next count little-endian disk_type entries, as a new dtype array."""
+        disk = np.dtype("<" + disk_type)
+        start = self._advance(disk.itemsize * count)
+        return np.frombuffer(self.data, disk, count, start).astype(dtype)
+
+    def close(self) -> None:
+        if self.pos != len(self.data):
+            raise FormatError(f"{self.path}: {len(self.data) - self.pos} unexpected trailing bytes")
+
+
+def read_json(path):
+    """The payload of a JSON artifact."""
+    try:
+        return json.loads(_artifact_bytes(path))  # a missing file is not a ValueError
+    except ValueError as exc:
+        raise FormatError(f"{path} is not valid JSON: {exc}") from exc
+
+
+def write_json(path, payload) -> None:
+    Path(path).write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
+
+
+def write_csv(path, header, rows) -> None:
+    """Write a CSV table one row at a time: a None cell is empty, anything
+    else its str, which for a float is its repr (an exact round trip)."""
+    line = ",".join(["%s"] * len(header)) + "\n"
+    with open(path, "w", encoding="utf-8") as out:
+        out.write(",".join(header) + "\n")
+        for row in rows:
+            out.write(line % tuple(["" if v is None else v for v in row]))
 
 
 # ---------------------------------------------------------------------------

@@ -16,10 +16,10 @@ from __future__ import annotations
 import math
 import struct
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
+from .data import BinaryReader
 from .errors import (
     ContractViolation,
     DegenerateFeatureError,
@@ -186,13 +186,15 @@ def _body_backward(layers, acts, dfeat, grads=None):
     return dh
 
 
+def _check_width(model: EncoderModel, x: np.ndarray) -> None:
+    if x.shape[1] != model.input_dim:
+        raise ContractViolation(f"input has {x.shape[1]} columns, model expects {model.input_dim}")
+
+
 def features(model: EncoderModel, batch) -> np.ndarray:
     """Encoder output for a batch; pure with respect to the model."""
     x = as_matrix(batch, "batch")
-    if x.shape[1] != model.input_dim:
-        raise ContractViolation(
-            f"batch has {x.shape[1]} columns, model expects {model.input_dim}"
-        )
+    _check_width(model, x)
     out, _ = _body_forward(model.layers, x)
     return out
 
@@ -245,10 +247,7 @@ def forward(model: EncoderModel, batch, mode: str = "eval") -> ForwardRecord:
     x = as_matrix(batch, "batch")
     if mode not in ("train", "eval"):
         raise ContractViolation(f"mode must be 'train' or 'eval', got {mode!r}")
-    if x.shape[1] != model.input_dim:
-        raise ContractViolation(
-            f"batch has {x.shape[1]} columns, model expects {model.input_dim}"
-        )
+    _check_width(model, x)
     if mode == "train" and x.shape[0] < 2:
         raise ContractViolation("train-mode forward needs a batch of at least 2")
     feats, _ = _body_forward(model.layers, x)
@@ -433,11 +432,13 @@ def train(model: EncoderModel, dataset, config: TrainConfig):
     has one entry per epoch: run_epochs' entry with "accuracy" (on the
     training set after the epoch) after "loss".  Batch statistics need 2
     rows: a one-row tail batch is skipped, and fewer than 2 rows or a
-    batch_size below 2 is a ContractViolation.  Raises DivergenceError with
-    the epoch index if the loss or the gradient norm goes non-finite.
+    batch_size below 2 is a ContractViolation, as is data whose width is
+    not the model's input_dim.  Raises DivergenceError with the epoch index
+    if the loss or the gradient norm goes non-finite.
     """
     if dataset.labels is None:
         raise ContractViolation("training requires labeled data")
+    _check_width(model, dataset.inputs)
     if dataset.class_count != model.n_classes:
         raise ContractViolation(
             f"dataset has {dataset.class_count} classes, model expects {model.n_classes}"
@@ -496,70 +497,45 @@ def train(model: EncoderModel, dataset, config: TrainConfig):
 
 
 def save_model(path, model: EncoderModel) -> None:
-    blob = bytearray()
-    blob += MODEL_MAGIC
-    blob += struct.pack("<I", len(model.layers))
-    for layer in model.layers:
-        rows, cols = layer.weight.shape
-        blob += struct.pack("<II", rows, cols)
-        blob += layer.weight.astype("<f8").tobytes()
-        blob += struct.pack("<I", int(layer.bias is not None))
-        if layer.bias is not None:
-            blob += layer.bias.astype("<f8").tobytes()
-    d, n_classes = model.class_proj.shape
-    blob += struct.pack("<II", d, n_classes)
-    blob += model.class_proj.astype("<f8").tobytes()
-    blob += model.sharpen_w.astype("<f8").tobytes()
-    blob += struct.pack("<ddd", float(model.bn_scale), model.bn_mean, model.bn_var)
-    Path(path).write_bytes(bytes(blob))
-
-
-class _Reader:
-    def __init__(self, data: bytes, path):
-        self.data = data
-        self.pos = 0
-        self.path = path
-
-    def take(self, count: int) -> bytes:
-        if self.pos + count > len(self.data):
-            raise FormatError(
-                f"{self.path}: truncated, needed {self.pos + count} bytes, "
-                f"found {len(self.data)} ({self.pos + count - len(self.data)} missing)"
-            )
-        out = self.data[self.pos : self.pos + count]
-        self.pos += count
-        return out
-
-    def u32(self) -> int:
-        return struct.unpack("<I", self.take(4))[0]
-
-    def f64s(self, count: int) -> np.ndarray:
-        return np.frombuffer(self.take(8 * count), dtype="<f8").astype(np.float64)
+    with open(path, "wb") as out:
+        out.write(MODEL_MAGIC + struct.pack("<I", len(model.layers)))
+        for layer in model.layers:
+            out.write(struct.pack("<II", *layer.weight.shape))
+            out.write(layer.weight.astype("<f8").tobytes())
+            out.write(struct.pack("<I", int(layer.bias is not None)))
+            if layer.bias is not None:
+                out.write(layer.bias.astype("<f8").tobytes())
+        out.write(struct.pack("<II", *model.class_proj.shape))
+        out.write(model.class_proj.astype("<f8").tobytes())
+        out.write(model.sharpen_w.astype("<f8").tobytes())
+        out.write(struct.pack("<ddd", float(model.bn_scale), model.bn_mean, model.bn_var))
 
 
 def load_model(path) -> EncoderModel:
-    data = Path(path).read_bytes()
-    if len(data) < len(MODEL_MAGIC) or data[: len(MODEL_MAGIC)] != MODEL_MAGIC:
-        raise FormatError(f"{path}: bad magic, expected {MODEL_MAGIC!r}")
-    reader = _Reader(data, path)
-    reader.take(len(MODEL_MAGIC))
-    n_layers = reader.u32()
-    layers = []
-    for _ in range(n_layers):
-        rows = reader.u32()
-        cols = reader.u32()
-        weight = reader.f64s(rows * cols).reshape(rows, cols)
-        bias = reader.f64s(cols) if reader.u32() else None
+    """Read a RODDMODL1 checkpoint.  Besides the reader's errors, a file with
+    no layers or with layer widths that do not chain into the class
+    projection is a FormatError naming the shapes."""
+    reader = BinaryReader(path, MODEL_MAGIC)
+    layers, width = [], None
+    for i in range(reader.unpack("<I")[0]):
+        rows, cols = reader.unpack("<II")
+        if i and rows != width:
+            raise FormatError(
+                f"{path}: layer {i} is {rows}x{cols}, but layer {i - 1} outputs {width}"
+            )
+        weight = reader.array("f8", rows * cols).reshape(rows, cols)
+        bias = reader.array("f8", cols) if reader.unpack("<I")[0] else None
         layers.append(DenseLayer(weight, bias))
-    d = reader.u32()
-    n_classes = reader.u32()
-    proj = reader.f64s(d * n_classes).reshape(d, n_classes)
-    sharpen = reader.f64s(d)
-    bn_scale, bn_mean, bn_var = struct.unpack("<ddd", reader.take(24))
-    if reader.pos != len(data):
+        width = cols
+    if not layers:
+        raise FormatError(f"{path}: checkpoint has no layers")
+    d, n_classes = reader.unpack("<II")
+    if d != width:
         raise FormatError(
-            f"{path}: {len(data) - reader.pos} unexpected trailing bytes"
+            f"{path}: class projection is {d}x{n_classes}, but the last layer outputs {width}"
         )
-    return EncoderModel(
-        layers, proj, sharpen, np.asarray(bn_scale), bn_mean, bn_var
-    )
+    proj = reader.array("f8", d * n_classes).reshape(d, n_classes)
+    sharpen = reader.array("f8", d)
+    bn_scale, bn_mean, bn_var = reader.unpack("<ddd")
+    reader.close()
+    return EncoderModel(layers, proj, sharpen, np.asarray(bn_scale), bn_mean, bn_var)

@@ -10,11 +10,12 @@ noise.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
+from .data import write_csv
 from .encoder import FEATURE_NORM_FLOOR, EncoderModel, features
 from .errors import ContractViolation, DegenerateFeatureError, FormatError
 from .linalg import as_matrix, svd
@@ -240,13 +241,7 @@ def angle_records(deltas, argmins, threshold: float) -> list[ScoreRecord]:
 
 def write_scores(path, records) -> None:
     """Score table CSV with exactly the columns the pipeline consumes."""
-    lines = [",".join(SCORE_COLUMNS)]
-    for rec in records:
-        mc = "" if rec.mc_probability is None else repr(float(rec.mc_probability))
-        lines.append(
-            f"{rec.sample_id},{float(rec.delta)!r},{rec.argmin_class},{mc},{rec.decision}"
-        )
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    write_csv(path, SCORE_COLUMNS, map(operator.attrgetter(*SCORE_COLUMNS), records))
 
 
 def subspaces_to_dict(subspaces: ClassSubspaceSet) -> dict:

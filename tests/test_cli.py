@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -145,6 +146,12 @@ class TestPipeline:
             assert len(entry["config_sha256"]) == 64
             assert "timestamp" in entry and "artifacts" in entry
 
+    def test_manifest_records_each_stage_seed(self, pipeline_dir):
+        runs = json.loads((pipeline_dir / "run.json").read_text())["runs"][:5]
+        assert [(entry["command"], entry["seed"]) for entry in runs] == [
+            ("synth", 3), ("pretrain", 3), ("train", 3), ("fit", None), ("eval", 3)
+        ]
+
     def test_score_command_single_mode(self, pipeline_dir, small_config):
         assert run(["score", "--config", str(small_config), "--out", str(pipeline_dir)]) == 0
         lines = (pipeline_dir / "id_test_scores.csv").read_text().strip().split("\n")
@@ -181,6 +188,8 @@ class TestPipeline:
             (out / "run.json").unlink()
             assert run(["eval", "--out", str(out), *argv]) == 0
             reports[name] = (out / "eval.csv").read_bytes(), (out / "eval.json").read_bytes()
+            (entry,) = json.loads((out / "run.json").read_text())["runs"]
+            assert entry["seed"] == (3 if name == "default" else 99)
         assert reports["override"] == reports["config"]
         assert reports["default"] != reports["config"]
         assert reports["default"] == ((pipeline_dir / "eval.csv").read_bytes(),
@@ -194,18 +203,15 @@ class TestDeterminism:
             out = tmp_path / name
             for command in ("synth", "pretrain", "train", "fit", "eval"):
                 assert run([command, "--config", str(small_config), "--out", str(out)]) == 0
+            # Every artifact the five stages write; run.json holds timestamps.
             outputs.append(
-                {
-                    "eval.json": (out / "eval.json").read_bytes(),
-                    "eval.csv": (out / "eval.csv").read_bytes(),
-                    "id_test_scores.csv": (out / "id_test_scores.csv").read_bytes(),
-                    "ood_scores.csv": (out / "ood_scores.csv").read_bytes(),
-                    "model.ckpt": (out / "model.ckpt").read_bytes(),
-                    "subspaces.json": (out / "subspaces.json").read_bytes(),
-                    "pretrain_history.json": (out / "pretrain_history.json").read_bytes(),
-                    "train_history.json": (out / "train_history.json").read_bytes(),
-                }
+                {path.name: path.read_bytes() for path in out.iterdir() if path.name != "run.json"}
             )
+        assert sorted(outputs[0]) == [
+            "eval.csv", "eval.json", "id_test.feat", "id_test_scores.csv", "id_train.feat",
+            "id_train_features.feat", "model.ckpt", "ood.feat", "ood_scores.csv",
+            "pretrain.ckpt", "pretrain_history.json", "subspaces.json", "train_history.json",
+        ]
         assert outputs[0] == outputs[1]
 
     def test_train_rerun_in_place_is_identical(self, tmp_path, small_config):
@@ -558,6 +564,17 @@ class TestExitCodes:
             assert marker not in proc.stderr
         assert {path.name: path.read_bytes() for path in out.iterdir()} == before  # nothing written
 
+    def test_train_on_data_of_another_width_exits_one(self, tmp_path, small_config, capsys):
+        out = tmp_path / "wide"
+        for command in ("synth", "pretrain"):
+            assert run([command, "--config", str(small_config), "--out", str(out)]) == 0
+        feats, labels = read_features(out / "id_train.feat")
+        write_features(out / "id_train.feat", np.hstack([feats, feats[:, :1]]), labels)
+        capsys.readouterr()
+        assert run(["train", "--config", str(small_config), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == "error: input has 9 columns, model expects 8\n"
+        assert not (out / "model.ckpt").exists()
+
     def test_numeric_failure_exits_two(self, tmp_path, small_config, capsys):
         diverging = tmp_path / "diverge.cfg"
         diverging.write_text(
@@ -607,6 +624,99 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("error: ")
         assert "Traceback" not in err
+
+
+def _cut(at):
+    return lambda data: data[:at(len(data))]
+
+
+def _set_first_header_u32(data):
+    return data[:9] + b"\xff\xff\xff\xff" + data[13:]
+
+
+# How each malformed copy is made from the file the pipeline wrote.  The
+# magic of both binary formats is 9 bytes, followed by u32 header fields.
+CORRUPTIONS = {
+    "cut_in_magic": _cut(lambda n: 4),
+    "cut_in_header": _cut(lambda n: 11),
+    "cut_in_payload": _cut(lambda n: n // 2),
+    "cut_last_byte": _cut(lambda n: n - 1),
+    "extra_byte": lambda data: data + b"\0",
+    "flipped_magic": lambda data: bytes([data[0] ^ 0xFF]) + data[1:],
+    "first_u32_all_ones": _set_first_header_u32,
+}
+
+
+class TestMalformedArtifacts:
+    """A truncated, extended or overwritten artifact exits 1 with one error
+    line, whichever stage reads it."""
+
+    @pytest.mark.parametrize("corruption", list(CORRUPTIONS))
+    @pytest.mark.parametrize(
+        "name, command",
+        [("id_train.feat", "pretrain"), ("pretrain.ckpt", "train"), ("model.ckpt", "fit")],
+    )
+    def test_binary_artifact(
+        self, tmp_path, small_config, pipeline_dir, capsys, name, command, corruption
+    ):
+        out = tmp_path / "run"
+        shutil.copytree(pipeline_dir, out)
+        path = out / name
+        path.write_bytes(CORRUPTIONS[corruption](path.read_bytes()))
+        capsys.readouterr()
+        assert run([command, "--config", str(small_config), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}: ") and err.count("\n") == 1
+        expect = {
+            "cut_in_magic": "bad magic",
+            "flipped_magic": "bad magic",
+            "cut_last_byte": r"\(1 missing\)",
+            "extra_byte": ": 1 unexpected trailing bytes",
+            # A checkpoint then reads its payload as layer shapes until one
+            # does not chain or the file runs out.
+            "first_u32_all_ones": r"missing\)|but layer \d+ outputs",
+        }.get(corruption, r"missing\)")
+        assert re.search(expect, err)
+        assert "Traceback" not in err
+
+    def test_half_a_subspaces_json(self, tmp_path, small_config, pipeline_dir, capsys):
+        out = tmp_path / "run"
+        shutil.copytree(pipeline_dir, out)
+        path = out / "subspaces.json"
+        data = path.read_bytes()
+        path.write_bytes(data[: len(data) // 2])
+        capsys.readouterr()
+        assert run(["score", "--config", str(small_config), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path} is not valid JSON: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "case, message",
+        [
+            ("no_layers", "checkpoint has no layers"),
+            ("unchained_widths", "layer 1 is 15x12, but layer 0 outputs 16"),
+            ("projection_too_tall", "class projection is 7x3, but the last layer outputs 6"),
+        ],
+    )
+    def test_checkpoint_layer_shapes(self, tmp_path, small_config, pipeline_dir, capsys, case,
+                                     message):
+        from rodd.encoder import load_model, save_model
+
+        out = tmp_path / "run"
+        shutil.copytree(pipeline_dir, out)
+        path = out / "model.ckpt"
+        model = load_model(path)
+        if case == "no_layers":
+            model.layers = []
+        elif case == "unchained_widths":
+            model.layers[1].weight = np.zeros((15, 12))
+        else:
+            model.class_proj = np.zeros((7, 3))
+            model.sharpen_w = np.zeros(7)
+        save_model(path, model)
+        capsys.readouterr()
+        assert run(["fit", "--config", str(small_config), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == f"error: {path}: {message}\n"
 
 
 THEORY_CFG = """

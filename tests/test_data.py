@@ -11,8 +11,10 @@ from rodd.data import (
     parse_config,
     read_cifar_binary,
     read_features,
+    read_json,
     synth_gaussian_mixture,
     synth_ood_cluster,
+    write_csv,
     write_features,
 )
 from rodd.errors import ContractViolation, FormatError
@@ -143,6 +145,44 @@ class TestFeatureFile:
         path.write_bytes(b"NOTAFEAT1" + bytes(12))
         with pytest.raises(FormatError, match="magic"):
             read_features(path)
+
+    def test_trailing_bytes(self, tmp_path):
+        path = tmp_path / "f.feat"
+        write_features(path, np.ones((4, 3)), np.arange(4))
+        path.write_bytes(path.read_bytes() + b"ab")
+        with pytest.raises(FormatError, match="2 unexpected trailing bytes"):
+            read_features(path)
+
+    def test_column_major_features_written_row_major(self, tmp_path):
+        feats = np.arange(6.0).reshape(2, 3)
+        write_features(tmp_path / "c.feat", feats)
+        write_features(tmp_path / "f.feat", np.asfortranarray(feats))
+        assert (tmp_path / "c.feat").read_bytes() == (tmp_path / "f.feat").read_bytes()
+
+
+class TestArtifactCodec:
+    @pytest.mark.parametrize("reader", [read_features, read_json, read_cifar_binary])
+    def test_missing_artifact(self, tmp_path, reader):
+        path = tmp_path / "absent"
+        with pytest.raises(FormatError, match=f"^missing artifact: {re.escape(str(path))}$"):
+            reader(path)
+
+    def test_invalid_json(self, tmp_path):
+        path = tmp_path / "x.json"
+        path.write_bytes(b'{"a": [1, 2')
+        with pytest.raises(FormatError, match="x.json is not valid JSON"):
+            read_json(path)
+        path.write_bytes(b'{"a": "\xff"}')  # not UTF-8
+        with pytest.raises(FormatError, match="x.json is not valid JSON"):
+            read_json(path)
+
+    def test_csv_cells(self, tmp_path):
+        path = tmp_path / "t.csv"
+        rows = ([i, 0.1 * i, np.float64(1 / 3), None, "ID"] for i in range(2))
+        write_csv(path, ("a", "b", "c", "d", "e"), rows)
+        assert path.read_text() == (
+            "a,b,c,d,e\n0,0.0,0.3333333333333333,,ID\n1,0.1,0.3333333333333333,,ID\n"
+        )
 
 
 class TestDataset:

@@ -360,6 +360,14 @@ class TestCheckpoint:
             assert np.array_equal(a.weight, b.weight)
             assert np.array_equal(a.bias, b.bias)
 
+    def test_column_major_arrays_written_row_major(self, tmp_path):
+        model = build_model(5, 3, hidden_sizes=(7,), feature_dim=4, seed=1)
+        save_model(tmp_path / "c.ckpt", model)
+        model.layers[0].weight = np.asfortranarray(model.layers[0].weight)
+        model.class_proj = np.asfortranarray(model.class_proj)
+        save_model(tmp_path / "f.ckpt", model)
+        assert (tmp_path / "c.ckpt").read_bytes() == (tmp_path / "f.ckpt").read_bytes()
+
     def test_none_bias_round_trip(self, tmp_path):
         model = identity_body_model(4, 2)
         path = tmp_path / "m.ckpt"
