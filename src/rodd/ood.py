@@ -9,8 +9,10 @@ noise.
 
 from __future__ import annotations
 
+import functools
 import math
 import operator
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -108,19 +110,38 @@ def uncertainty_scores(
     Angles are arccos of the (signed, or absolute when abs_cosine) cosine
     between each feature and each direction, with the cosine clamped to
     [-1, 1] against rounding; ties in the minimum go to the lowest class
-    index.  Zero-norm features raise DegenerateFeatureError.
+    index.  Zero-norm features raise DegenerateFeatureError, and features
+    whose norm overflows float64 raise ContractViolation.
     """
     feats = as_matrix(feats, "features")
-    norms = np.linalg.norm(feats, axis=1)
+    norms = _feature_norms(feats)
     bad = np.nonzero(norms < FEATURE_NORM_FLOOR)[0]
     if bad.size:
         raise DegenerateFeatureError(int(bad[0]), float(norms[bad[0]]))
     return _min_angles(feats, norms, subspaces, abs_cosine)
 
 
+def _feature_norms(feats: np.ndarray, rows_per_sample: int = 1, first_sample: int = 0):
+    """Row norms of feats, every one finite, or ContractViolation.
+
+    Non-finite entries are named as as_matrix names them; finite entries whose
+    squares overflow float64 are named by sample, rows_per_sample feature
+    rows to a sample, numbered from first_sample.
+    """
+    with np.errstate(over="ignore"):
+        norms = np.linalg.norm(feats, axis=1)
+    if not np.isfinite(norms).all():
+        as_matrix(feats, "features")  # rejects non-finite features
+        sample = first_sample + int(np.argmin(np.isfinite(norms))) // rows_per_sample
+        raise ContractViolation(
+            f"features of sample {sample} are finite, but their norm overflows float64"
+        )
+    return norms
+
+
 def _min_angles(feats, norms, subspaces: ClassSubspaceSet, abs_cosine: bool):
     """uncertainty_scores unchecked: feats a finite float64 matrix and norms
-    its row norms, every one at or above FEATURE_NORM_FLOOR."""
+    its row norms, every one finite and at or above FEATURE_NORM_FLOOR."""
     cos = (feats / norms[:, None]) @ subspaces.direction_matrix()
     if abs_cosine:
         cos = np.abs(cos)
@@ -174,54 +195,108 @@ def mc_score_records(
     there is none).  Degenerate-feature draws count as rejections (angle pi
     in the record's mean delta) and are tallied on the record.  Rows are
     encoded in chunks of about MC_CHUNK_DRAWS draws; a row with more draws
-    than that is encoded alone.
+    than that is encoded alone.  With two or more usable CPUs, a helper
+    thread draws the next chunk while this one encodes the current one; the
+    chunks and their arithmetic are the same either way.
     """
     if k_draws < 1:
         raise ContractViolation(f"k_draws must be >= 1, got {k_draws}")
     if not (math.isfinite(noise_sigma) and noise_sigma >= 0):
         raise ContractViolation(f"noise_sigma must be finite and >= 0, got {noise_sigma}")
     raw = as_matrix(raw_rows, "raw_rows")
-    width = raw.shape[1]
     seeds = xor_seeds(check_seed(seed, "ood seed"), raw.shape[0])
     per_chunk = max(1, MC_CHUNK_DRAWS // k_draws)
+    bounds = [(lo, min(lo + per_chunk, raw.shape[0])) for lo in range(0, raw.shape[0], per_chunk)]
+    classes = np.arange(subspaces.n_classes)
     records = []
-    for lo in range(0, raw.shape[0], per_chunk):
-        hi = min(lo + per_chunk, raw.shape[0])
-        ids = range(lo, hi)
-        # x + sigma * z built in place, so a chunk holds one draw array; IEEE
-        # products and sums commute, so the bytes are those of x + sigma * z.
-        draws = standard_normal_rows(seeds[lo:hi], k_draws * width).reshape(-1, k_draws, width)
-        draws *= noise_sigma
-        draws += raw[lo:hi, None, :]
-        feats = features(model, draws.reshape(-1, width))
-        norms = np.linalg.norm(feats, axis=1)
+
+    def score_chunk(lo, hi, draws):
+        feats = features(model, draws)
+        norms = _feature_norms(feats, k_draws, start_id + lo)
         valid = norms >= FEATURE_NORM_FLOOR
         kept, kept_norms = (feats, norms) if valid.all() else (feats[valid], norms[valid])
-        if not np.isfinite(kept_norms).all():
-            as_matrix(kept, "features")  # rejects non-finite features
         deltas = np.full(valid.size, math.pi)
         argmins = np.full(valid.size, -1, dtype=np.int64)
         deltas[valid], argmins[valid] = _min_angles(kept, kept_norms, subspaces, abs_cosine)
-        shape = (len(ids), k_draws)
+        shape = (hi - lo, k_draws)
         deltas, argmins, valid = deltas.reshape(shape), argmins.reshape(shape), valid.reshape(shape)
-        hits = ((deltas <= subspaces.threshold) & valid).sum(axis=1)
+        hits = ((deltas <= subspaces.threshold) & valid).sum(axis=1).tolist()
         n_valid = valid.sum(axis=1)
-        mean_deltas = deltas.mean(axis=1)
-        # A degenerate draw holds class -1, so it votes for no class.
-        votes = (argmins[:, :, None] == np.arange(subspaces.n_classes)).sum(axis=1)
-        for j, i in enumerate(ids):
-            probability = int(hits[j]) / k_draws
+        # A degenerate draw holds class -1, so it votes for no class; argmax
+        # gives a tie to the lowest class.
+        votes = (argmins[:, :, None] == classes).sum(axis=1)
+        voted = np.where(n_valid > 0, votes.argmax(axis=1), -1).tolist()
+        rows = zip(range(start_id + lo, start_id + hi), deltas.mean(axis=1).tolist(), voted, hits,
+                   n_valid.tolist())
+        for sample_id, delta, argmin_class, n_hits, n_ok in rows:
+            probability = n_hits / k_draws
             records.append(
                 ScoreRecord(
-                    sample_id=int(start_id + i),
-                    delta=float(mean_deltas[j]),
-                    argmin_class=int(np.argmax(votes[j])) if n_valid[j] else -1,
+                    sample_id=sample_id,
+                    delta=delta,
+                    argmin_class=argmin_class,
                     mc_probability=probability,
                     decision="ID" if probability >= 0.5 else "OOD",
-                    degenerate_draws=int(k_draws - n_valid[j]),
+                    degenerate_draws=k_draws - n_ok,
                 )
             )
+
+    draw = functools.partial(_mc_draws, raw, seeds, k_draws, noise_sigma)
+    _drawn_ahead(draw, bounds, score_chunk)
     return records
+
+
+def _mc_draws(raw, seeds, k_draws, noise_sigma, lo, hi):
+    """The k_draws noisy copies of each of rows lo..hi of raw, one per row of
+    the result, a row's copies together."""
+    width = raw.shape[1]
+    # x + sigma * z built in place, so a chunk holds one draw array; IEEE
+    # products and sums commute, so the bytes are those of x + sigma * z.
+    draws = standard_normal_rows(seeds[lo:hi], k_draws * width).reshape(-1, k_draws, width)
+    draws *= noise_sigma
+    draws += raw[lo:hi, None, :]
+    return draws.reshape(-1, width)
+
+
+def _usable_cpus() -> int:
+    """CPUs this process may run on (a seam the tests replace)."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _drawn_ahead(draw, bounds, consume) -> None:
+    """consume(lo, hi, draw(lo, hi)) for every (lo, hi) of bounds, in order.
+
+    With more than one chunk and more than one usable CPU, one helper thread
+    runs draw for the chunk after the one being consumed, under the caller's
+    numpy error state (threads inherit none), so at most two chunks of draws
+    exist at once.  The first chunk in order whose draw or consume raises
+    ends the call with its error; the helper's chunk is cancelled if it has
+    not started, and the helper never outlives the call.
+    """
+    if len(bounds) < 2 or _usable_cpus() < 2:
+        for lo, hi in bounds:
+            consume(lo, hi, draw(lo, hi))
+        return
+    from concurrent.futures import ThreadPoolExecutor
+
+    errors = np.geterr()
+
+    def in_caller_state(lo, hi):
+        with np.errstate(**errors):
+            return draw(lo, hi)
+
+    with ThreadPoolExecutor(1) as pool:
+        try:
+            ahead = None
+            for index, (lo, hi) in enumerate(bounds):
+                current = ahead
+                if index + 1 < len(bounds):
+                    ahead = pool.submit(in_caller_state, *bounds[index + 1])
+                consume(lo, hi, draw(lo, hi) if current is None else current.result())
+        finally:
+            pool.shutdown(cancel_futures=True)
 
 
 def angle_records(deltas, argmins, threshold: float) -> list[ScoreRecord]:

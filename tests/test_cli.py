@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import rodd
-from rodd import theory
+from rodd import ood, theory
 from rodd.cli import run
 from rodd.data import CONFIG, read_features, write_features
 from rodd.linalg import orthonormal_init
@@ -197,22 +197,35 @@ class TestPipeline:
 
 
 class TestDeterminism:
-    def test_reports_byte_identical_across_reruns(self, tmp_path, small_config):
+    def test_reports_byte_identical_across_reruns(self, tmp_path, small_config, monkeypatch):
+        # Monte-Carlo scoring of the 120 training rows at 150 draws a row:
+        # six chunks on one thread, more and smaller ones on several.
+        mc_cfg = tmp_path / "mc.cfg"
+        mc_cfg.write_text(
+            SMALL_CFG.replace("mode = single", "mode = mc\nmc_draws = 150\ntarget = id_train.feat")
+        )
         outputs = []
         for name in ("a", "b"):
             out = tmp_path / name
             for command in ("synth", "pretrain", "train", "fit", "eval"):
                 assert run([command, "--config", str(small_config), "--out", str(out)]) == 0
-            # Every artifact the five stages write; run.json holds timestamps.
+            assert run(["score", "--config", str(mc_cfg), "--out", str(out)]) == 0
+            # Every artifact the six stages write; run.json holds timestamps.
             outputs.append(
                 {path.name: path.read_bytes() for path in out.iterdir() if path.name != "run.json"}
             )
         assert sorted(outputs[0]) == [
             "eval.csv", "eval.json", "id_test.feat", "id_test_scores.csv", "id_train.feat",
-            "id_train_features.feat", "model.ckpt", "ood.feat", "ood_scores.csv",
-            "pretrain.ckpt", "pretrain_history.json", "subspaces.json", "train_history.json",
+            "id_train_features.feat", "id_train_scores.csv", "model.ckpt", "ood.feat",
+            "ood_scores.csv", "pretrain.ckpt", "pretrain_history.json", "subspaces.json",
+            "train_history.json",
         ]
         assert outputs[0] == outputs[1]
+        for cpus in (1, 3):
+            monkeypatch.setattr(ood, "_usable_cpus", lambda: cpus)
+            assert run(["score", "--config", str(mc_cfg), "--out", str(tmp_path / "a")]) == 0
+            scores = (tmp_path / "a" / "id_train_scores.csv").read_bytes()
+            assert scores == outputs[0]["id_train_scores.csv"], cpus
 
     def test_train_rerun_in_place_is_identical(self, tmp_path, small_config):
         out = tmp_path / "t"
@@ -240,6 +253,16 @@ class TestExitCodes:
     def test_unknown_subcommand(self, small_config, capsys):
         assert run(["transmogrify", "--config", str(small_config), "--out", "/tmp/x"]) == 1
         assert "usage" in capsys.readouterr().err
+
+    def test_import_loads_no_thread_pool(self):
+        # Helper threads are a Monte-Carlo scoring detail; importing the CLI
+        # must not pay for concurrent.futures and the logging it imports.
+        env = dict(os.environ, PYTHONPATH=str(Path(rodd.__file__).parents[1]))
+        code = "import sys, rodd.cli; print('concurrent.futures' in sys.modules)"
+        proc = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60
+        )
+        assert (proc.returncode, proc.stdout) == (0, "False\n")
 
     def test_module_entry_point(self, tmp_path):
         env = dict(os.environ, PYTHONPATH=str(Path(rodd.__file__).parents[1]))
@@ -814,6 +837,21 @@ def _config_text(value) -> str:
 
 
 class TestMcScoring:
+    def test_overflowing_feature_norm_exits_one(self, tmp_path, pipeline_dir, capsys):
+        # Draws near 1e300 give finite features whose norms overflow float64;
+        # they used to score pi/2 against every class and exit 0.
+        out = tmp_path / "run"
+        shutil.copytree(pipeline_dir, out)
+        cfg = tmp_path / "huge_noise.cfg"
+        cfg.write_text(SMALL_CFG.replace("mode = single", "mode = mc\nmc_noise_sigma = 1e300"))
+        capsys.readouterr()
+        assert run(["score", "--config", str(cfg), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: features of sample ") and err.count("\n") == 1
+        assert "overflows float64" in err
+        assert (out / "id_test_scores.csv").read_bytes() == (
+            pipeline_dir / "id_test_scores.csv").read_bytes()
+
     def test_mc_mode_deterministic(self, tmp_path, small_config, pipeline_dir):
         mc_cfg = tmp_path / "mc.cfg"
         mc_cfg.write_text(

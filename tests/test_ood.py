@@ -1,6 +1,7 @@
 """Subspace fitting, angle scores, Monte-Carlo inference, MSP baseline."""
 
 import math
+import threading
 
 import numpy as np
 import pytest
@@ -160,6 +161,18 @@ class TestUncertaintyScore:
         with pytest.raises(DegenerateFeatureError):
             uncertainty_score(np.zeros(2), axis_subspaces())
 
+    def test_overflowing_norm_rejected(self):
+        # Finite entries whose squares overflow: the norm is inf, and
+        # dividing by it would score the feature pi/2 off its own class.
+        subspaces = ClassSubspaceSet(list(np.eye(3)[:2]), 0.5, 0.95)
+        with pytest.raises(ContractViolation, match="sample 1 are finite, but their norm overflows"):
+            uncertainty_scores([[0.0, 1.0, 0.0], [1e200, 0.0, 0.0]], subspaces)
+
+    def test_large_finite_norm_scored(self):
+        subspaces = ClassSubspaceSet(list(np.eye(3)[:2]), 0.5, 0.95)
+        deltas, classes = uncertainty_scores([[1e150, 0.0, 0.0], [0.0, 3.0, 0.0]], subspaces)
+        assert deltas.tolist() == [0.0, 0.0] and classes.tolist() == [0, 1]
+
 
 class TestMcDetect:
     def setup_method(self):
@@ -304,6 +317,36 @@ class TestMcScoreRecords:
         with np.errstate(over="ignore"), pytest.raises(ContractViolation, match="non-finite"):
             mc_score_records(self.model, self.subspaces, np.ones((3, 6)), k_draws=4)
 
+    def test_nan_features_are_rejected(self):
+        # The first layer overflows to +inf in both units and the second
+        # subtracts them: a NaN feature, once counted as a degenerate draw.
+        model = EncoderModel(
+            layers=[
+                DenseLayer(np.array([[1e308, 1e308], [0.0, 0.0]]), None),
+                DenseLayer(np.array([[1.0, 0.0], [-1.0, 0.0]]), None),
+            ],
+            class_proj=orthonormal_init(2, 2, 0),
+            sharpen_w=np.zeros(2),
+            bn_scale=np.asarray(1.0),
+        )
+        subspaces = ClassSubspaceSet(list(np.eye(2)), threshold=0.5, quantile_used=0.5)
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(ContractViolation, match="non-finite"):
+                mc_score_records(model, subspaces, [[10.0, 1.0]], k_draws=3, noise_sigma=0.0)
+
+    def test_overflowing_norm_rejected(self):
+        self.model = EncoderModel(
+            layers=[DenseLayer(np.eye(6, 4), None)],
+            class_proj=orthonormal_init(4, 3, 0),
+            sharpen_w=np.zeros(4),
+            bn_scale=np.asarray(1.0),
+        )
+        rows = self.rows[:5].copy()
+        rows[2] = 1e200  # finite draws and features, but an overflowing norm
+        with pytest.raises(ContractViolation, match="sample 6 are finite, but their norm overflows"):
+            mc_score_records(self.model, self.subspaces, rows, k_draws=4, noise_sigma=0.3,
+                             start_id=4)
+
     def test_one_norm_pass_per_chunk(self, monkeypatch):
         real_norm = np.linalg.norm
         calls = []
@@ -346,6 +389,117 @@ class TestMcScoreRecords:
             self.model, self.subspaces, self.rows[5], 30, self.noise_sigma, 77, 9, False
         )
         assert_matches_oracle([record], [expect])
+
+
+def record_bits(records):
+    """Every field of every record, delta as its exact bits."""
+    return [
+        (r.sample_id, r.delta.hex(), r.argmin_class, r.mc_probability, r.decision,
+         r.degenerate_draws)
+        for r in records
+    ]
+
+
+class TestMcThreads:
+    """A helper thread that draws the next chunk changes no record."""
+
+    def setup_method(self):
+        self.model = build_model(6, 3, hidden_sizes=(10,), feature_dim=4, seed=21)
+        rng = np.random.default_rng(22)
+        train = rng.standard_normal((90, 6)) + 0.5
+        self.subspaces = fit_subspaces(features(self.model, train), np.arange(90) % 3, quantile=0.5)
+        self.rows = rng.standard_normal((70, 6)) + 0.5
+
+    def traced_draws(self, monkeypatch, fail_at=()):
+        """Record (lo, thread id) of every chunk drawn; raise at the given los."""
+        calls = []
+        real_draws = ood._mc_draws
+
+        def traced(*args):
+            lo = args[-2]
+            calls.append((lo, threading.get_ident()))
+            if lo in fail_at:
+                raise RuntimeError(f"draw failed at row {lo}")
+            return real_draws(*args)
+
+        monkeypatch.setattr(ood, "_mc_draws", traced)
+        return calls
+
+    def score(self, monkeypatch, cpus, model=None, rows=None, noise_sigma=0.3):
+        monkeypatch.setattr(ood, "_usable_cpus", lambda: cpus)
+        return mc_score_records(
+            model or self.model, self.subspaces, self.rows if rows is None else rows,
+            k_draws=10, noise_sigma=noise_sigma, seed=99, start_id=3,
+        )
+
+    # 70 rows of 10 draws: 7 chunks at a budget of 100 draws, 12 at 60.
+    @pytest.mark.parametrize("budget", [100, 60])
+    def test_records_do_not_depend_on_the_cpu_count(self, monkeypatch, budget):
+        monkeypatch.setattr(ood, "MC_CHUNK_DRAWS", budget)
+        calls = self.traced_draws(monkeypatch)
+        serial = record_bits(self.score(monkeypatch, 1))
+        chunks = len(calls)
+        assert chunks >= 5 and {ident for _, ident in calls} == {threading.get_ident()}
+        assert len({r[4] for r in serial}) == 2  # both decisions occur
+        for cpus in (2, 3, 8):
+            calls.clear()
+            assert record_bits(self.score(monkeypatch, cpus)) == serial, cpus
+            # The caller draws the first chunk, one helper all the others.
+            helpers = {ident for lo, ident in calls if lo}
+            assert (0, threading.get_ident()) in calls and len(calls) == chunks
+            assert len(helpers) == 1 and threading.get_ident() not in helpers, cpus
+
+    def test_one_chunk_starts_no_thread(self, monkeypatch):
+        calls = self.traced_draws(monkeypatch)
+        self.score(monkeypatch, 8, rows=self.rows[:5])
+        assert calls == [(0, threading.get_ident())]
+
+    def test_earliest_failing_chunk_raises(self, monkeypatch):
+        # Chunks of 10 rows; rows 15 and 35 (chunks 1 and 3) have features
+        # whose norm overflows.  Sample ids start at 3.
+        monkeypatch.setattr(ood, "MC_CHUNK_DRAWS", 100)
+        calls = self.traced_draws(monkeypatch)
+        linear = EncoderModel(
+            layers=[DenseLayer(np.eye(6, 4), None)],
+            class_proj=orthonormal_init(4, 3, 0),
+            sharpen_w=np.zeros(4),
+            bn_scale=np.asarray(1.0),
+        )
+        rows = self.rows[:50].copy()
+        rows[[15, 35]] = 1e200
+        threads = threading.active_count()
+        with pytest.raises(ContractViolation, match="sample 18 are finite"):
+            self.score(monkeypatch, 2, model=linear, rows=rows)
+        assert threading.active_count() == threads
+        assert max(lo for lo, _ in calls) <= 20  # no chunk past the next was drawn
+
+    def test_failing_helper_draw_raises_in_order(self, monkeypatch):
+        monkeypatch.setattr(ood, "MC_CHUNK_DRAWS", 100)
+        calls = self.traced_draws(monkeypatch, fail_at=(10, 30))
+        threads = threading.active_count()
+        with pytest.raises(RuntimeError, match="draw failed at row 10"):
+            self.score(monkeypatch, 2)
+        assert threading.active_count() == threads
+        assert (10, threading.get_ident()) not in calls and any(lo == 10 for lo, _ in calls)
+
+    def test_helpers_use_the_callers_error_state(self, monkeypatch):
+        # Row 15's draws (chunk 1, drawn by the helper) overflow float64; the
+        # caller ignores overflow, so the helper must warn of nothing (a
+        # warning is an error here), and the non-finite draws are rejected.
+        # The tiny weights keep the other rows' huge draws finite.
+        monkeypatch.setattr(ood, "MC_CHUNK_DRAWS", 100)
+        calls = self.traced_draws(monkeypatch)
+        model = EncoderModel(
+            layers=[DenseLayer(np.eye(6, 4) * 1e-300, None)],
+            class_proj=orthonormal_init(4, 3, 0),
+            sharpen_w=np.zeros(4),
+            bn_scale=np.asarray(1.0),
+        )
+        rows = self.rows[:40].copy()
+        rows[15] = 1.79e308
+        with np.errstate(over="ignore"), pytest.raises(ContractViolation, match="non-finite"):
+            self.score(monkeypatch, 2, model=model, rows=rows, noise_sigma=1e307)
+        assert (10, threading.get_ident()) not in calls and any(lo == 10 for lo, _ in calls)
 
 
 class TestMspScore:
