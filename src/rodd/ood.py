@@ -12,7 +12,6 @@ from __future__ import annotations
 import functools
 import math
 import operator
-import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -195,9 +194,9 @@ def mc_score_records(
     there is none).  Degenerate-feature draws count as rejections (angle pi
     in the record's mean delta) and are tallied on the record.  Rows are
     encoded in chunks of about MC_CHUNK_DRAWS draws; a row with more draws
-    than that is encoded alone.  With two or more usable CPUs, a helper
-    thread draws the next chunk while this one encodes the current one; the
-    chunks and their arithmetic are the same either way.
+    than that is encoded alone.  With two or more chunks, a helper thread
+    draws the next chunk while this one encodes the current one; the chunks
+    and their arithmetic are those of a serial loop.
     """
     if k_draws < 1:
         raise ContractViolation(f"k_draws must be >= 1, got {k_draws}")
@@ -258,24 +257,17 @@ def _mc_draws(raw, seeds, k_draws, noise_sigma, lo, hi):
     return draws.reshape(-1, width)
 
 
-def _usable_cpus() -> int:
-    """CPUs this process may run on (a seam the tests replace)."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
 def _drawn_ahead(draw, bounds, consume) -> None:
     """consume(lo, hi, draw(lo, hi)) for every (lo, hi) of bounds, in order.
 
-    With more than one chunk and more than one usable CPU, one helper thread
-    runs draw for the chunk after the one being consumed, under the caller's
-    numpy error state (threads inherit none), so at most two chunks of draws
-    exist at once.  The first chunk in order whose draw or consume raises
-    ends the call with its error; the helper's chunk is cancelled if it has
-    not started, and the helper never outlives the call.
+    With more than one chunk, one helper thread runs draw for the chunk
+    after the one being consumed, under the caller's numpy error state
+    (threads inherit none), so at most two chunks of draws exist at once.
+    The first chunk in order whose draw or consume raises ends the call with
+    its error; the helper's chunk is cancelled if it has not started, and
+    the helper never outlives the call.
     """
-    if len(bounds) < 2 or _usable_cpus() < 2:
+    if len(bounds) < 2:
         for lo, hi in bounds:
             consume(lo, hi, draw(lo, hi))
         return
@@ -287,16 +279,16 @@ def _drawn_ahead(draw, bounds, consume) -> None:
         with np.errstate(**errors):
             return draw(lo, hi)
 
-    with ThreadPoolExecutor(1) as pool:
-        try:
-            ahead = None
-            for index, (lo, hi) in enumerate(bounds):
-                current = ahead
-                if index + 1 < len(bounds):
-                    ahead = pool.submit(in_caller_state, *bounds[index + 1])
-                consume(lo, hi, draw(lo, hi) if current is None else current.result())
-        finally:
-            pool.shutdown(cancel_futures=True)
+    pool = ThreadPoolExecutor(1)
+    try:
+        ahead = None
+        for index, (lo, hi) in enumerate(bounds):
+            current = ahead
+            if index + 1 < len(bounds):
+                ahead = pool.submit(in_caller_state, *bounds[index + 1])
+            consume(lo, hi, draw(lo, hi) if current is None else current.result())
+    finally:
+        pool.shutdown(cancel_futures=True)
 
 
 def angle_records(deltas, argmins, threshold: float) -> list[ScoreRecord]:

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import rodd
-from rodd import ood, theory
+from rodd import theory
 from rodd.cli import run
 from rodd.data import CONFIG, read_features, write_features
 from rodd.linalg import orthonormal_init
@@ -197,9 +197,9 @@ class TestPipeline:
 
 
 class TestDeterminism:
-    def test_reports_byte_identical_across_reruns(self, tmp_path, small_config, monkeypatch):
+    def test_reports_byte_identical_across_reruns(self, tmp_path, small_config):
         # Monte-Carlo scoring of the 120 training rows at 150 draws a row:
-        # six chunks on one thread, more and smaller ones on several.
+        # six chunks, the five after the first drawn ahead by a helper thread.
         mc_cfg = tmp_path / "mc.cfg"
         mc_cfg.write_text(
             SMALL_CFG.replace("mode = single", "mode = mc\nmc_draws = 150\ntarget = id_train.feat")
@@ -221,11 +221,6 @@ class TestDeterminism:
             "train_history.json",
         ]
         assert outputs[0] == outputs[1]
-        for cpus in (1, 3):
-            monkeypatch.setattr(ood, "_usable_cpus", lambda: cpus)
-            assert run(["score", "--config", str(mc_cfg), "--out", str(tmp_path / "a")]) == 0
-            scores = (tmp_path / "a" / "id_train_scores.csv").read_bytes()
-            assert scores == outputs[0]["id_train_scores.csv"], cpus
 
     def test_train_rerun_in_place_is_identical(self, tmp_path, small_config):
         out = tmp_path / "t"

@@ -425,33 +425,41 @@ class TestMcThreads:
         monkeypatch.setattr(ood, "_mc_draws", traced)
         return calls
 
-    def score(self, monkeypatch, cpus, model=None, rows=None, noise_sigma=0.3):
-        monkeypatch.setattr(ood, "_usable_cpus", lambda: cpus)
+    def score(self, model=None, rows=None, noise_sigma=0.3, seed=99, start_id=3):
         return mc_score_records(
             model or self.model, self.subspaces, self.rows if rows is None else rows,
-            k_draws=10, noise_sigma=noise_sigma, seed=99, start_id=3,
+            k_draws=10, noise_sigma=noise_sigma, seed=seed, start_id=start_id,
         )
 
-    # 70 rows of 10 draws: 7 chunks at a budget of 100 draws, 12 at 60.
-    @pytest.mark.parametrize("budget", [100, 60])
-    def test_records_do_not_depend_on_the_cpu_count(self, monkeypatch, budget):
+    # 70 rows of 10 draws: 5 chunks of 16 rows at a budget of 160, 9 of 8 at 80.
+    @pytest.mark.parametrize("budget", [160, 80])
+    def test_helper_draws_match_one_chunk_calls(self, monkeypatch, budget):
+        # Row i draws from seed ^ i.  A chunk of 2^m rows starts at a multiple
+        # of 2^m, so seed ^ lo ^ j == seed ^ (lo + j) for its rows j < 2^m: a
+        # one-chunk call on the chunk's rows with seed ^ lo draws the same
+        # noise in the same shape, on the calling thread.
         monkeypatch.setattr(ood, "MC_CHUNK_DRAWS", budget)
         calls = self.traced_draws(monkeypatch)
-        serial = record_bits(self.score(monkeypatch, 1))
-        chunks = len(calls)
-        assert chunks >= 5 and {ident for _, ident in calls} == {threading.get_ident()}
-        assert len({r[4] for r in serial}) == 2  # both decisions occur
-        for cpus in (2, 3, 8):
-            calls.clear()
-            assert record_bits(self.score(monkeypatch, cpus)) == serial, cpus
-            # The caller draws the first chunk, one helper all the others.
-            helpers = {ident for lo, ident in calls if lo}
-            assert (0, threading.get_ident()) in calls and len(calls) == chunks
-            assert len(helpers) == 1 and threading.get_ident() not in helpers, cpus
+        drawn_ahead = record_bits(self.score())
+        assert len(calls) >= 5
+        assert len({r[4] for r in drawn_ahead}) == 2  # both decisions occur
+        # The caller draws the first chunk, one helper all the others.
+        helpers = {ident for lo, ident in calls if lo}
+        assert (0, threading.get_ident()) in calls
+        assert len(helpers) == 1 and threading.get_ident() not in helpers
+        calls.clear()
+        rows_per_chunk = budget // 10
+        one_chunk = []
+        for lo in range(0, 70, rows_per_chunk):
+            one_chunk += record_bits(
+                self.score(rows=self.rows[lo:lo + rows_per_chunk], seed=99 ^ lo, start_id=3 + lo)
+            )
+        assert {ident for _, ident in calls} == {threading.get_ident()}
+        assert one_chunk == drawn_ahead
 
     def test_one_chunk_starts_no_thread(self, monkeypatch):
         calls = self.traced_draws(monkeypatch)
-        self.score(monkeypatch, 8, rows=self.rows[:5])
+        self.score(rows=self.rows[:5])
         assert calls == [(0, threading.get_ident())]
 
     def test_earliest_failing_chunk_raises(self, monkeypatch):
@@ -469,7 +477,7 @@ class TestMcThreads:
         rows[[15, 35]] = 1e200
         threads = threading.active_count()
         with pytest.raises(ContractViolation, match="sample 18 are finite"):
-            self.score(monkeypatch, 2, model=linear, rows=rows)
+            self.score(model=linear, rows=rows)
         assert threading.active_count() == threads
         assert max(lo for lo, _ in calls) <= 20  # no chunk past the next was drawn
 
@@ -478,7 +486,7 @@ class TestMcThreads:
         calls = self.traced_draws(monkeypatch, fail_at=(10, 30))
         threads = threading.active_count()
         with pytest.raises(RuntimeError, match="draw failed at row 10"):
-            self.score(monkeypatch, 2)
+            self.score()
         assert threading.active_count() == threads
         assert (10, threading.get_ident()) not in calls and any(lo == 10 for lo, _ in calls)
 
@@ -498,7 +506,7 @@ class TestMcThreads:
         rows = self.rows[:40].copy()
         rows[15] = 1.79e308
         with np.errstate(over="ignore"), pytest.raises(ContractViolation, match="non-finite"):
-            self.score(monkeypatch, 2, model=model, rows=rows, noise_sigma=1e307)
+            self.score(model=model, rows=rows, noise_sigma=1e307)
         assert (10, threading.get_ident()) not in calls and any(lo == 10 for lo, _ in calls)
 
 
