@@ -5,8 +5,9 @@ Every stage reads its inputs from and writes its artifacts into the --out
 directory, so stages can be rerun or swapped individually (externally
 produced RODDFEAT1 features can be scored without the encoder).  Each
 invocation appends an entry to run.json recording the config hash, the seed
-the stage ran with, and the artifact paths.  Exit codes: 0 success,
-1 contract/format errors and unusable paths (OSError), 2 numeric failures.
+the stage ran with, and the paths it wrote, in write order.  Exit codes:
+0 success, 1 contract/format errors and unusable paths (OSError), 2 numeric
+failures.
 """
 
 from __future__ import annotations
@@ -45,8 +46,11 @@ def run(argv=None) -> int:
         runs = _read_manifest(out / "run.json")
         handler, section = _HANDLERS[args.command]
         seed = None if section is None else _derived(args.seed, config.get(f"{section}.seed"))
-        artifacts = handler(config, out, seed)
-        _append_manifest(args, seed, out, runs, artifacts)
+        written = []
+        for name, payload in handler(config, out, seed):
+            _write(out / name, payload)
+            written.append(str(out / name))
+        _append_manifest(args, seed, out, runs, written)
         return 0
     except (ContractViolation, FormatError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -101,7 +105,7 @@ def _read_manifest(path: Path) -> list:
     return payload["runs"]
 
 
-def _append_manifest(args, seed, out: Path, runs: list, artifacts: dict) -> None:
+def _append_manifest(args, seed, out: Path, runs: list, artifacts: list) -> None:
     digest = hashlib.sha256(Path(args.config).read_bytes()).hexdigest()
     runs.append(
         {
@@ -110,7 +114,7 @@ def _append_manifest(args, seed, out: Path, runs: list, artifacts: dict) -> None
             "config_sha256": digest,
             "seed": seed,
             "out": str(out),
-            "artifacts": {k: str(v) for k, v in sorted(artifacts.items())},
+            "artifacts": artifacts,
             "timestamp": datetime.now(timezone.utc).isoformat(),
         }
     )
@@ -118,21 +122,33 @@ def _append_manifest(args, seed, out: Path, runs: list, artifacts: dict) -> None
 
 
 # ---------------------------------------------------------------------------
-# Stage handlers
+# Stage handlers: each yields (file name, payload) in write order, and run
+# writes every payload into --out in the format _write picks for its type.
 # ---------------------------------------------------------------------------
 
 
-def _cmd_synth(config: RunConfig, out: Path, seed: int) -> dict:
+def _write(path: Path, payload) -> None:
+    if isinstance(payload, Dataset):
+        write_features(path, payload.inputs, payload.labels)
+    elif isinstance(payload, encoder.EncoderModel):
+        encoder.save_model(path, payload)
+    elif isinstance(payload, dict):
+        write_json(path, payload)
+    elif isinstance(payload[0], ood.ScoreRecord):
+        ood.write_scores(path, payload)
+    else:  # report rows: one dict per CSV line, the first one's keys the header
+        write_csv(path, payload[0], (row.values() for row in payload))
+
+
+def _cmd_synth(config: RunConfig, out: Path, seed: int):
     from .data import synth_gaussian_mixture, synth_ood_cluster
 
-    n_classes = config.get("synth.classes")
-    per_class = config.get("synth.per_class")
-    test_per_class = _derived(config.get("synth.test_per_class"), max(1, per_class // 5))
-    input_dim = config.get("synth.input_dim")
-    separation = config.get("synth.separation")
-    noise_sigma = config.get("synth.noise_sigma")
+    synth = config.section("synth")
+    n_classes, per_class, noise_sigma = synth["classes"], synth["per_class"], synth["noise_sigma"]
+    test_per_class = _derived(synth["test_per_class"], max(1, per_class // 5))
+    input_dim = synth["input_dim"]
     full = synth_gaussian_mixture(
-        n_classes, per_class + test_per_class, input_dim, separation, noise_sigma, seed
+        n_classes, per_class + test_per_class, input_dim, synth["separation"], noise_sigma, seed
     )
     train_idx, test_idx = [], []
     block = per_class + test_per_class
@@ -142,16 +158,16 @@ def _cmd_synth(config: RunConfig, out: Path, seed: int) -> dict:
         test_idx.extend(range(start + per_class, start + block))
     ood_set = synth_ood_cluster(
         input_dim,
-        config.get("synth.ood_n"),
-        _derived(config.get("synth.ood_direction_seed"), seed + 1),
-        config.get("synth.ood_offset_norm"),
-        _derived(config.get("synth.ood_noise_sigma"), noise_sigma),
+        synth["ood_n"],
+        _derived(synth["ood_direction_seed"], seed + 1),
+        synth["ood_offset_norm"],
+        _derived(synth["ood_noise_sigma"], noise_sigma),
         seed + 2,
     )
     id_train = full.inputs[train_idx]
     id_test = full.inputs[test_idx]
     ood_inputs = ood_set.inputs
-    if config.get("synth.scale_to_unit"):
+    if synth["scale_to_unit"]:
         # Global affine map fitted on ID training data (robust percentile
         # range); keeps the geometry intact while making corruption kinds
         # (which expect [0, 1] inputs) applicable.  Values outside the
@@ -160,35 +176,16 @@ def _cmd_synth(config: RunConfig, out: Path, seed: int) -> dict:
         span = max(float(hi - lo), 1e-12)
         scale = lambda x: np.clip((x - lo) / span, 0.0, 1.0)  # noqa: E731
         id_train, id_test, ood_inputs = scale(id_train), scale(id_test), scale(ood_inputs)
-    labels_train = full.labels[train_idx]
-    labels_test = full.labels[test_idx]
-    artifacts = {
-        "id_train": out / "id_train.feat",
-        "id_test": out / "id_test.feat",
-        "ood": out / "ood.feat",
-    }
-    write_features(artifacts["id_train"], id_train, labels_train)
-    write_features(artifacts["id_test"], id_test, labels_test)
-    write_features(artifacts["ood"], ood_inputs, None)
-    return artifacts
+    yield "id_train.feat", Dataset(id_train, full.labels[train_idx], n_classes)
+    yield "id_test.feat", Dataset(id_test, full.labels[test_idx], n_classes)
+    yield "ood.feat", Dataset(ood_inputs, None, 0)
 
 
-def _build_model_from_config(config: RunConfig, input_dim: int, n_classes: int):
-    return encoder.build_model(
-        input_dim,
-        n_classes,
-        hidden_sizes=config.get("model.hidden_sizes"),
-        feature_dim=config.get("model.feature_dim"),
-        seed=config.get("model.seed"),
-    )
-
-
-def _cmd_pretrain(config: RunConfig, out: Path, seed: int) -> dict:
+def _cmd_pretrain(config: RunConfig, out: Path, seed: int):
+    pre = config.section("pretrain")
     adv = None
-    if config.get("pretrain.adversarial"):
-        epsilon, steps, step_size = (
-            config.get(f"pretrain.adv_{key}") for key in ("epsilon", "steps", "step_size")
-        )
+    if pre["adversarial"]:
+        epsilon, steps, step_size = pre["adv_epsilon"], pre["adv_steps"], pre["adv_step_size"]
         if steps * step_size < epsilon:
             raise ContractViolation(
                 "pretrain.adv_steps * pretrain.adv_step_size must reach pretrain.adv_epsilon, "
@@ -196,54 +193,34 @@ def _cmd_pretrain(config: RunConfig, out: Path, seed: int) -> dict:
             )
         adv = contrastive.AdversarialSpec(epsilon, steps, step_size)
     dataset = _read_dataset(out / "id_train.feat")
-    model = _build_model_from_config(config, dataset.input_dim, dataset.class_count)
+    model = encoder.build_model(dataset.input_dim, dataset.class_count, **config.section("model"))
+    aug = contrastive.AugmentationSpec(
+        pre["aug_gaussian_sigma"], pre["aug_mask_fraction"], pre["aug_scale_jitter"]
+    )
     cfg = contrastive.PretrainConfig(
-        epochs=config.get("pretrain.epochs"),
-        batch_size=config.get("pretrain.batch_size"),
-        lr=config.get("pretrain.lr"),
-        momentum=config.get("pretrain.momentum"),
-        aug=contrastive.AugmentationSpec(
-            gaussian_sigma=config.get("pretrain.aug_gaussian_sigma"),
-            mask_fraction=config.get("pretrain.aug_mask_fraction"),
-            scale_jitter=config.get("pretrain.aug_scale_jitter"),
-        ),
-        adv=adv,
-        seed=seed,
+        pre["epochs"], pre["batch_size"], pre["lr"], pre["momentum"], aug=aug, adv=adv, seed=seed
     )
     model, history = contrastive.pretrain(model, dataset, cfg)
-    artifacts = {"model": out / "pretrain.ckpt", "pretrain_history": out / "pretrain_history.json"}
-    encoder.save_model(artifacts["model"], model)
-    write_json(artifacts["pretrain_history"], {"history": history})
-    return artifacts
+    yield "pretrain.ckpt", model
+    yield "pretrain_history.json", {"history": history}
 
 
-def _cmd_train(config: RunConfig, out: Path, seed: int) -> dict:
+def _cmd_train(config: RunConfig, out: Path, seed: int):
     dataset = _read_dataset(out / "id_train.feat")
     pretrained = out / "pretrain.ckpt"
     if pretrained.exists():
         model = encoder.load_model(pretrained)
     else:
-        model = _build_model_from_config(config, dataset.input_dim, dataset.class_count)
-    cfg = encoder.TrainConfig(
-        epochs=config.get("train.epochs"),
-        batch_size=config.get("train.batch_size"),
-        lr=config.get("train.lr"),
-        momentum=config.get("train.momentum"),
-        mu=config.get("train.mu"),
-        seed=seed,
-        contrastive=config.get("train.contrastive"),
-        aug_gaussian_sigma=config.get("train.aug_gaussian_sigma"),
-        input_noise=config.get("train.input_noise"),
-        grad_clip=config.get("train.grad_clip"),
-    )
+        model = encoder.build_model(
+            dataset.input_dim, dataset.class_count, **config.section("model")
+        )
+    cfg = encoder.TrainConfig(**{**config.section("train"), "seed": seed})
     model, history = encoder.train(model, dataset, cfg)
-    artifacts = {"model": out / "model.ckpt", "train_history": out / "train_history.json"}
-    encoder.save_model(artifacts["model"], model)
-    write_json(artifacts["train_history"], {"history": history})
-    return artifacts
+    yield "model.ckpt", model
+    yield "train_history.json", {"history": history}
 
 
-def _cmd_fit(config: RunConfig, out: Path, seed: None) -> dict:
+def _cmd_fit(config: RunConfig, out: Path, seed: None):
     dataset = _read_dataset(out / "id_train.feat")
     if dataset.labels is None:
         raise ContractViolation("fit requires a labeled id_train.feat")
@@ -255,13 +232,8 @@ def _cmd_fit(config: RunConfig, out: Path, seed: None) -> dict:
         quantile=config.get("ood.quantile"),
         abs_cosine=config.get("ood.abs_cosine"),
     )
-    artifacts = {
-        "subspaces": out / "subspaces.json",
-        "id_train_features": out / "id_train_features.feat",
-    }
-    write_features(artifacts["id_train_features"], feats, dataset.labels)
-    write_json(artifacts["subspaces"], ood.subspaces_to_dict(subspaces))
-    return artifacts
+    yield "id_train_features.feat", Dataset(feats, dataset.labels, dataset.class_count)
+    yield "subspaces.json", ood.subspaces_to_dict(subspaces)
 
 
 def _load_scoring_state(out: Path):
@@ -282,45 +254,35 @@ def _resolve_target(out: Path, name: str) -> Path:
     return candidate if candidate.exists() else Path(name)
 
 
-def _cmd_score(config: RunConfig, out: Path, seed: int) -> dict:
+def _cmd_score(config: RunConfig, out: Path, seed: int):
     model, subspaces = _load_scoring_state(out)
-    target = _resolve_target(out, config.get("ood.target"))
+    spec = config.section("ood")
+    target = _resolve_target(out, spec["target"])
     dataset = _read_dataset(target)
-    abs_cosine = config.get("ood.abs_cosine")
-    if config.get("ood.mode") == "single":
+    if spec["mode"] == "single":
         feats = encoder.features(model, dataset.inputs)
-        deltas, argmins = ood.uncertainty_scores(feats, subspaces, abs_cosine=abs_cosine)
+        deltas, argmins = ood.uncertainty_scores(feats, subspaces, abs_cosine=spec["abs_cosine"])
         records = ood.angle_records(deltas, argmins, subspaces.threshold)
     else:
         records = ood.mc_score_records(
-            model,
-            subspaces,
-            dataset.inputs,
-            k_draws=config.get("ood.mc_draws"),
-            noise_sigma=config.get("ood.mc_noise_sigma"),
-            seed=seed,
-            abs_cosine=abs_cosine,
+            model, subspaces, dataset.inputs, k_draws=spec["mc_draws"],
+            noise_sigma=spec["mc_noise_sigma"], seed=seed, abs_cosine=spec["abs_cosine"],
         )
-    stem = target.stem
-    artifacts = {f"{stem}_scores": out / f"{stem}_scores.csv"}
-    ood.write_scores(artifacts[f"{stem}_scores"], records)
-    return artifacts
+    yield f"{target.stem}_scores.csv", records
 
 
-def _cmd_corrupt(config: RunConfig, out: Path, seed: int) -> dict:
+def _cmd_corrupt(config: RunConfig, out: Path, seed: int):
+    """One feature file per severity, each yielded, and so written, before
+    the next is drawn."""
     target = _resolve_target(out, config.get("corruption.target"))
     dataset = _read_dataset(target)
     kind = _derived(config.get("corruption.kind"), "gaussian_noise")
-    artifacts = {}
     severities = config.get("corruption.severities")
     for severity, corrupted in corruptions.severity_sweep(dataset, kind, severities, seed):
-        name = f"{target.stem}_{kind}_s{severity}"
-        artifacts[name] = out / f"{name}.feat"
-        write_features(artifacts[name], corrupted.inputs, corrupted.labels)
-    return artifacts
+        yield f"{target.stem}_{kind}_s{severity}.feat", corrupted
 
 
-def _cmd_eval(config: RunConfig, out: Path, seed: int) -> dict:
+def _cmd_eval(config: RunConfig, out: Path, seed: int):
     """Score ID test and OOD sets (clean plus configured corruption sweep).
 
     Writes one eval.json / eval.csv row per evaluated (ood_set, corruption,
@@ -370,44 +332,27 @@ def _cmd_eval(config: RunConfig, out: Path, seed: int) -> dict:
                 add_row(kind, severity, id_scores, cur_scores)
             else:
                 add_row(kind, severity, cur_scores, ood_scores)
-    artifacts = {"eval_json": out / "eval.json", "eval_csv": out / "eval.csv"}
-    payload = {"method": method, "id_accuracy": id_accuracy, "rows": rows}
-    write_json(artifacts["eval_json"], payload)
-    write_csv(artifacts["eval_csv"], rows[0], (row.values() for row in rows))
+    yield "eval.json", {"method": method, "id_accuracy": id_accuracy, "rows": rows}
+    yield "eval.csv", rows
     if method == "rodd":
         for name, angles in (("id_test", id_angles), ("ood", ood_angles)):
-            artifacts[f"{name}_scores"] = out / f"{name}_scores.csv"
-            records = ood.angle_records(*angles, subspaces.threshold)
-            ood.write_scores(artifacts[f"{name}_scores"], records)
-    return artifacts
+            yield f"{name}_scores.csv", ood.angle_records(*angles, subspaces.threshold)
 
 
-def _cmd_verify_theory(config: RunConfig, out: Path, seed: int) -> dict:
-    sizes = config.get("theory.class_sizes")
-    graph = theory.build_adjacency(
-        sizes,
-        config.get("theory.delta"),
-        config.get("theory.eta"),
-        seed,
-        config.get("theory.normalization"),
-    )
-    d = _derived(config.get("theory.d"), graph.n)
-    proj = orthonormal_init(d, len(sizes), seed + 1)
-    opts = theory.SolveOptions(
-        max_iters=config.get("theory.max_iters"), tol=config.get("theory.tol"), seed=seed
-    )
-    mu = config.get("theory.mu")
+def _cmd_verify_theory(config: RunConfig, out: Path, seed: int):
+    spec = config.section("theory")
+    sizes = spec["class_sizes"]
+    graph = theory.build_adjacency(sizes, spec["delta"], spec["eta"], seed, spec["normalization"])
+    proj = orthonormal_init(_derived(spec["d"], graph.n), len(sizes), seed + 1)
+    opts = theory.SolveOptions(max_iters=spec["max_iters"], tol=spec["tol"], seed=seed)
+    mu = spec["mu"]
     solved = {}
-    sweep = theory.mu_sweep(
-        graph, proj, sorted(config.get("theory.mu_values")), opts, results=solved
-    )
+    sweep = theory.mu_sweep(graph, proj, sorted(spec["mu_values"]), opts, results=solved)
     # The sweep starts every mu from the init solve_joint would use, so its
     # solve at the headline mu is the lemma's solve.
     result = solved.get(mu) or theory.solve_joint(graph, proj, mu, opts)
     lemma_report = theory.verify_lemma(graph, result)
-    artifacts = {"theory_report": out / "theory_report.json"}
-    write_json(artifacts["theory_report"], {"mu": mu, "lemma": lemma_report, "sweep": sweep})
-    return artifacts
+    yield "theory_report.json", {"mu": mu, "lemma": lemma_report, "sweep": sweep}
 
 
 # Each stage's handler and the config section of the seed it runs with; fit

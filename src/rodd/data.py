@@ -383,6 +383,11 @@ class RunConfig:
         not in CONFIG."""
         return self.values[key] if key in self.values else CONFIG[key].default
 
+    def section(self, name: str) -> dict:
+        """Every key of section name, without its 'name.' prefix, as get gives it."""
+        prefix = name + "."
+        return {key[len(prefix):]: self.get(key) for key in CONFIG if key.startswith(prefix)}
+
 
 def parse_config(text: str) -> RunConfig:
     """Parse 'key = value' lines with '#' comments and '[section]' headers.

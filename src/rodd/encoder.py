@@ -199,6 +199,24 @@ def features(model: EncoderModel, batch) -> np.ndarray:
     return out
 
 
+def feature_norms(feats: np.ndarray, rows_per_sample: int = 1, first_sample: int = 0):
+    """Row norms of feats, every one finite, or ContractViolation.
+
+    Non-finite entries are named as as_matrix names them; finite entries whose
+    squares overflow float64 are named by sample, rows_per_sample feature
+    rows to a sample, numbered from first_sample.
+    """
+    with np.errstate(over="ignore"):
+        norms = np.linalg.norm(feats, axis=1)
+    if not np.isfinite(norms).all():
+        as_matrix(feats, "features")  # rejects non-finite features
+        sample = first_sample + int(np.argmin(np.isfinite(norms))) // rows_per_sample
+        raise ContractViolation(
+            f"features of sample {sample} are finite, but their norm overflows float64"
+        )
+    return norms
+
+
 def _sigmoid(t):
     """The logistic function; exp is taken of -|t| only, so it never overflows."""
     e = np.exp(-np.abs(t))
@@ -260,8 +278,12 @@ def head_logits(model: EncoderModel, feats) -> np.ndarray:
 
     head_logits(model, features(model, x)) equals forward(model, x).logits,
     so a caller that already has the features skips a second body pass.
+    Features whose norm overflows float64 raise ContractViolation, as
+    feature_norms names them.
     """
-    record, _ = _head_forward(model, as_matrix(feats, "features"), "eval")
+    feats = as_matrix(feats, "features")
+    feature_norms(feats)
+    record, _ = _head_forward(model, feats, "eval")
     return record.logits
 
 

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import write_csv
-from .encoder import FEATURE_NORM_FLOOR, EncoderModel, features
+from .encoder import FEATURE_NORM_FLOOR, EncoderModel, feature_norms, features
 from .errors import ContractViolation, DegenerateFeatureError, FormatError
 from .linalg import as_matrix, svd
 from .streams import check_seed, standard_normal_rows, xor_seeds
@@ -113,29 +113,11 @@ def uncertainty_scores(
     whose norm overflows float64 raise ContractViolation.
     """
     feats = as_matrix(feats, "features")
-    norms = _feature_norms(feats)
+    norms = feature_norms(feats)
     bad = np.nonzero(norms < FEATURE_NORM_FLOOR)[0]
     if bad.size:
         raise DegenerateFeatureError(int(bad[0]), float(norms[bad[0]]))
     return _min_angles(feats, norms, subspaces, abs_cosine)
-
-
-def _feature_norms(feats: np.ndarray, rows_per_sample: int = 1, first_sample: int = 0):
-    """Row norms of feats, every one finite, or ContractViolation.
-
-    Non-finite entries are named as as_matrix names them; finite entries whose
-    squares overflow float64 are named by sample, rows_per_sample feature
-    rows to a sample, numbered from first_sample.
-    """
-    with np.errstate(over="ignore"):
-        norms = np.linalg.norm(feats, axis=1)
-    if not np.isfinite(norms).all():
-        as_matrix(feats, "features")  # rejects non-finite features
-        sample = first_sample + int(np.argmin(np.isfinite(norms))) // rows_per_sample
-        raise ContractViolation(
-            f"features of sample {sample} are finite, but their norm overflows float64"
-        )
-    return norms
 
 
 def _min_angles(feats, norms, subspaces: ClassSubspaceSet, abs_cosine: bool):
@@ -211,7 +193,7 @@ def mc_score_records(
 
     def score_chunk(lo, hi, draws):
         feats = features(model, draws)
-        norms = _feature_norms(feats, k_draws, start_id + lo)
+        norms = feature_norms(feats, k_draws, start_id + lo)
         valid = norms >= FEATURE_NORM_FLOOR
         kept, kept_norms = (feats, norms) if valid.all() else (feats[valid], norms[valid])
         deltas = np.full(valid.size, math.pi)
@@ -250,10 +232,12 @@ def _mc_draws(raw, seeds, k_draws, noise_sigma, lo, hi):
     the result, a row's copies together."""
     width = raw.shape[1]
     # x + sigma * z built in place, so a chunk holds one draw array; IEEE
-    # products and sums commute, so the bytes are those of x + sigma * z.
+    # products and sums commute, so the bytes are those of x + sigma * z.  A
+    # draw that overflows is left for features to reject as non-finite.
     draws = standard_normal_rows(seeds[lo:hi], k_draws * width).reshape(-1, k_draws, width)
-    draws *= noise_sigma
-    draws += raw[lo:hi, None, :]
+    with np.errstate(over="ignore"):
+        draws *= noise_sigma
+        draws += raw[lo:hi, None, :]
     return draws.reshape(-1, width)
 
 
@@ -263,14 +247,11 @@ def _drawn_ahead(draw, bounds, consume) -> None:
     With more than one chunk, one helper thread runs draw for the chunk
     after the one being consumed, under the caller's numpy error state
     (threads inherit none), so at most two chunks of draws exist at once.
+    The pool starts its thread on the first submit, so one chunk starts none.
     The first chunk in order whose draw or consume raises ends the call with
     its error; the helper's chunk is cancelled if it has not started, and
     the helper never outlives the call.
     """
-    if len(bounds) < 2:
-        for lo, hi in bounds:
-            consume(lo, hi, draw(lo, hi))
-        return
     from concurrent.futures import ThreadPoolExecutor
 
     errors = np.geterr()

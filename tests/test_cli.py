@@ -15,6 +15,7 @@ import rodd
 from rodd import theory
 from rodd.cli import run
 from rodd.data import CONFIG, read_features, write_features
+from rodd.encoder import load_model, save_model
 from rodd.linalg import orthonormal_init
 
 SMALL_CFG = """
@@ -79,6 +80,13 @@ def pipeline_dir(tmp_path_factory, small_config):
     for command in ("synth", "pretrain", "train", "fit", "eval"):
         assert run([command, "--config", str(small_config), "--out", str(out)]) == 0
     return out
+
+
+def _run_cli(argv):
+    """rodd.cli in a fresh interpreter, with numpy's warnings as they ship."""
+    env = dict(os.environ, PYTHONPATH=str(Path(rodd.__file__).parents[1]))
+    return subprocess.run([sys.executable, "-m", "rodd.cli", *argv], env=env,
+                          capture_output=True, text=True, timeout=120)
 
 
 class TestPipeline:
@@ -167,8 +175,6 @@ class TestPipeline:
             assert labels is None
 
     def test_frozen_projection_through_checkpoints(self, pipeline_dir):
-        from rodd.encoder import load_model
-
         model = load_model(pipeline_dir / "model.ckpt")
         gram = model.class_proj.T @ model.class_proj
         assert np.abs(gram - np.eye(model.n_classes)).max() <= 1e-8
@@ -232,6 +238,47 @@ class TestDeterminism:
         assert run(["train", "--config", str(small_config), "--out", str(out)]) == 0
         assert (out / "model.ckpt").read_bytes() == first
         assert (out / "pretrain.ckpt").read_bytes() == pretrained
+
+    def test_every_stage_rerun_in_place_is_identical(self, tmp_path, small_config):
+        # Run every stage, then rerun each in the same order in the same
+        # directory.  A rerun must write the bytes that stage's first run
+        # wrote and touch nothing else, and its run.json entry must list, in
+        # write order, exactly the files whose mtime it changed.
+        mc_cfg = tmp_path / "mc.cfg"
+        mc_cfg.write_text(SMALL_CFG.replace("mode = single", "mode = mc"))
+        theory_cfg = tmp_path / "theory.cfg"
+        theory_cfg.write_text(THEORY_CFG)
+        steps = [(command, small_config) for command in
+                 ("synth", "pretrain", "train", "fit", "score", "eval", "corrupt")]
+        steps += [("score", mc_cfg), ("verify-theory", theory_cfg)]
+        writes = {
+            "synth": ["id_train.feat", "id_test.feat", "ood.feat"],
+            "pretrain": ["pretrain.ckpt", "pretrain_history.json"],
+            "train": ["model.ckpt", "train_history.json"],
+            "fit": ["id_train_features.feat", "subspaces.json"],
+            "score": ["id_test_scores.csv"],
+            "eval": ["eval.json", "eval.csv", "id_test_scores.csv", "ood_scores.csv"],
+            "corrupt": ["ood_gaussian_noise_s1.feat", "ood_gaussian_noise_s3.feat"],
+            "verify-theory": ["theory_report.json"],
+        }
+        out = tmp_path / "run"
+        after = []
+        for command, cfg in steps:
+            assert run([command, "--config", str(cfg), "--out", str(out)]) == 0
+            after.append({path.name: path.read_bytes() for path in out.iterdir()})
+        stamp = 10**18  # 2001-09-09, before any file here was written
+        for (command, cfg), first in zip(steps, after):
+            before = {path.name: path.read_bytes() for path in out.iterdir()}
+            for path in out.iterdir():
+                os.utime(path, ns=(stamp, stamp))
+            assert run([command, "--config", str(cfg), "--out", str(out)]) == 0
+            files = {path.name: path.read_bytes() for path in out.iterdir()}
+            del files["run.json"], before["run.json"]
+            assert files == {**before, **{name: first[name] for name in writes[command]}}, command
+            changed = {path.name for path in out.iterdir() if path.stat().st_mtime_ns != stamp}
+            listed = json.loads((out / "run.json").read_text())["runs"][-1]["artifacts"]
+            assert listed == [str(out / name) for name in writes[command]]
+            assert changed == {"run.json", *writes[command]}
 
     def test_theory_report_byte_identical_across_reruns(self, tmp_path):
         cfg = tmp_path / "theory.cfg"
@@ -527,15 +574,7 @@ class TestExitCodes:
         feats, labels = read_features(out / "id_train.feat")
         feats[0, 0] = 3e38
         write_features(out / "id_train.feat", feats, labels)
-        env = dict(os.environ, PYTHONPATH=str(Path(rodd.__file__).parents[1]))
-        proc = subprocess.run(
-            [sys.executable, "-m", "rodd.cli", "pretrain", "--config", str(small_config),
-             "--out", str(out)],
-            env=env,
-            capture_output=True,
-            text=True,
-            timeout=120,
-        )
+        proc = _run_cli(["pretrain", "--config", str(small_config), "--out", str(out)])
         assert proc.returncode == 2
         assert proc.stderr == "numeric failure: non-finite gradient norm at epoch 0\n"
 
@@ -567,14 +606,7 @@ class TestExitCodes:
         cfg = tmp_path / "case.cfg"
         cfg.write_text(config_text)
         before = {path.name: path.read_bytes() for path in out.iterdir()}
-        env = dict(os.environ, PYTHONPATH=str(Path(rodd.__file__).parents[1]))
-        proc = subprocess.run(
-            [sys.executable, "-m", "rodd.cli", command, "--config", str(cfg), "--out", str(out)],
-            env=env,
-            capture_output=True,
-            text=True,
-            timeout=120,
-        )
+        proc = _run_cli([command, "--config", str(cfg), "--out", str(out)])
         assert proc.returncode == 1
         assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
         assert message in proc.stderr
@@ -642,6 +674,27 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("error: ")
         assert "Traceback" not in err
+
+
+class TestMspEval:
+    def test_overflowing_feature_norm_exits_one(self, tmp_path, small_config, pipeline_dir):
+        # Features near 1e160 are finite, but their squared norms overflow.
+        # With no sharpening, MSP used to score every sample 1/3 (uniform
+        # over the classes) and exit 0 after a numpy warning.
+        out = tmp_path / "run"
+        shutil.copytree(pipeline_dir, out)
+        model = load_model(out / "model.ckpt")
+        model.layers[-1].weight *= 1e160
+        model.layers[-1].bias *= 1e160
+        model.sharpen_w[:] = 0.0
+        save_model(out / "model.ckpt", model)
+        cfg = tmp_path / "msp.cfg"
+        cfg.write_text(SMALL_CFG.replace("[eval]", "[eval]\nmethod = msp"))
+        proc = _run_cli(["eval", "--config", str(cfg), "--out", str(out)])
+        assert proc.returncode == 1
+        assert proc.stderr.startswith("error: features of sample ") and proc.stderr.count("\n") == 1
+        assert "norm overflows float64" in proc.stderr and "Warning" not in proc.stderr
+        assert (out / "eval.csv").read_bytes() == (pipeline_dir / "eval.csv").read_bytes()
 
 
 def _cut(at):
@@ -718,8 +771,6 @@ class TestMalformedArtifacts:
     )
     def test_checkpoint_layer_shapes(self, tmp_path, small_config, pipeline_dir, capsys, case,
                                      message):
-        from rodd.encoder import load_model, save_model
-
         out = tmp_path / "run"
         shutil.copytree(pipeline_dir, out)
         path = out / "model.ckpt"
@@ -846,6 +897,17 @@ class TestMcScoring:
         assert "overflows float64" in err
         assert (out / "id_test_scores.csv").read_bytes() == (
             pipeline_dir / "id_test_scores.csv").read_bytes()
+
+    def test_overflowing_noise_warns_nothing(self, tmp_path, pipeline_dir):
+        # A noise level whose draws overflow float64: the non-finite draws
+        # are rejected without a numpy warning, on the calling thread and
+        # on the helper that draws ahead.
+        out = tmp_path / "run"
+        shutil.copytree(pipeline_dir, out)
+        cfg = tmp_path / "huge_sigma.cfg"
+        cfg.write_text(SMALL_CFG.replace("mode = single", "mode = mc\nmc_noise_sigma = 1e308"))
+        proc = _run_cli(["score", "--config", str(cfg), "--out", str(out)])
+        assert (proc.returncode, proc.stderr) == (1, "error: batch contains non-finite entries\n")
 
     def test_mc_mode_deterministic(self, tmp_path, small_config, pipeline_dir):
         mc_cfg = tmp_path / "mc.cfg"

@@ -1,10 +1,13 @@
 """Dataset generators, binary formats, and the config parser."""
 
+import dataclasses
+import inspect
 import re
 
 import numpy as np
 import pytest
 
+from rodd import encoder
 from rodd.data import (
     CONFIG,
     Dataset,
@@ -394,3 +397,36 @@ class TestConfigParser:
         entries = spec.default if spec.is_list else (spec.default,)
         assert isinstance(spec.default, tuple) == spec.is_list
         assert all(type(entry) is spec.kind for entry in entries)
+
+
+class TestConfigSections:
+    """The CLI passes whole sections as keyword arguments, so a key added to
+    one side alone would surface as an uncaught TypeError."""
+
+    @staticmethod
+    def section_keys(name):
+        return sorted(key.split(".", 1)[1] for key in CONFIG if key.split(".", 1)[0] == name)
+
+    def test_train_section_is_the_train_config(self):
+        assert sorted(f.name for f in dataclasses.fields(encoder.TrainConfig)) == (
+            self.section_keys("train")
+        )
+
+    def test_model_section_is_build_model_keywords(self):
+        params = list(inspect.signature(encoder.build_model).parameters)
+        assert params[:2] == ["input_dim", "n_classes"]
+        assert sorted(params[2:]) == self.section_keys("model")
+
+    def test_empty_config_sections_are_the_defaults(self):
+        config = parse_config("")
+        for name in {key.split(".", 1)[0] for key in CONFIG}:
+            assert config.section(name) == {
+                key.split(".", 1)[1]: CONFIG[key].default for key in CONFIG
+                if key.startswith(name + ".")
+            }
+
+    def test_section_gives_parsed_values_without_the_prefix(self):
+        config = parse_config("[model]\nfeature_dim = 8\n[train]\nepochs = 2\n")
+        assert config.section("model") == {"hidden_sizes": (128, 64), "feature_dim": 8, "seed": 0}
+        assert config.section("train")["epochs"] == 2
+        assert config.section("tra") == {}

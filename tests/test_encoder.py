@@ -22,6 +22,7 @@ from rodd.encoder import (
     build_model,
     cross_entropy,
     forward,
+    head_logits,
     load_model,
     save_model,
     train,
@@ -125,6 +126,16 @@ class TestForward:
         model = identity_body_model(4, 2)
         with pytest.raises(ContractViolation):
             forward(model, np.ones((2, 4)), mode="predict")
+
+    def test_head_logits_rejects_an_overflowing_norm(self):
+        # Finite features whose squared norm overflows used to give unit
+        # vectors of zeros, and so a uniform softmax, with a numpy warning
+        # (an error here).  Sample 1 is the first such row.
+        model = identity_body_model(4, 2)
+        feats = np.array([[1.0, 2.0, 0.0, 0.0], [1e200, 0.0, 0.0, 0.0], [0.0, 1e300, 0.0, 0.0]])
+        with pytest.raises(ContractViolation, match="sample 1 are finite, but their norm overflows"):
+            head_logits(model, feats)
+        assert np.array_equal(head_logits(model, feats[:1]), forward(model, feats[:1]).logits)
 
 
 class TestLossAndGrad:

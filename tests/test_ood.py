@@ -459,6 +459,7 @@ class TestMcThreads:
 
     def test_one_chunk_starts_no_thread(self, monkeypatch):
         calls = self.traced_draws(monkeypatch)
+        monkeypatch.setattr(threading.Thread, "start", lambda thread: pytest.fail("thread started"))
         self.score(rows=self.rows[:5])
         assert calls == [(0, threading.get_ident())]
 
@@ -494,9 +495,18 @@ class TestMcThreads:
         # Row 15's draws (chunk 1, drawn by the helper) overflow float64; the
         # caller ignores overflow, so the helper must warn of nothing (a
         # warning is an error here), and the non-finite draws are rejected.
-        # The tiny weights keep the other rows' huge draws finite.
+        # The tiny weights keep the other rows' huge draws finite.  _mc_draws
+        # ignores overflow itself, so the state each draw starts in is
+        # recorded too: the helper must start in the caller's.
         monkeypatch.setattr(ood, "MC_CHUNK_DRAWS", 100)
         calls = self.traced_draws(monkeypatch)
+        states, traced = [], ood._mc_draws
+
+        def draws_in_state(*args):
+            states.append(np.geterr())
+            return traced(*args)
+
+        monkeypatch.setattr(ood, "_mc_draws", draws_in_state)
         model = EncoderModel(
             layers=[DenseLayer(np.eye(6, 4) * 1e-300, None)],
             class_proj=orthonormal_init(4, 3, 0),
@@ -506,8 +516,10 @@ class TestMcThreads:
         rows = self.rows[:40].copy()
         rows[15] = 1.79e308
         with np.errstate(over="ignore"), pytest.raises(ContractViolation, match="non-finite"):
+            caller = np.geterr()
             self.score(model=model, rows=rows, noise_sigma=1e307)
         assert (10, threading.get_ident()) not in calls and any(lo == 10 for lo, _ in calls)
+        assert len(states) == len(calls) and all(state == caller for state in states)
 
 
 class TestMspScore:
