@@ -22,7 +22,7 @@ from .corruptions import KINDS
 from .errors import ContractViolation, FormatError, NumericFailure
 from .linalg import as_matrix, orthonormal_init
 from .streams import SEED_LIMIT
-from .theory import NORMALIZATIONS
+from .theory import DELTA_LIMIT, NORMALIZATIONS
 
 FEATURE_MAGIC = b"RODDFEAT1"
 
@@ -355,7 +355,7 @@ CONFIG: dict[str, ConfigKey] = {
     "corruption.seed": ConfigKey(int, 0, _SEED),
     # spectral-theory verification
     "theory.class_sizes": ConfigKey(int, (6, 5), _AT_LEAST_1, is_list=True),
-    "theory.delta": ConfigKey(float, 0.05),
+    "theory.delta": ConfigKey(float, 0.05, ((">=", 0), ("<=", DELTA_LIMIT))),
     "theory.eta": ConfigKey(float, 0.0),
     "theory.normalization": ConfigKey(str, "unit-spectral-per-block", choices=NORMALIZATIONS),
     "theory.d": ConfigKey(int),  # the graph's size

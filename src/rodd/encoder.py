@@ -25,6 +25,7 @@ from .errors import (
     DegenerateFeatureError,
     DivergenceError,
     FormatError,
+    NumericFailure,
 )
 from .linalg import as_matrix, orthonormal_init
 
@@ -248,6 +249,11 @@ def _head_forward(model, feats, mode, update_running=True):
     s_hat *= inv
     t = float(model.bn_scale) * s_hat
     g = _sigmoid(t)
+    if mode == "eval" and not g.all():
+        raise NumericFailure(
+            f"the sharpening scalar of sample {int(np.argmin(g))} underflows to 0, "
+            "so its logits are infinite"
+        )
     logits = z / g[:, None]
     record = ForwardRecord(feats, z, g, logits)
     cache = (norms, unit, s_hat, inv, g, mode)

@@ -30,6 +30,9 @@ together with the small-mu dominance of the leading singular value.
 from __future__ import annotations
 
 import math
+import os
+import pickle
+import threading
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -40,6 +43,8 @@ from .linalg import as_matrix, svd, sym_eig
 NORMALIZATIONS = ("none", "unit-spectral-per-block", "doubly-stochastic-per-block")
 
 _STEP_SLACK = 1e-12  # per-step nonincrease slack on the loss trace
+# The largest spread delta accepted: (1 + delta)^2 overflows float64 past 1.3e154.
+DELTA_LIMIT = 1e150
 _DAMPING = 0.01  # the solver preconditioner's ridge, relative to its mean eigenvalue
 
 
@@ -47,9 +52,10 @@ _DAMPING = 0.01  # the solver preconditioner's ridge, relative to its mean eigen
 class AugGraph:
     """Symmetric nonnegative adjacency with a class partition.
 
-    Invariants checked on construction: symmetry within 1e-12, nonnegative
-    entries, within-class max/min ratio at most (1+delta)^2, and every
-    cross-class entry at most eta times the smallest within-class entry.
+    Invariants checked on construction: delta in [0, DELTA_LIMIT], eta >= 0,
+    symmetry within 1e-12, nonnegative entries, within-class max/min ratio
+    at most (1+delta)^2, and every cross-class entry at most eta times the
+    smallest within-class entry.
     """
 
     adjacency: np.ndarray
@@ -66,8 +72,7 @@ class AugGraph:
         )
         if self.normalization not in NORMALIZATIONS:
             raise ContractViolation(f"unknown normalization {self.normalization!r}")
-        if self.delta < 0 or self.eta < 0:
-            raise ContractViolation("delta and eta must be >= 0")
+        _check_spread(self.delta, self.eta)
         n = a.shape[0]
         if a.shape != (n, n):
             raise ContractViolation("adjacency must be square")
@@ -156,8 +161,7 @@ def build_adjacency(
     inflate the entry ratio by up to its square: the narrowed draw keeps the
     final ratio provably within (1+delta)^2.
     """
-    if delta < 0 or eta < 0:
-        raise ContractViolation("delta and eta must be >= 0")
+    _check_spread(delta, eta)
     if normalization not in NORMALIZATIONS:
         raise ContractViolation(f"unknown normalization {normalization!r}")
     sizes = [int(s) for s in class_sizes]
@@ -195,6 +199,11 @@ def build_adjacency(
                 a[s1:t1, s2:t2] = cross
                 a[s2:t2, s1:t1] = cross
     return AugGraph(a, tuple(ranges), delta, eta, normalization)
+
+
+def _check_spread(delta: float, eta: float) -> None:
+    if not (0.0 <= delta <= DELTA_LIMIT and eta >= 0.0):
+        raise ContractViolation(f"delta must lie in [0, {DELTA_LIMIT:g}] and eta must be >= 0")
 
 
 def _sinkhorn_symmetric(block: np.ndarray, tol: float = 1e-13, cap: int = 10000):
@@ -315,14 +324,17 @@ def _quartic_argmin(c1: float, c2: float, c3: float, c4: float) -> float:
     quadratic left by deflating it, because small roots next to a large one
     lose their digits in either formula.  Every root is polished by Newton
     steps, and the one with the lowest quartic value wins; 0 when none
-    lowers it.
+    lowers it.  NumericFailure when the cubic's discriminant overflows.
     """
     # Monic derivative cubic t^3 + a t^2 + b t + c (c < 0, so no root is 0),
     # depressed by t = x - a/3.
     a, b, c = 0.75 * c3 / c4, 0.5 * c2 / c4, 0.25 * c1 / c4
     p = b - a * a / 3.0
     q = a * (2.0 * a * a - 9.0 * b) / 27.0 + c
-    disc = (0.5 * q) ** 2 + (p / 3.0) ** 3
+    try:
+        disc = (0.5 * q) ** 2 + (p / 3.0) ** 3
+    except OverflowError:  # a mu so large that the loss's curvature overflows
+        raise NumericFailure(f"the line search overflows: p = {p:.3e}, q = {q:.3e}") from None
     if disc > 0.0 or p >= 0.0:
         root = math.sqrt(max(disc, 0.0))
         first = _cbrt(-0.5 * q + root) + _cbrt(-0.5 * q - root) - a / 3.0
@@ -671,7 +683,9 @@ def mu_sweep(
     iterations, convergence flag and final gradient norm, plus the largest
     listed mu whose solution still passes (an empirical lower estimate of
     the crossover weight).  When results is a dict, each mu's
-    JointSolveResult is stored in it under that mu.
+    JointSolveResult is stored in it under that mu.  The solves run on this
+    process and one forked helper (see _solve_each), with the serial loop's
+    results and errors.
     """
     mu_values = [float(m) for m in mu_values]
     if any(m < 0 for m in mu_values):
@@ -682,10 +696,13 @@ def mu_sweep(
     proj = _validate_proj(graph, proj)
     d = proj.shape[0]
     shared_init = _initial_point(graph, d, opts)
+    solved = _solve_each(
+        lambda i: solve_joint(graph, proj, mu_values[i], replace(opts, init=shared_init)),
+        len(mu_values),
+    )
     rows = []
     passing = []
-    for mu in mu_values:
-        result = solve_joint(graph, proj, mu, replace(opts, init=shared_init))
+    for mu, result in zip(mu_values, solved):
         if results is not None:
             results[mu] = result
         report = verify_lemma(graph, result, tol=tol)
@@ -715,3 +732,83 @@ def mu_sweep(
         "rows": rows,
         "mu_min_estimate": max(passing) if passing else None,
     }
+
+
+def _solve_each(solve, count: int) -> list:
+    """[solve(0), ..., solve(count - 1)], or the first index's exception.
+
+    The calling process and one forked helper take indices from a shared
+    pipe, highest first: the sweep's largest mu takes the most steps.  Every
+    index the helper did not deliver is solved here afterwards, so a helper
+    that dies or never starts only costs time.  solve must be pure, so that
+    either process gives the same bytes.  No helper starts for one index,
+    without os.fork, or while other threads run: forking a threaded process
+    can deadlock the child.
+    """
+    done = {}
+    if count > 1 and hasattr(os, "fork") and threading.active_count() == 1:
+        done = _share_with_helper(solve, count)
+    results = []
+    for index in range(count):
+        outcome = done[index] if index in done else solve(index)
+        if isinstance(outcome, Exception):
+            raise outcome
+        results.append(outcome)
+    return results
+
+
+def _share_with_helper(solve, count: int) -> dict:
+    """{index: result or exception} of the indices this process and one forked
+    helper take from a pipe; those of a helper that failed are missing."""
+    # Byte b is index count - 1 - b, and a 1-byte read is atomic, so each is
+    # taken once; indices below count - 256 are left to the caller.
+    tasks, feed = os.pipe()
+    os.write(feed, bytes(range(min(count, 256))))
+    os.close(feed)
+    replies, reply_feed = os.pipe()
+    try:
+        pid = os.fork()
+    except OSError:
+        pid = None
+    if pid == 0:  # the helper: it never returns into the caller's code
+        try:
+            with open(reply_feed, "wb") as stream:
+                pickle.dump(_take_tasks(solve, tasks, count), stream)
+            os._exit(0)
+        finally:
+            os._exit(1)
+    os.close(reply_feed)
+    try:
+        done = _take_tasks(solve, tasks, count)
+        if pid is None:
+            return done
+        with open(replies, "rb", closefd=False) as stream:
+            payload = stream.read()
+        _, status = os.waitpid(pid, 0)
+    except BaseException:
+        if pid is not None:
+            import signal
+
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+        raise
+    finally:
+        os.close(tasks)
+        os.close(replies)
+    if os.waitstatus_to_exitcode(status) == 0:
+        try:
+            done.update(pickle.loads(payload))
+        except Exception:  # an exception class pickle cannot rebuild: solve it here
+            pass
+    return done
+
+
+def _take_tasks(solve, tasks: int, count: int) -> dict:
+    done = {}
+    while byte := os.read(tasks, 1):
+        index = count - 1 - byte[0]
+        try:
+            done[index] = solve(index)
+        except Exception as exc:
+            done[index] = exc
+    return done

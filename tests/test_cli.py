@@ -300,11 +300,13 @@ class TestExitCodes:
         # Helper threads are a Monte-Carlo scoring detail; importing the CLI
         # must not pay for concurrent.futures and the logging it imports.
         env = dict(os.environ, PYTHONPATH=str(Path(rodd.__file__).parents[1]))
-        code = "import sys, rodd.cli; print('concurrent.futures' in sys.modules)"
+        # Nor does the theory sweep's forked helper need multiprocessing.
+        code = ("import sys, rodd.cli; "
+                "print([m in sys.modules for m in ('concurrent.futures', 'multiprocessing')])")
         proc = subprocess.run(
             [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60
         )
-        assert (proc.returncode, proc.stdout) == (0, "False\n")
+        assert (proc.returncode, proc.stdout) == (0, "[False, False]\n")
 
     def test_module_entry_point(self, tmp_path):
         env = dict(os.environ, PYTHONPATH=str(Path(rodd.__file__).parents[1]))
@@ -433,6 +435,9 @@ class TestExitCodes:
             ("train", "train", "epochs", "-3", ">= 0"),
             ("synth", "synth", "test_per_class", "0", ">= 1"),
             ("verify-theory", "theory", "tol", "-1", ">= 0"),
+            # (1 + delta)^2 used to overflow in AugGraph with a traceback.
+            ("verify-theory", "theory", "delta", "1e155", "<= 1e+150"),
+            ("verify-theory", "theory", "delta", "-0.1", ">= 0"),
             ("score", "ood", "mode", "multi", "one of 'single', 'mc'"),
             ("eval", "eval", "method", "energy", "one of 'rodd', 'msp'"),
             ("eval", "corruption", "apply_to", "both", "one of 'ood', 'id'"),
@@ -696,6 +701,23 @@ class TestMspEval:
         assert "norm overflows float64" in proc.stderr and "Warning" not in proc.stderr
         assert (out / "eval.csv").read_bytes() == (pipeline_dir / "eval.csv").read_bytes()
 
+    def test_sharpening_underflow_exits_two(self, tmp_path, small_config, pipeline_dir):
+        # A large sharpening weight drives the eval-mode scalar g to exactly
+        # 0 for some sample, and the logits z / g divide by zero.  This used
+        # to print two numpy warnings and exit 1 on non-finite scores.
+        out = tmp_path / "run"
+        shutil.copytree(pipeline_dir, out)
+        model = load_model(out / "model.ckpt")
+        model.sharpen_w *= 1e6
+        save_model(out / "model.ckpt", model)
+        cfg = tmp_path / "msp.cfg"
+        cfg.write_text(SMALL_CFG.replace("[eval]", "[eval]\nmethod = msp"))
+        proc = _run_cli(["eval", "--config", str(cfg), "--out", str(out)])
+        assert proc.returncode == 2
+        assert proc.stderr.startswith("numeric failure: the sharpening scalar of sample ")
+        assert proc.stderr.count("\n") == 1 and "Warning" not in proc.stderr
+        assert (out / "eval.csv").read_bytes() == (pipeline_dir / "eval.csv").read_bytes()
+
 
 def _cut(at):
     return lambda data: data[:at(len(data))]
@@ -788,6 +810,7 @@ class TestMalformedArtifacts:
         assert capsys.readouterr().err == f"error: {path}: {message}\n"
 
 
+SHIPPED_THEORY_CFG = Path(__file__).parents[1] / "configs" / "theory.cfg"
 THEORY_CFG = """
 [theory]
 class_sizes = 5,4
@@ -837,6 +860,25 @@ class TestVerifyTheory:
         expect = json.loads(json.dumps(theory.verify_lemma(graph, result)))
         assert payload["mu"] == mu
         assert payload["lemma"] == expect
+
+    def test_sweep_leaves_no_process(self, tmp_path):
+        cfg = tmp_path / "theory.cfg"
+        cfg.write_text(THEORY_CFG)
+        assert run(["verify-theory", "--config", str(cfg), "--out", str(tmp_path / "tout")]) == 0
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    @pytest.mark.parametrize("mu", ["1e120", "1e200"])
+    def test_overflowing_line_search_exits_two(self, tmp_path, mu):
+        # The line search's cubic overflows at these weights; it used to end
+        # in an OverflowError traceback with exit 1.
+        cfg = tmp_path / "theory.cfg"
+        shipped = SHIPPED_THEORY_CFG.read_text()
+        cfg.write_text(shipped.replace("mu_values = 1e-6,1e-4,1e-2,1,100", f"mu_values = 1e-6,{mu}"))
+        proc = _run_cli(["verify-theory", "--config", str(cfg), "--out", str(tmp_path / "tout")])
+        assert proc.returncode == 2
+        assert proc.stderr.startswith("numeric failure: the line search overflows")
+        assert proc.stderr.count("\n") == 1
 
     def test_lr_is_ignored(self, tmp_path):
         reports = []

@@ -1,6 +1,11 @@
-"""Adjacency construction, closed-form and iterative solvers, tail bounds."""
+"""Adjacency construction, closed-form and iterative solvers, tail bounds,
+and the mu sweep's forked helper."""
 
 import math
+import os
+import select
+import threading
+import time
 from pathlib import Path
 
 import numpy as np
@@ -8,10 +13,12 @@ import pytest
 
 from cg_oracle import cg_solve
 from gd_oracle import gd_solve
+from rodd import theory
 from rodd.data import parse_config_file
-from rodd.errors import ContractViolation, NumericFailure
+from rodd.errors import ContractViolation, NumericFailure, RoddError
 from rodd.linalg import orthonormal_init, sym_eig
 from rodd.theory import (
+    DELTA_LIMIT,
     AugGraph,
     SolveOptions,
     _GaugeStep,
@@ -109,6 +116,19 @@ class TestBuildAdjacency:
         bad_cross = np.eye(2) + 0.5
         with pytest.raises(ContractViolation):
             AugGraph(bad_cross, ((0, 1), (1, 2)), 0.0, 0.1)  # cross above eta * min
+
+    def test_delta_beyond_its_limit_is_a_contract_error(self):
+        # (1 + delta)^2 overflows float64 past 1.3e154: the check must say so
+        # instead of raising OverflowError.
+        for delta in (1e155, math.inf, math.nan, -0.1):
+            with pytest.raises(ContractViolation, match=r"delta must lie in \[0, 1e\+150\]"):
+                AugGraph(np.ones((2, 2)), ((0, 2),), delta, 0.0)
+            with pytest.raises(ContractViolation, match=r"delta must lie in \[0, 1e\+150\]"):
+                build_adjacency([2, 2], delta, 0.0, seed=1)
+        graph = build_adjacency(
+            [3, 2], DELTA_LIMIT, 0.0, seed=1, normalization="unit-spectral-per-block"
+        )
+        assert all(math.isfinite(bound) for bound in lemma_bounds(graph.delta))
 
     def test_identity_with_singleton_classes_is_valid(self):
         graph = AugGraph(np.eye(3), ((0, 1), (1, 2), (2, 3)), 0.0, 0.0)
@@ -390,6 +410,233 @@ class TestMuSweep:
             mu_sweep(graph, proj, [-1.0, 0.1])
 
 
+def _no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+class _Handoff:
+    """Orders the sweep's solves between the calling process and its helper.
+
+    The sweep queues its tasks largest mu first, so `last`, the smallest mu,
+    is the last one taken.  With helper_takes_rest the caller holds its first
+    task until the helper has solved `last`, so the caller solves one mu and
+    the helper the others; otherwise the helper holds its first task until
+    the caller has solved `last`.  Both processes inherit the two pipes
+    across the fork, and a wait gives up after 30 s, so a broken helper fails
+    the test instead of hanging it.
+    """
+
+    def __init__(self, solve, last, helper_takes_rest):
+        self.solve, self.last, self.helper_takes_rest = solve, last, helper_takes_rest
+        self.caller = os.getpid()
+        self.to_caller, self.to_helper = os.pipe(), os.pipe()
+        self.started = False
+        self.caller_solves = 0  # counted in the calling process only
+
+    def in_helper(self):
+        return os.getpid() != self.caller
+
+    def __call__(self, graph, proj, mu, opts):
+        helper = self.in_helper()
+        if not self.started and helper and not self.helper_takes_rest:
+            os.write(self.to_caller[1], b"x")
+            self._wait(self.to_helper[0])
+        if not self.started and not helper:
+            self._wait(self.to_caller[0])
+        self.started = True
+        self.caller_solves += not helper
+        try:
+            return self.solve(graph, proj, mu, opts)
+        finally:
+            if mu == self.last and helper == self.helper_takes_rest:
+                os.write((self.to_caller if helper else self.to_helper)[1], b"x")
+
+    @staticmethod
+    def _wait(fd):
+        ready, _, _ = select.select([fd], [], [], 30.0)
+        assert ready, "the other process did not take its tasks"
+        os.read(fd, 1)
+
+    def close(self):
+        for fd in (*self.to_caller, *self.to_helper):
+            os.close(fd)
+
+
+MUS = [1e-6, 1e-4, 1e-2, 1.0, 100.0]
+
+
+@pytest.fixture
+def sweep_problem():
+    graph, proj, _ = graph_proj_targets(
+        [8, 8, 8], 0.05, 0.0, seed=23, normalization="unit-spectral-per-block", d=6
+    )
+    return graph, proj
+
+
+@pytest.fixture
+def forks(monkeypatch):
+    """The helpers the calling process forks, counted."""
+    started = []
+    real_fork = os.fork
+
+    def counting_fork():
+        started.append(1)
+        return real_fork()
+
+    monkeypatch.setattr(os, "fork", counting_fork)
+    return started
+
+
+def _assert_same_solve(got, want):
+    assert got.f_star.tobytes() == want.f_star.tobytes()
+    assert np.array(got.loss_trace).tobytes() == np.array(want.loss_trace).tobytes()
+    assert [s.tobytes() for s in got.per_class_sigma] == [s.tobytes() for s in want.per_class_sigma]
+    assert (got.mu, got.iterations, got.converged) == (want.mu, want.iterations, want.converged)
+    assert np.float64(got.grad_norm).tobytes() == np.float64(want.grad_norm).tobytes()
+
+
+class TestSweepHelper:
+    """mu_sweep solves on the calling process and one forked helper, with the
+    serial loop's results and errors, and leaves no process behind."""
+
+    @pytest.mark.parametrize("helper_takes_rest", [True, False], ids=["helper-most", "caller-most"])
+    def test_results_bit_equal_to_serial_solves(
+        self, sweep_problem, forks, monkeypatch, helper_takes_rest
+    ):
+        graph, proj = sweep_problem
+        handoff = _Handoff(solve_joint, MUS[0], helper_takes_rest)
+        monkeypatch.setattr(theory, "solve_joint", handoff)
+        solved = {}
+        try:
+            sweep = mu_sweep(graph, proj, MUS, results=solved)
+        finally:
+            handoff.close()
+        monkeypatch.undo()
+        assert len(forks) == 1
+        # The caller used the helper's results instead of solving them again.
+        assert handoff.caller_solves == (1 if helper_takes_rest else len(MUS) - 1)
+        _no_child_left()
+        assert [row["mu"] for row in sweep["rows"]] == MUS
+        for mu in MUS:
+            _assert_same_solve(solved[mu], solve_joint(graph, proj, mu))
+        assert sweep == mu_sweep(graph, proj, MUS)
+
+    def test_exactly_one_helper_on_a_five_mu_sweep(self, sweep_problem, forks):
+        mu_sweep(*sweep_problem, MUS)
+        assert len(forks) == 1
+        _no_child_left()
+
+    @pytest.mark.parametrize(
+        "helper_takes_rest, helper_fails, caller_fails, expect",
+        [
+            # The caller solves one of the two largest mu, the helper the rest.
+            (True, {MUS[1]}, set(MUS), (NumericFailure, f"helper: mu {MUS[1]}")),
+            # The helper solves one of the two largest mu, the caller the rest.
+            (False, set(MUS), {MUS[2]}, (ContractViolation, f"caller: mu {MUS[2]}")),
+        ],
+        ids=["helper-error-lowest", "caller-error-lowest"],
+    )
+    def test_lowest_index_error_wins(
+        self, sweep_problem, monkeypatch, helper_takes_rest, helper_fails, caller_fails, expect
+    ):
+        def planted(graph, proj, mu, opts):
+            if handoff.in_helper() and mu in helper_fails:
+                raise NumericFailure(f"helper: mu {mu}")
+            if not handoff.in_helper() and mu in caller_fails:
+                raise ContractViolation(f"caller: mu {mu}")
+            return solve_joint(graph, proj, mu, opts)
+
+        handoff = _Handoff(planted, MUS[0], helper_takes_rest)
+        monkeypatch.setattr(theory, "solve_joint", handoff)
+        try:
+            with pytest.raises(RoddError) as caught:
+                mu_sweep(*sweep_problem, MUS)
+        finally:
+            handoff.close()
+        assert (type(caught.value), str(caught.value)) == expect
+        _no_child_left()
+
+    def test_helper_solved_overflow_raises_the_serial_error(self, sweep_problem, monkeypatch):
+        graph, proj = sweep_problem
+        mus = [1e-6, 1e-4, 1e120, 1e121, 1e122]
+        with pytest.raises(NumericFailure) as serial:
+            solve_joint(graph, proj, mus[2])
+        handoff = _Handoff(solve_joint, mus[0], helper_takes_rest=True)
+        monkeypatch.setattr(theory, "solve_joint", handoff)
+        try:
+            with pytest.raises(NumericFailure) as swept:
+                mu_sweep(graph, proj, mus)
+        finally:
+            handoff.close()
+        assert str(swept.value) == str(serial.value)
+        assert "the line search overflows" in str(swept.value)
+        _no_child_left()
+
+    def test_helper_that_dies_costs_only_time(self, sweep_problem, monkeypatch):
+        graph, proj = sweep_problem
+        handoff = _Handoff(solve_joint, MUS[0], helper_takes_rest=True)
+
+        def dying(graph, proj, mu, opts):
+            result = handoff(graph, proj, mu, opts)
+            if handoff.in_helper() and mu == MUS[0]:
+                os._exit(3)  # after solving four mu, before delivering them
+            return result
+
+        monkeypatch.setattr(theory, "solve_joint", dying)
+        solved = {}
+        try:
+            mu_sweep(graph, proj, MUS, results=solved)
+        finally:
+            handoff.close()
+        monkeypatch.undo()
+        _no_child_left()
+        for mu in MUS:
+            _assert_same_solve(solved[mu], solve_joint(graph, proj, mu))
+
+    def test_keyboard_interrupt_in_the_caller_reaps_the_helper(self, sweep_problem, monkeypatch):
+        handoff = _Handoff(solve_joint, MUS[0], helper_takes_rest=False)
+
+        def interrupted(graph, proj, mu, opts):
+            if handoff.in_helper():
+                return handoff(graph, proj, mu, opts)  # blocks until it is killed
+            handoff._wait(handoff.to_caller[0])  # the helper holds a task
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(theory, "solve_joint", interrupted)
+        start = time.monotonic()
+        try:
+            with pytest.raises(KeyboardInterrupt):
+                mu_sweep(*sweep_problem, MUS)
+        finally:
+            handoff.close()
+        # Killed, not waited for: the blocked helper would hold out for 30 s.
+        assert time.monotonic() - start < 10.0
+        _no_child_left()
+
+    def test_no_helper_for_one_mu(self, sweep_problem, forks):
+        graph, proj = sweep_problem
+        solved = {}
+        mu_sweep(graph, proj, [1.0], results=solved)
+        assert forks == []
+        _assert_same_solve(solved[1.0], solve_joint(graph, proj, 1.0))
+
+    def test_no_helper_while_another_thread_runs(self, sweep_problem, forks):
+        graph, proj = sweep_problem
+        release = threading.Event()
+        other = threading.Thread(target=release.wait)
+        other.start()
+        try:
+            solved = {}
+            mu_sweep(graph, proj, MUS, results=solved)
+        finally:
+            release.set()
+            other.join()
+        assert forks == []
+        for mu in MUS:
+            _assert_same_solve(solved[mu], solve_joint(graph, proj, mu))
+
+
 class TestLineSearch:
     def test_quartic_matches_direct_evaluation(self):
         rng = np.random.default_rng(40)
@@ -424,6 +671,13 @@ class TestLineSearch:
             t = _quartic_argmin(c1, c2, c3, c4)
             assert t > 0.0
             assert quartic(t) <= best + 1e-9 * abs(best)
+
+
+    def test_overflowing_cubic_is_a_numeric_failure(self):
+        # At mu = 1e120 the quadratic coefficient is about 1e120 and the
+        # discriminant's p^3 overflows float64.
+        with pytest.raises(NumericFailure, match="the line search overflows"):
+            _quartic_argmin(-1.0, 1e120, 0.0, 1.0)
 
 
 def _oracle_gap(graph, proj, mu, max_iters, seed):
