@@ -34,7 +34,14 @@ def main(argv=None) -> None:
 
 
 def run(argv=None) -> int:
-    parser = _build_parser()
+    parser = argparse.ArgumentParser(
+        prog="rodd",
+        description="OOD detection pipeline with orthonormal class embeddings",
+    )
+    parser.add_argument("command", choices=_HANDLERS, help="pipeline stage to run")
+    parser.add_argument("--config", required=True, help="run configuration file")
+    parser.add_argument("--out", required=True, help="output directory")
+    parser.add_argument("--seed", type=_seed_arg, default=None, help="seed override")
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
@@ -58,20 +65,6 @@ def run(argv=None) -> int:
     except NumericFailure as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return 2
-
-
-def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="rodd",
-        description="OOD detection pipeline with orthonormal class embeddings",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name in _HANDLERS:
-        cmd = sub.add_parser(name)
-        cmd.add_argument("--config", required=True, help="run configuration file")
-        cmd.add_argument("--out", required=True, help="output directory")
-        cmd.add_argument("--seed", type=_seed_arg, default=None, help="seed override")
-    return parser
 
 
 def _seed_arg(text: str) -> int:
@@ -134,10 +127,10 @@ def _write(path: Path, payload) -> None:
         encoder.save_model(path, payload)
     elif isinstance(payload, dict):
         write_json(path, payload)
-    elif isinstance(payload[0], ood.ScoreRecord):
+    elif isinstance(payload, ood.ScoreTable):
         ood.write_scores(path, payload)
     else:  # report rows: one dict per CSV line, the first one's keys the header
-        write_csv(path, payload[0], (row.values() for row in payload))
+        write_csv(path, payload[0], (tuple(row.values()) for row in payload))
 
 
 def _cmd_synth(config: RunConfig, out: Path, seed: int):
@@ -262,13 +255,13 @@ def _cmd_score(config: RunConfig, out: Path, seed: int):
     if spec["mode"] == "single":
         feats = encoder.features(model, dataset.inputs)
         deltas, argmins = ood.uncertainty_scores(feats, subspaces, abs_cosine=spec["abs_cosine"])
-        records = ood.angle_records(deltas, argmins, subspaces.threshold)
+        table = ood.angle_table(deltas, argmins, subspaces.threshold)
     else:
-        records = ood.mc_score_records(
+        table = ood.mc_score_records(
             model, subspaces, dataset.inputs, k_draws=spec["mc_draws"],
             noise_sigma=spec["mc_noise_sigma"], seed=seed, abs_cosine=spec["abs_cosine"],
         )
-    yield f"{target.stem}_scores.csv", records
+    yield f"{target.stem}_scores.csv", table
 
 
 def _cmd_corrupt(config: RunConfig, out: Path, seed: int):
@@ -336,7 +329,7 @@ def _cmd_eval(config: RunConfig, out: Path, seed: int):
     yield "eval.csv", rows
     if method == "rodd":
         for name, angles in (("id_test", id_angles), ("ood", ood_angles)):
-            yield f"{name}_scores.csv", ood.angle_records(*angles, subspaces.threshold)
+            yield f"{name}_scores.csv", ood.angle_table(*angles, subspaces.threshold)
 
 
 def _cmd_verify_theory(config: RunConfig, out: Path, seed: int):

@@ -249,13 +249,12 @@ def write_json(path, payload) -> None:
 
 
 def write_csv(path, header, rows) -> None:
-    """Write a CSV table one row at a time: a None cell is empty, anything
-    else its str, which for a float is its repr (an exact round trip)."""
+    """Write a CSV table from row tuples: each cell is its str, which for a
+    float is its repr (an exact round trip)."""
     line = ",".join(["%s"] * len(header)) + "\n"
     with open(path, "w", encoding="utf-8") as out:
         out.write(",".join(header) + "\n")
-        for row in rows:
-            out.write(line % tuple(["" if v is None else v for v in row]))
+        out.writelines(line % row for row in rows)
 
 
 # ---------------------------------------------------------------------------

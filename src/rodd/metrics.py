@@ -79,9 +79,7 @@ def auroc(split: ScoreSplit) -> float:
 
 def detection_error(split: ScoreSplit, tpr_target: float = 0.95) -> float:
     """Balanced miss/false-positive error at the tpr_target operating point."""
-    fpr, tau = fpr_at_tpr(split, tpr_target)
-    tpr = float(np.count_nonzero(split.id_scores >= tau) / split.id_scores.size)
-    return 0.5 * (1.0 - tpr) + 0.5 * fpr
+    return evaluate_split(split, tpr_target).detection_error
 
 
 def accuracy(logits, labels) -> float:
@@ -99,10 +97,11 @@ def accuracy(logits, labels) -> float:
 
 def evaluate_split(split: ScoreSplit, tpr_target: float = 0.95) -> EvalReport:
     fpr, tau = fpr_at_tpr(split, tpr_target)
+    tpr = float(np.count_nonzero(split.id_scores >= tau) / split.id_scores.size)
     return EvalReport(
         fpr95=fpr,
         auroc=auroc(split),
-        detection_error=detection_error(split, tpr_target),
+        detection_error=0.5 * (1.0 - tpr) + 0.5 * fpr,
         n_id=int(split.id_scores.size),
         n_ood=int(split.ood_scores.size),
         threshold_used=tau,

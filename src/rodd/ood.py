@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import functools
 import math
-import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -52,7 +51,35 @@ class ScoreRecord:
     argmin_class: int
     mc_probability: float | None
     decision: str  # "ID" | "OOD"
-    degenerate_draws: int = 0
+    degenerate_draws: int | None
+
+
+@dataclass
+class ScoreTable:
+    """Score rows as columns: row i is sample start_id + i, ID iff accepted[i];
+    the Monte-Carlo columns are None outside Monte-Carlo scoring."""
+
+    delta: np.ndarray
+    argmin_class: np.ndarray
+    accepted: np.ndarray
+    mc_probability: np.ndarray | None = None
+    degenerate_draws: np.ndarray | None = None
+    start_id: int = 0
+
+    def columns(self, absent=None) -> list:
+        """The ScoreRecord fields in order as Python values, absent for a None column."""
+        n = self.delta.size
+
+        def listed(column):
+            return [absent] * n if column is None else column.tolist()
+
+        decisions = ["ID" if ok else "OOD" for ok in self.accepted.tolist()]
+        return [range(self.start_id, self.start_id + n), self.delta.tolist(),
+                self.argmin_class.tolist(), listed(self.mc_probability), decisions,
+                listed(self.degenerate_draws)]
+
+    def records(self) -> list[ScoreRecord]:
+        return [ScoreRecord(*row) for row in zip(*self.columns())]
 
 
 def fit_subspaces(
@@ -151,7 +178,7 @@ def mc_detect(
     return mc_score_records(
         model, subspaces, raw[None, :], k_draws=k_draws, noise_sigma=noise_sigma, seed=seed,
         start_id=sample_id, abs_cosine=abs_cosine,
-    )[0]
+    ).records()[0]
 
 
 def mc_score_records(
@@ -163,7 +190,7 @@ def mc_score_records(
     seed: int = 0,
     start_id: int = 0,
     abs_cosine: bool = False,
-) -> list[ScoreRecord]:
+) -> ScoreTable:
     """Monte-Carlo accept probabilities from k noisy copies per row.
 
     Row i's k_draws copies are x_i + noise_sigma * z, with z the row's
@@ -174,7 +201,7 @@ def mc_score_records(
     the threshold, the decision is ID iff that fraction reaches 0.5, and
     argmin_class is the most-voted class among the valid draws (-1 when
     there is none).  Degenerate-feature draws count as rejections (angle pi
-    in the record's mean delta) and are tallied on the record.  Rows are
+    in the row's mean delta) and are tallied in degenerate_draws.  Rows are
     encoded in chunks of about MC_CHUNK_DRAWS draws; a row with more draws
     than that is encoded alone.  With two or more chunks, a helper thread
     draws the next chunk while this one encodes the current one; the chunks
@@ -189,7 +216,8 @@ def mc_score_records(
     per_chunk = max(1, MC_CHUNK_DRAWS // k_draws)
     bounds = [(lo, min(lo + per_chunk, raw.shape[0])) for lo in range(0, raw.shape[0], per_chunk)]
     classes = np.arange(subspaces.n_classes)
-    records = []
+    delta, probability = np.empty(raw.shape[0]), np.empty(raw.shape[0])
+    argmin_class, degenerate = np.empty((2, raw.shape[0]), dtype=np.int64)
 
     def score_chunk(lo, hi, draws):
         feats = features(model, draws)
@@ -201,30 +229,17 @@ def mc_score_records(
         deltas[valid], argmins[valid] = _min_angles(kept, kept_norms, subspaces, abs_cosine)
         shape = (hi - lo, k_draws)
         deltas, argmins, valid = deltas.reshape(shape), argmins.reshape(shape), valid.reshape(shape)
-        hits = ((deltas <= subspaces.threshold) & valid).sum(axis=1).tolist()
-        n_valid = valid.sum(axis=1)
+        probability[lo:hi] = ((deltas <= subspaces.threshold) & valid).sum(axis=1) / k_draws
+        degenerate[lo:hi] = k_draws - valid.sum(axis=1)
+        delta[lo:hi] = deltas.mean(axis=1)
         # A degenerate draw holds class -1, so it votes for no class; argmax
         # gives a tie to the lowest class.
         votes = (argmins[:, :, None] == classes).sum(axis=1)
-        voted = np.where(n_valid > 0, votes.argmax(axis=1), -1).tolist()
-        rows = zip(range(start_id + lo, start_id + hi), deltas.mean(axis=1).tolist(), voted, hits,
-                   n_valid.tolist())
-        for sample_id, delta, argmin_class, n_hits, n_ok in rows:
-            probability = n_hits / k_draws
-            records.append(
-                ScoreRecord(
-                    sample_id=sample_id,
-                    delta=delta,
-                    argmin_class=argmin_class,
-                    mc_probability=probability,
-                    decision="ID" if probability >= 0.5 else "OOD",
-                    degenerate_draws=k_draws - n_ok,
-                )
-            )
+        argmin_class[lo:hi] = np.where(degenerate[lo:hi] < k_draws, votes.argmax(axis=1), -1)
 
     draw = functools.partial(_mc_draws, raw, seeds, k_draws, noise_sigma)
     _drawn_ahead(draw, bounds, score_chunk)
-    return records
+    return ScoreTable(delta, argmin_class, probability >= 0.5, probability, degenerate, start_id)
 
 
 def _mc_draws(raw, seeds, k_draws, noise_sigma, lo, hi):
@@ -272,24 +287,15 @@ def _drawn_ahead(draw, bounds, consume) -> None:
         pool.shutdown(cancel_futures=True)
 
 
-def angle_records(deltas, argmins, threshold: float) -> list[ScoreRecord]:
-    """Single-pass records from uncertainty_scores' (deltas, argmin classes)
+def angle_table(deltas, argmins, threshold: float) -> ScoreTable:
+    """Single-pass table from uncertainty_scores' (deltas, argmin classes)
     pair: the decision is delta <= threshold."""
-    return [
-        ScoreRecord(
-            sample_id=i,
-            delta=float(deltas[i]),
-            argmin_class=int(argmins[i]),
-            mc_probability=None,
-            decision="ID" if deltas[i] <= threshold else "OOD",
-        )
-        for i in range(deltas.size)
-    ]
+    return ScoreTable(deltas, argmins, deltas <= threshold)
 
 
-def write_scores(path, records) -> None:
+def write_scores(path, table: ScoreTable) -> None:
     """Score table CSV with exactly the columns the pipeline consumes."""
-    write_csv(path, SCORE_COLUMNS, map(operator.attrgetter(*SCORE_COLUMNS), records))
+    write_csv(path, SCORE_COLUMNS, zip(*table.columns(absent="")[: len(SCORE_COLUMNS)]))
 
 
 def subspaces_to_dict(subspaces: ClassSubspaceSet) -> dict:

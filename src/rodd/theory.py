@@ -537,9 +537,9 @@ def solve_joint(
     The loss and gradient are evaluated once per step, after the gauge step,
     so the trace holds evaluated losses, one per line-search step; it must
     be nonincreasing within a 1e-12 relative slack, and a non-finite or
-    rising loss raises NumericFailure.  Stops when the relative loss change
-    drops below opts.tol (converged) or max_iters is reached (not
-    converged).
+    rising loss raises NumericFailure, as does a non-finite starting loss or
+    gradient.  Stops when the relative loss change drops below opts.tol
+    (converged) or max_iters is reached (not converged).
     """
     if mu < 0:
         raise ContractViolation("mu must be >= 0")
@@ -553,6 +553,8 @@ def solve_joint(
         f, proj = f @ gauge.frame, gauge.frame.T @ proj
     fixed = 2.0 * mu * (proj @ proj.T)
     loss, grad = joint_loss_and_grad(a, f, proj, targets, mu)
+    if not (math.isfinite(loss) and np.isfinite(grad).all()):
+        raise NumericFailure(f"the starting loss or its gradient is not finite: loss {loss:.6e}")
     scaled = _preconditioned(f, grad, fixed)
     scaled_dot = float(np.vdot(scaled, grad))
     direction = -scaled

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import rodd
-from rodd import theory
+from rodd import cli, theory
 from rodd.cli import run
 from rodd.data import CONFIG, read_features, write_features
 from rodd.encoder import load_model, save_model
@@ -295,6 +295,12 @@ class TestExitCodes:
     def test_unknown_subcommand(self, small_config, capsys):
         assert run(["transmogrify", "--config", str(small_config), "--out", "/tmp/x"]) == 1
         assert "usage" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("stage", [[], *([name] for name in cli._HANDLERS)])
+    def test_help_exits_zero(self, stage):
+        proc = _run_cli([*stage, "--help"])
+        assert (proc.returncode, proc.stderr) == (0, "")
+        assert proc.stdout.startswith("usage: rodd")
 
     def test_import_loads_no_thread_pool(self):
         # Helper threads are a Monte-Carlo scoring detail; importing the CLI
@@ -879,6 +885,17 @@ class TestVerifyTheory:
         assert proc.returncode == 2
         assert proc.stderr.startswith("numeric failure: the line search overflows")
         assert proc.stderr.count("\n") == 1
+
+    @pytest.mark.parametrize("eta", ["1e160", "1e200"])
+    def test_overflowing_starting_loss_exits_two(self, tmp_path, eta):
+        # The adjacency's squared entries overflow, so the loss is infinite
+        # before any step; it used to be blamed on iteration 0's step.
+        cfg = tmp_path / "theory.cfg"
+        cfg.write_text(SHIPPED_THEORY_CFG.read_text().replace("eta = 0.0", f"eta = {eta}"))
+        proc = _run_cli(["verify-theory", "--config", str(cfg), "--out", str(tmp_path / "tout")])
+        assert (proc.returncode, proc.stderr) == (
+            2, "numeric failure: the starting loss or its gradient is not finite: loss inf\n"
+        )
 
     def test_lr_is_ignored(self, tmp_path):
         reports = []

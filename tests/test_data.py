@@ -181,7 +181,7 @@ class TestArtifactCodec:
 
     def test_csv_cells(self, tmp_path):
         path = tmp_path / "t.csv"
-        rows = ([i, 0.1 * i, np.float64(1 / 3), None, "ID"] for i in range(2))
+        rows = ((i, 0.1 * i, np.float64(1 / 3), "", "ID") for i in range(2))
         write_csv(path, ("a", "b", "c", "d", "e"), rows)
         assert path.read_text() == (
             "a,b,c,d,e\n0,0.0,0.3333333333333333,,ID\n1,0.1,0.3333333333333333,,ID\n"

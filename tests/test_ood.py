@@ -14,9 +14,10 @@ from rodd.errors import ContractViolation, DegenerateFeatureError
 from rodd.linalg import orthonormal_init, sym_eig
 from rodd.ood import (
     ClassSubspaceSet,
+    ScoreTable,
+    angle_table,
     fit_subspaces,
     mc_detect,
-    angle_records,
     mc_score_records,
     subspaces_from_dict,
     subspaces_to_dict,
@@ -258,7 +259,7 @@ class TestMcScoreRecords:
 
     def compare(self, rows, **kwargs):
         kwargs = dict(noise_sigma=self.noise_sigma, seed=12345, start_id=4, **kwargs)
-        batched = mc_score_records(self.model, self.subspaces, rows, **kwargs)
+        batched = mc_score_records(self.model, self.subspaces, rows, **kwargs).records()
         assert_matches_oracle(batched, mc_records_oracle(self.model, self.subspaces, rows, **kwargs))
         return batched
 
@@ -357,16 +358,16 @@ class TestMcScoreRecords:
 
         monkeypatch.setattr(ood, "MC_CHUNK_DRAWS", 100)  # ten rows of 10 draws per chunk
         monkeypatch.setattr(np.linalg, "norm", counted)
-        records = mc_score_records(
+        table = mc_score_records(
             self.model, self.subspaces, self.rows[:30], k_draws=10,
             noise_sigma=self.noise_sigma, seed=3,
         )
-        assert all(r.degenerate_draws == 0 for r in records)
+        assert table.degenerate_draws.tolist() == [0] * 30
         assert calls == [(100, 4)] * 3
 
     def test_seed_beyond_32_bits(self):
         batched = mc_score_records(self.model, self.subspaces, self.rows[:20], k_draws=10,
-                                   noise_sigma=self.noise_sigma, seed=2**64 - 1)
+                                   noise_sigma=self.noise_sigma, seed=2**64 - 1).records()
         oracle = mc_records_oracle(self.model, self.subspaces, self.rows[:20], k_draws=10,
                                    noise_sigma=self.noise_sigma, seed=2**64 - 1)
         assert_matches_oracle(batched, oracle)
@@ -429,7 +430,7 @@ class TestMcThreads:
         return mc_score_records(
             model or self.model, self.subspaces, self.rows if rows is None else rows,
             k_draws=10, noise_sigma=noise_sigma, seed=seed, start_id=start_id,
-        )
+        ).records()
 
     # 70 rows of 10 draws: 5 chunks of 16 rows at a budget of 160, 9 of 8 at 80.
     @pytest.mark.parametrize("budget", [160, 80])
@@ -548,19 +549,65 @@ class TestMspScore:
             msp_score(np.array([1.0, np.inf]))
 
 
+def per_row_csv(rows):
+    """A score table as a per-row formatter writes it: the header, then each
+    row's cells by %s, None as an empty cell."""
+    lines = [",".join(ood.SCORE_COLUMNS)]
+    lines += [",".join("" if v is None else "%s" % (v,) for v in row) for row in rows]
+    return "\n".join(lines) + "\n"
+
+
+# Cells whose str takes each branch of float repr: a signed zero, a
+# subnormal, an exponent form below 1e-4, a 17-digit round trip, an exponent
+# form from 1e16 on, and a plain value.
+PINNED_DELTAS = [-0.0, 5e-324, 1e-05, 0.1 + 0.2, 1e16, 0.75]
+
+
 class TestScoreTable:
     def test_csv_columns_exact(self, tmp_path):
         subspaces = axis_subspaces(threshold=0.8)
         feats = np.array([[1.0, 0.1], [0.1, 1.0], [-1.0, -1.0]])
-        records = angle_records(*uncertainty_scores(feats, subspaces), subspaces.threshold)
+        table = angle_table(*uncertainty_scores(feats, subspaces), subspaces.threshold)
         path = tmp_path / "scores.csv"
-        write_scores(path, records)
+        write_scores(path, table)
         lines = path.read_text().strip().split("\n")
         assert lines[0] == "sample_id,delta,argmin_class,mc_probability,decision"
         assert len(lines) == 4
         first = lines[1].split(",")
         assert first[0] == "0" and first[3] == "" and first[4] == "ID"
         assert lines[3].split(",")[4] == "OOD"
+
+    def test_single_mode_bytes(self, tmp_path):
+        threshold = PINNED_DELTAS[-1]  # the last delta sits on the threshold
+        classes = [0, 1, 2, 1, 0, 2]
+        path = tmp_path / "scores.csv"
+        write_scores(path, angle_table(np.array(PINNED_DELTAS), np.array(classes), threshold))
+        text = path.read_text()
+        assert text == per_row_csv(
+            (i, d, c, None, "ID" if d <= threshold else "OOD")
+            for i, (d, c) in enumerate(zip(PINNED_DELTAS, classes))
+        )
+        assert text.splitlines()[1:] == [
+            "0,-0.0,0,,ID", "1,5e-324,1,,ID", "2,1e-05,2,,ID",
+            "3,0.30000000000000004,1,,ID", "4,1e+16,0,,OOD", "5,0.75,2,,ID",
+        ]
+
+    def test_mc_bytes(self, tmp_path):
+        k_draws, hits, degenerate = 6, [3, 0, 6, 2, 5, 0], [0, 1, 0, 2, 0, 6]
+        classes = [2, 0, 1, 1, 0, -1]
+        probability = np.array(hits) / k_draws
+        table = ScoreTable(np.array(PINNED_DELTAS), np.array(classes), probability >= 0.5,
+                           probability, np.array(degenerate), start_id=7)
+        path = tmp_path / "mc.csv"
+        write_scores(path, table)
+        text = path.read_text()
+        rows = [
+            (7 + i, d, c, h / k_draws, "ID" if h / k_draws >= 0.5 else "OOD")
+            for i, (d, c, h) in enumerate(zip(PINNED_DELTAS, classes, hits))
+        ]
+        assert text == per_row_csv(rows)
+        assert text.splitlines()[1] == "7,-0.0,2,0.5,ID"
+        assert [record.degenerate_draws for record in table.records()] == degenerate
 
     def test_mc_probability_emitted(self, tmp_path):
         model = build_model(4, 2, hidden_sizes=(6,), feature_dim=3, seed=2)
@@ -569,10 +616,10 @@ class TestScoreTable:
         labels = rng.integers(0, 2, size=20)
         labels[:2] = [0, 1]
         subspaces = fit_subspaces(feats, labels, quantile=0.9)
-        record = mc_detect(model, subspaces, rng.standard_normal(4) + 1.0, k_draws=5,
-                           noise_sigma=0.1, seed=0)
+        table = mc_score_records(model, subspaces, [rng.standard_normal(4) + 1.0], k_draws=5,
+                                 noise_sigma=0.1, seed=0)
         path = tmp_path / "mc.csv"
-        write_scores(path, [record])
+        write_scores(path, table)
         row = path.read_text().strip().split("\n")[1].split(",")
         assert row[3] != ""
 
