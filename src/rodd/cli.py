@@ -176,15 +176,13 @@ def _cmd_synth(config: RunConfig, out: Path, seed: int):
 
 def _cmd_pretrain(config: RunConfig, out: Path, seed: int):
     pre = config.section("pretrain")
-    adv = None
-    if pre["adversarial"]:
-        epsilon, steps, step_size = pre["adv_epsilon"], pre["adv_steps"], pre["adv_step_size"]
-        if steps * step_size < epsilon:
-            raise ContractViolation(
-                "pretrain.adv_steps * pretrain.adv_step_size must reach pretrain.adv_epsilon, "
-                f"got {steps} * {step_size} < {epsilon}"
-            )
-        adv = contrastive.AdversarialSpec(epsilon, steps, step_size)
+    epsilon, steps, step_size = pre["adv_epsilon"], pre["adv_steps"], pre["adv_step_size"]
+    if steps * step_size < epsilon:
+        raise ContractViolation(
+            "pretrain.adv_steps * pretrain.adv_step_size must reach pretrain.adv_epsilon, "
+            f"got {steps} * {step_size} < {epsilon}"
+        )
+    adv = contrastive.AdversarialSpec(epsilon, steps, step_size)
     dataset = _read_dataset(out / "id_train.feat")
     model = encoder.build_model(dataset.input_dim, dataset.class_count, **config.section("model"))
     aug = contrastive.AugmentationSpec(
@@ -219,12 +217,7 @@ def _cmd_fit(config: RunConfig, out: Path, seed: None):
         raise ContractViolation("fit requires a labeled id_train.feat")
     model = encoder.load_model(out / "model.ckpt")
     feats = encoder.features(model, dataset.inputs)
-    subspaces = ood.fit_subspaces(
-        feats,
-        dataset.labels,
-        quantile=config.get("ood.quantile"),
-        abs_cosine=config.get("ood.abs_cosine"),
-    )
+    subspaces = ood.fit_subspaces(feats, dataset.labels, quantile=config.get("ood.quantile"))
     yield "id_train_features.feat", Dataset(feats, dataset.labels, dataset.class_count)
     yield "subspaces.json", ood.subspaces_to_dict(subspaces)
 
@@ -253,13 +246,12 @@ def _cmd_score(config: RunConfig, out: Path, seed: int):
     target = _resolve_target(out, spec["target"])
     dataset = _read_dataset(target)
     if spec["mode"] == "single":
-        feats = encoder.features(model, dataset.inputs)
-        deltas, argmins = ood.uncertainty_scores(feats, subspaces, abs_cosine=spec["abs_cosine"])
-        table = ood.angle_table(deltas, argmins, subspaces.threshold)
+        angles = ood.uncertainty_scores(encoder.features(model, dataset.inputs), subspaces)
+        table = ood.angle_table(*angles, subspaces.threshold)
     else:
         table = ood.mc_score_records(
             model, subspaces, dataset.inputs, k_draws=spec["mc_draws"],
-            noise_sigma=spec["mc_noise_sigma"], seed=seed, abs_cosine=spec["abs_cosine"],
+            noise_sigma=spec["mc_noise_sigma"], seed=seed,
         )
     yield f"{target.stem}_scores.csv", table
 
@@ -288,7 +280,6 @@ def _cmd_eval(config: RunConfig, out: Path, seed: int):
     id_test = _read_dataset(out / "id_test.feat")
     ood_set = _read_dataset(out / "ood.feat")
     method = config.get("eval.method")
-    abs_cosine = config.get("ood.abs_cosine")
 
     def oriented_scores(inputs):
         """Scores of raw inputs, higher meaning more in-distribution, with the
@@ -296,7 +287,7 @@ def _cmd_eval(config: RunConfig, out: Path, seed: int):
         feats = encoder.features(model, inputs)
         if method == "msp":
             return encoder.softmax(encoder.head_logits(model, feats)).max(axis=1), feats, None
-        deltas, argmins = ood.uncertainty_scores(feats, subspaces, abs_cosine=abs_cosine)
+        deltas, argmins = ood.uncertainty_scores(feats, subspaces)
         return -deltas, feats, (deltas, argmins)
 
     id_scores, id_feats, id_angles = oriented_scores(id_test.inputs)

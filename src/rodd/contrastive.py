@@ -1,9 +1,10 @@
 """Self-supervised pre-training of the encoder body on augmentation pairs.
 
 The objective is the pairwise spectral term ||A - F F^T||_F^2 over a batch
-adjacency built from two augmented views per source sample; an optional
-projected sign-gradient perturbation of the views maximizes that same
-objective within an infinity-norm budget before each update.
+adjacency built from two augmented views per source sample.  Before each
+update, a projected sign-gradient perturbation of the views maximizes that
+same objective within an infinity-norm budget; a budget of 0 leaves the
+views as drawn.
 """
 
 from __future__ import annotations
@@ -72,7 +73,7 @@ class PretrainConfig:
     momentum: float = 0.9
     grad_clip: float = 1.0  # global-norm cap; the objective is quartic in F
     aug: AugmentationSpec = AugmentationSpec(gaussian_sigma=0.1)
-    adv: AdversarialSpec | None = None
+    adv: AdversarialSpec = AdversarialSpec(0.0)
     seed: int = 0
 
 
@@ -183,8 +184,7 @@ def pretrain(model: EncoderModel, dataset, config: PretrainConfig):
 
     def batch_loss(epoch, idx):
         views, adjacency = view_pairs(dataset.inputs[idx], config.aug, rng)
-        if config.adv is not None:
-            views = _perturb(model, views, adjacency, config.adv)
+        views = _perturb(model, views, adjacency, config.adv)
         feats, acts = _body_forward(model.layers, views, keep=True)
         # Overflowing features are a diverging run, not a bad input.
         if not np.isfinite(feats).all():

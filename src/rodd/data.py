@@ -311,13 +311,12 @@ CONFIG: dict[str, ConfigKey] = {
     # contrastive pre-training
     "pretrain.epochs": ConfigKey(int, 20, _NONNEGATIVE),
     "pretrain.batch_size": ConfigKey(int, 64, _AT_LEAST_1),
-    "pretrain.lr": ConfigKey(float, 0.05, _POSITIVE),
+    "pretrain.lr": ConfigKey(float, 0.02, _POSITIVE),
     "pretrain.momentum": ConfigKey(float, 0.9, _UNIT_HALF_OPEN),
     "pretrain.aug_gaussian_sigma": ConfigKey(float, 0.1, _NONNEGATIVE),
     "pretrain.aug_mask_fraction": ConfigKey(float, 0.0, _UNIT_HALF_OPEN),
     "pretrain.aug_scale_jitter": ConfigKey(float, 0.0, _NONNEGATIVE),
-    "pretrain.adversarial": ConfigKey(bool, False),
-    "pretrain.adv_epsilon": ConfigKey(float, 0.03, _NONNEGATIVE),
+    "pretrain.adv_epsilon": ConfigKey(float, 0.0, _NONNEGATIVE),  # 0: no perturbation
     "pretrain.adv_steps": ConfigKey(int, 3, _AT_LEAST_1),
     "pretrain.adv_step_size": ConfigKey(float, 0.01, _POSITIVE),
     "pretrain.seed": ConfigKey(int, 0, _SEED),
@@ -326,8 +325,7 @@ CONFIG: dict[str, ConfigKey] = {
     "train.batch_size": ConfigKey(int, 64, ((">=", 2),)),  # batch statistics need 2 rows
     "train.lr": ConfigKey(float, 0.05, _POSITIVE),
     "train.momentum": ConfigKey(float, 0.9, _UNIT_HALF_OPEN),
-    "train.mu": ConfigKey(float, 0.0, _NONNEGATIVE),
-    "train.contrastive": ConfigKey(bool, False),
+    "train.mu": ConfigKey(float, 0.0, _NONNEGATIVE),  # 0: cross-entropy alone
     "train.aug_gaussian_sigma": ConfigKey(float, 0.05, _NONNEGATIVE),
     "train.input_noise": ConfigKey(float, 0.0, _NONNEGATIVE),
     "train.grad_clip": ConfigKey(float, 5.0, _POSITIVE),
@@ -337,7 +335,6 @@ CONFIG: dict[str, ConfigKey] = {
     "ood.mode": ConfigKey(str, "single", choices=("single", "mc")),
     "ood.mc_draws": ConfigKey(int, 50, _AT_LEAST_1),
     "ood.mc_noise_sigma": ConfigKey(float, 0.01, _NONNEGATIVE),
-    "ood.abs_cosine": ConfigKey(bool, False),
     "ood.target": ConfigKey(str, "id_test.feat"),
     "ood.seed": ConfigKey(int, 0, _SEED),
     # evaluation
@@ -355,10 +352,10 @@ CONFIG: dict[str, ConfigKey] = {
     # spectral-theory verification
     "theory.class_sizes": ConfigKey(int, (6, 5), _AT_LEAST_1, is_list=True),
     "theory.delta": ConfigKey(float, 0.05, ((">=", 0), ("<=", DELTA_LIMIT))),
-    "theory.eta": ConfigKey(float, 0.0),
+    "theory.eta": ConfigKey(float, 0.0, _NONNEGATIVE),
     "theory.normalization": ConfigKey(str, "unit-spectral-per-block", choices=NORMALIZATIONS),
     "theory.d": ConfigKey(int),  # the graph's size
-    "theory.mu": ConfigKey(float, 1e-4),
+    "theory.mu": ConfigKey(float, 1e-4, _NONNEGATIVE),
     "theory.mu_values": ConfigKey(
         float, (1e-6, 1e-4, 1e-2, 1.0, 100.0), _NONNEGATIVE, is_list=True, distinct=True
     ),

@@ -85,13 +85,12 @@ class TrainConfig:
     batch_size: int = 64
     lr: float = 0.05
     momentum: float = 0.9
-    mu: float = 0.0
+    mu: float = 0.0  # > 0: joint objective, CE on two views + mu * pairwise term
     seed: int = 0
-    contrastive: bool = False  # joint objective: CE + mu * pairwise term
     aug_gaussian_sigma: float = 0.05  # view noise for the joint objective
-    # Gaussian data augmentation for the CE path: each batch gets noise at a
-    # level drawn uniformly from [0, input_noise], so the encoder sees every
-    # perturbation scale up to the cap.  0 disables it.
+    # Gaussian data augmentation for CE alone (mu = 0): each batch gets noise
+    # at a level drawn uniformly from [0, input_noise], so the encoder sees
+    # every perturbation scale up to the cap.  0 disables it.
     input_noise: float = 0.0
     grad_clip: float = 5.0  # global-norm cap; sharpening amplifies gradients by 1/g
 
@@ -461,8 +460,9 @@ def train(model: EncoderModel, dataset, config: TrainConfig):
     training set after the epoch) after "loss".  Batch statistics need 2
     rows: a one-row tail batch is skipped, and fewer than 2 rows or a
     batch_size below 2 is a ContractViolation, as is data whose width is
-    not the model's input_dim.  Raises DivergenceError with the epoch index
-    if the loss or the gradient norm goes non-finite.
+    not the model's input_dim, and input_noise under the joint objective
+    (mu > 0), which draws its own view noise.  Raises DivergenceError with
+    the epoch index if the loss or the gradient norm goes non-finite.
     """
     if dataset.labels is None:
         raise ContractViolation("training requires labeled data")
@@ -476,7 +476,12 @@ def train(model: EncoderModel, dataset, config: TrainConfig):
         raise ContractViolation(
             f"class {int(np.argmin(counts))} has no training samples"
         )
-    if config.contrastive:
+    if config.mu > 0:
+        if config.input_noise > 0:
+            raise ContractViolation(
+                "train.input_noise applies only at train.mu = 0, "
+                f"got mu {config.mu} and input_noise {config.input_noise}"
+            )
         from .contrastive import AugmentationSpec, view_pairs
 
         spec = AugmentationSpec(gaussian_sigma=config.aug_gaussian_sigma)
@@ -486,7 +491,7 @@ def train(model: EncoderModel, dataset, config: TrainConfig):
     def batch_loss(epoch, idx):
         xb = dataset.inputs[idx]
         yb = dataset.labels[idx]
-        if config.contrastive:
+        if config.mu > 0:
             views, adjacency = view_pairs(xb, spec, rng)
             # The pairwise term is a raw squared norm over the batch, so
             # weight it per view row to keep mu batch-size independent.

@@ -82,9 +82,7 @@ class ScoreTable:
         return [ScoreRecord(*row) for row in zip(*self.columns())]
 
 
-def fit_subspaces(
-    feats, labels, quantile: float = 0.95, abs_cosine: bool = False
-) -> ClassSubspaceSet:
+def fit_subspaces(feats, labels, quantile: float = 0.95) -> ClassSubspaceSet:
     """Fit one dominant direction per class and the angle threshold.
 
     The direction is the first right singular vector of the class's feature
@@ -120,7 +118,7 @@ def fit_subspaces(
             u = -u
         directions.append(u)
     subspaces = ClassSubspaceSet(directions, threshold=0.0, quantile_used=quantile)
-    scores, _ = uncertainty_scores(feats, subspaces, abs_cosine=abs_cosine)
+    scores, _ = uncertainty_scores(feats, subspaces)
     order = np.sort(scores)
     k = int(math.ceil(quantile * scores.size - 1e-9))
     k = min(max(k, 1), scores.size)
@@ -128,31 +126,27 @@ def fit_subspaces(
     return subspaces
 
 
-def uncertainty_scores(
-    feats, subspaces: ClassSubspaceSet, abs_cosine: bool = False
-) -> tuple[np.ndarray, np.ndarray]:
+def uncertainty_scores(feats, subspaces: ClassSubspaceSet) -> tuple[np.ndarray, np.ndarray]:
     """Vectorized minimum angle to any class direction, plus the arg classes.
 
-    Angles are arccos of the (signed, or absolute when abs_cosine) cosine
-    between each feature and each direction, with the cosine clamped to
-    [-1, 1] against rounding; ties in the minimum go to the lowest class
-    index.  Zero-norm features raise DegenerateFeatureError, and features
-    whose norm overflows float64 raise ContractViolation.
+    Angles are arccos of the signed cosine between each feature and each
+    direction, with the cosine clamped to [-1, 1] against rounding; ties in
+    the minimum go to the lowest class index.  Zero-norm features raise
+    DegenerateFeatureError, and features whose norm overflows float64 raise
+    ContractViolation.
     """
     feats = as_matrix(feats, "features")
     norms = feature_norms(feats)
     bad = np.nonzero(norms < FEATURE_NORM_FLOOR)[0]
     if bad.size:
         raise DegenerateFeatureError(int(bad[0]), float(norms[bad[0]]))
-    return _min_angles(feats, norms, subspaces, abs_cosine)
+    return _min_angles(feats, norms, subspaces)
 
 
-def _min_angles(feats, norms, subspaces: ClassSubspaceSet, abs_cosine: bool):
+def _min_angles(feats, norms, subspaces: ClassSubspaceSet):
     """uncertainty_scores unchecked: feats a finite float64 matrix and norms
     its row norms, every one finite and at or above FEATURE_NORM_FLOOR."""
     cos = (feats / norms[:, None]) @ subspaces.direction_matrix()
-    if abs_cosine:
-        cos = np.abs(cos)
     angles = np.arccos(np.clip(cos, -1.0, 1.0))
     return angles.min(axis=1), angles.argmin(axis=1)
 
@@ -165,7 +159,6 @@ def mc_detect(
     noise_sigma: float = 0.01,
     seed: int = 0,
     sample_id: int = 0,
-    abs_cosine: bool = False,
 ) -> ScoreRecord:
     """Monte-Carlo accept probability of one sample: mc_score_records on one row.
 
@@ -177,7 +170,7 @@ def mc_detect(
         raise ContractViolation(f"raw_sample must be a 1-D vector, got {raw.shape}")
     return mc_score_records(
         model, subspaces, raw[None, :], k_draws=k_draws, noise_sigma=noise_sigma, seed=seed,
-        start_id=sample_id, abs_cosine=abs_cosine,
+        start_id=sample_id,
     ).records()[0]
 
 
@@ -189,7 +182,6 @@ def mc_score_records(
     noise_sigma: float = 0.01,
     seed: int = 0,
     start_id: int = 0,
-    abs_cosine: bool = False,
 ) -> ScoreTable:
     """Monte-Carlo accept probabilities from k noisy copies per row.
 
@@ -226,7 +218,7 @@ def mc_score_records(
         kept, kept_norms = (feats, norms) if valid.all() else (feats[valid], norms[valid])
         deltas = np.full(valid.size, math.pi)
         argmins = np.full(valid.size, -1, dtype=np.int64)
-        deltas[valid], argmins[valid] = _min_angles(kept, kept_norms, subspaces, abs_cosine)
+        deltas[valid], argmins[valid] = _min_angles(kept, kept_norms, subspaces)
         shape = (hi - lo, k_draws)
         deltas, argmins, valid = deltas.reshape(shape), argmins.reshape(shape), valid.reshape(shape)
         probability[lo:hi] = ((deltas <= subspaces.threshold) & valid).sum(axis=1) / k_draws

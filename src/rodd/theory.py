@@ -217,17 +217,18 @@ def _sinkhorn_symmetric(block: np.ndarray, tol: float = 1e-13, cap: int = 10000)
     raise NumericFailure("sinkhorn scaling did not converge")
 
 
-def closed_form_contrastive(graph: AugGraph, d: int) -> np.ndarray:
+def closed_form_contrastive(graph: AugGraph, d: int, eig=None) -> np.ndarray:
     """Rank-d minimizer of ||A - F F^T||_F^2 for positive semidefinite A.
 
     Returns the eigenvector representative Q_d diag(sqrt(lambda_d)); any
-    right-rotation of it is also optimal.  Eigenvalues in [-1e-10, 0] are
-    clipped to zero; anything more negative raises NumericFailure.
+    right-rotation of it is also optimal.  eig is sym_eig(A) when the caller
+    has it already.  Eigenvalues in [-1e-10, 0] are clipped to zero;
+    anything more negative raises NumericFailure.
     """
     n = graph.n
     if not 1 <= d <= n:
         raise ContractViolation(f"d must lie in [1, {n}], got {d}")
-    lam, q = sym_eig(graph.adjacency)
+    lam, q = sym_eig(graph.adjacency) if eig is None else eig
     if float(lam.min()) < -1e-10:
         raise NumericFailure(
             f"adjacency is not positive semidefinite: min eigenvalue {float(lam.min()):.3e}"
@@ -274,8 +275,10 @@ def _initial_point(graph, d, opts):
             raise ContractViolation(f"init shape {f0.shape} != ({graph.n}, {d})")
         return f0.copy()
     if init == "auto":
-        lam, _ = sym_eig(graph.adjacency)
-        init = "closed-form" if float(lam.min()) >= -1e-10 else "random"
+        eig = sym_eig(graph.adjacency)
+        if float(eig[0].min()) >= -1e-10:
+            return closed_form_contrastive(graph, d, eig)
+        init = "random"
     if init == "closed-form":
         return closed_form_contrastive(graph, d)
     if init == "random":

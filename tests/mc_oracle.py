@@ -16,7 +16,7 @@ from rodd.encoder import FEATURE_NORM_FLOOR, features
 from rodd.ood import ScoreRecord, uncertainty_scores
 
 
-def mc_detect_one(model, subspaces, raw_sample, k_draws, noise_sigma, seed, sample_id, abs_cosine):
+def mc_detect_one(model, subspaces, raw_sample, k_draws, noise_sigma, seed, sample_id):
     """Score one sample from k_draws gaussian augmentations drawn from default_rng(seed)."""
     raw = np.asarray(raw_sample, dtype=np.float64)
     rng = np.random.default_rng(seed)
@@ -28,9 +28,7 @@ def mc_detect_one(model, subspaces, raw_sample, k_draws, noise_sigma, seed, samp
     deltas = np.full(k_draws, math.pi)
     argmins = np.full(k_draws, -1, dtype=np.int64)
     if valid.any():
-        deltas[valid], argmins[valid] = uncertainty_scores(
-            feats[valid], subspaces, abs_cosine=abs_cosine
-        )
+        deltas[valid], argmins[valid] = uncertainty_scores(feats[valid], subspaces)
     hits = int(((deltas <= subspaces.threshold) & valid).sum())
     probability = hits / k_draws
     if valid.any():
@@ -49,12 +47,10 @@ def mc_detect_one(model, subspaces, raw_sample, k_draws, noise_sigma, seed, samp
 
 
 def mc_records_oracle(
-    model, subspaces, raw_rows, k_draws=50, noise_sigma=0.01, seed=0, start_id=0, abs_cosine=False
+    model, subspaces, raw_rows, k_draws=50, noise_sigma=0.01, seed=0, start_id=0
 ) -> list[ScoreRecord]:
     """Row i scored alone from default_rng(seed XOR i), with id start_id + i."""
     return [
-        mc_detect_one(
-            model, subspaces, row, k_draws, noise_sigma, seed ^ i, start_id + i, abs_cosine
-        )
+        mc_detect_one(model, subspaces, row, k_draws, noise_sigma, seed ^ i, start_id + i)
         for i, row in enumerate(np.asarray(raw_rows, dtype=np.float64))
     ]

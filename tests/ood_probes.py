@@ -15,14 +15,12 @@ from rodd.errors import ContractViolation
 from rodd.ood import ClassSubspaceSet, uncertainty_scores
 
 
-def uncertainty_score(
-    feat, subspaces: ClassSubspaceSet, abs_cosine: bool = False
-) -> tuple[float, int]:
+def uncertainty_score(feat, subspaces: ClassSubspaceSet) -> tuple[float, int]:
     """Angle score for a single feature vector: (delta, argmin class)."""
     arr = np.asarray(feat, dtype=np.float64)
     if arr.ndim != 1:
         raise ContractViolation(f"expected a 1-D feature vector, got shape {arr.shape}")
-    deltas, argmins = uncertainty_scores(arr[None, :], subspaces, abs_cosine=abs_cosine)
+    deltas, argmins = uncertainty_scores(arr[None, :], subspaces)
     return float(deltas[0]), int(argmins[0])
 
 

@@ -187,7 +187,7 @@ def train(model, dataset, config):
                 continue
             xb = dataset.inputs[idx]
             yb = dataset.labels[idx]
-            if config.contrastive:
+            if config.mu > 0:
                 spec = AugmentationSpec(gaussian_sigma=config.aug_gaussian_sigma)
                 views = augment_batch(np.vstack([xb, xb]), spec, rng)
                 pairs = [(i, idx.size + i) for i in range(idx.size)]
@@ -248,8 +248,7 @@ def pretrain(model, dataset, config):
             m = idx.size
             views = augment_batch(np.vstack([xb, xb]), config.aug, rng)
             pairs = [(i, m + i) for i in range(m)]
-            if config.adv is not None:
-                views = adversarial_perturb(model, views, pairs, config.adv)
+            views = adversarial_perturb(model, views, pairs, config.adv)
             adjacency = batch_adjacency(pairs, 2 * m)
             feats, cache = body_forward(model.layers, views)
             loss, dfeat = spectral_contrastive_loss(feats, adjacency)

@@ -12,9 +12,9 @@ import numpy as np
 import pytest
 
 import rodd
-from rodd import cli, theory
+from rodd import cli, contrastive, encoder, theory
 from rodd.cli import run
-from rodd.data import CONFIG, read_features, write_features
+from rodd.data import CONFIG, Dataset, read_features, write_features
 from rodd.encoder import load_model, save_model
 from rodd.linalg import orthonormal_init
 
@@ -289,6 +289,48 @@ class TestDeterminism:
             assert run(["verify-theory", "--config", str(cfg), "--out", str(out)]) == 0
             reports.append((out / "theory_report.json").read_bytes())
         assert reports[0] == reports[1]
+
+
+class TestMechanismsFollowTheirMagnitudes:
+    """Adversarial pre-training runs when pretrain.adv_epsilon > 0 and the
+    joint objective when train.mu > 0: each stage writes the checkpoint the
+    library gives with the same settings."""
+
+    @staticmethod
+    def id_train(out):
+        feats, labels = read_features(out / "id_train.feat")
+        return Dataset(feats, labels, 3)
+
+    @staticmethod
+    def small_model():
+        return encoder.build_model(8, 3, hidden_sizes=(16, 12), feature_dim=6, seed=3)
+
+    def test_adversarial_pretrain(self, tmp_path, small_config):
+        cfg = tmp_path / "adv.cfg"
+        cfg.write_text(SMALL_CFG.replace("[pretrain]\n", "[pretrain]\nadv_epsilon = 0.03\n"))
+        out, plain = tmp_path / "adv", tmp_path / "plain"
+        for config, where in ((cfg, out), (small_config, plain)):
+            for command in ("synth", "pretrain"):
+                assert run([command, "--config", str(config), "--out", str(where)]) == 0
+        aug = contrastive.AugmentationSpec(gaussian_sigma=0.05)
+        adv = contrastive.AdversarialSpec(0.03, 3, 0.01)
+        spec = contrastive.PretrainConfig(epochs=2, batch_size=16, aug=aug, adv=adv, seed=3)
+        model, _ = contrastive.pretrain(self.small_model(), self.id_train(out), spec)
+        save_model(tmp_path / "library.ckpt", model)
+        written = (out / "pretrain.ckpt").read_bytes()
+        assert written == (tmp_path / "library.ckpt").read_bytes()
+        assert written != (plain / "pretrain.ckpt").read_bytes()
+
+    def test_joint_objective_train(self, tmp_path):
+        cfg = tmp_path / "joint.cfg"
+        cfg.write_text(SMALL_CFG.replace("input_noise = 0.3", "mu = 0.5"))
+        out = tmp_path / "joint"
+        for command in ("synth", "train"):  # no pretrain.ckpt: train builds the model
+            assert run([command, "--config", str(cfg), "--out", str(out)]) == 0
+        spec = encoder.TrainConfig(epochs=4, batch_size=16, lr=0.05, mu=0.5, seed=3)
+        model, _ = encoder.train(self.small_model(), self.id_train(out), spec)
+        save_model(tmp_path / "library.ckpt", model)
+        assert (out / "model.ckpt").read_bytes() == (tmp_path / "library.ckpt").read_bytes()
 
 
 class TestExitCodes:
@@ -594,14 +636,26 @@ class TestExitCodes:
         [
             ("train", "[train]\nbatch_size = 1\n", "line 2: 'train.batch_size' must be >= 2, got 1"),
             (None, "", "training needs at least 2 rows and a batch_size of at least 2, got 1 rows"),
-            ("train", "[train]\ncontrastive = true\nmu = -1\n", "line 3: 'train.mu' must be >= 0"),
+            ("train", "[train]\nmu = -1\n", "line 2: 'train.mu' must be >= 0"),
             (
                 "pretrain",
-                "[pretrain]\nadversarial = true\nadv_epsilon = 0.1\nadv_steps = 2\nadv_step_size = 0.01\n",
+                "[pretrain]\nadv_epsilon = 0.1\nadv_steps = 2\nadv_step_size = 0.01\n",
                 "pretrain.adv_steps * pretrain.adv_step_size must reach pretrain.adv_epsilon",
             ),
+            # The joint objective draws its own view noise; input_noise was
+            # dropped without a word.
+            ("train", "[train]\nmu = 0.5\ninput_noise = 0.3\n",
+             "train.input_noise applies only at train.mu = 0, got mu 0.5 and input_noise 0.3"),
+            # Both used to fail only after the whole sweep, or blamed delta.
+            ("verify-theory", "[theory]\nmu = -1\n", "line 2: 'theory.mu' must be >= 0, got -1.0"),
+            ("verify-theory", "[theory]\neta = -1\n", "line 2: 'theory.eta' must be >= 0, got -1.0"),
+            ("pretrain", "[pretrain]\nadversarial = true\n", "line 2: unknown key 'pretrain.adversarial'"),
+            ("train", "[train]\ncontrastive = true\n", "line 2: unknown key 'train.contrastive'"),
+            ("fit", "[ood]\nabs_cosine = true\n", "line 2: unknown key 'ood.abs_cosine'"),
         ],
-        ids=["batch_size_1", "one_row_id_train", "negative_mu", "unreachable_adv_budget"],
+        ids=["batch_size_1", "one_row_id_train", "negative_mu", "unreachable_adv_budget",
+             "input_noise_under_mu", "negative_theory_mu", "negative_theory_eta",
+             "retired_adversarial", "retired_contrastive", "retired_abs_cosine"],
     )
     def test_training_that_cannot_run_exits_one(
         self, tmp_path, small_config, command, config_text, message

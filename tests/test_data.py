@@ -7,7 +7,7 @@ import re
 import numpy as np
 import pytest
 
-from rodd import encoder
+from rodd import contrastive, encoder, metrics, ood, theory
 from rodd.data import (
     CONFIG,
     Dataset,
@@ -200,10 +200,10 @@ class TestDataset:
 
 class TestConfigParser:
     def test_typed_values(self):
-        cfg = parse_config("[train]\nepochs = 10\nlr = 0.05\ncontrastive = true\n")
+        cfg = parse_config("[train]\nepochs = 10\nlr = 0.05\n[synth]\nscale_to_unit = false\n")
         assert cfg.get("train.epochs") == 10
         assert cfg.get("train.lr") == 0.05
-        assert cfg.get("train.contrastive") is True
+        assert cfg.get("synth.scale_to_unit") is False
 
     def test_unknown_key_names_line(self):
         with pytest.raises(FormatError, match="line 1"):
@@ -272,6 +272,8 @@ class TestConfigParser:
             ("pretrain", "adv_epsilon", {"-0.03": ">= 0"}, ["0", "0.03"]),
             ("pretrain", "adv_steps", {"0": ">= 1", "-2": ">= 1"}, ["1", "3"]),
             ("pretrain", "adv_step_size", {"0": "> 0", "-0.01": "> 0"}, ["1e-9", "0.01"]),
+            ("theory", "mu", {"-1": ">= 0", "-1e-9": ">= 0"}, ["0", "1e-4"]),
+            ("theory", "eta", {"-1": ">= 0", "-1e-9": ">= 0"}, ["0", "0.5"]),
         ],
     )
     def test_bounded_keys(self, section, key, rejected, accepted):
@@ -430,3 +432,61 @@ class TestConfigSections:
         assert config.section("model") == {"hidden_sizes": (128, 64), "feature_dim": 8, "seed": 0}
         assert config.section("train")["epochs"] == 2
         assert config.section("tra") == {}
+
+
+def _field_defaults(cls) -> dict:
+    return {f.name: f.default for f in dataclasses.fields(cls) if f.default is not dataclasses.MISSING}
+
+
+def _parameter_defaults(function) -> dict:
+    parameters = inspect.signature(function).parameters.values()
+    return {p.name: p.default for p in parameters if p.default is not p.empty}
+
+
+# Keys whose value the stage handler passes to a field or parameter that has
+# no default of its own.  theory.normalization feeds build_adjacency, whose
+# "none" default is the raw graph the theory tests build; the pipeline
+# normalizes per block.
+NO_LIBRARY_DEFAULT = {
+    "train.epochs", "pretrain.epochs", "theory.normalization",
+    *(key for key in CONFIG if key.split(".")[0] in ("synth", "corruption")),
+    "theory.class_sizes", "theory.delta", "theory.eta", "theory.d", "theory.mu",
+    "theory.mu_values", "theory.lr", "ood.mode", "ood.target", "eval.method",
+}
+
+
+class TestLibraryDefaults:
+    """A key left out of a config must run what the library runs when the
+    matching argument is left out: one default per key."""
+
+    @staticmethod
+    def library_defaults() -> dict:
+        pretrain = _field_defaults(contrastive.PretrainConfig)
+        aug, adv = pretrain.pop("aug"), pretrain.pop("adv")
+        mc = _parameter_defaults(ood.mc_score_records)
+        return {
+            **{f"train.{name}": value for name, value in _field_defaults(encoder.TrainConfig).items()},
+            **{f"pretrain.{name}": value for name, value in pretrain.items()},
+            **{f"pretrain.aug_{name}": value for name, value in dataclasses.asdict(aug).items()},
+            **{f"pretrain.adv_{name}": value for name, value in dataclasses.asdict(adv).items()},
+            **{f"model.{name}": value for name, value in _parameter_defaults(encoder.build_model).items()},
+            **{f"theory.{name}": value for name, value in _field_defaults(theory.SolveOptions).items()},
+            "ood.quantile": _parameter_defaults(ood.fit_subspaces)["quantile"],
+            "ood.mc_draws": mc["k_draws"],
+            "ood.mc_noise_sigma": mc["noise_sigma"],
+            "ood.seed": mc["seed"],
+            "eval.tpr_target": _parameter_defaults(metrics.evaluate_split)["tpr_target"],
+        }
+
+    def test_every_config_default_is_the_library_default(self):
+        library = self.library_defaults()
+        pinned = {key: CONFIG[key].default for key in library if key in CONFIG}
+        assert pinned == {key: library[key] for key in pinned}
+        assert all(type(value) is type(library[key]) for key, value in pinned.items())
+
+    def test_every_key_is_pinned_or_listed(self):
+        library = self.library_defaults()
+        assert NO_LIBRARY_DEFAULT.isdisjoint(library)
+        assert set(CONFIG) == (set(library) & set(CONFIG)) | NO_LIBRARY_DEFAULT
+        # Library fields without a key keep their default in every run.
+        assert set(library) - set(CONFIG) == {"pretrain.grad_clip", "theory.init"}

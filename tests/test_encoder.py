@@ -302,9 +302,7 @@ class TestTrain:
         # spectral loss's non-finite-input contract error (exit 1).
         dataset = blobs_dataset()
         model = build_model(2, 2, hidden_sizes=(8,), feature_dim=4, seed=5)
-        config = TrainConfig(
-            epochs=3, batch_size=16, lr=1e200, seed=0, grad_clip=1e300, contrastive=True, mu=1.0
-        )
+        config = TrainConfig(epochs=3, batch_size=16, lr=1e200, seed=0, grad_clip=1e300, mu=1.0)
         with np.errstate(all="ignore"), pytest.raises(DivergenceError) as info:
             train(model, dataset, config)
         assert info.value.epoch in (0, 1, 2)
@@ -313,9 +311,7 @@ class TestTrain:
         dataset = blobs_dataset()
         model = build_model(2, 2, hidden_sizes=(8,), feature_dim=4, seed=6)
         before = model.class_proj.tobytes()
-        config = TrainConfig(
-            epochs=3, batch_size=16, seed=2, contrastive=True, mu=1.0, aug_gaussian_sigma=0.1
-        )
+        config = TrainConfig(epochs=3, batch_size=16, seed=2, mu=1.0, aug_gaussian_sigma=0.1)
         model, history = train(model, dataset, config)
         assert len(history) == 3
         assert model.class_proj.tobytes() == before

@@ -144,14 +144,6 @@ class TestUncertaintyScore:
             assert abs(d1 - d2) <= 1e-12
             assert a1 == a2
 
-    def test_abs_cosine_flag(self):
-        subspaces = ClassSubspaceSet([np.array([1.0, 0.0])], 0.5, 0.95)
-        f = np.array([-1.0, 0.0])
-        signed, _ = uncertainty_score(f, subspaces)
-        absed, _ = uncertainty_score(f, subspaces, abs_cosine=True)
-        assert abs(signed - math.pi) <= 1e-15
-        assert absed == 0.0
-
     def test_range_bounds(self):
         rng = np.random.default_rng(7)
         subspaces = axis_subspaces()
@@ -276,9 +268,6 @@ class TestMcScoreRecords:
     def test_draws_exceed_the_chunk(self):
         self.compare(self.rows[:3], k_draws=ood.MC_CHUNK_DRAWS + 7)
 
-    def test_abs_cosine(self):
-        self.compare(self.rows[:40], k_draws=20, abs_cosine=True)
-
     def test_all_zero_model(self):
         dead = EncoderModel(
             layers=[DenseLayer(np.zeros((6, 4)), None)],
@@ -387,7 +376,7 @@ class TestMcScoreRecords:
         record = mc_detect(self.model, self.subspaces, self.rows[5], k_draws=30,
                            noise_sigma=self.noise_sigma, seed=77, sample_id=9)
         expect = mc_detect_one(
-            self.model, self.subspaces, self.rows[5], 30, self.noise_sigma, 77, 9, False
+            self.model, self.subspaces, self.rows[5], 30, self.noise_sigma, 77, 9
         )
         assert_matches_oracle([record], [expect])
 

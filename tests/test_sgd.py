@@ -61,7 +61,7 @@ def assert_same_model(a, b):
 
 TRAIN_CASES = {
     "input_noise": dict(input_noise=0.5),
-    "contrastive": dict(contrastive=True, mu=0.7, aug_gaussian_sigma=0.1),
+    "contrastive": dict(mu=0.7, aug_gaussian_sigma=0.1),
     "clipped": dict(grad_clip=0.05, lr=0.2),
     "zero_momentum": dict(momentum=0.0),
 }
