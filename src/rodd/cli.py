@@ -176,13 +176,7 @@ def _cmd_synth(config: RunConfig, out: Path, seed: int):
 
 def _cmd_pretrain(config: RunConfig, out: Path, seed: int):
     pre = config.section("pretrain")
-    epsilon, steps, step_size = pre["adv_epsilon"], pre["adv_steps"], pre["adv_step_size"]
-    if steps * step_size < epsilon:
-        raise ContractViolation(
-            "pretrain.adv_steps * pretrain.adv_step_size must reach pretrain.adv_epsilon, "
-            f"got {steps} * {step_size} < {epsilon}"
-        )
-    adv = contrastive.AdversarialSpec(epsilon, steps, step_size)
+    adv = contrastive.AdversarialSpec(pre["adv_epsilon"], pre["adv_steps"], pre["adv_step_size"])
     dataset = _read_dataset(out / "id_train.feat")
     model = encoder.build_model(dataset.input_dim, dataset.class_count, **config.section("model"))
     aug = contrastive.AugmentationSpec(

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import functools
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -59,9 +58,9 @@ class AdversarialSpec:
         if self.step_size <= 0:
             raise ContractViolation("step_size must be > 0")
         if self.steps * self.step_size < self.epsilon:
-            warnings.warn(
-                "steps * step_size < epsilon: the budget cannot be reached",
-                stacklevel=2,
+            raise ContractViolation(
+                "steps * step_size must reach epsilon, "
+                f"got {self.steps} * {self.step_size} < {self.epsilon}"
             )
 
 

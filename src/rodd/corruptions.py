@@ -16,7 +16,6 @@ from .errors import ContractViolation
 from .streams import check_seed, row_streams, standard_normal_rows, xor_seeds
 
 KINDS = (
-    "none",
     "gaussian_noise",
     "shot_noise",
     "impulse_noise",
@@ -74,8 +73,6 @@ def _corrupt_rows(rows: np.ndarray, spec: CorruptionSpec, seeds, noise=None) -> 
     Under gaussian_noise, noise may hold those standard-normal draws already.
     """
     level = spec.severity - 1
-    if spec.kind == "none":
-        return rows.copy()
     if spec.kind == "contrast":
         mean = rows.mean(axis=1, keepdims=True)
         return np.clip((rows - mean) * CONTRAST_FACTOR[level] + mean, 0.0, 1.0)
@@ -117,11 +114,11 @@ class _SweepRows:
 def corrupt_dataset(dataset, spec: CorruptionSpec, sweep: _SweepRows | None = None):
     """Corrupt every sample with a per-sample seed of spec.seed XOR index.
 
-    Per-sample seeding makes the result independent of iteration order; the
-    'none' kind returns an identical copy.  The whole matrix is checked and
-    corrupted at once, byte for byte the rows apply_corruption gives sample
-    by sample.  severity_sweep passes its sweep state: the rows it checked,
-    and the draws every severity of its gaussian_noise sweep shares.
+    Per-sample seeding makes the result independent of iteration order.  The
+    whole matrix is checked and corrupted at once, byte for byte the rows
+    apply_corruption gives sample by sample.  severity_sweep passes its sweep
+    state: the rows it checked, and the draws every severity of its
+    gaussian_noise sweep shares.
     """
     from .data import Dataset
 

@@ -259,22 +259,15 @@ def _head_forward(model, feats, mode, update_running=True):
     return record, cache
 
 
-def forward(model: EncoderModel, batch, mode: str = "eval") -> ForwardRecord:
-    """Full forward pass.
-
-    In train mode batch statistics normalize the sharpening pre-activation
-    and the running statistics are updated (mutates the model; batch size
-    must be >= 2).  In eval mode the stored running statistics are used and
-    the call is pure.
+def forward(model: EncoderModel, batch) -> ForwardRecord:
+    """Eval-mode forward pass: the stored running statistics normalize the
+    sharpening pre-activation, and the call is pure.  Training runs the
+    train-mode head through _loss_and_grad.
     """
     x = as_matrix(batch, "batch")
-    if mode not in ("train", "eval"):
-        raise ContractViolation(f"mode must be 'train' or 'eval', got {mode!r}")
     _check_width(model, x)
-    if mode == "train" and x.shape[0] < 2:
-        raise ContractViolation("train-mode forward needs a batch of at least 2")
     feats, _ = _body_forward(model.layers, x)
-    record, _ = _head_forward(model, feats, mode)
+    record, _ = _head_forward(model, feats, "eval")
     return record
 
 
@@ -507,7 +500,7 @@ def train(model: EncoderModel, dataset, config: TrainConfig):
     lrs = [_epoch_lr(config.lr, epoch, config.epochs) for epoch in range(config.epochs)]
     history = []
     for entry in run_epochs(opt, dataset.n, config.batch_size, lrs, rng, batch_loss, min_batch=2):
-        record = forward(model, dataset.inputs, mode="eval")
+        record = forward(model, dataset.inputs)
         acc = float((np.argmax(record.logits, axis=1) == dataset.labels).mean())
         epoch, loss = entry.pop("epoch"), entry.pop("loss")
         history.append({"epoch": epoch, "loss": loss, "accuracy": acc, **entry})

@@ -40,7 +40,7 @@ import numpy as np
 from .errors import ContractViolation, NumericFailure
 from .linalg import as_matrix, svd, sym_eig
 
-NORMALIZATIONS = ("none", "unit-spectral-per-block", "doubly-stochastic-per-block")
+NORMALIZATIONS = ("none", "unit-spectral-per-block")
 
 _STEP_SLACK = 1e-12  # per-step nonincrease slack on the loss trace
 # The largest spread delta accepted: (1 + delta)^2 overflows float64 past 1.3e154.
@@ -126,7 +126,7 @@ class AugGraph:
 class SolveOptions:
     max_iters: int = 2000
     tol: float = 1e-12
-    init: str | np.ndarray = "auto"  # auto | closed-form | random | array
+    init: str | np.ndarray = "auto"  # auto | random | array
     seed: int = 0
 
 
@@ -146,7 +146,7 @@ def build_adjacency(
     delta: float,
     eta: float,
     seed: int,
-    normalization: str = "none",
+    normalization: str = "unit-spectral-per-block",
 ) -> AugGraph:
     """Random adjacency satisfying the spread and cross-class assumptions.
 
@@ -155,11 +155,6 @@ def build_adjacency(
     within-class entry (zero blocks off the diagonal when eta = 0).  The
     requested normalization is applied per class block before the cross
     entries are set.
-
-    For the doubly-stochastic normalization the draw interval is narrowed to
-    exponent 1/3 of the requested one, because symmetric Sinkhorn scaling can
-    inflate the entry ratio by up to its square: the narrowed draw keeps the
-    final ratio provably within (1+delta)^2.
     """
     _check_spread(delta, eta)
     if normalization not in NORMALIZATIONS:
@@ -172,10 +167,7 @@ def build_adjacency(
     a = np.zeros((n, n))
     ranges = []
     start = 0
-    if normalization == "doubly-stochastic-per-block":
-        hi = (1.0 + delta) ** (1.0 / 3.0)
-    else:
-        hi = 1.0 + delta
+    hi = 1.0 + delta
     lo = 1.0 / hi
     for size in sizes:
         stop = start + size
@@ -184,8 +176,6 @@ def build_adjacency(
         if normalization == "unit-spectral-per-block":
             lam, _ = sym_eig(block)
             block = block / lam[0]
-        elif normalization == "doubly-stochastic-per-block":
-            block = _sinkhorn_symmetric(block)
         a[start:stop, start:stop] = block
         ranges.append((start, stop))
         start = stop
@@ -204,17 +194,6 @@ def build_adjacency(
 def _check_spread(delta: float, eta: float) -> None:
     if not (0.0 <= delta <= DELTA_LIMIT and eta >= 0.0):
         raise ContractViolation(f"delta must lie in [0, {DELTA_LIMIT:g}] and eta must be >= 0")
-
-
-def _sinkhorn_symmetric(block: np.ndarray, tol: float = 1e-13, cap: int = 10000):
-    b = block.copy()
-    for _ in range(cap):
-        sums = b.sum(axis=1)
-        if float(np.abs(sums - 1.0).max()) <= tol:
-            return (b + b.T) / 2.0
-        scale = 1.0 / np.sqrt(sums)
-        b = b * scale[:, None] * scale[None, :]
-    raise NumericFailure("sinkhorn scaling did not converge")
 
 
 def closed_form_contrastive(graph: AugGraph, d: int, eig=None) -> np.ndarray:
@@ -248,6 +227,8 @@ def joint_loss_and_grad(adjacency, f, proj, targets, mu: float):
 
 def _validate_proj(graph, proj):
     proj = as_matrix(proj, "proj")
+    if not 1 <= proj.shape[0] <= graph.n:
+        raise ContractViolation(f"d must lie in [1, {graph.n}], got {proj.shape[0]}")
     n_classes = len(graph.class_ranges)
     if proj.shape[1] != n_classes:
         raise ContractViolation(
@@ -279,8 +260,6 @@ def _initial_point(graph, d, opts):
         if float(eig[0].min()) >= -1e-10:
             return closed_form_contrastive(graph, d, eig)
         init = "random"
-    if init == "closed-form":
-        return closed_form_contrastive(graph, d)
     if init == "random":
         rng = np.random.default_rng(opts.seed)
         return 0.01 * rng.standard_normal((graph.n, d))
@@ -677,7 +656,6 @@ def mu_sweep(
     proj,
     mu_values,
     opts: SolveOptions | None = None,
-    tol: float = 1e-8,
     results: dict | None = None,
 ) -> dict:
     """Solve the joint problem per mu from one shared initialization.
@@ -710,7 +688,7 @@ def mu_sweep(
     for mu, result in zip(mu_values, solved):
         if results is not None:
             results[mu] = result
-        report = verify_lemma(graph, result, tol=tol)
+        report = verify_lemma(graph, result)
         dominance = []
         for sigma in result.per_class_sigma:
             total = float((sigma**2).sum())

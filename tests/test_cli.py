@@ -14,6 +14,7 @@ import pytest
 import rodd
 from rodd import cli, contrastive, encoder, theory
 from rodd.cli import run
+from rodd.corruptions import KINDS
 from rodd.data import CONFIG, Dataset, read_features, write_features
 from rodd.encoder import load_model, save_model
 from rodd.linalg import orthonormal_init
@@ -130,6 +131,19 @@ class TestPipeline:
                 "threshold_used",
             }
         assert payload["id_accuracy"] is not None
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_one_clean_row_whatever_the_kind(self, tmp_path, pipeline_dir, kind):
+        # The clean row is the only one labelled "none".
+        cfg = tmp_path / "kind.cfg"
+        cfg.write_text(SMALL_CFG.replace("kind = gaussian_noise", f"kind = {kind}"))
+        out = tmp_path / "o"
+        shutil.copytree(pipeline_dir, out)
+        assert run(["eval", "--config", str(cfg), "--out", str(out)]) == 0
+        rows = json.loads((out / "eval.json").read_text())["rows"]
+        assert [row["corruption"] for row in rows] == ["none", kind, kind]
+        lines = (out / "eval.csv").read_text().splitlines()[1:]
+        assert [line.split(",")[1] for line in lines] == ["none", kind, kind]
 
     def test_eval_csv_header(self, pipeline_dir):
         header = (pipeline_dir / "eval.csv").read_text().split("\n")[0]
@@ -512,7 +526,15 @@ class TestExitCodes:
             ("verify-theory", "theory", "mu_values", "1e400", "every 'theory.mu_values' entry must be finite"),
             ("verify-theory", "theory", "mu_values", "1,nan", "every 'theory.mu_values' entry must be finite"),
             ("verify-theory", "theory", "mu_values", "1,big", "'theory.mu_values' must be a comma-separated number list"),
-            ("corrupt", "corruption", "kind", "fog", "'corruption.kind' must be one of 'none', "),
+            ("corrupt", "corruption", "kind", "fog", "'corruption.kind' must be one of 'gaussian_noise', "),
+            # Retired values: no corruption is an unset kind, and the
+            # pipeline's graph is unit-spectral.
+            ("eval", "corruption", "kind", "none", "'corruption.kind' must be one of 'gaussian_noise', "),
+            (
+                "verify-theory", "theory", "normalization", "doubly-stochastic-per-block",
+                "'theory.normalization' must be one of 'none', 'unit-spectral-per-block', "
+                "got 'doubly-stochastic-per-block'",
+            ),
             ("corrupt", "corruption", "severities", "", "'corruption.severities' must list at least one value"),
             ("eval", "corruption", "severities", "", "'corruption.severities' must list at least one value"),
             ("verify-theory", "theory", "mu_values", "", "'theory.mu_values' must list at least one value"),
@@ -547,7 +569,7 @@ class TestExitCodes:
         out = tmp_path / "g"
         assert run([command, "--config", str(cfg), "--out", str(out)]) == 1
         err = capsys.readouterr().err
-        assert f"line 43: 'corruption.kind' must be one of 'none', " in err
+        assert "line 43: 'corruption.kind' must be one of 'gaussian_noise', " in err
         assert f"got '{kind}'" in err
         assert not out.exists()  # rejected before the stage touched its inputs
 
@@ -640,7 +662,7 @@ class TestExitCodes:
             (
                 "pretrain",
                 "[pretrain]\nadv_epsilon = 0.1\nadv_steps = 2\nadv_step_size = 0.01\n",
-                "pretrain.adv_steps * pretrain.adv_step_size must reach pretrain.adv_epsilon",
+                "steps * step_size must reach epsilon, got 2 * 0.01 < 0.1",
             ),
             # The joint objective draws its own view noise; input_noise was
             # dropped without a word.
@@ -652,10 +674,15 @@ class TestExitCodes:
             ("pretrain", "[pretrain]\nadversarial = true\n", "line 2: unknown key 'pretrain.adversarial'"),
             ("train", "[train]\ncontrastive = true\n", "line 2: unknown key 'train.contrastive'"),
             ("fit", "[ood]\nabs_cosine = true\n", "line 2: unknown key 'ood.abs_cosine'"),
+            # delta = 0.05 is not PSD, so the solver takes the random start.
+            ("verify-theory", "[theory]\nclass_sizes = 3,3\nd = 9\n", "d must lie in [1, 6], got 9"),
+            ("verify-theory", "[theory]\nclass_sizes = 3,3\ndelta = 0\nd = 9\n",
+             "d must lie in [1, 6], got 9"),
         ],
         ids=["batch_size_1", "one_row_id_train", "negative_mu", "unreachable_adv_budget",
              "input_noise_under_mu", "negative_theory_mu", "negative_theory_eta",
-             "retired_adversarial", "retired_contrastive", "retired_abs_cosine"],
+             "retired_adversarial", "retired_contrastive", "retired_abs_cosine",
+             "theory_d_above_n", "theory_d_above_n_psd"],
     )
     def test_training_that_cannot_run_exits_one(
         self, tmp_path, small_config, command, config_text, message

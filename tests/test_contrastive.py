@@ -145,8 +145,7 @@ class TestAdversarialPerturb:
     def test_single_step_structure(self):
         model = build_model(4, 2, hidden_sizes=(6,), feature_dim=3, seed=2)
         x = np.random.default_rng(7).standard_normal((4, 4)) + 1.0
-        with pytest.warns(UserWarning):  # 1 step cannot reach the full budget
-            spec = AdversarialSpec(epsilon=0.05, steps=1, step_size=0.02)
+        spec = AdversarialSpec(epsilon=0.02, steps=1, step_size=0.02)
         out = _perturb(model, x, batch_adjacency([(0, 1), (2, 3)], 4), spec)
         delta = out - x
         allowed = {-0.02, 0.0, 0.02}
@@ -165,8 +164,7 @@ class TestAdversarialPerturb:
         x = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
         adjacency = batch_adjacency([(0, 1)], 2)
         _, dfeat = spectral_contrastive_loss(x, adjacency)
-        with pytest.warns(UserWarning):
-            spec = AdversarialSpec(epsilon=0.5, steps=1, step_size=0.1)
+        spec = AdversarialSpec(epsilon=0.1, steps=1, step_size=0.1)
         out = _perturb(model, x, adjacency, spec)
         assert np.array_equal(out - x, 0.1 * np.sign(dfeat))
 
@@ -207,7 +205,7 @@ class TestAdversarialPerturb:
     def test_spec_validation(self):
         with pytest.raises(ContractViolation):
             AdversarialSpec(epsilon=-0.1)
-        with pytest.warns(UserWarning):
+        with pytest.raises(ContractViolation, match=r"must reach epsilon, got 1 \* 0.1 < 1.0"):
             AdversarialSpec(epsilon=1.0, steps=1, step_size=0.1)
 
 

@@ -24,11 +24,6 @@ def flat_input(seed=0, size=400):
 
 
 class TestApplyCorruption:
-    def test_none_is_exact(self):
-        x = flat_input()
-        out = apply_corruption(x, CorruptionSpec("none", 3, 7))
-        assert np.array_equal(out, x)
-
     def test_gaussian_severity_monotone_on_same_seed(self):
         x = flat_input(1)
         low = apply_corruption(x, CorruptionSpec("gaussian_noise", 1, 5))
@@ -77,8 +72,9 @@ class TestApplyCorruption:
             CorruptionSpec("gaussian_noise", 1, seed)
 
     def test_unknown_kind_rejected(self):
-        with pytest.raises(ContractViolation):
-            CorruptionSpec("salt", 1, 0)
+        for kind in ("salt", "none"):  # no corruption is an unset corruption.kind
+            with pytest.raises(ContractViolation, match=f"unknown corruption kind '{kind}'"):
+                CorruptionSpec(kind, 1, 0)
         with pytest.raises(ContractViolation):
             CorruptionSpec("gaussian_noise", 6, 0)
 
@@ -98,12 +94,6 @@ class TestCorruptDataset:
     def make_dataset(self):
         rng = np.random.default_rng(11)
         return Dataset(rng.uniform(0.1, 0.9, size=(20, 30)), rng.integers(0, 2, 20), 2)
-
-    def test_none_is_identity(self):
-        ds = self.make_dataset()
-        out = corrupt_dataset(ds, CorruptionSpec("none", 1, 0))
-        assert np.array_equal(out.inputs, ds.inputs)
-        assert np.array_equal(out.labels, ds.labels)
 
     def test_same_spec_twice_identical(self):
         ds = self.make_dataset()

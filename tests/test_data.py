@@ -295,7 +295,9 @@ class TestConfigParser:
             ("ood.mode", ["multi", "MC", ""], ["single", "mc"]),
             ("eval.method", ["energy"], ["rodd", "msp"]),
             ("corruption.apply_to", ["both"], ["ood", "id"]),
-            ("theory.normalization", ["unit"], ["none", "doubly-stochastic-per-block"]),
+            ("theory.normalization", ["unit", "doubly-stochastic-per-block"],
+             ["none", "unit-spectral-per-block"]),
+            ("corruption.kind", ["none"], ["gaussian_noise", "brightness"]),
         ],
     )
     def test_choice_keys(self, key, rejected, accepted):
@@ -444,11 +446,9 @@ def _parameter_defaults(function) -> dict:
 
 
 # Keys whose value the stage handler passes to a field or parameter that has
-# no default of its own.  theory.normalization feeds build_adjacency, whose
-# "none" default is the raw graph the theory tests build; the pipeline
-# normalizes per block.
+# no default of its own.
 NO_LIBRARY_DEFAULT = {
-    "train.epochs", "pretrain.epochs", "theory.normalization",
+    "train.epochs", "pretrain.epochs",
     *(key for key in CONFIG if key.split(".")[0] in ("synth", "corruption")),
     "theory.class_sizes", "theory.delta", "theory.eta", "theory.d", "theory.mu",
     "theory.mu_values", "theory.lr", "ood.mode", "ood.target", "eval.method",
@@ -471,6 +471,7 @@ class TestLibraryDefaults:
             **{f"pretrain.adv_{name}": value for name, value in dataclasses.asdict(adv).items()},
             **{f"model.{name}": value for name, value in _parameter_defaults(encoder.build_model).items()},
             **{f"theory.{name}": value for name, value in _field_defaults(theory.SolveOptions).items()},
+            "theory.normalization": _parameter_defaults(theory.build_adjacency)["normalization"],
             "ood.quantile": _parameter_defaults(ood.fit_subspaces)["quantile"],
             "ood.mc_draws": mc["k_draws"],
             "ood.mc_noise_sigma": mc["noise_sigma"],

@@ -46,7 +46,7 @@ class TestForward:
     def test_cosine_with_own_direction_is_one(self):
         model = identity_body_model(6, 3, seed=4)
         for cls in range(3):
-            record = forward(model, model.class_proj[:, cls][None, :], mode="eval")
+            record = forward(model, model.class_proj[:, cls][None, :])
             assert abs(record.z[0, cls] - 1.0) <= 1e-12
             assert np.abs(record.z).max() <= 1.0 + 1e-12
 
@@ -54,7 +54,7 @@ class TestForward:
         # bn_scale = 0 forces g = sigmoid(0) = 0.5 exactly, so logits = 2z.
         model = identity_body_model(5, 2, bn_scale=0.0)
         x = np.random.default_rng(0).standard_normal((3, 5))
-        record = forward(model, x, mode="eval")
+        record = forward(model, x)
         assert np.array_equal(record.g, np.full(3, 0.5))
         assert np.array_equal(record.logits, 2.0 * record.z)
 
@@ -72,8 +72,8 @@ class TestForward:
                 down = x.copy()
                 down[i, j] -= eps
                 numeric = (
-                    forward(model, up, "eval").logits.sum()
-                    - forward(model, down, "eval").logits.sum()
+                    forward(model, up).logits.sum()
+                    - forward(model, down).logits.sum()
                 ) / (2 * eps)
                 worst = max(
                     worst,
@@ -84,14 +84,14 @@ class TestForward:
     def test_cosine_bound_holds(self):
         rng = np.random.default_rng(10)
         model = build_model(7, 4, hidden_sizes=(12, 8), feature_dim=6, seed=5)
-        record = forward(model, rng.standard_normal((30, 7)), mode="eval")
+        record = forward(model, rng.standard_normal((30, 7)))
         assert np.abs(record.z).max() <= 1.0 + 1e-12
         assert np.all(record.g > 0.0) and np.all(record.g < 1.0)
 
     def test_sharpening_amplifies(self):
         rng = np.random.default_rng(11)
         model = build_model(7, 4, hidden_sizes=(12,), feature_dim=6, seed=6)
-        record = forward(model, rng.standard_normal((20, 7)), mode="eval")
+        record = forward(model, rng.standard_normal((20, 7)))
         amplified = record.g < 1.0
         assert np.all(np.abs(record.logits[amplified]) >= np.abs(record.z[amplified]))
 
@@ -99,33 +99,38 @@ class TestForward:
         rng = np.random.default_rng(12)
         model = build_model(5, 2, hidden_sizes=(8,), feature_dim=4, seed=7)
         x = rng.standard_normal((6, 5))
-        a = forward(model, x, mode="eval")
-        b = forward(model, x, mode="eval")
-        assert np.array_equal(a.logits, b.logits)
-
-    def test_train_mode_updates_running_stats(self):
-        model = build_model(5, 2, hidden_sizes=(8,), feature_dim=4, seed=7)
         before = (model.bn_mean, model.bn_var)
-        forward(model, np.random.default_rng(1).standard_normal((8, 5)), mode="train")
-        assert (model.bn_mean, model.bn_var) != before
-        assert model.bn_var > 0
+        a = forward(model, x)
+        b = forward(model, x)
+        assert np.array_equal(a.logits, b.logits)
+        assert (model.bn_mean, model.bn_var) == before
+
+    def test_each_row_is_scored_alone(self):
+        # The running statistics normalize every row, so a row's logits do
+        # not depend on the rest of its batch, and one row is a batch.
+        rng = np.random.default_rng(13)
+        model = build_model(5, 3, hidden_sizes=(8,), feature_dim=4, seed=8)
+        x = rng.standard_normal((6, 5))
+        whole = forward(model, x).logits
+        for i in range(6):
+            alone = forward(model, x[i : i + 1]).logits
+            assert alone.shape == (1, 3)
+            assert np.allclose(alone[0], whole[i], rtol=1e-12, atol=1e-15)
+        reordered = forward(model, x[::-1]).logits
+        assert np.allclose(reordered, whole[::-1], rtol=1e-12, atol=1e-15)
+
+    def test_forward_has_no_mode(self):
+        model = identity_body_model(4, 2)
+        x = np.random.default_rng(14).standard_normal((3, 4))
+        with pytest.raises(TypeError):
+            forward(model, x, mode="train")
 
     def test_degenerate_feature_raises_with_index(self):
         model = identity_body_model(4, 2)
         x = np.vstack([np.ones(4), np.zeros(4)])
         with pytest.raises(DegenerateFeatureError) as info:
-            forward(model, x, mode="eval")
+            forward(model, x)
         assert info.value.sample_index == 1
-
-    def test_train_mode_needs_two_samples(self):
-        model = identity_body_model(4, 2)
-        with pytest.raises(ContractViolation):
-            forward(model, np.ones((1, 4)), mode="train")
-
-    def test_bad_mode(self):
-        model = identity_body_model(4, 2)
-        with pytest.raises(ContractViolation):
-            forward(model, np.ones((2, 4)), mode="predict")
 
     def test_head_logits_rejects_an_overflowing_norm(self):
         # Finite features whose squared norm overflows used to give unit

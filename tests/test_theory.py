@@ -65,7 +65,7 @@ def rank_two_block_graph(sizes, eps, seed):
 
 class TestBuildAdjacency:
     def test_delta_zero_constant_blocks(self):
-        graph = build_adjacency([3, 2], 0.0, 0.0, seed=1)
+        graph = build_adjacency([3, 2], 0.0, 0.0, seed=1, normalization="none")
         a = graph.adjacency
         assert np.array_equal(a[:3, :3], np.ones((3, 3)))
         assert np.array_equal(a[3:, 3:], np.ones((2, 2)))
@@ -74,17 +74,17 @@ class TestBuildAdjacency:
         assert np.abs(lam - np.array([3.0, 0.0, 0.0])).max() <= 1e-10
 
     def test_spread_bound(self):
-        graph = build_adjacency([6, 5], 0.1, 0.0, seed=2)
+        graph = build_adjacency([6, 5], 0.1, 0.0, seed=2, normalization="none")
         for start, stop in graph.class_ranges:
             block = graph.adjacency[start:stop, start:stop]
             assert block.max() / block.min() <= 1.21 + 1e-12
 
     def test_symmetry(self):
-        graph = build_adjacency([4, 4, 3], 0.2, 0.1, seed=3)
+        graph = build_adjacency([4, 4, 3], 0.2, 0.1, seed=3, normalization="none")
         assert np.abs(graph.adjacency - graph.adjacency.T).max() <= 1e-15
 
     def test_cross_class_ceiling(self):
-        graph = build_adjacency([4, 3], 0.1, 0.5, seed=4)
+        graph = build_adjacency([4, 3], 0.1, 0.5, seed=4, normalization="none")
         a = graph.adjacency
         within_min = min(
             a[s:t, s:t].min() for s, t in graph.class_ranges
@@ -99,14 +99,18 @@ class TestBuildAdjacency:
             lam, _ = sym_eig(graph.adjacency[start:stop, start:stop])
             assert abs(lam[0] - 1.0) <= 1e-10
 
-    def test_doubly_stochastic_normalization(self):
-        graph = build_adjacency(
-            [5, 4], 0.1, 0.0, seed=6, normalization="doubly-stochastic-per-block"
-        )
-        for start, stop in graph.class_ranges:
-            block = graph.adjacency[start:stop, start:stop]
-            assert np.abs(block.sum(axis=1) - 1.0).max() <= 1e-12
-            assert block.max() / block.min() <= 1.21 + 1e-9
+    def test_default_normalization_is_unit_spectral(self):
+        default = build_adjacency([4, 3], 0.1, 0.2, seed=6)
+        explicit = build_adjacency([4, 3], 0.1, 0.2, seed=6, normalization="unit-spectral-per-block")
+        assert default.normalization == "unit-spectral-per-block"
+        assert np.array_equal(default.adjacency, explicit.adjacency)
+
+    def test_unknown_normalization_rejected(self):
+        for name in ("doubly-stochastic-per-block", "unit"):
+            with pytest.raises(ContractViolation, match=f"unknown normalization '{name}'"):
+                build_adjacency([3, 2], 0.1, 0.0, seed=1, normalization=name)
+            with pytest.raises(ContractViolation, match=f"unknown normalization '{name}'"):
+                AugGraph(np.ones((2, 2)), ((0, 2),), 0.0, 0.0, name)
 
     def test_invariant_enforcement(self):
         with pytest.raises(ContractViolation):
@@ -179,7 +183,7 @@ class TestSolveJoint:
         graph, proj, targets = graph_proj_targets([4, 3], 0.0, 0.0, seed=8)
         lam, _ = sym_eig(graph.adjacency)
         optimum = float((lam[graph.n :] ** 2).sum())
-        result = solve_joint(graph, proj, 0.0, SolveOptions(init="closed-form"))
+        result = solve_joint(graph, proj, 0.0, SolveOptions(init="auto"))
         assert result.loss_trace[-1] <= optimum + 1e-9
 
     def test_zero_adjacency_beats_naive_point(self):
@@ -300,8 +304,23 @@ class TestSolveJoint:
             solve_joint(graph, proj * 2.0, 0.0)  # not orthonormal
         with pytest.raises(ContractViolation):
             solve_joint(graph, proj, -1.0)
-        with pytest.raises(ContractViolation):
-            solve_joint(graph, proj, 0.0, SolveOptions(init="magic"))
+        for init in ("magic", "closed-form"):  # auto takes the closed form on a PSD graph
+            with pytest.raises(ContractViolation, match=f"unknown init '{init}'"):
+                solve_joint(graph, proj, 0.0, SolveOptions(init=init))
+
+    @pytest.mark.parametrize("delta", [0.0, 0.05])
+    def test_d_outside_one_to_n_is_a_contract_error(self, delta):
+        # At delta = 0.05 the graph is not PSD and auto takes the random
+        # start, which needs the check as much as the closed form does.
+        graph = build_adjacency([3, 3], delta, 0.0, seed=14)
+        for d in (9, 7):
+            proj = orthonormal_init(d, 2, 15)
+            with pytest.raises(ContractViolation, match=rf"d must lie in \[1, 6\], got {d}"):
+                solve_joint(graph, proj, 0.0)
+            with pytest.raises(ContractViolation, match=rf"d must lie in \[1, 6\], got {d}"):
+                mu_sweep(graph, proj, [0.0, 1.0])
+        at_n = solve_joint(graph, orthonormal_init(6, 2, 15), 0.0, SolveOptions(max_iters=2))
+        assert at_n.f_star.shape == (6, 6)
 
 
 class TestVerifyLemma:
