@@ -54,9 +54,12 @@ def run(argv=None) -> int:
         handler, section = _HANDLERS[args.command]
         seed = None if section is None else _derived(args.seed, config.get(f"{section}.seed"))
         written = []
-        for name, payload in handler(config, out, seed):
-            _write(out / name, payload)
-            written.append(str(out / name))
+        # Every overflow ends at a finiteness check that raises, so numpy's
+        # warnings would only print noise before the error line.
+        with np.errstate(all="ignore"):
+            for name, payload in handler(config, out, seed):
+                _write(out / name, payload)
+                written.append(str(out / name))
         _append_manifest(args, seed, out, runs, written)
         return 0
     except (ContractViolation, FormatError, OSError) as exc:
@@ -179,11 +182,9 @@ def _cmd_pretrain(config: RunConfig, out: Path, seed: int):
     adv = contrastive.AdversarialSpec(pre["adv_epsilon"], pre["adv_steps"], pre["adv_step_size"])
     dataset = _read_dataset(out / "id_train.feat")
     model = encoder.build_model(dataset.input_dim, dataset.class_count, **config.section("model"))
-    aug = contrastive.AugmentationSpec(
-        pre["aug_gaussian_sigma"], pre["aug_mask_fraction"], pre["aug_scale_jitter"]
-    )
     cfg = contrastive.PretrainConfig(
-        pre["epochs"], pre["batch_size"], pre["lr"], pre["momentum"], aug=aug, adv=adv, seed=seed
+        pre["epochs"], pre["batch_size"], pre["lr"], pre["momentum"],
+        aug_gaussian_sigma=pre["aug_gaussian_sigma"], adv=adv, seed=seed,
     )
     model, history = contrastive.pretrain(model, dataset, cfg)
     yield "pretrain.ckpt", model
@@ -251,9 +252,10 @@ def _cmd_score(config: RunConfig, out: Path, seed: int):
 
 
 def _cmd_corrupt(config: RunConfig, out: Path, seed: int):
-    """One feature file per severity, each yielded, and so written, before
-    the next is drawn."""
-    target = _resolve_target(out, config.get("corruption.target"))
+    """One feature file per severity of the set corruption.apply_to names,
+    the set eval sweeps, each yielded, and so written, before the next is
+    drawn."""
+    target = out / ("ood.feat" if config.get("corruption.apply_to") == "ood" else "id_test.feat")
     dataset = _read_dataset(target)
     kind = _derived(config.get("corruption.kind"), "gaussian_noise")
     severities = config.get("corruption.severities")

@@ -21,28 +21,6 @@ from .linalg import as_matrix
 
 
 @dataclass(frozen=True)
-class AugmentationSpec:
-    """Stochastic input augmentation: additive noise, scale jitter, dropout."""
-
-    gaussian_sigma: float = 0.0
-    mask_fraction: float = 0.0
-    scale_jitter: float = 0.0
-
-    def __post_init__(self):
-        if not all(
-            math.isfinite(v)
-            for v in (self.gaussian_sigma, self.mask_fraction, self.scale_jitter)
-        ):
-            raise ContractViolation("augmentation parameters must be finite")
-        if self.gaussian_sigma < 0:
-            raise ContractViolation("gaussian_sigma must be >= 0")
-        if not 0.0 <= self.mask_fraction < 1.0:
-            raise ContractViolation("mask_fraction must lie in [0, 1)")
-        if self.scale_jitter < 0:
-            raise ContractViolation("scale_jitter must be >= 0")
-
-
-@dataclass(frozen=True)
 class AdversarialSpec:
     """Infinity-norm budget and schedule for the sign-gradient perturbation."""
 
@@ -71,32 +49,27 @@ class PretrainConfig:
     lr: float = 0.02
     momentum: float = 0.9
     grad_clip: float = 1.0  # global-norm cap; the objective is quartic in F
-    aug: AugmentationSpec = AugmentationSpec(gaussian_sigma=0.1)
+    aug_gaussian_sigma: float = 0.1
     adv: AdversarialSpec = AdversarialSpec(0.0)
     seed: int = 0
 
 
-def augment_batch(x, spec: AugmentationSpec, rng: np.random.Generator) -> np.ndarray:
-    """Independently augment each row; the all-zero spec is an exact identity.
-
-    Each row becomes (x + gaussian_sigma * z) * (1 + U(-scale_jitter,
-    scale_jitter)), then its round(mask_fraction * width) lowest-scored
-    entries are set to 0 under U[0, 1) scores.  Draw order is fixed (noise,
-    jitter factors, mask scores) so results only depend on the generator
-    state, not on which parameters are active.
+def augment_batch(x, sigma: float, rng: np.random.Generator) -> np.ndarray:
+    """Each row plus independent gaussian noise of standard deviation sigma;
+    sigma 0 is an exact identity.  After the noise the generator skips one
+    64-bit word per row and one per entry.
     """
+    if not (math.isfinite(sigma) and sigma >= 0):
+        raise ContractViolation(f"augmentation sigma must be finite and >= 0, got {sigma}")
     x = as_matrix(x, "x")
     out = rng.standard_normal(x.shape)
-    out *= spec.gaussian_sigma
+    out *= sigma
     out += x
-    factors = rng.uniform(-spec.scale_jitter, spec.scale_jitter, size=(x.shape[0], 1))
-    if spec.scale_jitter:  # without jitter every factor is 1
-        out *= 1.0 + factors
-    scores = rng.random(x.shape)
-    k = int(round(spec.mask_fraction * x.shape[1]))
-    if k > 0:
-        drop = np.argsort(scores, axis=1, kind="stable")[:, :k]
-        np.put_along_axis(out, drop, 0.0, axis=1)
+    # The skipped words are those the retired scale jitter and mask drew, so
+    # every later draw and checkpoint byte stays as it was.  Dropping the
+    # skip moves them, and falls under ROADMAP item 4's fingerprint gate.
+    rows, width = x.shape
+    rng.bit_generator.random_raw(rows * (width + 1), output=False)
     return out
 
 
@@ -132,10 +105,10 @@ def view_pair_adjacency(m: int) -> np.ndarray:
     return a
 
 
-def view_pairs(xb, spec: AugmentationSpec, rng: np.random.Generator):
+def view_pairs(xb, sigma: float, rng: np.random.Generator):
     """Two augmented views of each row of xb, the first views stacked above
     the second, and the cached adjacency that pairs them."""
-    return augment_batch(np.vstack([xb, xb]), spec, rng), view_pair_adjacency(len(xb))
+    return augment_batch(np.vstack([xb, xb]), sigma, rng), view_pair_adjacency(len(xb))
 
 
 def spectral_contrastive_loss(f, a) -> tuple[float, np.ndarray]:
@@ -182,7 +155,7 @@ def pretrain(model: EncoderModel, dataset, config: PretrainConfig):
     opt = MomentumSGD(model, config.momentum, config.grad_clip, body_only=True)
 
     def batch_loss(epoch, idx):
-        views, adjacency = view_pairs(dataset.inputs[idx], config.aug, rng)
+        views, adjacency = view_pairs(dataset.inputs[idx], config.aug_gaussian_sigma, rng)
         views = _perturb(model, views, adjacency, config.adv)
         feats, acts = _body_forward(model.layers, views, keep=True)
         # Overflowing features are a diverging run, not a bad input.

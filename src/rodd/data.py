@@ -314,8 +314,6 @@ CONFIG: dict[str, ConfigKey] = {
     "pretrain.lr": ConfigKey(float, 0.02, _POSITIVE),
     "pretrain.momentum": ConfigKey(float, 0.9, _UNIT_HALF_OPEN),
     "pretrain.aug_gaussian_sigma": ConfigKey(float, 0.1, _NONNEGATIVE),
-    "pretrain.aug_mask_fraction": ConfigKey(float, 0.0, _UNIT_HALF_OPEN),
-    "pretrain.aug_scale_jitter": ConfigKey(float, 0.0, _NONNEGATIVE),
     "pretrain.adv_epsilon": ConfigKey(float, 0.0, _NONNEGATIVE),  # 0: no perturbation
     "pretrain.adv_steps": ConfigKey(int, 3, _AT_LEAST_1),
     "pretrain.adv_step_size": ConfigKey(float, 0.01, _POSITIVE),
@@ -328,7 +326,6 @@ CONFIG: dict[str, ConfigKey] = {
     "train.mu": ConfigKey(float, 0.0, _NONNEGATIVE),  # 0: cross-entropy alone
     "train.aug_gaussian_sigma": ConfigKey(float, 0.05, _NONNEGATIVE),
     "train.input_noise": ConfigKey(float, 0.0, _NONNEGATIVE),
-    "train.grad_clip": ConfigKey(float, 5.0, _POSITIVE),
     "train.seed": ConfigKey(int, 0, _SEED),
     # OOD scoring
     "ood.quantile": ConfigKey(float, 0.95, _UNIT_OPEN),
@@ -347,7 +344,6 @@ CONFIG: dict[str, ConfigKey] = {
         int, (1, 2, 3, 4, 5), ((">=", 1), ("<=", 5)), is_list=True, distinct=True
     ),
     "corruption.apply_to": ConfigKey(str, "ood", choices=("ood", "id")),
-    "corruption.target": ConfigKey(str, "ood.feat"),
     "corruption.seed": ConfigKey(int, 0, _SEED),
     # spectral-theory verification
     "theory.class_sizes": ConfigKey(int, (6, 5), _AT_LEAST_1, is_list=True),

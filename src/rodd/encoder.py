@@ -32,6 +32,9 @@ from .linalg import as_matrix, orthonormal_init
 BN_EPS = 1e-5
 BN_MOMENTUM = 0.1
 FEATURE_NORM_FLOOR = 1e-12
+# Fine-tuning's global-norm gradient cap; the sharpening layer amplifies
+# gradients by 1/g.  train reads it when called.
+GRAD_CLIP = 5.0
 
 MODEL_MAGIC = b"RODDMODL1"
 
@@ -92,7 +95,6 @@ class TrainConfig:
     # at a level drawn uniformly from [0, input_noise], so the encoder sees
     # every perturbation scale up to the cap.  0 disables it.
     input_noise: float = 0.0
-    grad_clip: float = 5.0  # global-norm cap; sharpening amplifies gradients by 1/g
 
 
 def build_model(
@@ -475,17 +477,16 @@ def train(model: EncoderModel, dataset, config: TrainConfig):
                 "train.input_noise applies only at train.mu = 0, "
                 f"got mu {config.mu} and input_noise {config.input_noise}"
             )
-        from .contrastive import AugmentationSpec, view_pairs
+        from .contrastive import view_pairs
 
-        spec = AugmentationSpec(gaussian_sigma=config.aug_gaussian_sigma)
     rng = np.random.default_rng(config.seed)
-    opt = MomentumSGD(model, config.momentum, config.grad_clip)
+    opt = MomentumSGD(model, config.momentum, GRAD_CLIP)
 
     def batch_loss(epoch, idx):
         xb = dataset.inputs[idx]
         yb = dataset.labels[idx]
         if config.mu > 0:
-            views, adjacency = view_pairs(xb, spec, rng)
+            views, adjacency = view_pairs(xb, config.aug_gaussian_sigma, rng)
             # The pairwise term is a raw squared norm over the batch, so
             # weight it per view row to keep mu batch-size independent.
             labels, mu = np.concatenate([yb, yb]), config.mu / len(views)

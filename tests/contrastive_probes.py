@@ -8,25 +8,25 @@ from __future__ import annotations
 
 import numpy as np
 
-from rodd.contrastive import AugmentationSpec, augment_batch
+from rodd.contrastive import augment_batch
 from rodd.encoder import EncoderModel, features
 from rodd.errors import ContractViolation
 
 
-def augment(x, spec: AugmentationSpec, rng_seed: int) -> np.ndarray:
+def augment(x, sigma: float, rng_seed: int) -> np.ndarray:
     """One augmented copy of a single input vector, deterministic per seed."""
     arr = np.asarray(x, dtype=np.float64)
     if arr.ndim != 1:
         raise ContractViolation(f"augment expects a 1-D vector, got shape {arr.shape}")
-    return augment_batch(arr[None, :], spec, np.random.default_rng(rng_seed))[0]
+    return augment_batch(arr[None, :], sigma, np.random.default_rng(rng_seed))[0]
 
 
-def pair_cosine_stats(model: EncoderModel, dataset, spec, seed: int, n_pairs: int = 64):
+def pair_cosine_stats(model: EncoderModel, dataset, sigma, seed: int, n_pairs: int = 64):
     """Mean within-pair vs between-pair feature cosine on fresh view pairs."""
     rng = np.random.default_rng(seed)
     idx = rng.integers(0, dataset.n, size=n_pairs)
     xb = dataset.inputs[idx]
-    views = augment_batch(np.vstack([xb, xb]), spec, rng)
+    views = augment_batch(np.vstack([xb, xb]), sigma, rng)
     feats = features(model, views)
     norms = np.linalg.norm(feats, axis=1)
     norms[norms == 0] = 1.0

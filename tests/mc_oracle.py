@@ -11,7 +11,7 @@ import math
 
 import numpy as np
 
-from rodd.contrastive import AugmentationSpec, augment_batch
+from rodd.contrastive import augment_batch
 from rodd.encoder import FEATURE_NORM_FLOOR, features
 from rodd.ood import ScoreRecord, uncertainty_scores
 
@@ -20,8 +20,7 @@ def mc_detect_one(model, subspaces, raw_sample, k_draws, noise_sigma, seed, samp
     """Score one sample from k_draws gaussian augmentations drawn from default_rng(seed)."""
     raw = np.asarray(raw_sample, dtype=np.float64)
     rng = np.random.default_rng(seed)
-    noise = AugmentationSpec(gaussian_sigma=noise_sigma)
-    draws = augment_batch(np.tile(raw, (k_draws, 1)), noise, rng)
+    draws = augment_batch(np.tile(raw, (k_draws, 1)), noise_sigma, rng)
     feats = features(model, draws)
     norms = np.linalg.norm(feats, axis=1)
     valid = norms >= FEATURE_NORM_FLOOR

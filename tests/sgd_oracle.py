@@ -21,7 +21,8 @@ import math
 import numpy as np
 
 from gradcheck import trainable_params
-from rodd.contrastive import AugmentationSpec, batch_adjacency
+from rodd import encoder
+from rodd.contrastive import batch_adjacency
 from rodd.encoder import BN_EPS, BN_MOMENTUM, FEATURE_NORM_FLOOR, ForwardRecord, _epoch_lr
 from rodd.errors import DegenerateFeatureError, DivergenceError
 from rodd.linalg import as_matrix
@@ -72,15 +73,14 @@ def spectral_contrastive_loss(f, a):
     return float((residual * residual).sum()), -4.0 * (residual @ f)
 
 
-def augment_batch(x, spec, rng):
+def augment_batch(x, sigma, rng):
+    """The draws augmentation took when it also had a per-row scale jitter
+    and a per-entry dropout mask, both off: the jitter factors and the mask
+    scores are drawn and unused."""
     x = as_matrix(x, "x")
-    out = x + spec.gaussian_sigma * rng.standard_normal(x.shape)
-    out *= 1.0 + rng.uniform(-spec.scale_jitter, spec.scale_jitter, size=(x.shape[0], 1))
-    scores = rng.random(x.shape)
-    k = int(round(spec.mask_fraction * x.shape[1]))
-    if k > 0:
-        drop = np.argsort(scores, axis=1, kind="stable")[:, :k]
-        np.put_along_axis(out, drop, 0.0, axis=1)
+    out = x + sigma * rng.standard_normal(x.shape)
+    rng.uniform(-0.0, 0.0, size=(x.shape[0], 1))
+    rng.random(x.shape)
     return out
 
 
@@ -188,8 +188,7 @@ def train(model, dataset, config):
             xb = dataset.inputs[idx]
             yb = dataset.labels[idx]
             if config.mu > 0:
-                spec = AugmentationSpec(gaussian_sigma=config.aug_gaussian_sigma)
-                views = augment_batch(np.vstack([xb, xb]), spec, rng)
+                views = augment_batch(np.vstack([xb, xb]), config.aug_gaussian_sigma, rng)
                 pairs = [(i, idx.size + i) for i in range(idx.size)]
                 loss, grads = loss_and_grad(
                     model,
@@ -205,7 +204,7 @@ def train(model, dataset, config):
                 loss, grads = loss_and_grad(model, xb, yb)
             if not math.isfinite(loss):
                 raise DivergenceError(epoch)
-            step(params, velocity, grads, lr, config.momentum, config.grad_clip)
+            step(params, velocity, grads, lr, config.momentum, encoder.GRAD_CLIP)
             losses.append(loss)
         feats, _ = body_forward(model.layers, dataset.inputs)
         record, _ = head_forward(model, feats, "eval")
@@ -246,7 +245,7 @@ def pretrain(model, dataset, config):
             idx = order[start : start + config.batch_size]
             xb = dataset.inputs[idx]
             m = idx.size
-            views = augment_batch(np.vstack([xb, xb]), config.aug, rng)
+            views = augment_batch(np.vstack([xb, xb]), config.aug_gaussian_sigma, rng)
             pairs = [(i, m + i) for i in range(m)]
             views = adversarial_perturb(model, views, pairs, config.adv)
             adjacency = batch_adjacency(pairs, 2 * m)

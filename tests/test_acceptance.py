@@ -119,7 +119,7 @@ def test_criterion_02_orthonormality_and_frozen_projection():
         model,
         dataset,
         contrastive.PretrainConfig(
-            epochs=3, batch_size=16, aug=contrastive.AugmentationSpec(gaussian_sigma=0.05), seed=1
+            epochs=3, batch_size=16, aug_gaussian_sigma=0.05, seed=1
         ),
     )
     frozen_after_pretrain = model.class_proj.tobytes() == before

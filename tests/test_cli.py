@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import rodd
-from rodd import cli, contrastive, encoder, theory
+from rodd import cli, contrastive, corruptions, encoder, theory
 from rodd.cli import run
 from rodd.corruptions import KINDS
 from rodd.data import CONFIG, Dataset, read_features, write_features
@@ -188,6 +188,26 @@ class TestPipeline:
             assert feats.shape[0] == 60
             assert labels is None
 
+    @pytest.mark.parametrize("apply_to, source", [("ood", "ood"), ("id", "id_test")])
+    def test_corrupt_writes_the_sets_eval_sweeps(self, tmp_path, pipeline_dir, apply_to, source):
+        # corrupt follows corruption.apply_to: each file holds, row for row,
+        # a corrupted set eval scores under the same seed.
+        cfg = tmp_path / "apply.cfg"
+        cfg.write_text(SMALL_CFG.replace("apply_to = ood", f"apply_to = {apply_to}"))
+        out = tmp_path / "o"
+        shutil.copytree(pipeline_dir, out)
+        assert run(["corrupt", "--config", str(cfg), "--out", str(out)]) == 0
+        names = [f"{source}_gaussian_noise_s{severity}.feat" for severity in (1, 3)]
+        written = json.loads((out / "run.json").read_text())["runs"][-1]["artifacts"]
+        assert written == [str(out / name) for name in names]
+        feats, labels = read_features(out / f"{source}.feat")
+        clean = Dataset(feats, labels, 3 if labels is not None else 0)
+        sweep = corruptions.severity_sweep(clean, "gaussian_noise", (1, 3), 3)
+        for name, (_, corrupted) in zip(names, sweep, strict=True):
+            expected = tmp_path / name
+            write_features(expected, corrupted.inputs, corrupted.labels)
+            assert (out / name).read_bytes() == expected.read_bytes(), name
+
     def test_frozen_projection_through_checkpoints(self, pipeline_dir):
         model = load_model(pipeline_dir / "model.ckpt")
         gram = model.class_proj.T @ model.class_proj
@@ -294,6 +314,32 @@ class TestDeterminism:
             assert listed == [str(out / name) for name in writes[command]]
             assert changed == {"run.json", *writes[command]}
 
+    def test_artifacts_do_not_depend_on_blas_threads(self, tmp_path, small_config):
+        # The small pipeline and the shipped theory config, each run in one
+        # fresh interpreter with the BLAS thread counts unset and with both
+        # pinned to 1.
+        script = (
+            "import sys\n"
+            "from rodd.cli import run\n"
+            "small, theory, out = sys.argv[1:]\n"
+            "for stage in ('synth', 'pretrain', 'train', 'fit', 'score', 'eval', 'corrupt'):\n"
+            "    assert run([stage, '--config', small, '--out', out]) == 0\n"
+            "assert run(['verify-theory', '--config', theory, '--out', out]) == 0\n"
+        )
+        pinned = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1"}
+        base = {k: v for k, v in os.environ.items() if k not in pinned}
+        base["PYTHONPATH"] = str(Path(rodd.__file__).parents[1])
+        outputs = []
+        for name, threads in (("default", {}), ("one", pinned)):
+            out = tmp_path / name
+            argv = [sys.executable, "-c", script, str(small_config), str(SHIPPED_THEORY_CFG), str(out)]
+            subprocess.run(argv, env={**base, **threads}, check=True, timeout=300)
+            outputs.append(
+                {path.name: path.read_bytes() for path in out.iterdir() if path.name != "run.json"}
+            )
+        assert len(outputs[0]) == 16 and "theory_report.json" in outputs[0]
+        assert outputs[0] == outputs[1]
+
     def test_theory_report_byte_identical_across_reruns(self, tmp_path):
         cfg = tmp_path / "theory.cfg"
         cfg.write_text(THEORY_CFG)
@@ -326,9 +372,10 @@ class TestMechanismsFollowTheirMagnitudes:
         for config, where in ((cfg, out), (small_config, plain)):
             for command in ("synth", "pretrain"):
                 assert run([command, "--config", str(config), "--out", str(where)]) == 0
-        aug = contrastive.AugmentationSpec(gaussian_sigma=0.05)
         adv = contrastive.AdversarialSpec(0.03, 3, 0.01)
-        spec = contrastive.PretrainConfig(epochs=2, batch_size=16, aug=aug, adv=adv, seed=3)
+        spec = contrastive.PretrainConfig(
+            epochs=2, batch_size=16, aug_gaussian_sigma=0.05, adv=adv, seed=3
+        )
         model, _ = contrastive.pretrain(self.small_model(), self.id_train(out), spec)
         save_model(tmp_path / "library.ckpt", model)
         written = (out / "pretrain.ckpt").read_bytes()
@@ -475,7 +522,6 @@ class TestExitCodes:
             ("train", "train", "lr", "0", "> 0"),
             ("pretrain", "pretrain", "momentum", "1.5", "< 1"),
             ("train", "train", "momentum", "-0.5", ">= 0"),
-            ("train", "train", "grad_clip", "-1", "> 0"),
             ("synth", "synth", "noise_sigma", "-1", ">= 0"),
             ("synth", "synth", "ood_noise_sigma", "-0.5", ">= 0"),
             ("pretrain", "pretrain", "aug_gaussian_sigma", "-0.05", ">= 0"),
@@ -674,6 +720,13 @@ class TestExitCodes:
             ("pretrain", "[pretrain]\nadversarial = true\n", "line 2: unknown key 'pretrain.adversarial'"),
             ("train", "[train]\ncontrastive = true\n", "line 2: unknown key 'train.contrastive'"),
             ("fit", "[ood]\nabs_cosine = true\n", "line 2: unknown key 'ood.abs_cosine'"),
+            ("pretrain", "[pretrain]\naug_mask_fraction = 0.1\n",
+             "line 2: unknown key 'pretrain.aug_mask_fraction'"),
+            ("pretrain", "[pretrain]\naug_scale_jitter = 0.1\n",
+             "line 2: unknown key 'pretrain.aug_scale_jitter'"),
+            ("train", "[train]\ngrad_clip = 5\n", "line 2: unknown key 'train.grad_clip'"),
+            ("corrupt", "[corruption]\ntarget = ood.feat\n",
+             "line 2: unknown key 'corruption.target'"),
             # delta = 0.05 is not PSD, so the solver takes the random start.
             ("verify-theory", "[theory]\nclass_sizes = 3,3\nd = 9\n", "d must lie in [1, 6], got 9"),
             ("verify-theory", "[theory]\nclass_sizes = 3,3\ndelta = 0\nd = 9\n",
@@ -682,6 +735,8 @@ class TestExitCodes:
         ids=["batch_size_1", "one_row_id_train", "negative_mu", "unreachable_adv_budget",
              "input_noise_under_mu", "negative_theory_mu", "negative_theory_eta",
              "retired_adversarial", "retired_contrastive", "retired_abs_cosine",
+             "retired_aug_mask_fraction", "retired_aug_scale_jitter", "retired_grad_clip",
+             "retired_corruption_target",
              "theory_d_above_n", "theory_d_above_n_psd"],
     )
     def test_training_that_cannot_run_exits_one(
@@ -717,19 +772,39 @@ class TestExitCodes:
         assert capsys.readouterr().err == "error: input has 9 columns, model expects 8\n"
         assert not (out / "model.ckpt").exists()
 
-    def test_numeric_failure_exits_two(self, tmp_path, small_config, capsys):
+    def test_numeric_failure_exits_two(self, tmp_path, capsys):
         diverging = tmp_path / "diverge.cfg"
-        diverging.write_text(
-            SMALL_CFG.replace("lr = 0.05", "lr = 1e12").replace(
-                "input_noise = 0.3", "input_noise = 0.0\ngrad_clip = 1e18"
-            )
-        )
+        diverging.write_text(SMALL_CFG.replace("lr = 0.05", "lr = 1e300"))
         out = tmp_path / "dout"
         assert run(["synth", "--config", str(diverging), "--out", str(out)]) == 0
-        with np.errstate(all="ignore"):
-            code = run(["train", "--config", str(diverging), "--out", str(out)])
-        assert code == 2
+        assert run(["train", "--config", str(diverging), "--out", str(out)]) == 2
         assert "numeric failure" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "stage, config_text, code, message",
+        [
+            ("synth", SMALL_CFG.replace("noise_sigma = 1.0", "noise_sigma = 1e308"), 1,
+             "error: inputs contains non-finite entries"),
+            ("pretrain", SMALL_CFG.replace("aug_gaussian_sigma = 0.05", "aug_gaussian_sigma = 1e308"),
+             2, "numeric failure: non-finite features at epoch 0"),
+            ("train", SMALL_CFG.replace("input_noise = 0.3", "input_noise = 1e308"), 2,
+             "numeric failure: non-finite loss at epoch 0"),
+            ("train", SMALL_CFG.replace("lr = 0.05", "lr = 1e300"), 2,
+             "numeric failure: non-finite loss at epoch 0"),
+            ("verify-theory", "[theory]\nmu = 1e308\nmu_values = 1e-4,1e308\n", 2,
+             "numeric failure: the starting loss or its gradient is not finite: loss inf"),
+        ],
+        ids=["synth_noise", "pretrain_aug_noise", "train_input_noise", "train_lr", "theory_mu"],
+    )
+    def test_overflow_prints_only_the_error_line(self, tmp_path, stage, config_text, code, message):
+        # Each used to print numpy RuntimeWarnings to stderr before the error.
+        cfg = tmp_path / "overflow.cfg"
+        cfg.write_text(config_text)
+        out = tmp_path / "o"
+        if stage in ("pretrain", "train"):
+            assert run(["synth", "--config", str(cfg), "--out", str(out)]) == 0
+        proc = _run_cli([stage, "--config", str(cfg), "--out", str(out)])
+        assert (proc.returncode, proc.stderr) == (code, message + "\n")
 
     def test_features_beyond_f32_exit_two(self, tmp_path, small_config, capsys):
         # One input of 3e38 is a valid f32, but the features fit encodes from

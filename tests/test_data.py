@@ -248,7 +248,7 @@ class TestConfigParser:
             ("train", "lr", {"0": "> 0", "-1e-3": "> 0"}, ["1e-9", "0.05"]),
             ("pretrain", "momentum", {"1.5": "< 1", "1": "< 1", "-0.1": ">= 0"}, ["0", "0.9"]),
             ("train", "momentum", {"-0.5": ">= 0", "1.0": "< 1"}, ["0", "0.999"]),
-            ("train", "grad_clip", {"-1": "> 0", "0": "> 0"}, ["1e-12", "5"]),
+            ("model", "feature_dim", {"0": ">= 1", "-3": ">= 1"}, ["1", "16"]),
             ("synth", "noise_sigma", {"-1": ">= 0", "-1e-9": ">= 0"}, ["0", "1.0"]),
             ("synth", "ood_noise_sigma", {"-0.5": ">= 0"}, ["0", "0.5"]),
             ("pretrain", "aug_gaussian_sigma", {"-0.05": ">= 0"}, ["0", "0.05"]),
@@ -267,8 +267,8 @@ class TestConfigParser:
             ("theory", "tol", {"-1": ">= 0", "-1e-30": ">= 0"}, ["0", "1e-12"]),
             ("train", "batch_size", {"1": ">= 2", "0": ">= 2", "-4": ">= 2"}, ["2", "64"]),
             ("train", "mu", {"-1": ">= 0", "-1e-9": ">= 0"}, ["0", "0.3"]),
-            ("pretrain", "aug_mask_fraction", {"-0.1": ">= 0", "1": "< 1"}, ["0", "0.5"]),
-            ("pretrain", "aug_scale_jitter", {"-0.1": ">= 0"}, ["0", "0.2"]),
+            ("ood", "mc_draws", {"0": ">= 1", "-1": ">= 1"}, ["1", "50"]),
+            ("theory", "delta", {"-0.1": ">= 0", "-1e-9": ">= 0"}, ["0", "1e150"]),
             ("pretrain", "adv_epsilon", {"-0.03": ">= 0"}, ["0", "0.03"]),
             ("pretrain", "adv_steps", {"0": ">= 1", "-2": ">= 1"}, ["1", "3"]),
             ("pretrain", "adv_step_size", {"0": "> 0", "-0.01": "> 0"}, ["1e-9", "0.01"]),
@@ -462,12 +462,11 @@ class TestLibraryDefaults:
     @staticmethod
     def library_defaults() -> dict:
         pretrain = _field_defaults(contrastive.PretrainConfig)
-        aug, adv = pretrain.pop("aug"), pretrain.pop("adv")
+        adv = pretrain.pop("adv")
         mc = _parameter_defaults(ood.mc_score_records)
         return {
             **{f"train.{name}": value for name, value in _field_defaults(encoder.TrainConfig).items()},
             **{f"pretrain.{name}": value for name, value in pretrain.items()},
-            **{f"pretrain.aug_{name}": value for name, value in dataclasses.asdict(aug).items()},
             **{f"pretrain.adv_{name}": value for name, value in dataclasses.asdict(adv).items()},
             **{f"model.{name}": value for name, value in _parameter_defaults(encoder.build_model).items()},
             **{f"theory.{name}": value for name, value in _field_defaults(theory.SolveOptions).items()},

@@ -13,6 +13,7 @@ from gradcheck import (
     numeric_grads,
     trainable_params,
 )
+from rodd import encoder
 from rodd.contrastive import batch_adjacency
 from rodd.data import Dataset, synth_gaussian_mixture
 from rodd.encoder import (
@@ -294,20 +295,22 @@ class TestTrain:
         model, _ = train(model, dataset, TrainConfig(epochs=8, batch_size=16, seed=1))
         assert model.class_proj.tobytes() == before
 
-    def test_divergence_raises_with_epoch(self):
+    def test_divergence_raises_with_epoch(self, monkeypatch):
         dataset = blobs_dataset()
         model = build_model(2, 2, hidden_sizes=(8,), feature_dim=4, seed=5)
-        config = TrainConfig(epochs=3, batch_size=16, lr=1e12, seed=0, grad_clip=1e18)
+        monkeypatch.setattr(encoder, "GRAD_CLIP", 1e18)
+        config = TrainConfig(epochs=3, batch_size=16, lr=1e12, seed=0)
         with np.errstate(all="ignore"), pytest.raises(DivergenceError) as info:
             train(model, dataset, config)
         assert info.value.epoch in (0, 1, 2)
 
-    def test_contrastive_divergence_raises_with_epoch(self):
+    def test_contrastive_divergence_raises_with_epoch(self, monkeypatch):
         # Overflowing features must end as a divergence (exit 2), not as the
         # spectral loss's non-finite-input contract error (exit 1).
         dataset = blobs_dataset()
         model = build_model(2, 2, hidden_sizes=(8,), feature_dim=4, seed=5)
-        config = TrainConfig(epochs=3, batch_size=16, lr=1e200, seed=0, grad_clip=1e300, mu=1.0)
+        monkeypatch.setattr(encoder, "GRAD_CLIP", 1e300)
+        config = TrainConfig(epochs=3, batch_size=16, lr=1e200, seed=0, mu=1.0)
         with np.errstate(all="ignore"), pytest.raises(DivergenceError) as info:
             train(model, dataset, config)
         assert info.value.epoch in (0, 1, 2)
