@@ -202,8 +202,11 @@ def _cmd_train(config: RunConfig, out: Path, seed: int):
         )
     cfg = encoder.TrainConfig(**{**config.section("train"), "seed": seed})
     model, history = encoder.train(model, dataset, cfg)
+    accuracy = None  # one clean pass over the training rows, after the last epoch
+    if history:
+        accuracy = metrics.accuracy(encoder.forward(model, dataset.inputs).logits, dataset.labels)
     yield "model.ckpt", model
-    yield "train_history.json", {"history": history}
+    yield "train_history.json", {"history": history, "accuracy": accuracy}
 
 
 def _cmd_fit(config: RunConfig, out: Path, seed: None):

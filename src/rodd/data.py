@@ -106,7 +106,9 @@ def synth_ood_cluster(
     noise_sigma: float,
     seed: int,
 ) -> Dataset:
-    """Unlabeled gaussian cluster centered offset_norm away from the origin."""
+    """Unlabeled gaussian cluster centered offset_norm away from the origin in
+    a uniformly random direction, whose expected share of energy in the span
+    of k orthonormal class means is therefore k / input_dim."""
     if offset_norm <= 0:
         raise ContractViolation("offset_norm must be positive")
     if n < 1:

@@ -450,14 +450,14 @@ def train(model: EncoderModel, dataset, config: TrainConfig):
     """SGD-with-momentum fine-tuning on labeled data.
 
     Deterministic for a fixed config/seed; the class projection is
-    bit-identical before and after.  Returns (model, history) where history
-    has one entry per epoch: run_epochs' entry with "accuracy" (on the
-    training set after the epoch) after "loss".  Batch statistics need 2
-    rows: a one-row tail batch is skipped, and fewer than 2 rows or a
-    batch_size below 2 is a ContractViolation, as is data whose width is
-    not the model's input_dim, and input_noise under the joint objective
-    (mu > 0), which draws its own view noise.  Raises DivergenceError with
-    the epoch index if the loss or the gradient norm goes non-finite.
+    bit-identical before and after.  Returns (model, history), history
+    being run_epochs' entry for each epoch; it encodes only the batches it
+    trains on.  Batch statistics need 2 rows: a one-row tail batch is
+    skipped, and fewer than 2 rows or a batch_size below 2 is a
+    ContractViolation, as is data whose width is not the model's input_dim,
+    and input_noise under the joint objective (mu > 0), which draws its own
+    view noise.  Raises DivergenceError with the epoch index if the loss or
+    the gradient norm goes non-finite.
     """
     if dataset.labels is None:
         raise ContractViolation("training requires labeled data")
@@ -499,13 +499,7 @@ def train(model: EncoderModel, dataset, config: TrainConfig):
         return _loss_and_grad(model, xb, yb, opt.grads)
 
     lrs = [_epoch_lr(config.lr, epoch, config.epochs) for epoch in range(config.epochs)]
-    history = []
-    for entry in run_epochs(opt, dataset.n, config.batch_size, lrs, rng, batch_loss, min_batch=2):
-        record = forward(model, dataset.inputs)
-        acc = float((np.argmax(record.logits, axis=1) == dataset.labels).mean())
-        epoch, loss = entry.pop("epoch"), entry.pop("loss")
-        history.append({"epoch": epoch, "loss": loss, "accuracy": acc, **entry})
-    return model, history
+    return model, list(run_epochs(opt, dataset.n, config.batch_size, lrs, rng, batch_loss, 2))
 
 
 # ---------------------------------------------------------------------------

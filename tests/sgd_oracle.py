@@ -171,16 +171,17 @@ def loss_and_grad(model, x, labels, mu=0.0, contrastive_pairs=None):
 
 
 def train(model, dataset, config):
-    """rodd.encoder.train's loop; history holds (loss, accuracy) per epoch."""
+    """rodd.encoder.train's loop; returns the model, the mean loss of each
+    epoch and the clean training accuracy after the last epoch."""
     rng = np.random.default_rng(config.seed)
     params = trainable_params(model)
     velocity = {k: np.zeros_like(v) for k, v in params.items()}
-    history = []
+    losses = []
     n = dataset.n
     for epoch in range(config.epochs):
         lr = _epoch_lr(config.lr, epoch, config.epochs)
         order = rng.permutation(n)
-        losses = []
+        batch_losses = []
         for start in range(0, n, config.batch_size):
             idx = order[start : start + config.batch_size]
             if idx.size < 2:
@@ -205,12 +206,12 @@ def train(model, dataset, config):
             if not math.isfinite(loss):
                 raise DivergenceError(epoch)
             step(params, velocity, grads, lr, config.momentum, encoder.GRAD_CLIP)
-            losses.append(loss)
-        feats, _ = body_forward(model.layers, dataset.inputs)
-        record, _ = head_forward(model, feats, "eval")
-        acc = float((np.argmax(record.logits, axis=1) == dataset.labels).mean())
-        history.append((float(np.mean(losses)) if losses else float("nan"), acc))
-    return model, history
+            batch_losses.append(loss)
+        losses.append(float(np.mean(batch_losses)) if batch_losses else float("nan"))
+    feats, _ = body_forward(model.layers, dataset.inputs)
+    record, _ = head_forward(model, feats, "eval")
+    acc = float((np.argmax(record.logits, axis=1) == dataset.labels).mean())
+    return model, losses, acc
 
 
 def adversarial_perturb(model, x0, pairing, spec):

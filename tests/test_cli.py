@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import rodd
-from rodd import cli, contrastive, corruptions, encoder, theory
+from rodd import cli, contrastive, corruptions, encoder, metrics, theory
 from rodd.cli import run
 from rodd.corruptions import KINDS
 from rodd.data import CONFIG, Dataset, read_features, write_features
@@ -212,6 +212,32 @@ class TestPipeline:
         model = load_model(pipeline_dir / "model.ckpt")
         gram = model.class_proj.T @ model.class_proj
         assert np.abs(gram - np.eye(model.n_classes)).max() <= 1e-8
+
+    def test_train_encodes_its_batches_and_one_accuracy_pass(
+        self, tmp_path, pipeline_dir, small_config, body_rows
+    ):
+        out = tmp_path / "o"
+        shutil.copytree(pipeline_dir, out)
+        assert run(["train", "--config", str(small_config), "--out", str(out)]) == 0
+        inputs, labels = read_features(out / "id_train.feat")
+        # 120 rows in batches of 16 (the 8-row tail trains) for 4 epochs,
+        # then one clean pass over all of them.
+        assert body_rows == ([16] * 7 + [8]) * 4 + [len(labels)]
+        logits = encoder.forward(load_model(out / "model.ckpt"), inputs).logits
+        payload = json.loads((out / "train_history.json").read_text())
+        assert list(payload) == ["history", "accuracy"]
+        assert len(payload["history"]) == 4
+        assert payload["accuracy"] == metrics.accuracy(logits, labels)
+
+    def test_train_without_epochs_encodes_nothing(self, tmp_path, pipeline_dir, body_rows):
+        cfg = tmp_path / "no_epochs.cfg"
+        cfg.write_text(SMALL_CFG.replace("[train]\nepochs = 4", "[train]\nepochs = 0"))
+        out = tmp_path / "o"
+        shutil.copytree(pipeline_dir, out)
+        assert run(["train", "--config", str(cfg), "--out", str(out)]) == 0
+        assert body_rows == []
+        payload = json.loads((out / "train_history.json").read_text())
+        assert payload == {"history": [], "accuracy": None}
 
 
     def test_eval_seed_override_sweeps_with_that_seed(self, tmp_path, pipeline_dir, small_config):
