@@ -329,12 +329,8 @@ def _cmd_verify_theory(config: RunConfig, out: Path, seed: int):
     proj = orthonormal_init(_derived(spec["d"], graph.n), len(sizes), seed + 1)
     opts = theory.SolveOptions(max_iters=spec["max_iters"], tol=spec["tol"], seed=seed)
     mu = spec["mu"]
-    solved = {}
-    sweep = theory.mu_sweep(graph, proj, sorted(spec["mu_values"]), opts, results=solved)
-    # The sweep starts every mu from the init solve_joint would use, so its
-    # solve at the headline mu is the lemma's solve.
-    result = solved.get(mu) or theory.solve_joint(graph, proj, mu, opts)
-    lemma_report = theory.verify_lemma(graph, result)
+    sweep = theory.mu_sweep(graph, proj, sorted(spec["mu_values"]), opts)
+    lemma_report = theory.verify_lemma(graph, theory.solve_joint(graph, proj, mu, opts))
     yield "theory_report.json", {"mu": mu, "lemma": lemma_report, "sweep": sweep}
 
 

@@ -30,9 +30,6 @@ together with the small-mu dominance of the leading singular value.
 from __future__ import annotations
 
 import math
-import os
-import pickle
-import threading
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -656,19 +653,18 @@ def mu_sweep(
     proj,
     mu_values,
     opts: SolveOptions | None = None,
-    results: dict | None = None,
 ) -> dict:
-    """Solve the joint problem per mu from one shared initialization.
+    """Solve the joint problem per mu, in ascending mu, each from the last.
 
-    Emits one row per mu with the max per-class fourth-power tail, the
-    per-class dominance ratios sigma_1^2 / sum sigma_i^2, the lemma pass
-    flag (verify_lemma's, so it needs a converged solve), and the solver's
+    The first mu starts where solve_joint would (opts.init); every later mu
+    starts from the previous mu's f_star (continuation in mu).  Emits one
+    row per mu with the max per-class fourth-power tail, the per-class
+    dominance ratios sigma_1^2 / sum sigma_i^2, the lemma pass flag
+    (verify_lemma's, so it needs a converged solve), and the solver's
     iterations, convergence flag and final gradient norm, plus the largest
     listed mu whose solution still passes (an empirical lower estimate of
-    the crossover weight).  When results is a dict, each mu's
-    JointSolveResult is stored in it under that mu.  The solves run on this
-    process and one forked helper (see _solve_each), with the serial loop's
-    results and errors.
+    the crossover weight).  An error at one mu ends the sweep; no later mu
+    is solved.
     """
     mu_values = [float(m) for m in mu_values]
     if any(m < 0 for m in mu_values):
@@ -678,16 +674,12 @@ def mu_sweep(
     opts = opts or SolveOptions()
     proj = _validate_proj(graph, proj)
     d = proj.shape[0]
-    shared_init = _initial_point(graph, d, opts)
-    solved = _solve_each(
-        lambda i: solve_joint(graph, proj, mu_values[i], replace(opts, init=shared_init)),
-        len(mu_values),
-    )
+    init = _initial_point(graph, d, opts)
     rows = []
     passing = []
-    for mu, result in zip(mu_values, solved):
-        if results is not None:
-            results[mu] = result
+    for mu in mu_values:
+        result = solve_joint(graph, proj, mu, replace(opts, init=init))
+        init = result.f_star
         report = verify_lemma(graph, result)
         dominance = []
         for sigma in result.per_class_sigma:
@@ -715,83 +707,3 @@ def mu_sweep(
         "rows": rows,
         "mu_min_estimate": max(passing) if passing else None,
     }
-
-
-def _solve_each(solve, count: int) -> list:
-    """[solve(0), ..., solve(count - 1)], or the first index's exception.
-
-    The calling process and one forked helper take indices from a shared
-    pipe, highest first: the sweep's largest mu takes the most steps.  Every
-    index the helper did not deliver is solved here afterwards, so a helper
-    that dies or never starts only costs time.  solve must be pure, so that
-    either process gives the same bytes.  No helper starts for one index,
-    without os.fork, or while other threads run: forking a threaded process
-    can deadlock the child.
-    """
-    done = {}
-    if count > 1 and hasattr(os, "fork") and threading.active_count() == 1:
-        done = _share_with_helper(solve, count)
-    results = []
-    for index in range(count):
-        outcome = done[index] if index in done else solve(index)
-        if isinstance(outcome, Exception):
-            raise outcome
-        results.append(outcome)
-    return results
-
-
-def _share_with_helper(solve, count: int) -> dict:
-    """{index: result or exception} of the indices this process and one forked
-    helper take from a pipe; those of a helper that failed are missing."""
-    # Byte b is index count - 1 - b, and a 1-byte read is atomic, so each is
-    # taken once; indices below count - 256 are left to the caller.
-    tasks, feed = os.pipe()
-    os.write(feed, bytes(range(min(count, 256))))
-    os.close(feed)
-    replies, reply_feed = os.pipe()
-    try:
-        pid = os.fork()
-    except OSError:
-        pid = None
-    if pid == 0:  # the helper: it never returns into the caller's code
-        try:
-            with open(reply_feed, "wb") as stream:
-                pickle.dump(_take_tasks(solve, tasks, count), stream)
-            os._exit(0)
-        finally:
-            os._exit(1)
-    os.close(reply_feed)
-    try:
-        done = _take_tasks(solve, tasks, count)
-        if pid is None:
-            return done
-        with open(replies, "rb", closefd=False) as stream:
-            payload = stream.read()
-        _, status = os.waitpid(pid, 0)
-    except BaseException:
-        if pid is not None:
-            import signal
-
-            os.kill(pid, signal.SIGKILL)
-            os.waitpid(pid, 0)
-        raise
-    finally:
-        os.close(tasks)
-        os.close(replies)
-    if os.waitstatus_to_exitcode(status) == 0:
-        try:
-            done.update(pickle.loads(payload))
-        except Exception:  # an exception class pickle cannot rebuild: solve it here
-            pass
-    return done
-
-
-def _take_tasks(solve, tasks: int, count: int) -> dict:
-    done = {}
-    while byte := os.read(tasks, 1):
-        index = count - 1 - byte[0]
-        try:
-            done[index] = solve(index)
-        except Exception as exc:
-            done[index] = exc
-    return done

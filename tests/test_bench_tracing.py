@@ -10,6 +10,7 @@ tracer is loaded by path and not edited.
 
 import importlib
 import importlib.util
+import json
 from pathlib import Path
 
 import numpy as np
@@ -88,3 +89,20 @@ def test_severity_sweep_records_corruption_time(tracing):
     assert tracer.self_s["corruptions.corrupt"] > 0.0
     name = list(tracer._ids).index("corruptions.corrupt")
     assert sum(span[0] == name for span in tracer.spans) == 5  # one span per severity
+
+
+def test_theory_iterations_count_every_solve(tracing, tmp_path):
+    # Every solve verify-theory reports must run where the tracer sees it:
+    # a solve in another process adds no count.
+    from rodd import cli
+
+    config = Path(__file__).resolve().parents[1] / "configs" / "theory.cfg"
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        assert cli.run(["verify-theory", "--config", str(config), "--out", str(tmp_path)]) == 0
+    finally:
+        tracer.uninstall()
+    report = json.loads((tmp_path / "theory_report.json").read_text())
+    solved = report["lemma"]["iterations"] + sum(row["iterations"] for row in report["sweep"]["rows"])
+    assert tracer.counts["theory.iterations"] == solved

@@ -435,7 +435,6 @@ class TestExitCodes:
         # Helper threads are a Monte-Carlo scoring detail; importing the CLI
         # must not pay for concurrent.futures and the logging it imports.
         env = dict(os.environ, PYTHONPATH=str(Path(rodd.__file__).parents[1]))
-        # Nor does the theory sweep's forked helper need multiprocessing.
         code = ("import sys, rodd.cli; "
                 "print([m in sys.modules for m in ('concurrent.futures', 'multiprocessing')])")
         proc = subprocess.run(
