@@ -653,18 +653,19 @@ def mu_sweep(
     proj,
     mu_values,
     opts: SolveOptions | None = None,
-) -> dict:
+) -> tuple[dict, dict]:
     """Solve the joint problem per mu, in ascending mu, each from the last.
 
     The first mu starts where solve_joint would (opts.init); every later mu
-    starts from the previous mu's f_star (continuation in mu).  Emits one
-    row per mu with the max per-class fourth-power tail, the per-class
-    dominance ratios sigma_1^2 / sum sigma_i^2, the lemma pass flag
-    (verify_lemma's, so it needs a converged solve), and the solver's
-    iterations, convergence flag and final gradient norm, plus the largest
-    listed mu whose solution still passes (an empirical lower estimate of
-    the crossover weight).  An error at one mu ends the sweep; no later mu
-    is solved.
+    starts from the previous mu's f_star (continuation in mu).  Returns
+    (sweep, reports).  sweep has one row per mu with the max per-class
+    fourth-power tail, the per-class dominance ratios sigma_1^2 / sum
+    sigma_i^2, the lemma pass flag, and the solver's iterations, convergence
+    flag and final gradient norm, plus the largest listed mu whose solution
+    still passes (an empirical lower estimate of the crossover weight).
+    reports maps each mu to verify_lemma's report of its solve, which its
+    row is read from.  An error at one mu ends the sweep; no later mu is
+    solved.
     """
     mu_values = [float(m) for m in mu_values]
     if any(m < 0 for m in mu_values):
@@ -677,10 +678,11 @@ def mu_sweep(
     init = _initial_point(graph, d, opts)
     rows = []
     passing = []
+    reports = {}
     for mu in mu_values:
         result = solve_joint(graph, proj, mu, replace(opts, init=init))
         init = result.f_star
-        report = verify_lemma(graph, result)
+        report = reports[mu] = verify_lemma(graph, result)
         dominance = []
         for sigma in result.per_class_sigma:
             total = float((sigma**2).sum())
@@ -706,4 +708,4 @@ def mu_sweep(
         "d": d,
         "rows": rows,
         "mu_min_estimate": max(passing) if passing else None,
-    }
+    }, reports

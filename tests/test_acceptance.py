@@ -247,7 +247,7 @@ def test_criterion_05_mu_sweep_prefix():
         [6, 5], 0.05, 0.0, seed=31, normalization="unit-spectral-per-block"
     )
     proj = orthonormal_init(graph.n, 2, 32)
-    sweep = theory.mu_sweep(
+    sweep, _ = theory.mu_sweep(
         graph, proj, [1e-6, 1e-4, 1e-2, 1.0, 100.0],
         theory.SolveOptions(seed=3, max_iters=6000),
     )

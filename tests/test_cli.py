@@ -6,6 +6,7 @@ import re
 import shutil
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -1034,6 +1035,9 @@ class TestVerifyTheory:
 
     @pytest.mark.parametrize("mu", [1e-4, 3e-3])  # in mu_values, and not
     def test_lemma_is_a_solve_at_the_headline_mu(self, tmp_path, mu):
+        # A listed mu's lemma is the sweep's warm solve there: the chain from
+        # solve_joint's start through every smaller listed mu.  An unlisted
+        # mu's lemma is a cold solve from that start.
         cfg = tmp_path / "theory.cfg"
         cfg.write_text(THEORY_CFG.replace("mu = 0.0001", f"mu = {mu}"))
         out = tmp_path / "tout"
@@ -1041,12 +1045,38 @@ class TestVerifyTheory:
         payload = json.loads((out / "theory_report.json").read_text())
         graph = theory.build_adjacency([5, 4], 0.05, 0.0, 11, "unit-spectral-per-block")
         proj = orthonormal_init(9, 2, 12)
-        result = theory.solve_joint(
-            graph, proj, mu, theory.SolveOptions(max_iters=3000, seed=11)
-        )
+        opts = theory.SolveOptions(max_iters=3000, seed=11)
+        listed = [m for m in (1e-6, 1e-4, 1e-2) if m <= mu]
+        chain = listed if mu in listed else [mu]
+        init = opts.init
+        for step in chain:
+            result = theory.solve_joint(graph, proj, step, replace(opts, init=init))
+            init = result.f_star
         expect = json.loads(json.dumps(theory.verify_lemma(graph, result)))
         assert payload["mu"] == mu
         assert payload["lemma"] == expect
+        rows = [row for row in payload["sweep"]["rows"] if row["mu"] == mu]
+        assert len(rows) == (mu in listed)
+        for row in rows:
+            for key in ("iterations", "converged", "grad_norm"):
+                assert payload["lemma"][key] == row[key]
+
+    @pytest.mark.parametrize("mu", [1e-4, 3e-3])  # in mu_values, and not
+    def test_one_solve_per_mu(self, tmp_path, monkeypatch, mu):
+        # A listed theory.mu is not solved a second time for the lemma.
+        solved = []
+        solve_joint = theory.solve_joint
+
+        def counted(graph, proj, weight, opts):
+            solved.append(weight)
+            return solve_joint(graph, proj, weight, opts)
+
+        monkeypatch.setattr(theory, "solve_joint", counted)
+        cfg = tmp_path / "theory.cfg"
+        cfg.write_text(SHIPPED_THEORY_CFG.read_text().replace("mu = 0.0001", f"mu = {mu}"))
+        assert run(["verify-theory", "--config", str(cfg), "--out", str(tmp_path / "tout")]) == 0
+        mu_values = [1e-6, 1e-4, 1e-2, 1.0, 100.0]
+        assert solved == (mu_values if mu in mu_values else mu_values + [mu])
 
     def test_sweep_leaves_no_process(self, tmp_path):
         cfg = tmp_path / "theory.cfg"

@@ -396,7 +396,7 @@ class TestMuSweep:
         graph, proj, targets = graph_proj_targets(
             [4, 3], 0.05, 0.0, seed=17, normalization="unit-spectral-per-block"
         )
-        sweep = mu_sweep(graph, proj, [0.0, 0.01, 1.0])
+        sweep, _ = mu_sweep(graph, proj, [0.0, 0.01, 1.0])
         assert [row["mu"] for row in sweep["rows"]] == [0.0, 0.01, 1.0]
         for row in sweep["rows"]:
             assert len(row["dominance"]) == 2
@@ -405,7 +405,7 @@ class TestMuSweep:
         graph, proj, targets = graph_proj_targets(
             [4, 3], 0.0, 0.0, seed=18, normalization="unit-spectral-per-block"
         )
-        sweep = mu_sweep(graph, proj, [0.0])
+        sweep, _ = mu_sweep(graph, proj, [0.0])
         assert sweep["rows"][0]["lemma_pass"]
         assert sweep["mu_min_estimate"] == 0.0
 
@@ -413,7 +413,7 @@ class TestMuSweep:
         graph, proj, targets = graph_proj_targets(
             [6, 5], 0.05, 0.0, seed=19, normalization="unit-spectral-per-block"
         )
-        sweep = mu_sweep(graph, proj, [1e-6, 1e-4, 1e-2, 1.0, 100.0])
+        sweep, _ = mu_sweep(graph, proj, [1e-6, 1e-4, 1e-2, 1.0, 100.0])
         assert sweep["rows"][0]["lemma_pass"]
         assert sweep["mu_min_estimate"] is not None
 
@@ -421,7 +421,7 @@ class TestMuSweep:
         graph, proj, targets = graph_proj_targets(
             [4, 3], 0.0, 0.0, seed=18, normalization="unit-spectral-per-block"
         )
-        sweep = mu_sweep(
+        sweep, _ = mu_sweep(
             graph, proj, [1e-4, 1.0], SolveOptions(init="random", max_iters=2)
         )
         assert [row["converged"] for row in sweep["rows"]] == [False, False]
@@ -437,7 +437,7 @@ class TestMuSweep:
 
     def test_each_mu_starts_from_the_last_solution(self):
         graph, proj = _scale_problem(23)
-        sweep, solves = _sweep_recording_solves(graph, proj, MUS, SolveOptions())
+        (sweep, _), solves = _sweep_recording_solves(graph, proj, MUS, SolveOptions())
         assert [mu for mu, _, _ in solves] == MUS
         starts = [init for _, init, _ in solves]
         assert starts[0].tobytes() == _initial_point(graph, proj.shape[0], SolveOptions()).tobytes()
@@ -471,7 +471,7 @@ class TestMuSweep:
             graph, proj = _scale_problem(problem)
             mu_values, max_iters, seed = MUS, 4000, problem
         opts = SolveOptions(max_iters=max_iters, seed=seed)
-        sweep, solves = _sweep_recording_solves(graph, proj, mu_values, opts)
+        (sweep, _), solves = _sweep_recording_solves(graph, proj, mu_values, opts)
         for row, (mu, _, warm) in zip(sweep["rows"], solves, strict=True):
             cold = solve_joint(graph, proj, mu, opts)
             assert row["lemma_pass"] == verify_lemma(graph, cold)["pass"]
@@ -479,9 +479,23 @@ class TestMuSweep:
             cold_loss = cold.loss_trace[-1]
             assert warm.loss_trace[-1] - cold_loss <= 1e-10 * max(1.0, abs(cold_loss))
 
+    def test_each_report_is_its_rows_solve(self):
+        # A listed theory.mu's lemma is reports[mu], so it must be the very
+        # solve the row's verdict was read from.
+        graph, proj = _scale_problem(23)
+        (sweep, reports), solves = _sweep_recording_solves(graph, proj, MUS, SolveOptions())
+        assert list(reports) == MUS
+        for row, (mu, _, result) in zip(sweep["rows"], solves, strict=True):
+            report = reports[mu]
+            assert report == verify_lemma(graph, result)
+            assert report["pass"] == row["lemma_pass"]
+            for key in ("iterations", "converged", "grad_norm"):
+                assert report[key] == row[key]
+            assert max(entry["tail4"] for entry in report["per_class"]) == row["max_tail4"]
+
 
 def _sweep_recording_solves(graph, proj, mu_values, opts):
-    """mu_sweep's report and its (mu, start, result) of every solve."""
+    """mu_sweep's (sweep, reports) and its (mu, start, result) of every solve."""
     solves = []
 
     def recording(graph, proj, mu, opts):
