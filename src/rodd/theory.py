@@ -6,20 +6,22 @@ below an eta ceiling, solves the joint factorization-plus-regression problem
 
     L(F) = ||A - F F^T||_F^2 + mu ||F W - Y||_F^2
 
-in closed form (mu = 0, PSD A) and by Polak-Ribiere+ conjugate gradient with
-an exact line search (L along a line is a quartic, minimized through the real
-roots of its derivative cubic).  The columns of F grow towards eigenpairs of
-A whose eigenvalues can differ by two orders of magnitude, so the CG direction
-is right-preconditioned by the damped d x d curvature 4 F^T F + 2 mu W W^T,
-as in scaled gradient descent (Tong, Ma and Chi, arXiv 2005.08898; damped
-for over-parameterized F as in Zhang, Fattahi and Zhang, NeurIPS 2021).  The
-first term does not change under F -> FQ for orthogonal Q, so at small mu
-the loss is nearly flat along those rotations; every CG step is therefore
-followed by an exact gauge step, a reflection of the W-columns that point
-away from their targets and a Riemannian Newton step over Q in O(d) on
-mu ||F Q W - Y||^2, both reduced to the d x d matrices F^T F and F^T Y
-(Absil, Mahony and Sepulchre, Optimization Algorithms on Matrix Manifolds,
-2008).  It then verifies the per-class singular-value tail bounds
+in closed form at mu = 0 (A's top-d eigenpairs, negative eigenvalues clipped
+to zero, which is also where the iterative solve starts) and by Polak-Ribiere+
+conjugate gradient with an exact line search (L along a line is a quartic,
+minimized through the real roots of its derivative cubic).  The columns of F
+sit at eigenpairs of A whose eigenvalues can differ by two orders of
+magnitude, so the CG direction is right-preconditioned by the damped d x d
+curvature 4 F^T F + 2 mu W W^T, as in scaled gradient descent (Tong, Ma and
+Chi, arXiv 2005.08898; damped for over-parameterized F as in Zhang, Fattahi
+and Zhang, NeurIPS 2021).  The first term does not change under F -> FQ for
+orthogonal Q, so at small mu the loss is nearly flat along those rotations;
+every CG step is therefore followed by an exact gauge step, a reflection of
+the W-columns that point away from their targets and a Riemannian Newton
+step over Q in O(d) on mu ||F Q W - Y||^2, both reduced to the d x d
+matrices F^T F and F^T Y (Absil, Mahony and Sepulchre, Optimization
+Algorithms on Matrix Manifolds, 2008).  It then verifies the per-class
+singular-value tail bounds
 
     sum_{i>=2} sigma_i^2 <= sqrt(6 ((1+delta)^1.5 - 1))
     sum_{i>=2} sigma_i^4 <= 2 ((1+delta)^1.5 - 1)
@@ -123,7 +125,7 @@ class AugGraph:
 class SolveOptions:
     max_iters: int = 2000
     tol: float = 1e-12
-    init: str | np.ndarray = "auto"  # auto | random | array
+    init: str | np.ndarray = "auto"  # auto (the mu = 0 optimum) | random | array
     seed: int = 0
 
 
@@ -193,24 +195,28 @@ def _check_spread(delta: float, eta: float) -> None:
         raise ContractViolation(f"delta must lie in [0, {DELTA_LIMIT:g}] and eta must be >= 0")
 
 
-def closed_form_contrastive(graph: AugGraph, d: int, eig=None) -> np.ndarray:
+def closed_form_contrastive(graph: AugGraph, d: int) -> np.ndarray:
     """Rank-d minimizer of ||A - F F^T||_F^2 for positive semidefinite A.
 
     Returns the eigenvector representative Q_d diag(sqrt(lambda_d)); any
-    right-rotation of it is also optimal.  eig is sym_eig(A) when the caller
-    has it already.  Eigenvalues in [-1e-10, 0] are clipped to zero;
-    anything more negative raises NumericFailure.
+    right-rotation of it is also optimal.  Eigenvalues in [-1e-10, 0] are
+    clipped to zero; anything more negative raises NumericFailure.
     """
     n = graph.n
     if not 1 <= d <= n:
         raise ContractViolation(f"d must lie in [1, {n}], got {d}")
-    lam, q = sym_eig(graph.adjacency) if eig is None else eig
+    lam, q = sym_eig(graph.adjacency)
     if float(lam.min()) < -1e-10:
         raise NumericFailure(
             f"adjacency is not positive semidefinite: min eigenvalue {float(lam.min()):.3e}"
         )
-    lam = np.clip(lam, 0.0, None)
-    return q[:, :d] * np.sqrt(lam[:d])
+    return _clipped_top(lam, q, d)
+
+
+def _clipped_top(lam, q, d):
+    """Q_d diag(sqrt(max(lambda_d, 0))) from A's descending eigenpairs: the
+    rank-d minimizer of ||A - F F^T||^2 for every symmetric A, PSD or not."""
+    return q[:, :d] * np.sqrt(np.clip(lam[:d], 0.0, None))
 
 
 def joint_loss_and_grad(adjacency, f, proj, targets, mu: float):
@@ -253,10 +259,7 @@ def _initial_point(graph, d, opts):
             raise ContractViolation(f"init shape {f0.shape} != ({graph.n}, {d})")
         return f0.copy()
     if init == "auto":
-        eig = sym_eig(graph.adjacency)
-        if float(eig[0].min()) >= -1e-10:
-            return closed_form_contrastive(graph, d, eig)
-        init = "random"
+        return _clipped_top(*sym_eig(graph.adjacency), d)
     if init == "random":
         rng = np.random.default_rng(opts.seed)
         return 0.01 * rng.standard_normal((graph.n, d))
@@ -493,8 +496,8 @@ def solve_joint(
 
         M = 4 F^T F + 2 mu W W^T + _DAMPING (tr M / d) I,
 
-    the part of the Hessian that acts on F from the right.  From a small
-    random start the columns of F grow towards eigenpairs of A whose
+    the part of the Hessian that acts on F from the right.  The columns of
+    F start at (auto) or grow towards (random) eigenpairs of A whose
     eigenvalues can differ by 100x or more (about 1 against 0.005 on three
     classes of 16), and the mu-term curves span(W) with 2 mu: without M the
     step count follows that spread.  The ridge keeps M invertible when F is

@@ -753,7 +753,7 @@ class TestExitCodes:
             ("train", "[train]\ngrad_clip = 5\n", "line 2: unknown key 'train.grad_clip'"),
             ("corrupt", "[corruption]\ntarget = ood.feat\n",
              "line 2: unknown key 'corruption.target'"),
-            # delta = 0.05 is not PSD, so the solver takes the random start.
+            # delta = 0.05 is not PSD, so the start skips closed_form_contrastive's check of d.
             ("verify-theory", "[theory]\nclass_sizes = 3,3\nd = 9\n", "d must lie in [1, 6], got 9"),
             ("verify-theory", "[theory]\nclass_sizes = 3,3\ndelta = 0\nd = 9\n",
              "d must lie in [1, 6], got 9"),

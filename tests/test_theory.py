@@ -1,15 +1,19 @@
 """Adjacency construction, closed-form and iterative solvers, tail bounds,
-and the warm-started mu sweep."""
+the warm-started mu sweep and the solver audit."""
 
+import json
 import math
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import theory_audit
 from cg_oracle import cg_solve
 from gd_oracle import gd_solve
 from rodd import theory
+from rodd.cli import run
 from rodd.data import parse_config_file
 from rodd.errors import ContractViolation, NumericFailure
 from rodd.linalg import orthonormal_init, sym_eig
@@ -174,6 +178,36 @@ class TestClosedForm:
             closed_form_contrastive(graph, 1)
 
 
+class TestAutoStart:
+    """init="auto" starts at the mu = 0 optimum: A's top-d eigenpairs with
+    negative eigenvalues clipped to zero, on every symmetric A."""
+
+    @pytest.mark.parametrize("graph", [
+        build_adjacency([16, 16, 16], 0.05, 0.0, 1),
+        AugGraph(np.array([[1.0, 2.0], [2.0, 1.0]]), ((0, 2),), 1.5, 0.0),
+    ], ids=["theory-scale", "eigenvalues-3-and-minus-1"])
+    def test_is_the_mu_zero_optimum_on_an_indefinite_graph(self, graph):
+        a = graph.adjacency
+        lam, _ = sym_eig(a)
+        assert lam.min() < -1e-10
+        for d in sorted({1, min(12, graph.n), graph.n}):
+            f = _initial_point(graph, d, SolveOptions())
+            loss = float(np.vdot(a - f @ f.T, a - f @ f.T))
+            # ||A||^2 - sum_{i<=d} max(lam_i, 0)^2, summed without its cancellation.
+            optimum = float((lam[d:] ** 2).sum() + (np.minimum(lam[:d], 0.0) ** 2).sum())
+            assert loss == pytest.approx(optimum, rel=1e-12, abs=0.0), f"d={d}"
+
+    def test_is_the_closed_form_on_a_psd_graph(self):
+        graphs = [
+            rank_two_block_graph([8, 7], eps=0.2, seed=13),
+            AugGraph(np.eye(4), tuple((i, i + 1) for i in range(4)), 0.0, 0.0),
+        ]
+        for graph in graphs:
+            for d in (1, 2, graph.n):
+                start = _initial_point(graph, d, SolveOptions())
+                assert start.tobytes() == closed_form_contrastive(graph, d).tobytes()
+
+
 class TestSolveJoint:
     def test_closed_form_init_already_optimal(self):
         graph, proj, targets = graph_proj_targets([4, 3], 0.0, 0.0, seed=8)
@@ -306,8 +340,8 @@ class TestSolveJoint:
 
     @pytest.mark.parametrize("delta", [0.0, 0.05])
     def test_d_outside_one_to_n_is_a_contract_error(self, delta):
-        # At delta = 0.05 the graph is not PSD and auto takes the random
-        # start, which needs the check as much as the closed form does.
+        # At delta = 0.05 the graph is not PSD, so the auto start does not go
+        # through closed_form_contrastive's own check of d.
         graph = build_adjacency([3, 3], delta, 0.0, seed=14)
         for d in (9, 7):
             proj = orthonormal_init(d, 2, 15)
@@ -478,6 +512,21 @@ class TestMuSweep:
             assert row["converged"] == cold.converged
             cold_loss = cold.loss_trace[-1]
             assert warm.loss_trace[-1] - cold_loss <= 1e-10 * max(1.0, abs(cold_loss))
+
+    def test_eigenpair_start_keeps_the_random_starts_verdicts(self):
+        # Theory-scale's shape at seeds 0-9: the sweep from the auto start
+        # converges and passes at every mu, and ends no higher than the
+        # sweep from a 0.01-scale random start.
+        for seed in range(10):
+            graph, proj = _scale_problem(seed)
+            opts = SolveOptions(max_iters=4000, seed=seed)
+            (sweep, _), solves = _sweep_recording_solves(graph, proj, MUS, opts)
+            _, random = _sweep_recording_solves(graph, proj, MUS, replace(opts, init="random"))
+            for row, (mu, _, auto), (_, _, other) in zip(sweep["rows"], solves, random, strict=True):
+                assert row["converged"] and row["lemma_pass"], f"seed={seed}, mu={mu}"
+                other_loss = other.loss_trace[-1]
+                excess = auto.loss_trace[-1] - other_loss
+                assert excess <= 1e-10 * max(1.0, abs(other_loss)), f"seed={seed}, mu={mu}"
 
     def test_each_report_is_its_rows_solve(self):
         # A listed theory.mu's lemma is reports[mu], so it must be the very
@@ -721,9 +770,9 @@ class TestAgainstConjugateGradient:
     ends no higher than the plain CG loop from the same start."""
 
     @staticmethod
-    def _check(graph, proj, mu_values, max_iters, seed):
+    def _check(graph, proj, mu_values, max_iters, seed, init="auto"):
         targets = one_hot_targets(graph)
-        f0 = _initial_point(graph, proj.shape[0], SolveOptions(seed=seed))
+        f0 = _initial_point(graph, proj.shape[0], SolveOptions(init=init, seed=seed))
         for mu in mu_values:
             result = solve_joint(
                 graph, proj, mu, SolveOptions(max_iters=max_iters, init=f0)
@@ -741,9 +790,33 @@ class TestAgainstConjugateGradient:
         self._check(graph, proj, [1e-6, 1e-4, 1e-2, 1.0, 100.0], 4000, 5)
 
     def test_ill_conditioned_mu_100(self):
-        # The fourth problem of the theory-scale benchmark at seed 14: without
-        # the preconditioner, its mu = 100 solve stops at the 4000-step cap.
+        # The fourth problem of the theory-scale benchmark at seed 14: from a
+        # random start and without the preconditioner, its mu = 100 solve
+        # stops at the 4000-step cap.  From the auto start it does not.
         seed = int(np.random.SeedSequence(14).generate_state(8)[3])
         graph = build_adjacency([16, 16, 16], 0.05, 0.0, seed, "unit-spectral-per-block")
         proj = orthonormal_init(12, 3, seed + 1)
-        self._check(graph, proj, [1e-6, 1e-4, 1e-2, 1.0, 100.0], 4000, seed)
+        self._check(graph, proj, [1e-6, 1e-4, 1e-2, 1.0, 100.0], 4000, seed, init="random")
+
+
+class TestAudit:
+    def test_lines_are_verify_theorys_solves_and_the_gate_reads_them(self, tmp_path, capsys):
+        assert run(["verify-theory", "--config", str(THEORY_CFG), "--out", str(tmp_path)]) == 0
+        sweep = json.loads((tmp_path / "theory_report.json").read_text())["sweep"]
+        seed = parse_config_file(THEORY_CFG).get("theory.seed")
+        theory_audit.audit(THEORY_CFG.read_text(), [seed])
+        text = capsys.readouterr().out
+        lines = [json.loads(line) for line in text.splitlines()]
+        assert theory.solve_joint is solve_joint
+        assert [line["seed"] for line in lines] == [seed] * len(sweep["rows"])
+        for line, row in zip(lines, sweep["rows"], strict=True):
+            for key in ("mu", "iterations", "lemma_pass", "converged", "grad_norm"):
+                assert line[key] == row[key]
+        old = tmp_path / "old.jsonl"
+        old.write_text(text)
+        assert theory_audit.compare(old, old)
+        lines[-1]["converged"] = False
+        flipped = tmp_path / "new.jsonl"
+        flipped.write_text("".join(json.dumps(line) + "\n" for line in lines))
+        assert not theory_audit.compare(old, flipped)
+
