@@ -204,7 +204,8 @@ def _cmd_train(config: RunConfig, out: Path, seed: int):
     model, history = encoder.train(model, dataset, cfg)
     accuracy = None  # one clean pass over the training rows, after the last epoch
     if history:
-        accuracy = metrics.accuracy(encoder.forward(model, dataset.inputs).logits, dataset.labels)
+        logits = encoder.head_logits(model, encoder.features(model, dataset.inputs))
+        accuracy = metrics.accuracy(logits, dataset.labels)
     yield "model.ckpt", model
     yield "train_history.json", {"history": history, "accuracy": accuracy}
 

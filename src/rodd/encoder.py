@@ -226,7 +226,7 @@ def _sigmoid(t):
     return np.where(t >= 0, 1.0 / denom, e / denom)
 
 
-def _head_forward(model, feats, mode, update_running=True):
+def _head_forward(model, feats, mode):
     # The operations np.linalg.norm, np.mean and np.var run, bit for bit,
     # without their per-call overhead; fmin skips NaN rows as `<` does.
     norms = np.sqrt((feats * feats).sum(axis=1))
@@ -240,9 +240,8 @@ def _head_forward(model, feats, mode, update_running=True):
         mean = float(s.sum() / len(s))
         s_hat = s - mean
         var = float((s_hat * s_hat).sum() / len(s))
-        if update_running:
-            model.bn_mean = (1.0 - BN_MOMENTUM) * model.bn_mean + BN_MOMENTUM * mean
-            model.bn_var = (1.0 - BN_MOMENTUM) * model.bn_var + BN_MOMENTUM * var
+        model.bn_mean = (1.0 - BN_MOMENTUM) * model.bn_mean + BN_MOMENTUM * mean
+        model.bn_var = (1.0 - BN_MOMENTUM) * model.bn_var + BN_MOMENTUM * var
     else:
         s_hat = s - model.bn_mean
         var = model.bn_var
@@ -261,25 +260,14 @@ def _head_forward(model, feats, mode, update_running=True):
     return record, cache
 
 
-def forward(model: EncoderModel, batch) -> ForwardRecord:
-    """Eval-mode forward pass: the stored running statistics normalize the
-    sharpening pre-activation, and the call is pure.  Training runs the
-    train-mode head through _loss_and_grad.
-    """
-    x = as_matrix(batch, "batch")
-    _check_width(model, x)
-    feats, _ = _body_forward(model.layers, x)
-    record, _ = _head_forward(model, feats, "eval")
-    return record
-
-
 def head_logits(model: EncoderModel, feats) -> np.ndarray:
-    """Eval-mode logits of encoder features; pure.
+    """Eval-mode logits of encoder features, head_logits(model,
+    features(model, x)) those of inputs x; pure.
 
-    head_logits(model, features(model, x)) equals forward(model, x).logits,
-    so a caller that already has the features skips a second body pass.
-    Features whose norm overflows float64 raise ContractViolation, as
-    feature_norms names them.
+    The stored running statistics normalize the sharpening pre-activation,
+    so a row's logits do not depend on the rest of its batch.  Features
+    whose norm overflows float64 raise ContractViolation, as feature_norms
+    names them.
     """
     feats = as_matrix(feats, "features")
     feature_norms(feats)

@@ -42,6 +42,16 @@ class EvalReport:
     threshold_used: float
 
 
+def quantile_rank(q: float, n: int) -> int:
+    """ceil(q n) clamped to [1, n]: the 1-based rank of the empirical
+    q-quantile of n sorted values, the first rank holding at least q of them.
+
+    The 1e-9 nudge guards against products like 0.07 * 100 landing above the
+    exact integer in floating point.
+    """
+    return min(max(int(math.ceil(q * n - 1e-9)), 1), n)
+
+
 def fpr_at_tpr(split: ScoreSplit, tpr_target: float = 0.95) -> tuple[float, float]:
     """FPR at the largest threshold keeping at least tpr_target of the ID mass.
 
@@ -52,12 +62,7 @@ def fpr_at_tpr(split: ScoreSplit, tpr_target: float = 0.95) -> tuple[float, floa
     if not 0.0 < tpr_target <= 1.0:
         raise ContractViolation(f"tpr_target must lie in (0, 1], got {tpr_target}")
     ids = np.sort(split.id_scores)[::-1]
-    n_id = ids.size
-    # The 1e-9 nudge guards against products like 0.2 * 5 landing above the
-    # exact integer in floating point.
-    k = int(math.ceil(tpr_target * n_id - 1e-9))
-    k = min(max(k, 1), n_id)
-    tau = float(ids[k - 1])
+    tau = float(ids[quantile_rank(tpr_target, ids.size) - 1])
     fpr = float(np.count_nonzero(split.ood_scores >= tau) / split.ood_scores.size)
     return fpr, tau
 
@@ -75,11 +80,6 @@ def auroc(split: ScoreSplit) -> float:
     wins = int(below.sum())
     ties = int((below_or_equal - below).sum())
     return (wins + 0.5 * ties) / (split.id_scores.size * split.ood_scores.size)
-
-
-def detection_error(split: ScoreSplit, tpr_target: float = 0.95) -> float:
-    """Balanced miss/false-positive error at the tpr_target operating point."""
-    return evaluate_split(split, tpr_target).detection_error
 
 
 def accuracy(logits, labels) -> float:

@@ -19,6 +19,7 @@ from .data import write_csv
 from .encoder import FEATURE_NORM_FLOOR, EncoderModel, feature_norms, features
 from .errors import ContractViolation, DegenerateFeatureError, FormatError
 from .linalg import as_matrix, svd
+from .metrics import quantile_rank
 from .streams import check_seed, standard_normal_rows, xor_seeds
 
 SCORE_COLUMNS = ("sample_id", "delta", "argmin_class", "mc_probability", "decision")
@@ -119,10 +120,7 @@ def fit_subspaces(feats, labels, quantile: float = 0.95) -> ClassSubspaceSet:
         directions.append(u)
     subspaces = ClassSubspaceSet(directions, threshold=0.0, quantile_used=quantile)
     scores, _ = uncertainty_scores(feats, subspaces)
-    order = np.sort(scores)
-    k = int(math.ceil(quantile * scores.size - 1e-9))
-    k = min(max(k, 1), scores.size)
-    subspaces.threshold = float(order[k - 1])
+    subspaces.threshold = float(np.sort(scores)[quantile_rank(quantile, scores.size) - 1])
     return subspaces
 
 

@@ -6,13 +6,13 @@ below an eta ceiling, solves the joint factorization-plus-regression problem
 
     L(F) = ||A - F F^T||_F^2 + mu ||F W - Y||_F^2
 
-in closed form at mu = 0 (A's top-d eigenpairs, negative eigenvalues clipped
-to zero, which is also where the iterative solve starts) and by Polak-Ribiere+
-conjugate gradient with an exact line search (L along a line is a quartic,
-minimized through the real roots of its derivative cubic).  The columns of F
-sit at eigenpairs of A whose eigenvalues can differ by two orders of
-magnitude, so the CG direction is right-preconditioned by the damped d x d
-curvature 4 F^T F + 2 mu W W^T, as in scaled gradient descent (Tong, Ma and
+by Polak-Ribiere+ conjugate gradient with an exact line search (L along a
+line is a quartic, minimized through the real roots of its derivative
+cubic), started at the mu = 0 optimum: A's top-d eigenpairs with negative
+eigenvalues clipped to zero.  The columns of F sit at eigenpairs of A whose
+eigenvalues can differ by two orders of magnitude, so the CG direction is
+right-preconditioned by the damped d x d curvature 4 F^T F + 2 mu W W^T,
+as in scaled gradient descent (Tong, Ma and
 Chi, arXiv 2005.08898; damped for over-parameterized F as in Zhang, Fattahi
 and Zhang, NeurIPS 2021).  The first term does not change under F -> FQ for
 orthogonal Q, so at small mu the loss is nearly flat along those rotations;
@@ -116,10 +116,6 @@ class AugGraph:
     def n(self) -> int:
         return self.adjacency.shape[0]
 
-    @property
-    def class_sizes(self) -> list[int]:
-        return [stop - start for start, stop in self.class_ranges]
-
 
 @dataclass
 class SolveOptions:
@@ -193,24 +189,6 @@ def build_adjacency(
 def _check_spread(delta: float, eta: float) -> None:
     if not (0.0 <= delta <= DELTA_LIMIT and eta >= 0.0):
         raise ContractViolation(f"delta must lie in [0, {DELTA_LIMIT:g}] and eta must be >= 0")
-
-
-def closed_form_contrastive(graph: AugGraph, d: int) -> np.ndarray:
-    """Rank-d minimizer of ||A - F F^T||_F^2 for positive semidefinite A.
-
-    Returns the eigenvector representative Q_d diag(sqrt(lambda_d)); any
-    right-rotation of it is also optimal.  Eigenvalues in [-1e-10, 0] are
-    clipped to zero; anything more negative raises NumericFailure.
-    """
-    n = graph.n
-    if not 1 <= d <= n:
-        raise ContractViolation(f"d must lie in [1, {n}], got {d}")
-    lam, q = sym_eig(graph.adjacency)
-    if float(lam.min()) < -1e-10:
-        raise NumericFailure(
-            f"adjacency is not positive semidefinite: min eigenvalue {float(lam.min()):.3e}"
-        )
-    return _clipped_top(lam, q, d)
 
 
 def _clipped_top(lam, q, d):

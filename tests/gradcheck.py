@@ -61,7 +61,8 @@ def grad_check(model: EncoderModel, batch, labels, eps: float = 1e-5) -> float:
 
 
 def numeric_grads(model, batch, labels, eps):
-    """Central finite differences of the cross-entropy loss, per parameter."""
+    """Central finite differences of the cross-entropy loss, per parameter.
+    Each train-mode loss moves the model's running statistics: pass a copy."""
     params = trainable_params(model)
     out = {}
     for key, arr in params.items():
@@ -82,7 +83,7 @@ def numeric_grads(model, batch, labels, eps):
 
 def _loss_value(model, batch, labels):
     feats, _ = _body_forward(model.layers, as_matrix(batch, "batch"))
-    record, _ = _head_forward(model, feats, "train", update_running=False)
+    record, _ = _head_forward(model, feats, "train")
     labels = np.asarray(labels, dtype=np.int64)
     loss, _ = cross_entropy(record.logits, labels)
     return loss, record
@@ -101,11 +102,12 @@ def input_gradient(model: EncoderModel, batch, dlogits=None, mode: str = "eval")
     """Gradient of sum(logits * dlogits) with respect to the batch inputs.
 
     dlogits defaults to all-ones (the gradient of the summed logits).  Pure:
-    running statistics are left untouched even in train mode.
+    a train-mode pass moves the running statistics of a copy of the model.
     """
+    model = copy.deepcopy(model)
     x = as_matrix(batch, "batch")
     feats, acts = _body_forward(model.layers, x, keep=True)
-    record, head_cache = _head_forward(model, feats, mode, update_running=False)
+    record, head_cache = _head_forward(model, feats, mode)
     if dlogits is None:
         dlogits = np.ones_like(record.logits)
     scratch = {"bn_scale": np.empty(()), "sharpen_w": np.empty_like(model.sharpen_w)}

@@ -21,8 +21,7 @@ import math
 import numpy as np
 
 from gradcheck import trainable_params
-from rodd import encoder
-from rodd.contrastive import batch_adjacency
+from rodd import contrastive, encoder
 from rodd.encoder import BN_EPS, BN_MOMENTUM, FEATURE_NORM_FLOOR, ForwardRecord, _epoch_lr
 from rodd.errors import DegenerateFeatureError, DivergenceError
 from rodd.linalg import as_matrix
@@ -37,7 +36,7 @@ def sigmoid(t):
     return out
 
 
-def head_forward(model, feats, mode, update_running=True):
+def head_forward(model, feats, mode):
     norms = np.linalg.norm(feats, axis=1)
     bad = np.nonzero(norms < FEATURE_NORM_FLOOR)[0]
     if bad.size:
@@ -48,9 +47,8 @@ def head_forward(model, feats, mode, update_running=True):
     if mode == "train":
         mean = float(s.mean())
         var = float(s.var())
-        if update_running:
-            model.bn_mean = (1.0 - BN_MOMENTUM) * model.bn_mean + BN_MOMENTUM * mean
-            model.bn_var = (1.0 - BN_MOMENTUM) * model.bn_var + BN_MOMENTUM * var
+        model.bn_mean = (1.0 - BN_MOMENTUM) * model.bn_mean + BN_MOMENTUM * mean
+        model.bn_var = (1.0 - BN_MOMENTUM) * model.bn_var + BN_MOMENTUM * var
     else:
         mean = model.bn_mean
         var = model.bn_var
@@ -66,6 +64,14 @@ def softmax(logits):
     shifted = logits - logits.max(axis=1, keepdims=True)
     e = np.exp(shifted)
     return e / e.sum(axis=1, keepdims=True)
+
+
+def pair_adjacency(pairs, n):
+    """The n x n identity with both (i, j) and (j, i) set to 1 for each pair."""
+    a = np.eye(n)
+    for i, j in pairs:
+        a[i, j] = a[j, i] = 1.0
+    return a
 
 
 def spectral_contrastive_loss(f, a):
@@ -161,7 +167,7 @@ def loss_and_grad(model, x, labels, mu=0.0, contrastive_pairs=None):
     grads: dict[str, np.ndarray] = {}
     dfeat = head_backward(model, record, head_cache, dlogits, grads)
     if contrastive_pairs is not None:
-        adjacency = batch_adjacency(contrastive_pairs, x.shape[0])
+        adjacency = pair_adjacency(contrastive_pairs, x.shape[0])
         cl_loss, cl_grad = spectral_contrastive_loss(feats, adjacency)
         loss = loss + mu * cl_loss
         dfeat = dfeat + mu * cl_grad
@@ -217,7 +223,7 @@ def train(model, dataset, config):
 def adversarial_perturb(model, x0, pairing, spec):
     if spec.epsilon == 0.0:
         return x0.copy()
-    adjacency = batch_adjacency(pairing, x0.shape[0])
+    adjacency = pair_adjacency(pairing, x0.shape[0])
     x = x0.copy()
     for _ in range(spec.steps):
         feats, cache = body_forward(model.layers, x)
@@ -249,7 +255,7 @@ def pretrain(model, dataset, config):
             views = augment_batch(np.vstack([xb, xb]), config.aug_gaussian_sigma, rng)
             pairs = [(i, m + i) for i in range(m)]
             views = adversarial_perturb(model, views, pairs, config.adv)
-            adjacency = batch_adjacency(pairs, 2 * m)
+            adjacency = pair_adjacency(pairs, 2 * m)
             feats, cache = body_forward(model.layers, views)
             loss, dfeat = spectral_contrastive_loss(feats, adjacency)
             scale = 1.0 / (2 * m)
@@ -257,7 +263,7 @@ def pretrain(model, dataset, config):
             if not math.isfinite(loss):
                 raise DivergenceError(epoch)
             grads, _ = body_backward(model.layers, cache, dfeat * scale)
-            step(body_params, velocity, grads, config.lr, config.momentum, config.grad_clip)
+            step(body_params, velocity, grads, config.lr, config.momentum, contrastive.GRAD_CLIP)
             losses.append(loss)
         history.append(float(np.mean(losses)))
     return model, history

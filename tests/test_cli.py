@@ -224,7 +224,8 @@ class TestPipeline:
         # 120 rows in batches of 16 (the 8-row tail trains) for 4 epochs,
         # then one clean pass over all of them.
         assert body_rows == ([16] * 7 + [8]) * 4 + [len(labels)]
-        logits = encoder.forward(load_model(out / "model.ckpt"), inputs).logits
+        model = load_model(out / "model.ckpt")
+        logits = encoder.head_logits(model, encoder.features(model, inputs))
         payload = json.loads((out / "train_history.json").read_text())
         assert list(payload) == ["history", "accuracy"]
         assert len(payload["history"]) == 4
@@ -753,7 +754,7 @@ class TestExitCodes:
             ("train", "[train]\ngrad_clip = 5\n", "line 2: unknown key 'train.grad_clip'"),
             ("corrupt", "[corruption]\ntarget = ood.feat\n",
              "line 2: unknown key 'corruption.target'"),
-            # delta = 0.05 is not PSD, so the start skips closed_form_contrastive's check of d.
+            # The solver checks d on an indefinite (delta = 0.05) and a PSD graph alike.
             ("verify-theory", "[theory]\nclass_sizes = 3,3\nd = 9\n", "d must lie in [1, 6], got 9"),
             ("verify-theory", "[theory]\nclass_sizes = 3,3\ndelta = 0\nd = 9\n",
              "d must lie in [1, 6], got 9"),

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from contrastive_probes import augment, pair_cosine_stats
+from sgd_oracle import pair_adjacency
 from rodd.contrastive import (
     AdversarialSpec,
     PretrainConfig,
@@ -41,40 +42,38 @@ class TestAugment:
 
 class TestBatchAdjacency:
     def test_single_pair(self):
-        assert np.array_equal(batch_adjacency([(0, 1)], 2), np.ones((2, 2)))
+        assert np.array_equal(batch_adjacency(1), np.ones((2, 2)))
 
     def test_no_pairs_is_identity(self):
-        assert np.array_equal(batch_adjacency([], 3), np.eye(3))
+        # Without its view pairs, the adjacency is the identity.
+        a = batch_adjacency(3)
+        first, second = np.arange(3), np.arange(3, 6)
+        a[first, second] = a[second, first] = 0.0
+        assert np.array_equal(a, np.eye(6))
 
     def test_block_diagonal(self):
-        a = batch_adjacency([(0, 1), (2, 3)], 4)
+        # Each sample's two views side by side give one 2 x 2 block per sample.
+        order = [0, 2, 1, 3]
+        a = batch_adjacency(2)[np.ix_(order, order)]
         expected = np.zeros((4, 4))
         expected[:2, :2] = 1.0
         expected[2:, 2:] = 1.0
         assert np.array_equal(a, expected)
 
     def test_two_views_per_sample_count(self):
-        pairs = [(i, 32 + i) for i in range(32)]
-        a = batch_adjacency(pairs, 64)
+        a = batch_adjacency(32)
         off_diag = a - np.eye(64)
         assert int(off_diag.sum()) == 64
 
-    def test_duplicate_pair_rejected(self):
-        with pytest.raises(ContractViolation, match="duplicate"):
-            batch_adjacency([(0, 1), (1, 0)], 3)
-
-    def test_self_pair_rejected(self):
-        with pytest.raises(ContractViolation):
-            batch_adjacency([(1, 1)], 3)
-
-    def test_out_of_range_rejected(self):
-        with pytest.raises(ContractViolation):
-            batch_adjacency([(0, 5)], 3)
+    @pytest.mark.parametrize("m", [1, 5, 40])
+    def test_matches_the_pair_list(self, m):
+        expected = pair_adjacency([(i, m + i) for i in range(m)], 2 * m)
+        assert np.array_equal(batch_adjacency(m), expected)
 
 
 class TestSpectralLoss:
     def test_zero_features(self):
-        a = batch_adjacency([(0, 1)], 2)
+        a = batch_adjacency(1)
         loss, grad = spectral_contrastive_loss(np.zeros((2, 3)), a)
         assert loss == float((a * a).sum())
         assert np.array_equal(grad, np.zeros((2, 3)))
@@ -130,14 +129,14 @@ class TestAdversarialPerturb:
     def test_zero_epsilon_is_identity(self):
         model = build_model(4, 2, hidden_sizes=(6,), feature_dim=3, seed=1)
         x = np.random.default_rng(6).standard_normal((4, 4))
-        out = _perturb(model, x, batch_adjacency([(0, 1), (2, 3)], 4), AdversarialSpec(epsilon=0.0))
+        out = _perturb(model, x, batch_adjacency(2), AdversarialSpec(epsilon=0.0))
         assert np.array_equal(out, x)
 
     def test_single_step_structure(self):
         model = build_model(4, 2, hidden_sizes=(6,), feature_dim=3, seed=2)
         x = np.random.default_rng(7).standard_normal((4, 4)) + 1.0
         spec = AdversarialSpec(epsilon=0.02, steps=1, step_size=0.02)
-        out = _perturb(model, x, batch_adjacency([(0, 1), (2, 3)], 4), spec)
+        out = _perturb(model, x, batch_adjacency(2), spec)
         delta = out - x
         allowed = {-0.02, 0.0, 0.02}
         assert set(np.round(delta.ravel(), 12)).issubset(allowed)
@@ -153,7 +152,7 @@ class TestAdversarialPerturb:
             bn_scale=np.asarray(1.0),
         )
         x = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
-        adjacency = batch_adjacency([(0, 1)], 2)
+        adjacency = batch_adjacency(1)
         _, dfeat = spectral_contrastive_loss(x, adjacency)
         spec = AdversarialSpec(epsilon=0.1, steps=1, step_size=0.1)
         out = _perturb(model, x, adjacency, spec)
@@ -163,13 +162,13 @@ class TestAdversarialPerturb:
         model = build_model(5, 2, hidden_sizes=(7,), feature_dim=4, seed=3)
         x = np.random.default_rng(8).standard_normal((6, 5))
         spec = AdversarialSpec(epsilon=0.03, steps=5, step_size=0.02)
-        out = _perturb(model, x, batch_adjacency([(0, 3), (1, 4), (2, 5)], 6), spec)
+        out = _perturb(model, x, batch_adjacency(3), spec)
         assert np.abs(out - x).max() <= spec.epsilon + 1e-12
 
     def test_loss_increases_on_fixed_instance(self):
         model = build_model(5, 2, hidden_sizes=(7,), feature_dim=4, seed=4)
         x = np.random.default_rng(9).standard_normal((6, 5)) + 1.0
-        adjacency = batch_adjacency([(0, 3), (1, 4), (2, 5)], 6)
+        adjacency = batch_adjacency(3)
         spec = AdversarialSpec(epsilon=0.1, steps=3, step_size=0.05)
         out = _perturb(model, x, adjacency, spec)
         before, _ = spectral_contrastive_loss(features(model, x), adjacency)
@@ -182,7 +181,7 @@ class TestAdversarialPerturb:
         model = build_model(5, 2, hidden_sizes=(7,), feature_dim=4, seed=5)
         rng = np.random.default_rng(10)
         spec = AdversarialSpec(epsilon=0.1, steps=3, step_size=0.05)
-        adjacency = batch_adjacency([(0, 4), (1, 5), (2, 6), (3, 7)], 8)
+        adjacency = batch_adjacency(4)
         increased = 0
         trials = 20
         for _ in range(trials):

@@ -489,4 +489,4 @@ class TestLibraryDefaults:
         assert NO_LIBRARY_DEFAULT.isdisjoint(library)
         assert set(CONFIG) == (set(library) & set(CONFIG)) | NO_LIBRARY_DEFAULT
         # Library fields without a key keep their default in every run.
-        assert set(library) - set(CONFIG) == {"pretrain.grad_clip", "theory.init"}
+        assert set(library) - set(CONFIG) == {"theory.init"}

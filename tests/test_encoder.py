@@ -20,9 +20,10 @@ from rodd.encoder import (
     DenseLayer,
     EncoderModel,
     TrainConfig,
+    _head_forward,
     build_model,
     cross_entropy,
-    forward,
+    features,
     head_logits,
     load_model,
     save_model,
@@ -31,6 +32,18 @@ from rodd.encoder import (
 from rodd.errors import ContractViolation, DegenerateFeatureError, DivergenceError, FormatError
 from rodd.linalg import orthonormal_init
 from rodd.metrics import accuracy
+
+
+def eval_logits(model, x):
+    """The eval-mode logits of inputs x, as the pipeline computes them."""
+    return head_logits(model, features(model, x))
+
+
+def eval_record(model, x):
+    """The eval-mode head record of inputs x: the features, cosines and
+    sharpening scalars behind eval_logits."""
+    record, _ = _head_forward(model, features(model, x), "eval")
+    return record
 
 
 def identity_body_model(d, n_classes, seed=0, bn_scale=1.0):
@@ -48,7 +61,7 @@ class TestForward:
     def test_cosine_with_own_direction_is_one(self):
         model = identity_body_model(6, 3, seed=4)
         for cls in range(3):
-            record = forward(model, model.class_proj[:, cls][None, :])
+            record = eval_record(model, model.class_proj[:, cls][None, :])
             assert abs(record.z[0, cls] - 1.0) <= 1e-12
             assert np.abs(record.z).max() <= 1.0 + 1e-12
 
@@ -56,7 +69,7 @@ class TestForward:
         # bn_scale = 0 forces g = sigmoid(0) = 0.5 exactly, so logits = 2z.
         model = identity_body_model(5, 2, bn_scale=0.0)
         x = np.random.default_rng(0).standard_normal((3, 5))
-        record = forward(model, x)
+        record = eval_record(model, x)
         assert np.array_equal(record.g, np.full(3, 0.5))
         assert np.array_equal(record.logits, 2.0 * record.z)
 
@@ -74,8 +87,8 @@ class TestForward:
                 down = x.copy()
                 down[i, j] -= eps
                 numeric = (
-                    forward(model, up).logits.sum()
-                    - forward(model, down).logits.sum()
+                    eval_logits(model, up).sum()
+                    - eval_logits(model, down).sum()
                 ) / (2 * eps)
                 worst = max(
                     worst,
@@ -86,14 +99,14 @@ class TestForward:
     def test_cosine_bound_holds(self):
         rng = np.random.default_rng(10)
         model = build_model(7, 4, hidden_sizes=(12, 8), feature_dim=6, seed=5)
-        record = forward(model, rng.standard_normal((30, 7)))
+        record = eval_record(model, rng.standard_normal((30, 7)))
         assert np.abs(record.z).max() <= 1.0 + 1e-12
         assert np.all(record.g > 0.0) and np.all(record.g < 1.0)
 
     def test_sharpening_amplifies(self):
         rng = np.random.default_rng(11)
         model = build_model(7, 4, hidden_sizes=(12,), feature_dim=6, seed=6)
-        record = forward(model, rng.standard_normal((20, 7)))
+        record = eval_record(model, rng.standard_normal((20, 7)))
         amplified = record.g < 1.0
         assert np.all(np.abs(record.logits[amplified]) >= np.abs(record.z[amplified]))
 
@@ -102,9 +115,7 @@ class TestForward:
         model = build_model(5, 2, hidden_sizes=(8,), feature_dim=4, seed=7)
         x = rng.standard_normal((6, 5))
         before = (model.bn_mean, model.bn_var)
-        a = forward(model, x)
-        b = forward(model, x)
-        assert np.array_equal(a.logits, b.logits)
+        assert np.array_equal(eval_logits(model, x), eval_logits(model, x))
         assert (model.bn_mean, model.bn_var) == before
 
     def test_each_row_is_scored_alone(self):
@@ -113,25 +124,19 @@ class TestForward:
         rng = np.random.default_rng(13)
         model = build_model(5, 3, hidden_sizes=(8,), feature_dim=4, seed=8)
         x = rng.standard_normal((6, 5))
-        whole = forward(model, x).logits
+        whole = eval_logits(model, x)
         for i in range(6):
-            alone = forward(model, x[i : i + 1]).logits
+            alone = eval_logits(model, x[i : i + 1])
             assert alone.shape == (1, 3)
             assert np.allclose(alone[0], whole[i], rtol=1e-12, atol=1e-15)
-        reordered = forward(model, x[::-1]).logits
+        reordered = eval_logits(model, x[::-1])
         assert np.allclose(reordered, whole[::-1], rtol=1e-12, atol=1e-15)
-
-    def test_forward_has_no_mode(self):
-        model = identity_body_model(4, 2)
-        x = np.random.default_rng(14).standard_normal((3, 4))
-        with pytest.raises(TypeError):
-            forward(model, x, mode="train")
 
     def test_degenerate_feature_raises_with_index(self):
         model = identity_body_model(4, 2)
         x = np.vstack([np.ones(4), np.zeros(4)])
         with pytest.raises(DegenerateFeatureError) as info:
-            forward(model, x)
+            eval_logits(model, x)
         assert info.value.sample_index == 1
 
     def test_head_logits_rejects_an_overflowing_norm(self):
@@ -142,7 +147,7 @@ class TestForward:
         feats = np.array([[1.0, 2.0, 0.0, 0.0], [1e200, 0.0, 0.0, 0.0], [0.0, 1e300, 0.0, 0.0]])
         with pytest.raises(ContractViolation, match="sample 1 are finite, but their norm overflows"):
             head_logits(model, feats)
-        assert np.array_equal(head_logits(model, feats[:1]), forward(model, feats[:1]).logits)
+        assert np.array_equal(head_logits(model, feats[:1]), eval_record(model, feats[:1]).logits)
 
 
 class TestLossAndGrad:
@@ -174,7 +179,7 @@ class TestLossAndGrad:
         model = build_model(4, 2, hidden_sizes=(6,), feature_dim=4, seed=9)
         x = rng.standard_normal((6, 4))
         labels = rng.integers(0, 2, size=6)
-        adjacency = batch_adjacency([(0, 3), (1, 4), (2, 5)], 6)
+        adjacency = batch_adjacency(3)
         mu = 0.3
         work = copy.deepcopy(model)
         _, analytic = loss_and_grad(work, x, labels, mu=mu, adjacency=adjacency)
@@ -266,7 +271,7 @@ class TestTrain:
         dataset = blobs_dataset()
         model = build_model(2, 2, hidden_sizes=(16,), feature_dim=4, seed=1)
         model, _ = train(model, dataset, TrainConfig(epochs=30, batch_size=32, seed=1))
-        assert accuracy(forward(model, dataset.inputs).logits, dataset.labels) >= 0.99
+        assert accuracy(eval_logits(model, dataset.inputs), dataset.labels) >= 0.99
 
     def test_zero_epochs_is_identity(self):
         dataset = blobs_dataset()

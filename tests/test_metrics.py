@@ -13,9 +13,9 @@ from rodd.metrics import (
     ScoreSplit,
     accuracy,
     auroc,
-    detection_error,
     evaluate_split,
     fpr_at_tpr,
+    quantile_rank,
 )
 
 
@@ -144,17 +144,29 @@ class TestAuroc:
 class TestDetectionError:
     def test_perfect_separation(self):
         split = ScoreSplit(np.array([1.0, 1.0]), np.array([0.0, 0.0]))
-        assert detection_error(split, 0.95) == 0.0
+        assert evaluate_split(split, 0.95).detection_error == 0.0
 
     def test_worked_example(self):
         split = ScoreSplit(np.array([2.0, 1.0]), np.array([1.5, 0.5]))
-        assert detection_error(split, 0.95) == 0.25
+        assert evaluate_split(split, 0.95).detection_error == 0.25
 
     def test_bounded(self):
         rng = np.random.default_rng(6)
         for _ in range(50):
             split = random_split(rng)
-            assert 0.0 <= detection_error(split, 0.95) <= 1.0
+            assert 0.0 <= evaluate_split(split, 0.95).detection_error <= 1.0
+
+
+class TestQuantileRank:
+    def test_exact_products_are_not_rounded_up(self):
+        # 0.07 * 100 is 7.000000000000001 in floating point.
+        assert quantile_rank(0.07, 100) == 7
+        assert quantile_rank(0.95, 20) == 19
+
+    def test_clamped_to_one_through_n(self):
+        assert quantile_rank(1e-12, 10) == 1
+        assert quantile_rank(1.0, 10) == 10
+        assert quantile_rank(0.95, 1) == 1
 
 
 class TestAccuracy:

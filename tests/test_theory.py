@@ -26,7 +26,6 @@ from rodd.theory import (
     _preconditioned,
     _quartic_argmin,
     build_adjacency,
-    closed_form_contrastive,
     joint_loss_and_grad,
     lemma_bounds,
     line_quartic,
@@ -136,24 +135,29 @@ class TestBuildAdjacency:
 
     def test_identity_with_singleton_classes_is_valid(self):
         graph = AugGraph(np.eye(3), ((0, 1), (1, 2), (2, 3)), 0.0, 0.0)
-        assert graph.class_sizes == [1, 1, 1]
+        assert graph.n == 3 and graph.class_ranges == ((0, 1), (1, 2), (2, 3))
+
+
+def closed_form(graph, d):
+    """The auto start: the rank-d minimizer of ||A - F F^T||^2."""
+    return _initial_point(graph, d, SolveOptions())
 
 
 class TestClosedForm:
     def test_identity_full_rank(self):
         graph = AugGraph(np.eye(4), tuple((i, i + 1) for i in range(4)), 0.0, 0.0)
-        f = closed_form_contrastive(graph, 4)
+        f = closed_form(graph, 4)
         assert np.abs(f.T @ f - np.eye(4)).max() <= 1e-10
         assert np.abs(graph.adjacency - f @ f.T).max() <= 1e-10
 
     def test_all_ones_rank_one(self):
         graph = AugGraph(np.ones((3, 3)), ((0, 3),), 0.0, 0.0)
-        f = closed_form_contrastive(graph, 1)
+        f = closed_form(graph, 1)
         assert np.abs(f.ravel() - 1.0).max() <= 1e-10  # sign convention -> +
 
     def test_truncation_residual(self):
         graph = AugGraph(np.diag([4.0, 1.0]), ((0, 1), (1, 2)), 0.0, 1.0)
-        f = closed_form_contrastive(graph, 1)
+        f = closed_form(graph, 1)
         assert np.abs(f.ravel() - np.array([2.0, 0.0])).max() <= 1e-12
         residual = float(((graph.adjacency - f @ f.T) ** 2).sum())
         assert abs(residual - 1.0) <= 1e-12
@@ -166,16 +170,10 @@ class TestClosedForm:
         graph = AugGraph(a, tuple((i, i + 1) for i in range(6)), 0.0, eta + 1.0)
         lam, _ = sym_eig(a)
         for d in (1, 2, 4):
-            f = closed_form_contrastive(graph, d)
+            f = closed_form(graph, d)
             residual = float(((a - f @ f.T) ** 2).sum())
             expected = float((lam[d:] ** 2).sum())
             assert abs(residual - expected) <= 1e-8 * max(1.0, float((lam**2).sum()))
-
-    def test_indefinite_rejected(self):
-        a = np.array([[1.0, 2.0], [2.0, 1.0]])  # eigenvalues 3, -1
-        graph = AugGraph(a, ((0, 2),), 1.5, 0.0)
-        with pytest.raises(NumericFailure, match="positive semidefinite"):
-            closed_form_contrastive(graph, 1)
 
 
 class TestAutoStart:
@@ -198,14 +196,21 @@ class TestAutoStart:
             assert loss == pytest.approx(optimum, rel=1e-12, abs=0.0), f"d={d}"
 
     def test_is_the_closed_form_on_a_psd_graph(self):
+        # Only rounding-level eigenvalues are clipped, so every start is the
+        # eigenvector representative, orthogonal columns of squared norm
+        # lambda_i, and the full-rank one reproduces A.
         graphs = [
             rank_two_block_graph([8, 7], eps=0.2, seed=13),
             AugGraph(np.eye(4), tuple((i, i + 1) for i in range(4)), 0.0, 0.0),
         ]
         for graph in graphs:
+            lam, _ = sym_eig(graph.adjacency)
+            assert lam.min() >= -1e-10
             for d in (1, 2, graph.n):
                 start = _initial_point(graph, d, SolveOptions())
-                assert start.tobytes() == closed_form_contrastive(graph, d).tobytes()
+                gram = np.diag(np.clip(lam[:d], 0.0, None))
+                assert np.abs(start.T @ start - gram).max() <= 1e-12 * lam[0]
+            assert np.abs(start @ start.T - graph.adjacency).max() <= 1e-12 * lam[0]
 
 
 class TestSolveJoint:
@@ -340,8 +345,8 @@ class TestSolveJoint:
 
     @pytest.mark.parametrize("delta", [0.0, 0.05])
     def test_d_outside_one_to_n_is_a_contract_error(self, delta):
-        # At delta = 0.05 the graph is not PSD, so the auto start does not go
-        # through closed_form_contrastive's own check of d.
+        # The check of d is the solver's own, on PSD (delta = 0) and
+        # indefinite (delta = 0.05) graphs alike.
         graph = build_adjacency([3, 3], delta, 0.0, seed=14)
         for d in (9, 7):
             proj = orthonormal_init(d, 2, 15)
