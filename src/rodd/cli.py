@@ -25,7 +25,6 @@ from . import contrastive, corruptions, encoder, metrics, ood, theory
 from .data import Dataset, RunConfig, parse_config_file, read_features, read_json, write_csv
 from .data import write_features, write_json
 from .errors import ContractViolation, FormatError, NumericFailure
-from .linalg import orthonormal_init
 from .streams import check_seed
 
 
@@ -327,12 +326,12 @@ def _cmd_verify_theory(config: RunConfig, out: Path, seed: int):
     spec = config.section("theory")
     sizes = spec["class_sizes"]
     graph = theory.build_adjacency(sizes, spec["delta"], spec["eta"], seed, spec["normalization"])
-    proj = orthonormal_init(_derived(spec["d"], graph.n), len(sizes), seed + 1)
+    d = _derived(spec["d"], graph.n)
     opts = theory.SolveOptions(max_iters=spec["max_iters"], tol=spec["tol"], seed=seed)
     mu = spec["mu"]
-    sweep, reports = theory.mu_sweep(graph, proj, sorted(spec["mu_values"]), opts)
+    sweep, reports = theory.mu_sweep(graph, d, sorted(spec["mu_values"]), opts)
     if mu not in reports:  # a listed mu's lemma is the sweep's own solve
-        reports[mu] = theory.verify_lemma(graph, theory.solve_joint(graph, proj, mu, opts))
+        reports[mu] = theory.verify_lemma(graph, theory.solve_joint(graph, d, mu, opts))
     yield "theory_report.json", {"mu": mu, "lemma": reports[mu], "sweep": sweep}
 
 

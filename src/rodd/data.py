@@ -352,7 +352,7 @@ CONFIG: dict[str, ConfigKey] = {
     "theory.delta": ConfigKey(float, 0.05, ((">=", 0), ("<=", DELTA_LIMIT))),
     "theory.eta": ConfigKey(float, 0.0, _NONNEGATIVE),
     "theory.normalization": ConfigKey(str, "unit-spectral-per-block", choices=NORMALIZATIONS),
-    "theory.d": ConfigKey(int),  # the graph's size
+    "theory.d": ConfigKey(int, None, _AT_LEAST_1),  # the graph's size
     "theory.mu": ConfigKey(float, 1e-4, _NONNEGATIVE),
     "theory.mu_values": ConfigKey(
         float, (1e-6, 1e-4, 1e-2, 1.0, 100.0), _NONNEGATIVE, is_list=True, distinct=True

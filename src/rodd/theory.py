@@ -4,21 +4,25 @@ Builds augmentation-graph adjacency matrices whose within-class entries have
 a bounded spread (ratio within (1+delta)^2) and whose cross-class entries sit
 below an eta ceiling, solves the joint factorization-plus-regression problem
 
-    L(F) = ||A - F F^T||_F^2 + mu ||F W - Y||_F^2
+    L(F) = ||A - F F^T||_F^2 + mu ||F E - Y||_F^2,   E = [I; 0],
 
-by Polak-Ribiere+ conjugate gradient with an exact line search (L along a
-line is a quartic, minimized through the real roots of its derivative
-cubic), started at the mu = 0 optimum: A's top-d eigenpairs with negative
-eigenvalues clipped to zero.  The columns of F sit at eigenpairs of A whose
-eigenvalues can differ by two orders of magnitude, so the CG direction is
-right-preconditioned by the damped d x d curvature 4 F^T F + 2 mu W W^T,
-as in scaled gradient descent (Tong, Ma and
-Chi, arXiv 2005.08898; damped for over-parameterized F as in Zhang, Fattahi
-and Zhang, NeurIPS 2021).  The first term does not change under F -> FQ for
+whose regression head reads F's first L columns, one per class.  This loses
+nothing against any head W with orthonormal columns: with Q = [W, W_perp]
+orthogonal, F W = (F Q) E and (F Q)(F Q)^T = F F^T, so F -> F Q maps the W
+problem onto this one with the same loss, gradient norm and per-class
+singular values.  It is solved by Polak-Ribiere+ conjugate gradient with an
+exact line search (L along a line is a quartic, minimized through the real
+roots of its derivative cubic), started at the mu = 0 optimum: A's top-d
+eigenpairs with negative eigenvalues clipped to zero.  The columns of F sit
+at eigenpairs of A whose eigenvalues can differ by two orders of magnitude,
+so the CG direction is right-preconditioned by the damped d x d curvature
+4 F^T F + 2 mu E E^T, as in scaled gradient descent (Tong, Ma and Chi,
+arXiv 2005.08898; damped for over-parameterized F as in Zhang, Fattahi and
+Zhang, NeurIPS 2021).  The first term does not change under F -> FQ for
 orthogonal Q, so at small mu the loss is nearly flat along those rotations;
 every CG step is therefore followed by an exact gauge step, a reflection of
-the W-columns that point away from their targets and a Riemannian Newton
-step over Q in O(d) on mu ||F Q W - Y||^2, both reduced to the d x d
+the first L columns that point away from their targets and a Riemannian
+Newton step over Q in O(d) on mu ||F Q E - Y||^2, both reduced to the d x d
 matrices F^T F and F^T Y (Absil, Mahony and Sepulchre, Optimization
 Algorithms on Matrix Manifolds, 2008).  It then verifies the per-class
 singular-value tail bounds
@@ -130,7 +134,6 @@ class JointSolveResult:
     f_star: np.ndarray
     loss_trace: list[float]
     per_class_sigma: list[np.ndarray]
-    mu: float
     iterations: int  # line-search steps taken
     converged: bool  # False when max_iters ran out before the tol test passed
     grad_norm: float  # Frobenius norm of the gradient at f_star
@@ -197,28 +200,24 @@ def _clipped_top(lam, q, d):
     return q[:, :d] * np.sqrt(np.clip(lam[:d], 0.0, None))
 
 
-def joint_loss_and_grad(adjacency, f, proj, targets, mu: float):
-    """L(F) = ||A - F F^T||^2 + mu ||F W - Y||^2 and its gradient in F."""
+def joint_loss_and_grad(adjacency, f, targets, mu: float):
+    """||A - F F^T||^2 + mu ||F E - Y||^2 (F E: F's first L columns) and its gradient."""
     residual = adjacency - f @ f.T
-    fit = f @ proj - targets
+    ell = targets.shape[1]
+    fit = f[:, :ell] - targets
     loss = float(np.vdot(residual, residual) + mu * np.vdot(fit, fit))
-    grad = -4.0 * (residual @ f) + 2.0 * mu * (fit @ proj.T)
+    grad = -4.0 * (residual @ f)
+    grad[:, :ell] += 2.0 * mu * fit
     return loss, grad
 
 
-def _validate_proj(graph, proj):
-    proj = as_matrix(proj, "proj")
-    if not 1 <= proj.shape[0] <= graph.n:
-        raise ContractViolation(f"d must lie in [1, {graph.n}], got {proj.shape[0]}")
-    n_classes = len(graph.class_ranges)
-    if proj.shape[1] != n_classes:
+def _check_rank(graph, d) -> None:
+    """L <= d <= n: F E reads L columns, and A has n eigenpairs to start from."""
+    if not len(graph.class_ranges) <= d <= graph.n:
         raise ContractViolation(
-            f"projection has {proj.shape[1]} columns, graph has {n_classes} classes"
+            f"d must lie in [{len(graph.class_ranges)}, {graph.n}], the class count to "
+            f"the graph's size, got {d}"
         )
-    gram = proj.T @ proj
-    if float(np.abs(gram - np.eye(n_classes)).max()) > 1e-8:
-        raise ContractViolation("projection columns must be orthonormal within 1e-8")
-    return proj
 
 
 def one_hot_targets(graph: AugGraph) -> np.ndarray:
@@ -244,15 +243,16 @@ def _initial_point(graph, d, opts):
     raise ContractViolation(f"unknown init {init!r}")
 
 
-def line_quartic(adjacency, f, direction, proj, mu: float, grad):
+def line_quartic(adjacency, f, direction, ell: int, mu: float, grad):
     """(c1, c2, c3, c4) with L(F + tD) = L(F) + c1 t + c2 t^2 + c3 t^3 + c4 t^4.
 
-    grad is the gradient of L at F.  With R = A - F F^T,
-    S = F D^T + D F^T and P = D D^T the factorization residual along the line
-    is R - tS - t^2 P and the regression residual is (F W - Y) + t D W, so
+    grad is the gradient of L at F and ell the class count L.  With
+    R = A - F F^T, S = F D^T + D F^T and P = D D^T the factorization residual
+    along the line is R - tS - t^2 P and the regression residual is
+    (F E - Y) + t D E, so
 
         c1 = <grad, D>
-        c2 = ||S||^2 - 2 <R, P> + mu ||D W||^2
+        c2 = ||S||^2 - 2 <R, P> + mu ||D E||^2
         c3 = 2 <S, P>
         c4 = ||P||^2
 
@@ -260,7 +260,7 @@ def line_quartic(adjacency, f, direction, proj, mu: float, grad):
     plus the one product A D.
     """
     ff, df, dd = f.T @ f, direction.T @ f, direction.T @ direction
-    dw = direction @ proj
+    dw = direction[:, :ell]
     c2 = 2.0 * (
         np.vdot(ff, dd)
         + np.vdot(df, df)
@@ -339,19 +339,16 @@ def _cbrt(x: float) -> float:
 
 
 class _GaugeStep:
-    """One rotation F -> FQ, Q in O(d), that lowers ||F Q W - Y||^2.
+    """One rotation F -> FQ, Q in O(d), that lowers ||F Q E - Y||^2, E = [I; 0].
 
-    Works in the coordinates of `frame`, an orthogonal matrix whose first L
-    columns are W's, so that there W = E = [I; 0]; solve_joint solves in
-    them.  First every column j < L with <F_j, Y_j> < 0 is negated, which
-    lowers the mu-term by 4 |<F_j, Y_j>|: a sign-flipped column can be a
-    saddle that the Newton step below, which stays near Q = I, does not leave.
-    The reflection is composed into the Q returned, after which the mu-term
-    depends on Q only through V = Q E on the Stiefel
-    manifold St(d, L), and everything reduces to G = F^T F and
-    R = G E - F^T Y.  A rotation Q = I + S + S^2/2 + O(|S|^3) with
-    S = [[O, -K^T], [K, 0]] (O skew L x L, K (d-L) x L, X = S E = [O; K])
-    changes the mu-term by
+    First every column j < L with <F_j, Y_j> < 0 is negated, which lowers the
+    mu-term by 4 |<F_j, Y_j>|: a sign-flipped column can be a saddle that the
+    Newton step below, which stays near Q = I, does not leave.  The
+    reflection is composed into the Q returned, after which the mu-term
+    depends on Q only through V = Q E on the Stiefel manifold St(d, L), and
+    everything reduces to G = F^T F and R = G E - F^T Y.  A rotation
+    Q = I + S + S^2/2 + O(|S|^3) with S = [[O, -K^T], [K, 0]] (O skew L x L,
+    K (d-L) x L, X = S E = [O; K]) changes the mu-term by
 
         2 <R, X> + <X, G X> + <R, S X> + O(|S|^3),   S X = [O^2 - K^T K; K O],
 
@@ -366,11 +363,7 @@ class _GaugeStep:
     rounding, so ||A - F F^T||^2 does not change.
     """
 
-    def __init__(self, proj: np.ndarray):
-        d, ell = proj.shape
-        basis, tri = np.linalg.qr(proj, mode="complete")
-        basis[:, :ell] *= np.where(np.diag(tri) < 0.0, -1.0, 1.0)
-        self.frame = basis  # frame^T proj = [T; 0] with T upper triangular, ~ I
+    def __init__(self, d: int, ell: int):
         upper, lower = np.triu_indices(ell, 1)
         n_skew = upper.size
         n_free = n_skew + (d - ell) * ell
@@ -457,13 +450,13 @@ class _GaugeStep:
 
 def solve_joint(
     graph: AugGraph,
-    proj,
+    d: int,
     mu: float,
     opts: SolveOptions | None = None,
 ) -> JointSolveResult:
     """Preconditioned Polak-Ribiere+ conjugate gradient with an exact line
-    search, each step followed by an exact gauge step; the targets Y are
-    one_hot_targets(graph).
+    search, each step followed by an exact gauge step, for F with d columns;
+    the targets Y are one_hot_targets(graph), and L <= d <= n.
 
     Along a search direction D the loss is the quartic line_quartic gives, so
     each step moves to its exact minimizer over t > 0 (the best real root of
@@ -472,27 +465,27 @@ def solve_joint(
     -z whenever it is not a descent direction, where z = grad M^-1 is the
     gradient right-preconditioned by the d x d matrix
 
-        M = 4 F^T F + 2 mu W W^T + _DAMPING (tr M / d) I,
+        M = 4 F^T F + 2 mu E E^T + _DAMPING (tr M / d) I,
 
     the part of the Hessian that acts on F from the right.  The columns of
     F start at (auto) or grow towards (random) eigenpairs of A whose
     eigenvalues can differ by 100x or more (about 1 against 0.005 on three
-    classes of 16), and the mu-term curves span(W) with 2 mu: without M the
-    step count follows that spread.  The ridge keeps M invertible when F is
-    rank-deficient (d above the rank A needs).  A singular or non-finite M
-    raises NumericFailure; a zero gradient takes no solve.
+    classes of 16), and the mu-term curves F's first L columns with 2 mu:
+    without M the step count follows that spread.  The ridge keeps M
+    invertible when F is rank-deficient (d above the rank A needs).  A
+    singular or non-finite M raises NumericFailure; a zero gradient takes no
+    solve.
 
     ||A - F F^T||^2 does not change under F -> FQ with Q orthogonal, so only
     the mu-term curves those directions, and at small mu CG crawls along
     them.  For mu > 0 every line-search step is therefore followed by a
-    gauge step F -> FQ: a reflection of every W-column that points away from
-    its class target, then one Riemannian Newton step over Q in O(d) on
-    ||F Q W - Y||^2, started from Q = I because the last step left F
+    gauge step F -> FQ: a reflection of every column j < L that points away
+    from its class target, then one Riemannian Newton step over Q in O(d) on
+    ||F Q E - Y||^2, started from Q = I because the last step left F
     gauge-fixed, kept only when it lowers the mu-term, with a majorized
     Procrustes step as the fallback (see _GaugeStep).  The search direction
     and the stored gradient are rotated by the same Q, so conjugacy
-    survives.  The solve then runs in a frame where W = [I; 0] and rotates F
-    back at the end; at mu = 0 it takes no gauge step and no frame.
+    survives.  At mu = 0 it takes no gauge step.
 
     The loss and gradient are evaluated once per step, after the gauge step,
     so the trace holds evaluated losses, one per line-search step; it must
@@ -504,15 +497,14 @@ def solve_joint(
     if mu < 0:
         raise ContractViolation("mu must be >= 0")
     opts = opts or SolveOptions()
-    proj = _validate_proj(graph, proj)
+    _check_rank(graph, d)
     targets = one_hot_targets(graph)
+    ell = targets.shape[1]
     a = graph.adjacency
-    f = _initial_point(graph, proj.shape[0], opts)
-    gauge = _GaugeStep(proj) if mu > 0.0 else None
-    if gauge is not None:
-        f, proj = f @ gauge.frame, gauge.frame.T @ proj
-    fixed = 2.0 * mu * (proj @ proj.T)
-    loss, grad = joint_loss_and_grad(a, f, proj, targets, mu)
+    f = _initial_point(graph, d, opts)
+    gauge = _GaugeStep(d, ell) if mu > 0.0 else None
+    fixed = np.diag(np.where(np.arange(d) < ell, 2.0 * mu, 0.0))  # 2 mu E E^T
+    loss, grad = joint_loss_and_grad(a, f, targets, mu)
     if not (math.isfinite(loss) and np.isfinite(grad).all()):
         raise NumericFailure(f"the starting loss or its gradient is not finite: loss {loss:.6e}")
     scaled = _preconditioned(f, grad, fixed)
@@ -527,7 +519,7 @@ def solve_joint(
         cand = f
         if 0.0 < norm < math.inf:
             unit = direction / norm
-            c1, c2, c3, c4 = line_quartic(a, f, unit, proj, mu, grad)
+            c1, c2, c3, c4 = line_quartic(a, f, unit, ell, mu, grad)
             if c1 < 0.0:
                 cand = f + _quartic_argmin(c1, c2, c3, c4) * unit
         q = None if gauge is None else gauge.rotation(cand, targets)
@@ -535,7 +527,7 @@ def solve_joint(
             # The scaled gradient turns too, but only <z, g> is kept, and
             # that does not change under the rotation.
             cand, direction, grad = cand @ q, direction @ q, grad @ q
-        cand_loss, cand_grad = joint_loss_and_grad(a, cand, proj, targets, mu)
+        cand_loss, cand_grad = joint_loss_and_grad(a, cand, targets, mu)
         if not (
             math.isfinite(cand_loss)
             and cand_loss <= loss + _STEP_SLACK * max(1.0, abs(loss))
@@ -557,13 +549,9 @@ def solve_joint(
         if abs(prev - loss) <= opts.tol * max(1.0, abs(prev)):
             converged = True
             break
-    if gauge is not None:
-        f = f @ gauge.frame.T
-    sigmas = [
-        svd(f[start:stop]).sigma for start, stop in graph.class_ranges
-    ]
+    sigmas = [svd(f[start:stop]).sigma for start, stop in graph.class_ranges]
     return JointSolveResult(
-        f, trace, sigmas, mu, len(trace) - 1, converged, math.sqrt(np.vdot(grad, grad))
+        f, trace, sigmas, len(trace) - 1, converged, math.sqrt(np.vdot(grad, grad))
     )
 
 
@@ -631,7 +619,7 @@ def verify_lemma(graph: AugGraph, result: JointSolveResult, tol: float = 1e-8) -
 
 def mu_sweep(
     graph: AugGraph,
-    proj,
+    d: int,
     mu_values,
     opts: SolveOptions | None = None,
 ) -> tuple[dict, dict]:
@@ -654,14 +642,13 @@ def mu_sweep(
     if mu_values != sorted(mu_values):
         raise ContractViolation("mu values must be sorted ascending")
     opts = opts or SolveOptions()
-    proj = _validate_proj(graph, proj)
-    d = proj.shape[0]
+    _check_rank(graph, d)
     init = _initial_point(graph, d, opts)
     rows = []
     passing = []
     reports = {}
     for mu in mu_values:
-        result = solve_joint(graph, proj, mu, replace(opts, init=init))
+        result = solve_joint(graph, d, mu, replace(opts, init=init))
         init = result.f_star
         report = reports[mu] = verify_lemma(graph, result)
         dominance = []

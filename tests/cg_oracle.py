@@ -20,13 +20,12 @@ from rodd.theory import _STEP_SLACK, _quartic_argmin, joint_loss_and_grad, line_
 def cg_solve(
     adjacency,
     f0,
-    proj,
     targets,
     mu: float,
     max_iters: int,
     tol: float = 1e-12,
 ) -> tuple[np.ndarray, list[float], bool]:
-    """Minimize ||A - F F^T||^2 + mu ||F W - Y||^2 from f0; (F, loss trace, converged).
+    """Minimize ||A - F F^T||^2 + mu ||F E - Y||^2 from f0; (F, loss trace, converged).
 
     Each step moves to the exact minimizer over t > 0 of the quartic the
     loss is along the search direction; the direction is -grad plus the PR+
@@ -37,7 +36,7 @@ def cg_solve(
     """
     a = adjacency
     f = np.array(f0, dtype=np.float64)
-    loss, grad = joint_loss_and_grad(a, f, proj, targets, mu)
+    loss, grad = joint_loss_and_grad(a, f, targets, mu)
     grad_sq = float(np.vdot(grad, grad))
     direction = -grad
     trace = [loss]
@@ -49,10 +48,10 @@ def cg_solve(
         cand = f
         if 0.0 < norm < math.inf:
             unit = direction / norm
-            c1, c2, c3, c4 = line_quartic(a, f, unit, proj, mu, grad)
+            c1, c2, c3, c4 = line_quartic(a, f, unit, targets.shape[1], mu, grad)
             if c1 < 0.0:
                 cand = f + _quartic_argmin(c1, c2, c3, c4) * unit
-        cand_loss, cand_grad = joint_loss_and_grad(a, cand, proj, targets, mu)
+        cand_loss, cand_grad = joint_loss_and_grad(a, cand, targets, mu)
         if not (
             math.isfinite(cand_loss)
             and cand_loss <= loss + _STEP_SLACK * max(1.0, abs(loss))

@@ -22,14 +22,13 @@ STEP_SLACK = 1e-12  # per-step nonincrease slack on the loss trace
 def gd_solve(
     adjacency,
     f0,
-    proj,
     targets,
     mu: float,
     max_iters: int,
     lr: float = 0.05,
     tol: float = 1e-12,
 ) -> tuple[np.ndarray, list[float]]:
-    """Minimize ||A - F F^T||^2 + mu ||F W - Y||^2 from f0; (F, loss trace).
+    """Minimize ||A - F F^T||^2 + mu ||F E - Y||^2 from f0; (F, loss trace).
 
     The step doubles at each iteration and halves (up to 60 times) whenever
     the candidate loss increases beyond a 1e-12 relative slack, so the loss
@@ -38,13 +37,13 @@ def gd_solve(
     NumericFailure.
     """
     f = np.array(f0, dtype=np.float64)
-    loss, grad = joint_loss_and_grad(adjacency, f, proj, targets, mu)
+    loss, grad = joint_loss_and_grad(adjacency, f, targets, mu)
     trace = [loss]
     for iteration in range(max_iters):
         lr *= 2.0
         for _ in range(BACKTRACK_CAP + 1):
             cand = f - lr * grad
-            cand_loss, cand_grad = joint_loss_and_grad(adjacency, cand, proj, targets, mu)
+            cand_loss, cand_grad = joint_loss_and_grad(adjacency, cand, targets, mu)
             if math.isfinite(cand_loss) and cand_loss <= loss + STEP_SLACK * max(
                 1.0, abs(loss)
             ):

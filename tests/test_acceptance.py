@@ -72,11 +72,10 @@ def test_criterion_01_gradient_correctness():
         a = rng.standard_normal((n, n))
         a = (a + a.T) / 2
         f = rng.standard_normal((n, d))
-        proj = orthonormal_init(d, 2, n)
         targets = np.zeros((n, 2))
         targets[: n // 2, 0] = 1.0
         targets[n // 2 :, 1] = 1.0
-        _, grad = theory.joint_loss_and_grad(a, f, proj, targets, 0.5)
+        _, grad = theory.joint_loss_and_grad(a, f, targets, 0.5)
         eps = 1e-6
         for i in range(n):
             for j in range(d):
@@ -85,8 +84,8 @@ def test_criterion_01_gradient_correctness():
                 down = f.copy()
                 down[i, j] -= eps
                 numeric = (
-                    theory.joint_loss_and_grad(a, up, proj, targets, 0.5)[0]
-                    - theory.joint_loss_and_grad(a, down, proj, targets, 0.5)[0]
+                    theory.joint_loss_and_grad(a, up, targets, 0.5)[0]
+                    - theory.joint_loss_and_grad(a, down, targets, 0.5)[0]
                 ) / (2 * eps)
                 rel = abs(grad[i, j] - numeric) / max(abs(grad[i, j]), abs(numeric), 1e-8)
                 worst_theory = max(worst_theory, rel)
@@ -165,16 +164,14 @@ def test_criterion_03_closed_form_vs_iterative():
     # Rank-two PSD blocks at N = 30 truncated below their total rank, so the
     # optimum value is a strictly positive eigenvalue tail.
     graph_a = rank_two_block_graph([12, 10, 8], eps=0.2, seed=4)
-    proj_a = orthonormal_init(3, 3, 8)
-    instances.append(("closed-form init d=3", graph_a, proj_a, 3, "auto"))
+    instances.append(("closed-form init d=3", graph_a, 3, "auto"))
 
     graph_b = rank_two_block_graph([16, 14], eps=0.2, seed=5)
-    proj_b = orthonormal_init(2, 2, 9)
-    instances.append(("random init d=2", graph_b, proj_b, 2, "random"))
+    instances.append(("random init d=2", graph_b, 2, "random"))
 
     all_ok = True
     details = []
-    for name, graph, proj, d, init in instances:
+    for name, graph, d, init in instances:
         lam, _ = sym_eig(graph.adjacency)
         optimum = float((lam[d:] ** 2).sum())
         budget = 1e-6 * float((lam**2).sum())
@@ -183,7 +180,7 @@ def test_criterion_03_closed_form_vs_iterative():
         for attempt in range(5):
             result = theory.solve_joint(
                 graph,
-                proj,
+                d,
                 0.0,
                 theory.SolveOptions(init=init, seed=attempt, max_iters=8000),
             )
@@ -211,9 +208,8 @@ def test_criterion_04_tail_bounds():
         graph = theory.build_adjacency(
             [8, 6, 5], delta, 0.0, seed=21, normalization="unit-spectral-per-block"
         )
-        proj = orthonormal_init(graph.n, 3, 22)
         result = theory.solve_joint(
-            graph, proj, 1e-4, theory.SolveOptions(seed=2, max_iters=6000)
+            graph, graph.n, 1e-4, theory.SolveOptions(seed=2, max_iters=6000)
         )
         report = theory.verify_lemma(graph, result, tol=1e-8)
         bound2, bound4 = theory.lemma_bounds(delta)
@@ -246,9 +242,8 @@ def test_criterion_05_mu_sweep_prefix():
     graph = theory.build_adjacency(
         [6, 5], 0.05, 0.0, seed=31, normalization="unit-spectral-per-block"
     )
-    proj = orthonormal_init(graph.n, 2, 32)
     sweep, _ = theory.mu_sweep(
-        graph, proj, [1e-6, 1e-4, 1e-2, 1.0, 100.0],
+        graph, graph.n, [1e-6, 1e-4, 1e-2, 1.0, 100.0],
         theory.SolveOptions(seed=3, max_iters=6000),
     )
     rows = sweep["rows"]

@@ -18,7 +18,6 @@ from rodd.cli import run
 from rodd.corruptions import KINDS
 from rodd.data import CONFIG, Dataset, read_features, write_features
 from rodd.encoder import load_model, save_model
-from rodd.linalg import orthonormal_init
 
 SMALL_CFG = """
 [synth]
@@ -511,6 +510,7 @@ class TestExitCodes:
         [
             ("pretrain", "pretrain", "batch_size"),
             ("verify-theory", "theory", "max_iters"),
+            ("verify-theory", "theory", "d"),
             ("pretrain", "model", "feature_dim"),
             ("score", "ood", "mc_draws"),
         ],
@@ -755,16 +755,20 @@ class TestExitCodes:
             ("corrupt", "[corruption]\ntarget = ood.feat\n",
              "line 2: unknown key 'corruption.target'"),
             # The solver checks d on an indefinite (delta = 0.05) and a PSD graph alike.
-            ("verify-theory", "[theory]\nclass_sizes = 3,3\nd = 9\n", "d must lie in [1, 6], got 9"),
+            ("verify-theory", "[theory]\nclass_sizes = 3,3\nd = 9\n",
+             "d must lie in [2, 6], the class count to the graph's size, got 9"),
             ("verify-theory", "[theory]\nclass_sizes = 3,3\ndelta = 0\nd = 9\n",
-             "d must lie in [1, 6], got 9"),
+             "d must lie in [2, 6], the class count to the graph's size, got 9"),
+            # d = 1 leaves one class without a column of F E.
+            ("verify-theory", "[theory]\nclass_sizes = 3,3\nd = 1\n",
+             "d must lie in [2, 6], the class count to the graph's size, got 1"),
         ],
         ids=["batch_size_1", "one_row_id_train", "negative_mu", "unreachable_adv_budget",
              "input_noise_under_mu", "negative_theory_mu", "negative_theory_eta",
              "retired_adversarial", "retired_contrastive", "retired_abs_cosine",
              "retired_aug_mask_fraction", "retired_aug_scale_jitter", "retired_grad_clip",
              "retired_corruption_target",
-             "theory_d_above_n", "theory_d_above_n_psd"],
+             "theory_d_above_n", "theory_d_above_n_psd", "theory_d_below_classes"],
     )
     def test_training_that_cannot_run_exits_one(
         self, tmp_path, small_config, command, config_text, message
@@ -1045,13 +1049,12 @@ class TestVerifyTheory:
         assert run(["verify-theory", "--config", str(cfg), "--out", str(out)]) == 0
         payload = json.loads((out / "theory_report.json").read_text())
         graph = theory.build_adjacency([5, 4], 0.05, 0.0, 11, "unit-spectral-per-block")
-        proj = orthonormal_init(9, 2, 12)
         opts = theory.SolveOptions(max_iters=3000, seed=11)
         listed = [m for m in (1e-6, 1e-4, 1e-2) if m <= mu]
         chain = listed if mu in listed else [mu]
         init = opts.init
         for step in chain:
-            result = theory.solve_joint(graph, proj, step, replace(opts, init=init))
+            result = theory.solve_joint(graph, 9, step, replace(opts, init=init))
             init = result.f_star
         expect = json.loads(json.dumps(theory.verify_lemma(graph, result)))
         assert payload["mu"] == mu
@@ -1068,9 +1071,9 @@ class TestVerifyTheory:
         solved = []
         solve_joint = theory.solve_joint
 
-        def counted(graph, proj, weight, opts):
+        def counted(graph, d, weight, opts):
             solved.append(weight)
-            return solve_joint(graph, proj, weight, opts)
+            return solve_joint(graph, d, weight, opts)
 
         monkeypatch.setattr(theory, "solve_joint", counted)
         cfg = tmp_path / "theory.cfg"

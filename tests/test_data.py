@@ -274,6 +274,7 @@ class TestConfigParser:
             ("pretrain", "adv_step_size", {"0": "> 0", "-0.01": "> 0"}, ["1e-9", "0.01"]),
             ("theory", "mu", {"-1": ">= 0", "-1e-9": ">= 0"}, ["0", "1e-4"]),
             ("theory", "eta", {"-1": ">= 0", "-1e-9": ">= 0"}, ["0", "0.5"]),
+            ("theory", "d", {"0": ">= 1", "-2": ">= 1"}, ["1", "12"]),
         ],
     )
     def test_bounded_keys(self, section, key, rejected, accepted):

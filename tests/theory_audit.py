@@ -4,27 +4,32 @@
     python tests/theory_audit.py --compare old.jsonl new.jsonl
 
 The first form runs verify-theory's own solves for every theory.seed from
-FIRST to LAST inclusive: the graph, projection and solver options are the
-ones rodd.cli builds from the config with that seed.  Without --config the
+FIRST to LAST inclusive: the graph, rank d and solver options are the ones
+rodd.cli builds from the config with that seed.  Without --config the
 config is the theory-scale benchmark's (bench/run.py's THEORY_CFG: three
 classes of 16, d = 12, delta = 0.05).  It prints one JSON line per
 (seed, mu) solved, the mu sweep's rows and a separate lemma solve when
 theory.mu is not listed: iterations, lemma_pass, converged, the final loss
 and grad_norm.  The solver comes from whatever rodd PYTHONPATH names, so
 running it once against a parent checkout's src/ and once against this one
-gives the two files to compare.
+gives the two files to compare.  The recording wrapper forwards
+solve_joint's arguments as rodd.cli passes them, (graph, d, mu, opts), and
+reads only the graph and mu, so one copy of this script audits either side
+of a change that keeps that order.
 
 The second form is the gate a change to the solver must pass: no
 lemma_pass or converged flag may flip and no final loss may rise by more
 than 1e-10 relative.  It prints the total steps before and after, the flips,
 the largest relative loss excess and the quantiles of the new/old grad_norm
 ratio, and exits 1 when the gate fails.  The pytest collection skips this
-file: its name has no test_ prefix.
+file, since its name has no test_ prefix; tests/test_theory.py's TestAudit
+runs both forms in-process.
 """
 
 from __future__ import annotations
 
 import argparse
+import ast
 import json
 import statistics
 import sys
@@ -43,8 +48,8 @@ def audit(config_text: str, seeds) -> None:
     solve_joint = theory.solve_joint
     lines = []
 
-    def recording(graph, proj, mu, opts):
-        result = solve_joint(graph, proj, mu, opts)
+    def recording(graph, d, mu, opts):
+        result = solve_joint(graph, d, mu, opts)
         lines.append({
             "mu": mu,
             "iterations": result.iterations,
@@ -70,13 +75,17 @@ def audit(config_text: str, seeds) -> None:
 
 
 def theory_scale_config() -> str:
-    sys.dont_write_bytecode = True  # leave no bytecode cache in bench/
-    sys.path.insert(0, str(BENCH))
-    import run
-
-    return run.THEORY_CFG.format(
-        sizes=run.THEORY_SIZES, d=run.THEORY_D, delta=run.THEORY_DELTA,
-        mu_values=run.THEORY_MU_VALUES, seed=0,
+    """bench/run.py's THEORY_CFG with its values, read from the runner's
+    source: importing it would pin BLAS threads and write a bytecode cache."""
+    tree = ast.parse((BENCH / "run.py").read_text())
+    run = {
+        node.targets[0].id: ast.literal_eval(node.value)
+        for node in tree.body
+        if isinstance(node, ast.Assign) and getattr(node.targets[0], "id", "").startswith("THEORY_")
+    }
+    return run["THEORY_CFG"].format(
+        sizes=run["THEORY_SIZES"], d=run["THEORY_D"], delta=run["THEORY_DELTA"],
+        mu_values=run["THEORY_MU_VALUES"], seed=0,
     )
 
 
