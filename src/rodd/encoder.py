@@ -35,6 +35,8 @@ FEATURE_NORM_FLOOR = 1e-12
 # Fine-tuning's global-norm gradient cap; the sharpening layer amplifies
 # gradients by 1/g.  train reads it when called.
 GRAD_CLIP = 5.0
+# Rows per body pass in features, which keeps a block's activations in cache.
+FEATURE_BLOCK_ROWS = 512
 
 MODEL_MAGIC = b"RODDMODL1"
 
@@ -194,10 +196,16 @@ def _check_width(model: EncoderModel, x: np.ndarray) -> None:
 
 
 def features(model: EncoderModel, batch) -> np.ndarray:
-    """Encoder output for a batch; pure with respect to the model."""
+    """Encoder output for a batch; pure with respect to the model.  The body
+    runs over blocks of FEATURE_BLOCK_ROWS rows, the remainder folded into
+    the last block: a block of fewer rows would change the last bits."""
     x = as_matrix(batch, "batch")
     _check_width(model, x)
-    out, _ = _body_forward(model.layers, x)
+    blocks = max(1, x.shape[0] // FEATURE_BLOCK_ROWS)
+    edges = [*range(0, blocks * FEATURE_BLOCK_ROWS, FEATURE_BLOCK_ROWS), x.shape[0]]
+    out = np.empty((x.shape[0], model.feature_dim))
+    for lo, hi in zip(edges, edges[1:]):
+        out[lo:hi] = _body_forward(model.layers, x[lo:hi])[0]
     return out
 
 

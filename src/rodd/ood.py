@@ -9,8 +9,8 @@ noise.
 
 from __future__ import annotations
 
-import functools
 import math
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -145,8 +145,9 @@ def _min_angles(feats, norms, subspaces: ClassSubspaceSet):
     """uncertainty_scores unchecked: feats a finite float64 matrix and norms
     its row norms, every one finite and at or above FEATURE_NORM_FLOOR."""
     cos = (feats / norms[:, None]) @ subspaces.direction_matrix()
-    angles = np.arccos(np.clip(cos, -1.0, 1.0))
-    return angles.min(axis=1), angles.argmin(axis=1)
+    angles = np.arccos(np.clip(cos, -1.0, 1.0, out=cos), out=cos)
+    argmins = angles.argmin(axis=1)
+    return np.take_along_axis(angles, argmins[:, None], axis=1)[:, 0], argmins
 
 
 def mc_detect(
@@ -193,9 +194,12 @@ def mc_score_records(
     there is none).  Degenerate-feature draws count as rejections (angle pi
     in the row's mean delta) and are tallied in degenerate_draws.  Rows are
     encoded in chunks of about MC_CHUNK_DRAWS draws; a row with more draws
-    than that is encoded alone.  With two or more chunks, a helper thread
-    draws the next chunk while this one encodes the current one; the chunks
-    and their arithmetic are those of a serial loop.
+    than that is encoded alone.  With two or more chunks, this thread and
+    one helper thread each draw, encode and score whole chunks, taken in
+    order; the helper runs under this thread's numpy error state and is
+    joined before the call returns.  Once a chunk fails, neither takes
+    another, and the lowest failed chunk's error is raised.  The chunks and
+    their arithmetic are those of a serial loop.
     """
     if k_draws < 1:
         raise ContractViolation(f"k_draws must be >= 1, got {k_draws}")
@@ -209,8 +213,8 @@ def mc_score_records(
     delta, probability = np.empty(raw.shape[0]), np.empty(raw.shape[0])
     argmin_class, degenerate = np.empty((2, raw.shape[0]), dtype=np.int64)
 
-    def score_chunk(lo, hi, draws):
-        feats = features(model, draws)
+    def score_chunk(lo, hi):
+        feats = features(model, _mc_draws(raw, seeds, k_draws, noise_sigma, lo, hi))
         norms = feature_norms(feats, k_draws, start_id + lo)
         valid = norms >= FEATURE_NORM_FLOOR
         kept, kept_norms = (feats, norms) if valid.all() else (feats[valid], norms[valid])
@@ -227,8 +231,34 @@ def mc_score_records(
         votes = (argmins[:, :, None] == classes).sum(axis=1)
         argmin_class[lo:hi] = np.where(degenerate[lo:hi] < k_draws, votes.argmax(axis=1), -1)
 
-    draw = functools.partial(_mc_draws, raw, seeds, k_draws, noise_sigma)
-    _drawn_ahead(draw, bounds, score_chunk)
+    # The caller and one helper each score the next chunk in order until none
+    # is left or one has failed.  Every chunk below a failed one was taken
+    # before it, so the lowest failed chunk's error is a serial loop's.
+    lock, chunks, failed = threading.Lock(), enumerate(bounds), {}
+
+    def take_chunks(errors):
+        with np.errstate(**errors):
+            while not failed:
+                with lock:
+                    index, chunk = next(chunks, (None, None))
+                if chunk is None:
+                    return
+                try:
+                    score_chunk(*chunk)
+                except BaseException as exc:  # raised by the caller below
+                    failed[index] = exc
+
+    # Threads inherit no numpy error state: the helper takes the caller's.
+    helper = threading.Thread(target=take_chunks, args=(np.geterr(),)) if len(bounds) > 1 else None
+    if helper is not None:
+        helper.start()
+    try:
+        take_chunks(np.geterr())
+    finally:
+        if helper is not None:
+            helper.join()
+    if failed:
+        raise failed[min(failed)]
     return ScoreTable(delta, argmin_class, probability >= 0.5, probability, degenerate, start_id)
 
 
@@ -244,37 +274,6 @@ def _mc_draws(raw, seeds, k_draws, noise_sigma, lo, hi):
         draws *= noise_sigma
         draws += raw[lo:hi, None, :]
     return draws.reshape(-1, width)
-
-
-def _drawn_ahead(draw, bounds, consume) -> None:
-    """consume(lo, hi, draw(lo, hi)) for every (lo, hi) of bounds, in order.
-
-    With more than one chunk, one helper thread runs draw for the chunk
-    after the one being consumed, under the caller's numpy error state
-    (threads inherit none), so at most two chunks of draws exist at once.
-    The pool starts its thread on the first submit, so one chunk starts none.
-    The first chunk in order whose draw or consume raises ends the call with
-    its error; the helper's chunk is cancelled if it has not started, and
-    the helper never outlives the call.
-    """
-    from concurrent.futures import ThreadPoolExecutor
-
-    errors = np.geterr()
-
-    def in_caller_state(lo, hi):
-        with np.errstate(**errors):
-            return draw(lo, hi)
-
-    pool = ThreadPoolExecutor(1)
-    try:
-        ahead = None
-        for index, (lo, hi) in enumerate(bounds):
-            current = ahead
-            if index + 1 < len(bounds):
-                ahead = pool.submit(in_caller_state, *bounds[index + 1])
-            consume(lo, hi, draw(lo, hi) if current is None else current.result())
-    finally:
-        pool.shutdown(cancel_futures=True)
 
 
 def angle_table(deltas, argmins, threshold: float) -> ScoreTable:

@@ -266,7 +266,7 @@ class TestPipeline:
 class TestDeterminism:
     def test_reports_byte_identical_across_reruns(self, tmp_path, small_config):
         # Monte-Carlo scoring of the 120 training rows at 150 draws a row:
-        # six chunks, the five after the first drawn ahead by a helper thread.
+        # six chunks, shared between the calling thread and a helper thread.
         mc_cfg = tmp_path / "mc.cfg"
         mc_cfg.write_text(
             SMALL_CFG.replace("mode = single", "mode = mc\nmc_draws = 150\ntarget = id_train.feat")

@@ -57,6 +57,32 @@ def identity_body_model(d, n_classes, seed=0, bn_scale=1.0):
     )
 
 
+BLOCK = encoder.FEATURE_BLOCK_ROWS
+BLOCK_CASES = [1, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK - 1, 2 * BLOCK, 2 * BLOCK + 1, 3200, 6000]
+
+
+class TestFeatureBlocks:
+    """features runs the body over row blocks, with the bits of one pass."""
+
+    # (input_dim, hidden_sizes, feature_dim, classes) of configs/demo.cfg and
+    # of the detect-wide benchmark workload.
+    @pytest.mark.parametrize("shape", [(32, (128, 64), 16, 4), (64, (128, 64), 32, 10)],
+                             ids=["demo", "detect-wide"])
+    @pytest.mark.parametrize("n", BLOCK_CASES)
+    def test_blocks_match_one_pass(self, shape, n):
+        input_dim, hidden, feature_dim, classes = shape
+        model = build_model(input_dim, classes, hidden, feature_dim, seed=3)
+        x = np.random.default_rng(n).standard_normal((n, input_dim))
+        whole, _ = encoder._body_forward(model.layers, x)
+        assert np.array_equal(features(model, x).view(np.uint64), whole.view(np.uint64))
+
+    @pytest.mark.parametrize("n", [0, *BLOCK_CASES])
+    def test_no_block_is_smaller_than_the_block_rows(self, body_rows, n):
+        features(build_model(3, 2, (5,), 4, seed=0), np.ones((n, 3)))
+        assert sum(body_rows) == n and len(body_rows) == max(1, n // BLOCK)
+        assert min(body_rows) >= min(n, BLOCK)
+
+
 class TestForward:
     def test_cosine_with_own_direction_is_one(self):
         model = identity_body_model(6, 3, seed=4)

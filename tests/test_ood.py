@@ -1,6 +1,7 @@
 """Subspace fitting, angle scores, Monte-Carlo inference, MSP baseline."""
 
 import math
+import sys
 import threading
 
 import numpy as np
@@ -391,7 +392,13 @@ def record_bits(records):
 
 
 class TestMcThreads:
-    """A helper thread that draws the next chunk changes no record."""
+    """Two threads that each score whole chunks change no record.
+
+    traced_draws fixes who takes the first two chunks, so each test runs one
+    known schedule: the caller draws chunk 0, and the helper starts inside
+    that draw and takes chunk 1.  Later chunks go to whichever thread asks
+    first, unless a test orders them with `after`.
+    """
 
     def setup_method(self):
         self.model = build_model(6, 3, hidden_sizes=(10,), feature_dim=4, seed=21)
@@ -400,19 +407,35 @@ class TestMcThreads:
         self.subspaces = fit_subspaces(features(self.model, train), np.arange(90) % 3, quantile=0.5)
         self.rows = rng.standard_normal((70, 6)) + 0.5
 
-    def traced_draws(self, monkeypatch, fail_at=()):
-        """Record (lo, thread id) of every chunk drawn; raise at the given los."""
-        calls = []
-        real_draws = ood._mc_draws
+    def traced_draws(self, monkeypatch, fail_at=(), after=()):
+        """Record (lo, thread id) of every chunk drawn, and raise at the given
+        los.  For each (lo, later) pair of after, chunk lo's draw waits until
+        chunk later's draw has begun.  self.helper holds the helper thread."""
+        calls, caller, helper = [], threading.get_ident(), []
+        began = {lo: threading.Event() for lo in range(0, 80, 10)}
+        helper_drew = threading.Event()
+        real_draws, real_start = ood._mc_draws, threading.Thread.start
 
         def traced(*args):
             lo = args[-2]
             calls.append((lo, threading.get_ident()))
+            if threading.get_ident() != caller:
+                helper_drew.set()
+            elif helper and not helper_drew.is_set():
+                real_start(helper[0])
+                assert helper_drew.wait(10), "the helper drew nothing"
+            if lo in began:
+                began[lo].set()
+            for first, later in after:
+                if lo == first:
+                    assert began[later].wait(10), f"chunk at row {later} never began"
             if lo in fail_at:
                 raise RuntimeError(f"draw failed at row {lo}")
             return real_draws(*args)
 
         monkeypatch.setattr(ood, "_mc_draws", traced)
+        monkeypatch.setattr(threading.Thread, "start", lambda thread: helper.append(thread))
+        self.helper = helper
         return calls
 
     def score(self, model=None, rows=None, noise_sigma=0.3, seed=99, start_id=3):
@@ -420,6 +443,12 @@ class TestMcThreads:
             model or self.model, self.subspaces, self.rows if rows is None else rows,
             k_draws=10, noise_sigma=noise_sigma, seed=seed, start_id=start_id,
         ).records()
+
+    def threads_of(self, calls):
+        """lo -> thread id of every chunk drawn, each drawn once."""
+        drawn = dict(calls)
+        assert len(drawn) == len(calls), "a chunk was drawn twice"
+        return drawn
 
     # 70 rows of 10 draws: 5 chunks of 16 rows at a budget of 160, 9 of 8 at 80.
     @pytest.mark.parametrize("budget", [160, 80])
@@ -430,22 +459,50 @@ class TestMcThreads:
         # noise in the same shape, on the calling thread.
         monkeypatch.setattr(ood, "MC_CHUNK_DRAWS", budget)
         calls = self.traced_draws(monkeypatch)
-        drawn_ahead = record_bits(self.score())
-        assert len(calls) >= 5
-        assert len({r[4] for r in drawn_ahead}) == 2  # both decisions occur
-        # The caller draws the first chunk, one helper all the others.
-        helpers = {ident for lo, ident in calls if lo}
-        assert (0, threading.get_ident()) in calls
-        assert len(helpers) == 1 and threading.get_ident() not in helpers
-        calls.clear()
+        threads = threading.active_count()
+        two_threads = record_bits(self.score())
+        assert threading.active_count() == threads
+        assert len({r[4] for r in two_threads}) == 2  # both decisions occur
         rows_per_chunk = budget // 10
+        drawn = self.threads_of(calls)
+        assert sorted(drawn) == list(range(0, 70, rows_per_chunk))
+        # Both threads score chunks: the caller chunk 0, the helper chunk 1.
+        assert drawn[0] == threading.get_ident() != drawn[rows_per_chunk]
+        assert drawn[rows_per_chunk] == self.helper[0].ident
+        calls.clear()
         one_chunk = []
         for lo in range(0, 70, rows_per_chunk):
             one_chunk += record_bits(
                 self.score(rows=self.rows[lo:lo + rows_per_chunk], seed=99 ^ lo, start_id=3 + lo)
             )
         assert {ident for _, ident in calls} == {threading.get_ident()}
-        assert one_chunk == drawn_ahead
+        assert one_chunk == two_threads
+
+    def test_every_chunk_is_scored_once_under_frequent_switches(self, monkeypatch):
+        # One-row chunks and a 1 us switch interval: a chunk taken twice or
+        # skipped would show in the draws or in the records.
+        monkeypatch.setattr(ood, "MC_CHUNK_DRAWS", 10)
+        one_chunk = []
+        for lo in range(70):
+            one_chunk += record_bits(
+                self.score(rows=self.rows[lo:lo + 1], seed=99 ^ lo, start_id=3 + lo)
+            )
+        drawn, real_draws = [], ood._mc_draws
+
+        def traced(*args):
+            drawn.append(args[-2])
+            return real_draws(*args)
+
+        monkeypatch.setattr(ood, "_mc_draws", traced)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(5):
+                drawn.clear()
+                assert record_bits(self.score()) == one_chunk
+                assert sorted(drawn) == list(range(70))
+        finally:
+            sys.setswitchinterval(interval)
 
     def test_one_chunk_starts_no_thread(self, monkeypatch):
         calls = self.traced_draws(monkeypatch)
@@ -455,9 +512,22 @@ class TestMcThreads:
 
     def test_earliest_failing_chunk_raises(self, monkeypatch):
         # Chunks of 10 rows; rows 15 and 35 (chunks 1 and 3) have features
-        # whose norm overflows.  Sample ids start at 3.
+        # whose norm overflows.  Sample ids start at 3.  The helper fails
+        # chunk 1 while the caller holds chunk 2, whose draw waits until the
+        # helper has ended: the caller scores that one chunk past the failed
+        # one and takes no other.
         monkeypatch.setattr(ood, "MC_CHUNK_DRAWS", 100)
-        calls = self.traced_draws(monkeypatch)
+        calls = self.traced_draws(monkeypatch, after=[(10, 20)])
+        real_draws = ood._mc_draws
+
+        def caller_waits_at_20(*args):
+            result = real_draws(*args)
+            if args[-2] == 20:
+                self.helper[0].join(10)
+                assert not self.helper[0].is_alive()
+            return result
+
+        monkeypatch.setattr(ood, "_mc_draws", caller_waits_at_20)
         linear = EncoderModel(
             layers=[DenseLayer(np.eye(6, 4), None)],
             class_proj=orthonormal_init(4, 3, 0),
@@ -470,16 +540,35 @@ class TestMcThreads:
         with pytest.raises(ContractViolation, match="sample 18 are finite"):
             self.score(model=linear, rows=rows)
         assert threading.active_count() == threads
-        assert max(lo for lo, _ in calls) <= 20  # no chunk past the next was drawn
+        drawn = self.threads_of(calls)
+        assert sorted(drawn) == [0, 10, 20]
+        assert drawn[10] == self.helper[0].ident != drawn[20] == threading.get_ident()
 
-    def test_failing_helper_draw_raises_in_order(self, monkeypatch):
+    def failing_draws_raise_in_order(self, monkeypatch, fail_at, after, lowest):
+        """Draws at fail_at fail, a higher one first in time; the call raises
+        the lowest, and no chunk is drawn once both have failed."""
         monkeypatch.setattr(ood, "MC_CHUNK_DRAWS", 100)
-        calls = self.traced_draws(monkeypatch, fail_at=(10, 30))
+        calls = self.traced_draws(monkeypatch, fail_at=fail_at, after=after)
         threads = threading.active_count()
-        with pytest.raises(RuntimeError, match="draw failed at row 10"):
+        with pytest.raises(RuntimeError, match=f"draw failed at row {fail_at[0]}$"):
             self.score()
         assert threading.active_count() == threads
-        assert (10, threading.get_ident()) not in calls and any(lo == 10 for lo, _ in calls)
+        drawn = self.threads_of(calls)
+        assert sorted(drawn) == list(range(0, fail_at[-1] + 10, 10))
+        assert drawn[fail_at[0]] == lowest()
+
+    def test_failing_helper_draw_raises_in_order(self, monkeypatch):
+        # The helper's chunk 1 fails after the caller's chunk 2 has.
+        self.failing_draws_raise_in_order(
+            monkeypatch, fail_at=(10, 20), after=[(10, 20)], lowest=lambda: self.helper[0].ident,
+        )
+
+    def test_failing_caller_draw_raises_in_order(self, monkeypatch):
+        # The caller takes chunk 2 while the helper holds chunk 1, then the
+        # helper takes chunk 3; chunk 2 fails after chunk 3 has.
+        self.failing_draws_raise_in_order(
+            monkeypatch, fail_at=(20, 30), after=[(10, 20), (20, 30)], lowest=threading.get_ident,
+        )
 
     def test_helpers_use_the_callers_error_state(self, monkeypatch):
         # Row 15's draws (chunk 1, drawn by the helper) overflow float64; the
@@ -508,7 +597,7 @@ class TestMcThreads:
         with np.errstate(over="ignore"), pytest.raises(ContractViolation, match="non-finite"):
             caller = np.geterr()
             self.score(model=model, rows=rows, noise_sigma=1e307)
-        assert (10, threading.get_ident()) not in calls and any(lo == 10 for lo, _ in calls)
+        assert self.threads_of(calls)[10] == self.helper[0].ident != threading.get_ident()
         assert len(states) == len(calls) and all(state == caller for state in states)
 
 

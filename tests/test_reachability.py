@@ -5,7 +5,7 @@ test_bench_configs.py's audit of config keys.
 The test runs every stage under a profiler on two small variants of
 configs/demo.cfg, plus verify-theory on configs/theory.cfg, and collects the
 code objects that were called, on the main thread and on the Monte-Carlo
-draw helper.  A function that no stage reaches is a second entry point or a
+scoring helper.  A function that no stage reaches is a second entry point or a
 test-only switch: remove it, or name it below.
 """
 
@@ -59,7 +59,7 @@ def defined_functions() -> dict:
 def small_demo(mode: str, method: str, apply_to: str) -> str:
     """configs/demo.cfg at a tenth of its size, one epoch per training stage.
     Monte-Carlo scoring of its 80 id_test rows takes two chunks of draws, so
-    the draw helper runs."""
+    the scoring helper starts."""
     text = (CONFIGS / "demo.cfg").read_text(encoding="utf-8")
     for old, new in (
         ("per_class = 500", "per_class = 40"), ("test_per_class = 250", "test_per_class = 20"),
