@@ -13,7 +13,6 @@ failures.
 from __future__ import annotations
 
 import argparse
-import hashlib
 import sys
 from dataclasses import asdict
 from datetime import datetime, timezone
@@ -46,7 +45,7 @@ def run(argv=None) -> int:
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 1
     try:
-        config = parse_config_file(args.config)
+        config, digest = parse_config_file(args.config)
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
         runs = _read_manifest(out / "run.json")
@@ -59,7 +58,7 @@ def run(argv=None) -> int:
             for name, payload in handler(config, out, seed):
                 _write(out / name, payload)
                 written.append(str(out / name))
-        _append_manifest(args, seed, out, runs, written)
+        _append_manifest(args, digest, seed, out, runs, written)
         return 0
     except (ContractViolation, FormatError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -100,8 +99,7 @@ def _read_manifest(path: Path) -> list:
     return payload["runs"]
 
 
-def _append_manifest(args, seed, out: Path, runs: list, artifacts: list) -> None:
-    digest = hashlib.sha256(Path(args.config).read_bytes()).hexdigest()
+def _append_manifest(args, digest: str, seed, out: Path, runs: list, artifacts: list) -> None:
     runs.append(
         {
             "command": args.command,

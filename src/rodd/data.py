@@ -9,6 +9,7 @@ run-config parser.
 
 from __future__ import annotations
 
+import hashlib
 import json
 import math
 import operator
@@ -419,12 +420,19 @@ def parse_config(text: str) -> RunConfig:
     return RunConfig(values)
 
 
-def parse_config_file(path) -> RunConfig:
+def parse_config_file(path) -> tuple[RunConfig, str]:
+    """The config at path and the SHA-256 hex digest of the bytes it was
+    parsed from.  The file is read once, so a pipe or FIFO is hashed as
+    parsed; bytes that are not UTF-8 raise FormatError."""
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        raw = Path(path).read_bytes()
     except OSError as exc:
         raise FormatError(f"cannot read config {path}: {exc}") from exc
-    return parse_config(text)
+    try:
+        text = raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"config {path} is not valid UTF-8: {exc}") from exc
+    return parse_config(text), hashlib.sha256(raw).hexdigest()
 
 
 def _parse_value(token: str, key: str, lineno: int):

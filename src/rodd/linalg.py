@@ -3,9 +3,11 @@
 Everything operates on 2-D float64 numpy arrays and is a pure function of its
 inputs.  The two factorizations are thin wrappers over LAPACK
 (``np.linalg.svd`` and ``np.linalg.eigh``) that add input checks, a
-nonincreasing order and a deterministic sign convention.  The tests keep a
-pure-Python Jacobi implementation of both as an independent oracle
-(``tests/jacobi_oracle.py``) and cross-check LAPACK against it.
+nonincreasing order and a deterministic sign convention; singular_values
+is the SVD's values-only call, for callers that read no singular vector.
+The tests keep a pure-Python Jacobi implementation of both as an
+independent oracle (``tests/jacobi_oracle.py``) and cross-check LAPACK
+against it.
 
 Results are bit-identical across reruns on the same machine and BLAS build;
 a different LAPACK may differ in the last digits, so byte-identical reports
@@ -49,15 +51,30 @@ def svd(m) -> SvdResult:
 
     Raises NumericFailure if LAPACK does not converge.
     """
+    u, sigma, vt = _lapack_svd(m, compute_uv=True)
+    flip = _flip_signs(u)
+    return SvdResult(u * flip, sigma, vt.T * flip)
+
+
+def singular_values(m) -> np.ndarray:
+    """svd(m).sigma without the singular vectors (LAPACK, values only).
+
+    Nonincreasing, with svd's input checks and failure mapping.  A
+    values-only bidiagonal SVD keeps high relative accuracy (Demmel and
+    Kahan, 1990), but takes another path than svd, so the two may differ in
+    the last digits.
+    """
+    return _lapack_svd(m, compute_uv=False)
+
+
+def _lapack_svd(m, compute_uv: bool):
     a = as_matrix(m, "m")
     if min(a.shape) < 1:
         raise ContractViolation(f"m must have at least one row and column, got {a.shape}")
     try:
-        u, sigma, vt = np.linalg.svd(a, full_matrices=False)
+        return np.linalg.svd(a, full_matrices=False, compute_uv=compute_uv)
     except np.linalg.LinAlgError as exc:
         raise NumericFailure(f"svd did not converge: {exc}") from exc
-    flip = _flip_signs(u)
-    return SvdResult(u * flip, sigma, vt.T * flip)
 
 
 def sym_eig(s) -> tuple[np.ndarray, np.ndarray]:

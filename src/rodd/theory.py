@@ -35,13 +35,14 @@ together with the small-mu dominance of the leading singular value.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .errors import ContractViolation, NumericFailure
-from .linalg import as_matrix, svd, sym_eig
+from .linalg import as_matrix, singular_values, sym_eig
 
 NORMALIZATIONS = ("none", "unit-spectral-per-block")
 
@@ -388,6 +389,9 @@ class _GaugeStep:
         self.skew_lift = skew.reshape(d * d, n_free)
         self.eye = np.eye(d)
         self.e_cols = self.eye[:, :ell]
+        for value in vars(self).values():
+            if isinstance(value, np.ndarray):
+                value.flags.writeable = False
 
     def newton_system(self, f: np.ndarray, targets: np.ndarray):
         """(G, R, Hessian, gradient) of the model in the free parameters."""
@@ -448,6 +452,13 @@ class _GaugeStep:
         return float(np.vdot(move, 2.0 * resid + gram @ move))
 
 
+@functools.lru_cache(maxsize=8)
+def _gauge_step(d: int, ell: int) -> _GaugeStep:
+    """The gauge step of shape (d, ell), built once: every array it holds
+    depends on the shape alone and is read-only, so solves share it."""
+    return _GaugeStep(d, ell)
+
+
 def solve_joint(
     graph: AugGraph,
     d: int,
@@ -502,7 +513,7 @@ def solve_joint(
     ell = targets.shape[1]
     a = graph.adjacency
     f = _initial_point(graph, d, opts)
-    gauge = _GaugeStep(d, ell) if mu > 0.0 else None
+    gauge = _gauge_step(d, ell) if mu > 0.0 else None
     fixed = np.diag(np.where(np.arange(d) < ell, 2.0 * mu, 0.0))  # 2 mu E E^T
     loss, grad = joint_loss_and_grad(a, f, targets, mu)
     if not (math.isfinite(loss) and np.isfinite(grad).all()):
@@ -549,7 +560,7 @@ def solve_joint(
         if abs(prev - loss) <= opts.tol * max(1.0, abs(prev)):
             converged = True
             break
-    sigmas = [svd(f[start:stop]).sigma for start, stop in graph.class_ranges]
+    sigmas = [singular_values(f[start:stop]) for start, stop in graph.class_ranges]
     return JointSolveResult(
         f, trace, sigmas, len(trace) - 1, converged, math.sqrt(np.vdot(grad, grad))
     )

@@ -1,5 +1,6 @@
 """Pipeline stages, artifacts, manifests, exit codes, and report determinism."""
 
+import hashlib
 import json
 import os
 import re
@@ -654,6 +655,32 @@ class TestExitCodes:
         bad.write_text("[synth]\nwhatever = 1\n")
         assert run(["synth", "--config", str(bad), "--out", str(tmp_path / "o")]) == 1
         assert "line 2" in capsys.readouterr().err
+
+    def test_pipe_config_records_the_bytes_it_parsed(self, tmp_path, small_config):
+        # A pipe can be read once: the hash must come from the bytes parsed,
+        # not from a second read that finds the pipe drained.
+        text = small_config.read_bytes()
+        read_end, write_end = os.pipe()
+        try:
+            os.write(write_end, text)
+            os.close(write_end)
+            argv = ["synth", "--config", f"/dev/fd/{read_end}", "--out", str(tmp_path)]
+            assert run(argv) == 0
+        finally:
+            os.close(read_end)
+        (entry,) = json.loads((tmp_path / "run.json").read_text())["runs"]
+        assert entry["config_sha256"] == hashlib.sha256(text).hexdigest()
+
+    def test_config_that_is_not_utf8(self, tmp_path, capsys):
+        bad = tmp_path / "bad.cfg"
+        bad.write_bytes(b"[synth]\nseed = 3  # \xff\n")
+        out = tmp_path / "o"
+        assert run(["synth", "--config", str(bad), "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: config {bad} is not valid UTF-8: ")
+        assert captured.err.count("\n") == 1
+        assert not out.exists()  # rejected before any artifact
 
     def test_missing_artifact(self, tmp_path, small_config, capsys):
         out = tmp_path / "empty"

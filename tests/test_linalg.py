@@ -5,7 +5,7 @@ import pytest
 
 from jacobi_oracle import jacobi_svd, jacobi_sym_eig
 from rodd.errors import ContractViolation, NumericFailure
-from rodd.linalg import orthonormal_init, svd, sym_eig
+from rodd.linalg import orthonormal_init, singular_values, svd, sym_eig
 
 
 def reconstruction_error(m, result):
@@ -73,10 +73,15 @@ class TestSvd:
             assert np.abs(sigma**2 - lam).max() <= 1e-8
 
     def test_rejects_bad_input(self):
-        with pytest.raises(ContractViolation):
-            svd(np.array([1.0, 2.0]))
-        with pytest.raises(ContractViolation):
-            svd(np.array([[np.nan, 1.0], [0.0, 1.0]]))
+        for factor in (svd, singular_values):
+            with pytest.raises(ContractViolation, match="2-D"):
+                factor(np.array([1.0, 2.0]))
+            with pytest.raises(ContractViolation, match="non-finite"):
+                factor(np.array([[np.nan, 1.0], [0.0, 1.0]]))
+            with pytest.raises(ContractViolation, match="non-finite"):
+                factor(np.array([[1.0, np.inf]]))
+            with pytest.raises(ContractViolation, match="at least one row and column"):
+                factor(np.zeros((0, 3)))
 
 
 class TestSymEig:
@@ -166,6 +171,18 @@ class TestLapackAgainstJacobi:
             assert np.abs(fast.v[:, 0] - ref.v[:, 0]).max() <= tol
 
     @pytest.mark.parametrize("name", sorted(ORACLE_CASES))
+    def test_singular_values(self, name):
+        # The values-only call takes another LAPACK path than svd's, so it
+        # matches both svd and the oracle to rounding, not bit for bit.
+        m = ORACLE_CASES[name]
+        sigma, ref = singular_values(m), jacobi_svd(m).sigma
+        scale = float(ref[0]) or 1.0
+        assert sigma.shape == ref.shape
+        assert np.abs(sigma - ref).max() <= 1e-13 * scale
+        assert np.abs(sigma - svd(m).sigma).max() <= 1e-13 * scale
+        assert np.all(np.diff(sigma) <= 0)
+
+    @pytest.mark.parametrize("name", sorted(ORACLE_CASES))
     def test_sym_eig(self, name):
         m = ORACLE_CASES[name]
         grams = [m.T @ m, m @ m.T]
@@ -196,8 +213,9 @@ class TestLapackFailure:
             raise np.linalg.LinAlgError("SVD did not converge")
 
         monkeypatch.setattr(np.linalg, "svd", boom)
-        with pytest.raises(NumericFailure, match="svd did not converge"):
-            svd(np.eye(3))
+        for factor in (svd, singular_values):
+            with pytest.raises(NumericFailure, match="svd did not converge"):
+                factor(np.eye(3))
 
     def test_sym_eig_failure_is_numeric(self, monkeypatch):
         def boom(*args, **kwargs):

@@ -21,6 +21,7 @@ from rodd.theory import (
     DELTA_LIMIT,
     AugGraph,
     SolveOptions,
+    _gauge_step,
     _GaugeStep,
     _initial_point,
     _preconditioned,
@@ -632,7 +633,7 @@ def _oracle_gap(graph, d, mu, max_iters, seed):
 class TestAgainstGradientDescent:
     def test_shipped_theory_config(self):
         graph, d, mu_values, max_iters, seed = _theory_cfg_problem()
-        assert parse_config_file(THEORY_CFG).get("theory.mu") in mu_values
+        assert parse_config_file(THEORY_CFG)[0].get("theory.mu") in mu_values
         for mu in mu_values:
             ours, oracle = _oracle_gap(graph, d, mu, max_iters, seed)
             assert ours <= oracle, f"mu={mu}: {ours} > {oracle}"
@@ -645,7 +646,7 @@ class TestAgainstGradientDescent:
 
 def _theory_cfg_problem():
     """(graph, d, mu values, max_iters, seed) of configs/theory.cfg."""
-    cfg = parse_config_file(THEORY_CFG)
+    cfg, _ = parse_config_file(THEORY_CFG)
     seed = cfg.get("theory.seed")
     sizes = cfg.get("theory.class_sizes")
     graph = build_adjacency(
@@ -759,11 +760,58 @@ class TestGaugeStep:
         after = float(np.sum((a - turned @ turned.T) ** 2))
         assert abs(after - before) <= 1e-12 * before
 
+    def test_one_read_only_step_per_shape(self):
+        step = _gauge_step(6, 3)
+        assert _gauge_step(6, 3) is step
+        assert _gauge_step(7, 3) is not step and _gauge_step(6, 2) is not step
+        arrays = [value for value in vars(step).values() if isinstance(value, np.ndarray)]
+        assert len(arrays) == 6  # lift_t, stacked, k_cols, skew_lift, eye, e_cols
+        for array in arrays:
+            assert not array.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                array[...] = 0.0
+
+    def test_cached_step_solves_as_a_fresh_one(self, monkeypatch):
+        # Every solve of a sweep shares the cached step; one fresh _GaugeStep
+        # per solve must give the same bits.
+        graph, d, mu_values, max_iters, seed = _theory_cfg_problem()
+        opts = SolveOptions(max_iters=max_iters, seed=seed)
+        solve = theory.solve_joint
+
+        def sweep_and_results():
+            results = []
+
+            def recording(*args):
+                results.append(solve(*args))
+                return results[-1]
+
+            with monkeypatch.context() as patch:
+                patch.setattr(theory, "solve_joint", recording)
+                sweep, _ = mu_sweep(graph, d, mu_values, opts)
+            return sweep, results
+
+        cached, cached_results = sweep_and_results()
+        built = []
+
+        def fresh(*shape):
+            built.append(shape)
+            return _GaugeStep(*shape)
+
+        monkeypatch.setattr(theory, "_gauge_step", fresh)
+        swept, fresh_results = sweep_and_results()
+        assert built == [(d, len(graph.class_ranges))] * sum(mu > 0 for mu in mu_values)
+        assert swept == cached
+        for ours, theirs in zip(cached_results, fresh_results, strict=True):
+            assert ours.loss_trace == theirs.loss_trace
+            assert np.array_equal(ours.f_star, theirs.f_star)
+            assert ours.grad_norm == theirs.grad_norm
+
     def test_mu_zero_takes_no_gauge_step(self, monkeypatch):
         def refuse(*args):
             raise AssertionError("a gauge step was built at mu = 0")
 
         monkeypatch.setattr(_GaugeStep, "__init__", refuse)
+        monkeypatch.setattr(theory, "_gauge_step", refuse)  # a cached step counts too
         graph, d, targets = graph_d_targets([5, 4], 0.05, 0.0, seed=52, d=6)
         f0 = _initial_point(graph, d, SolveOptions(init="random", seed=52))
         result = solve_joint(graph, d, 0.0, SolveOptions(init=f0))
@@ -807,8 +855,9 @@ class TestAgainstConjugateGradient:
 class TestAudit:
     def test_lines_are_verify_theorys_solves_and_the_gate_reads_them(self, tmp_path, capsys):
         assert run(["verify-theory", "--config", str(THEORY_CFG), "--out", str(tmp_path)]) == 0
-        sweep = json.loads((tmp_path / "theory_report.json").read_text())["sweep"]
-        seed = parse_config_file(THEORY_CFG).get("theory.seed")
+        report = json.loads((tmp_path / "theory_report.json").read_text())
+        sweep = report["sweep"]
+        seed = parse_config_file(THEORY_CFG)[0].get("theory.seed")
         theory_audit.audit(THEORY_CFG.read_text(), [seed])
         text = capsys.readouterr().out
         lines = [json.loads(line) for line in text.splitlines()]
@@ -817,9 +866,20 @@ class TestAudit:
         for line, row in zip(lines, sweep["rows"], strict=True):
             for key in ("mu", "iterations", "lemma_pass", "converged", "grad_norm"):
                 assert line[key] == row[key]
+        (lemma_line,) = [line for line in lines if line["mu"] == report["mu"]]
+        assert lemma_line["sigma"] == [entry["sigma"] for entry in report["lemma"]["per_class"]]
         old = tmp_path / "old.jsonl"
         old.write_text(text)
         assert theory_audit.compare(old, old)
+        assert "largest sigma change: 0.000e+00 of sigma_1" in capsys.readouterr().out
+        # A sigma change is printed, not gated.
+        lines[-1]["sigma"][0][1] += 1e-3 * lines[-1]["sigma"][0][0]
+        moved = tmp_path / "moved.jsonl"
+        moved.write_text("".join(json.dumps(line) + "\n" for line in lines))
+        assert theory_audit.compare(old, moved)
+        assert f"largest sigma change: 1.000e-03 of sigma_1 at (seed, mu) = ({seed}, " in (
+            capsys.readouterr().out
+        )
         lines[-1]["converged"] = False
         flipped = tmp_path / "new.jsonl"
         flipped.write_text("".join(json.dumps(line) + "\n" for line in lines))

@@ -9,8 +9,9 @@ rodd.cli builds from the config with that seed.  Without --config the
 config is the theory-scale benchmark's (bench/run.py's THEORY_CFG: three
 classes of 16, d = 12, delta = 0.05).  It prints one JSON line per
 (seed, mu) solved, the mu sweep's rows and a separate lemma solve when
-theory.mu is not listed: iterations, lemma_pass, converged, the final loss
-and grad_norm.  The solver comes from whatever rodd PYTHONPATH names, so
+theory.mu is not listed: iterations, lemma_pass, converged, the final loss,
+grad_norm and the per-class singular values the report's tails are read
+from.  The solver comes from whatever rodd PYTHONPATH names, so
 running it once against a parent checkout's src/ and once against this one
 gives the two files to compare.  The recording wrapper forwards
 solve_joint's arguments as rodd.cli passes them, (graph, d, mu, opts), and
@@ -20,10 +21,11 @@ of a change that keeps that order.
 The second form is the gate a change to the solver must pass: no
 lemma_pass or converged flag may flip and no final loss may rise by more
 than 1e-10 relative.  It prints the total steps before and after, the flips,
-the largest relative loss excess and the quantiles of the new/old grad_norm
-ratio, and exits 1 when the gate fails.  The pytest collection skips this
-file, since its name has no test_ prefix; tests/test_theory.py's TestAudit
-runs both forms in-process.
+the largest relative loss excess, the quantiles of the new/old grad_norm
+ratio and the largest sigma change relative to its class's sigma_1, and
+exits 1 when the gate fails; the sigma line is printed only, not gated.
+The pytest collection skips this file, since its name has no test_ prefix;
+tests/test_theory.py's TestAudit runs both forms in-process.
 """
 
 from __future__ import annotations
@@ -57,6 +59,7 @@ def audit(config_text: str, seeds) -> None:
             "converged": result.converged,
             "loss": result.loss_trace[-1],
             "grad_norm": result.grad_norm,
+            "sigma": [sigma.tolist() for sigma in result.per_class_sigma],
         })
         return result
 
@@ -121,6 +124,15 @@ def compare(old_path: str, new_path: str) -> bool:
     )
     print(f"flag flips: {len(flips)} {flips[:10]}")
     print(f"largest relative loss excess: {excess[worst]:.3e} at (seed, mu) = {worst}")
+    moved = {
+        key: max(
+            max(abs(a - b) for a, b in zip(was, now, strict=True)) / (was[0] or 1.0)
+            for was, now in zip(old[key]["sigma"], new[key]["sigma"], strict=True)
+        )
+        for key in old
+    }
+    most = max(moved, key=moved.get)
+    print(f"largest sigma change: {moved[most]:.3e} of sigma_1 at (seed, mu) = {most}")
     if ratios:
         print(
             f"grad_norm new/old: min {ratios[0]:.3g}, quartiles "
