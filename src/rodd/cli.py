@@ -2,12 +2,12 @@
 corrupt | verify-theory.
 
 Every stage reads its inputs from and writes its artifacts into the --out
-directory, so stages can be rerun or swapped individually (externally
-produced RODDFEAT1 features can be scored without the encoder).  Each
-invocation appends an entry to run.json recording the config hash, the seed
-the stage ran with, and the paths it wrote, in write order.  Exit codes:
-0 success, 1 contract/format errors and unusable paths (OSError), 2 numeric
-failures.
+directory, so stages can be rerun or swapped individually (ood.target may
+name any RODDFEAT1 input file, which score encodes with the trained model).
+Each invocation appends an entry to run.json recording the config hash, the
+seed the stage ran with, and the paths it wrote, in write order.  Exit
+codes: 0 success, 1 contract/format errors and unusable paths (OSError), 2
+numeric failures.
 """
 
 from __future__ import annotations
@@ -84,9 +84,7 @@ def _derived(value, fallback):
 
 
 def _read_dataset(path: Path) -> Dataset:
-    feats, labels = read_features(path)
-    class_count = int(labels.max()) + 1 if labels is not None and labels.size else 0
-    return Dataset(feats, labels, class_count)
+    return Dataset(*read_features(path))
 
 
 def _read_manifest(path: Path) -> list:
@@ -143,12 +141,9 @@ def _cmd_synth(config: RunConfig, out: Path, seed: int):
     full = synth_gaussian_mixture(
         n_classes, per_class + test_per_class, input_dim, synth["separation"], noise_sigma, seed
     )
-    train_idx, test_idx = [], []
-    block = per_class + test_per_class
-    for cls in range(n_classes):
-        start = cls * block
-        train_idx.extend(range(start, start + per_class))
-        test_idx.extend(range(start + per_class, start + block))
+    # Each class's rows are one block: its first per_class rows train, the rest test.
+    blocks = full.inputs.reshape(n_classes, per_class + test_per_class, input_dim)
+    labels = full.labels.reshape(n_classes, per_class + test_per_class)
     ood_set = synth_ood_cluster(
         input_dim,
         synth["ood_n"],
@@ -157,8 +152,8 @@ def _cmd_synth(config: RunConfig, out: Path, seed: int):
         _derived(synth["ood_noise_sigma"], noise_sigma),
         seed + 2,
     )
-    id_train = full.inputs[train_idx]
-    id_test = full.inputs[test_idx]
+    id_train = blocks[:, :per_class].reshape(-1, input_dim)
+    id_test = blocks[:, per_class:].reshape(-1, input_dim)
     ood_inputs = ood_set.inputs
     if synth["scale_to_unit"]:
         # Global affine map fitted on ID training data (robust percentile
@@ -169,9 +164,9 @@ def _cmd_synth(config: RunConfig, out: Path, seed: int):
         span = max(float(hi - lo), 1e-12)
         scale = lambda x: np.clip((x - lo) / span, 0.0, 1.0)  # noqa: E731
         id_train, id_test, ood_inputs = scale(id_train), scale(id_test), scale(ood_inputs)
-    yield "id_train.feat", Dataset(id_train, full.labels[train_idx], n_classes)
-    yield "id_test.feat", Dataset(id_test, full.labels[test_idx], n_classes)
-    yield "ood.feat", Dataset(ood_inputs, None, 0)
+    yield "id_train.feat", Dataset(id_train, labels[:, :per_class].ravel())
+    yield "id_test.feat", Dataset(id_test, labels[:, per_class:].ravel())
+    yield "ood.feat", Dataset(ood_inputs)
 
 
 def _cmd_pretrain(config: RunConfig, out: Path, seed: int):
@@ -214,7 +209,7 @@ def _cmd_fit(config: RunConfig, out: Path, seed: None):
     model = encoder.load_model(out / "model.ckpt")
     feats = encoder.features(model, dataset.inputs)
     subspaces = ood.fit_subspaces(feats, dataset.labels, quantile=config.get("ood.quantile"))
-    yield "id_train_features.feat", Dataset(feats, dataset.labels, dataset.class_count)
+    yield "id_train_features.feat", Dataset(feats, dataset.labels)
     yield "subspaces.json", ood.subspaces_to_dict(subspaces)
 
 
@@ -325,7 +320,7 @@ def _cmd_verify_theory(config: RunConfig, out: Path, seed: int):
     sizes = spec["class_sizes"]
     graph = theory.build_adjacency(sizes, spec["delta"], spec["eta"], seed, spec["normalization"])
     d = _derived(spec["d"], graph.n)
-    opts = theory.SolveOptions(max_iters=spec["max_iters"], tol=spec["tol"], seed=seed)
+    opts = theory.SolveOptions(max_iters=spec["max_iters"], tol=spec["tol"])
     mu = spec["mu"]
     sweep, reports = theory.mu_sweep(graph, d, sorted(spec["mu_values"]), opts)
     if mu not in reports:  # a listed mu's lemma is the sweep's own solve

@@ -52,7 +52,7 @@ def apply_corruption(x, spec: CorruptionSpec) -> np.ndarray:
     """
     arr = _checked_unit_range(x)
     row = np.ascontiguousarray(arr).reshape(1, -1)
-    return _corrupt_rows(row, spec, [spec.seed]).reshape(arr.shape)
+    return _corrupt_rows(row, spec, xor_seeds(spec.seed, 1)).reshape(arr.shape)
 
 
 def _checked_unit_range(x) -> np.ndarray:
@@ -128,7 +128,7 @@ def corrupt_dataset(dataset, spec: CorruptionSpec, sweep: _SweepRows | None = No
     if spec.kind == "gaussian_noise" and sweep.noise is None:
         sweep.noise = standard_normal_rows(seeds, sweep.inputs.shape[1])
     corrupted = _corrupt_rows(sweep.inputs, spec, seeds, sweep.noise)
-    return Dataset(corrupted, dataset.labels, dataset.class_count)
+    return Dataset(corrupted, dataset.labels)
 
 
 def severity_sweep(dataset, kind: str, severities, seed: int):

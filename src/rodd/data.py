@@ -32,11 +32,10 @@ _CIFAR_RECORD = 3073  # 1 label byte + 3 * 1024 pixel bytes
 
 @dataclass
 class Dataset:
-    """Flat input matrix plus optional integer class labels."""
+    """Flat input matrix plus optional nonnegative integer class labels."""
 
     inputs: np.ndarray
-    labels: np.ndarray | None
-    class_count: int
+    labels: np.ndarray | None = None
 
     def __post_init__(self):
         self.inputs = as_matrix(self.inputs, "inputs")
@@ -49,12 +48,13 @@ class Dataset:
                     f"labels shape {self.labels.shape} does not match "
                     f"{self.inputs.shape[0]} samples"
                 )
-            if self.labels.size and (
-                self.labels.min() < 0 or self.labels.max() >= self.class_count
-            ):
-                raise ContractViolation(
-                    f"labels must lie in [0, {self.class_count})"
-                )
+            if self.labels.min() < 0:
+                raise ContractViolation("labels must be nonnegative")
+
+    @property
+    def class_count(self) -> int:
+        """The largest label + 1, or 0 without labels."""
+        return 0 if self.labels is None else int(self.labels.max()) + 1
 
     @property
     def n(self) -> int:
@@ -96,7 +96,7 @@ def synth_gaussian_mixture(
     inputs = np.repeat(means, n_per_class, axis=0)
     inputs = inputs + noise_sigma * rng.standard_normal(inputs.shape)
     labels = np.repeat(np.arange(n_classes), n_per_class)
-    return Dataset(inputs, labels, n_classes)
+    return Dataset(inputs, labels)
 
 
 def synth_ood_cluster(
@@ -120,7 +120,7 @@ def synth_ood_cluster(
     center = offset_norm * direction
     rng = np.random.default_rng(seed)
     inputs = center + noise_sigma * rng.standard_normal((n, input_dim))
-    return Dataset(inputs, None, 0)
+    return Dataset(inputs)
 
 
 def read_cifar_binary(path) -> Dataset:
@@ -146,7 +146,7 @@ def read_cifar_binary(path) -> Dataset:
             f"{path}: record {int(bad[0])} has label byte {int(labels[bad[0]])} > 9"
         )
     inputs = records[:, 1:].astype(np.float64) / 255.0
-    return Dataset(inputs, labels, 10)
+    return Dataset(inputs, labels)
 
 
 def write_features(path, features, labels=None) -> None:

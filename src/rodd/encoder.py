@@ -530,8 +530,9 @@ def save_model(path, model: EncoderModel) -> None:
 
 def load_model(path) -> EncoderModel:
     """Read a RODDMODL1 checkpoint.  Besides the reader's errors, a file with
-    no layers or with layer widths that do not chain into the class
-    projection is a FormatError naming the shapes."""
+    no layers, with layer widths that do not chain into the class projection
+    or with a projection of no columns is a FormatError naming the shapes,
+    and so is a non-finite stored number or a negative running variance."""
     reader = BinaryReader(path, MODEL_MAGIC)
     layers, width = [], None
     for i in range(reader.unpack("<I")[0]):
@@ -555,4 +556,15 @@ def load_model(path) -> EncoderModel:
     sharpen = reader.array("f8", d)
     bn_scale, bn_mean, bn_var = reader.unpack("<ddd")
     reader.close()
+    if not n_classes:
+        raise FormatError(f"{path}: class projection is {d}x0, it has no class columns")
+    stored = [("class projection", proj), ("sharpening weights", sharpen),
+              ("batch-norm scale, mean or variance", (bn_scale, bn_mean, bn_var))]
+    for i, layer in enumerate(layers):
+        stored += [(f"layer {i} weights", layer.weight), (f"layer {i} bias", layer.bias)]
+    for name, values in stored:
+        if values is not None and not np.isfinite(values).all():
+            raise FormatError(f"{path}: non-finite {name}")
+    if bn_var < 0.0:
+        raise FormatError(f"{path}: batch-norm running variance {bn_var!r} is negative")
     return EncoderModel(layers, proj, sharpen, np.asarray(bn_scale), bn_mean, bn_var)

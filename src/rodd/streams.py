@@ -77,18 +77,13 @@ def _seed_words(seeds: np.ndarray) -> list[np.ndarray]:
     return [out[2 * k] | (out[2 * k + 1] << np.uint64(32)) for k in range(_POOL_SIZE)]
 
 
-def pcg64_states(seeds) -> list[tuple[int, int]]:
-    """PCG64's (state, inc) after default_rng(s) for every seed s in [0, 2**64).
+def pcg64_states(seeds: np.ndarray) -> list[tuple[int, int]]:
+    """PCG64's (state, inc) after default_rng(s) for every s of a 1-D uint64
+    array, such as xor_seeds returns.
 
     PCG64 takes the 128-bit seed s and stream sequence q from the four words
     of its SeedSequence, sets inc = 2q + 1 and state = (inc + s) * M + inc.
     """
-    if isinstance(seeds, np.ndarray) and seeds.dtype.kind in "iu":
-        if seeds.size and seeds.min() < 0:
-            raise ContractViolation("seeds must lie in [0, 2**64)")
-        seeds = seeds.astype(np.uint64).ravel()
-    else:
-        seeds = np.array([check_seed(s) for s in seeds], dtype=np.uint64)
     s_hi, s_lo, q_hi, q_lo = (w.tolist() for w in _seed_words(seeds))
     states = []
     for a, b, c, d in zip(s_hi, s_lo, q_hi, q_lo):
@@ -97,7 +92,7 @@ def pcg64_states(seeds) -> list[tuple[int, int]]:
     return states
 
 
-def row_streams(seeds):
+def row_streams(seeds: np.ndarray):
     """Yield, for each seed, one shared Generator in the state of default_rng(seed).
 
     The same Generator object is yielded every time and is reset before each
@@ -117,7 +112,7 @@ def row_streams(seeds):
         yield rng
 
 
-def standard_normal_rows(seeds, width: int) -> np.ndarray:
+def standard_normal_rows(seeds: np.ndarray, width: int) -> np.ndarray:
     """Row i of the result is default_rng(seeds[i]).standard_normal(width)."""
     rows = np.empty((len(seeds), width))
     for row, rng in zip(rows, row_streams(seeds)):

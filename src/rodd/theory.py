@@ -126,8 +126,7 @@ class AugGraph:
 class SolveOptions:
     max_iters: int = 2000
     tol: float = 1e-12
-    init: str | np.ndarray = "auto"  # auto (the mu = 0 optimum) | random | array
-    seed: int = 0
+    init: np.ndarray | None = None  # the starting F; None: the mu = 0 optimum
 
 
 @dataclass
@@ -229,19 +228,14 @@ def one_hot_targets(graph: AugGraph) -> np.ndarray:
     return targets
 
 
-def _initial_point(graph, d, opts):
-    init = opts.init
-    if isinstance(init, np.ndarray):
-        f0 = as_matrix(init, "init")
-        if f0.shape != (graph.n, d):
-            raise ContractViolation(f"init shape {f0.shape} != ({graph.n}, {d})")
-        return f0.copy()
-    if init == "auto":
+def _initial_point(graph, d, init):
+    """A copy of init, which must be n x d, or the mu = 0 optimum when it is None."""
+    if init is None:
         return _clipped_top(*sym_eig(graph.adjacency), d)
-    if init == "random":
-        rng = np.random.default_rng(opts.seed)
-        return 0.01 * rng.standard_normal((graph.n, d))
-    raise ContractViolation(f"unknown init {init!r}")
+    f0 = as_matrix(init, "init")
+    if f0.shape != (graph.n, d):
+        raise ContractViolation(f"init shape {f0.shape} != ({graph.n}, {d})")
+    return f0.copy()
 
 
 def line_quartic(adjacency, f, direction, ell: int, mu: float, grad):
@@ -479,13 +473,13 @@ def solve_joint(
         M = 4 F^T F + 2 mu E E^T + _DAMPING (tr M / d) I,
 
     the part of the Hessian that acts on F from the right.  The columns of
-    F start at (auto) or grow towards (random) eigenpairs of A whose
-    eigenvalues can differ by 100x or more (about 1 against 0.005 on three
-    classes of 16), and the mu-term curves F's first L columns with 2 mu:
-    without M the step count follows that spread.  The ridge keeps M
-    invertible when F is rank-deficient (d above the rank A needs).  A
-    singular or non-finite M raises NumericFailure; a zero gradient takes no
-    solve.
+    F start at (the default start) or grow towards (a small random start)
+    eigenpairs of A whose eigenvalues can differ by 100x or more (about 1
+    against 0.005 on three classes of 16), and the mu-term curves F's first
+    L columns with 2 mu: without M the step count follows that spread.  The
+    ridge keeps M invertible when F is rank-deficient (d above the rank A
+    needs).  A singular or non-finite M raises NumericFailure; a zero
+    gradient takes no solve.
 
     ||A - F F^T||^2 does not change under F -> FQ with Q orthogonal, so only
     the mu-term curves those directions, and at small mu CG crawls along
@@ -512,7 +506,7 @@ def solve_joint(
     targets = one_hot_targets(graph)
     ell = targets.shape[1]
     a = graph.adjacency
-    f = _initial_point(graph, d, opts)
+    f = _initial_point(graph, d, opts.init)
     gauge = _gauge_step(d, ell) if mu > 0.0 else None
     fixed = np.diag(np.where(np.arange(d) < ell, 2.0 * mu, 0.0))  # 2 mu E E^T
     loss, grad = joint_loss_and_grad(a, f, targets, mu)
@@ -654,7 +648,7 @@ def mu_sweep(
         raise ContractViolation("mu values must be sorted ascending")
     opts = opts or SolveOptions()
     _check_rank(graph, d)
-    init = _initial_point(graph, d, opts)
+    init = _initial_point(graph, d, opts.init)
     rows = []
     passing = []
     reports = {}

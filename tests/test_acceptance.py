@@ -15,6 +15,7 @@ import pytest
 
 from gradcheck import grad_check
 from ood_probes import uncertainty_score
+from solver_starts import random_start
 from rodd import contrastive, encoder, metrics, ood, theory
 from rodd.cli import run
 from rodd.data import read_cifar_binary, read_features, write_features
@@ -164,25 +165,23 @@ def test_criterion_03_closed_form_vs_iterative():
     # Rank-two PSD blocks at N = 30 truncated below their total rank, so the
     # optimum value is a strictly positive eigenvalue tail.
     graph_a = rank_two_block_graph([12, 10, 8], eps=0.2, seed=4)
-    instances.append(("closed-form init d=3", graph_a, 3, "auto"))
+    instances.append(("closed-form init d=3", graph_a, 3, None))
 
     graph_b = rank_two_block_graph([16, 14], eps=0.2, seed=5)
-    instances.append(("random init d=2", graph_b, 2, "random"))
+    instances.append(("random init d=2", graph_b, 2, random_start))
 
     all_ok = True
     details = []
-    for name, graph, d, init in instances:
+    for name, graph, d, start in instances:
         lam, _ = sym_eig(graph.adjacency)
         optimum = float((lam[d:] ** 2).sum())
         budget = 1e-6 * float((lam**2).sum())
         started = time.perf_counter()
         best = math.inf
         for attempt in range(5):
+            init = None if start is None else start(graph, d, attempt)
             result = theory.solve_joint(
-                graph,
-                d,
-                0.0,
-                theory.SolveOptions(init=init, seed=attempt, max_iters=8000),
+                graph, d, 0.0, theory.SolveOptions(init=init, max_iters=8000)
             )
             best = min(best, result.loss_trace[-1])
             if best <= optimum + budget:
@@ -209,7 +208,7 @@ def test_criterion_04_tail_bounds():
             [8, 6, 5], delta, 0.0, seed=21, normalization="unit-spectral-per-block"
         )
         result = theory.solve_joint(
-            graph, graph.n, 1e-4, theory.SolveOptions(seed=2, max_iters=6000)
+            graph, graph.n, 1e-4, theory.SolveOptions(max_iters=6000)
         )
         report = theory.verify_lemma(graph, result, tol=1e-8)
         bound2, bound4 = theory.lemma_bounds(delta)
@@ -244,7 +243,7 @@ def test_criterion_05_mu_sweep_prefix():
     )
     sweep, _ = theory.mu_sweep(
         graph, graph.n, [1e-6, 1e-4, 1e-2, 1.0, 100.0],
-        theory.SolveOptions(seed=3, max_iters=6000),
+        theory.SolveOptions(max_iters=6000),
     )
     rows = sweep["rows"]
     prefix_nonempty = rows[0]["lemma_pass"]

@@ -78,7 +78,7 @@ def test_severity_sweep_records_corruption_time(tracing):
     from rodd import corruptions
 
     inputs = np.random.default_rng(1).uniform(0.0, 1.0, size=(200, 16))
-    dataset = Dataset(inputs, None, 0)
+    dataset = Dataset(inputs)
     tracer = tracing.Tracer()
     tracer.install()
     try:

@@ -202,7 +202,7 @@ class TestPipeline:
         written = json.loads((out / "run.json").read_text())["runs"][-1]["artifacts"]
         assert written == [str(out / name) for name in names]
         feats, labels = read_features(out / f"{source}.feat")
-        clean = Dataset(feats, labels, 3 if labels is not None else 0)
+        clean = Dataset(feats, labels)
         sweep = corruptions.severity_sweep(clean, "gaussian_noise", (1, 3), 3)
         for name, (_, corrupted) in zip(names, sweep, strict=True):
             expected = tmp_path / name
@@ -387,7 +387,7 @@ class TestMechanismsFollowTheirMagnitudes:
     @staticmethod
     def id_train(out):
         feats, labels = read_features(out / "id_train.feat")
-        return Dataset(feats, labels, 3)
+        return Dataset(feats, labels)
 
     @staticmethod
     def small_model():
@@ -1009,10 +1009,16 @@ class TestMalformedArtifacts:
             ("no_layers", "checkpoint has no layers"),
             ("unchained_widths", "layer 1 is 15x12, but layer 0 outputs 16"),
             ("projection_too_tall", "class projection is 7x3, but the last layer outputs 6"),
+            ("no_class_columns", "class projection is 6x0, it has no class columns"),
+            ("nan_weight", "non-finite layer 0 weights"),
+            ("negative_bn_var", "batch-norm running variance -1.0 is negative"),
+            ("nan_bn_var", "non-finite batch-norm scale, mean or variance"),
         ],
     )
     def test_checkpoint_layer_shapes(self, tmp_path, small_config, pipeline_dir, capsys, case,
                                      message):
+        # A checkpoint no train stage writes: every stage that loads it
+        # stops on reading it, before the model computes anything.
         out = tmp_path / "run"
         shutil.copytree(pipeline_dir, out)
         path = out / "model.ckpt"
@@ -1021,13 +1027,22 @@ class TestMalformedArtifacts:
             model.layers = []
         elif case == "unchained_widths":
             model.layers[1].weight = np.zeros((15, 12))
-        else:
+        elif case == "projection_too_tall":
             model.class_proj = np.zeros((7, 3))
             model.sharpen_w = np.zeros(7)
+        elif case == "no_class_columns":
+            model.class_proj = np.zeros((6, 0))
+        elif case == "nan_weight":
+            model.layers[0].weight[0, 0] = np.nan
+        else:
+            model.bn_var = -1.0 if case == "negative_bn_var" else float("nan")
         save_model(path, model)
-        capsys.readouterr()
-        assert run(["fit", "--config", str(small_config), "--out", str(out)]) == 1
-        assert capsys.readouterr().err == f"error: {path}: {message}\n"
+        msp = tmp_path / "msp.cfg"
+        msp.write_text(SMALL_CFG.replace("tpr_target = 0.95", "tpr_target = 0.95\nmethod = msp"))
+        for command, config in (("fit", small_config), ("eval", small_config), ("eval", msp)):
+            capsys.readouterr()
+            assert run([command, "--config", str(config), "--out", str(out)]) == 1
+            assert capsys.readouterr().err == f"error: {path}: {message}\n"
 
 
 SHIPPED_THEORY_CFG = Path(__file__).parents[1] / "configs" / "theory.cfg"
@@ -1076,7 +1091,7 @@ class TestVerifyTheory:
         assert run(["verify-theory", "--config", str(cfg), "--out", str(out)]) == 0
         payload = json.loads((out / "theory_report.json").read_text())
         graph = theory.build_adjacency([5, 4], 0.05, 0.0, 11, "unit-spectral-per-block")
-        opts = theory.SolveOptions(max_iters=3000, seed=11)
+        opts = theory.SolveOptions(max_iters=3000)
         listed = [m for m in (1e-6, 1e-4, 1e-2) if m <= mu]
         chain = listed if mu in listed else [mu]
         init = opts.init

@@ -201,7 +201,7 @@ class TestAdversarialPerturb:
 
 class TestPretrain:
     def test_one_row_trains_and_batch_size_zero_is_rejected(self):
-        ds = Dataset(synth_gaussian_mixture(2, 20, 4, 3.0, 0.3, seed=0).inputs[:1], None, 0)
+        ds = Dataset(synth_gaussian_mixture(2, 20, 4, 3.0, 0.3, seed=0).inputs[:1])
         model = build_model(4, 2, hidden_sizes=(6,), feature_dim=3, seed=5)
         _, history = pretrain(model, ds, PretrainConfig(epochs=2, batch_size=1, seed=0))
         assert len(history) == 2

@@ -93,7 +93,7 @@ class TestSeverityTables:
 class TestCorruptDataset:
     def make_dataset(self):
         rng = np.random.default_rng(11)
-        return Dataset(rng.uniform(0.1, 0.9, size=(20, 30)), rng.integers(0, 2, 20), 2)
+        return Dataset(rng.uniform(0.1, 0.9, size=(20, 30)), rng.integers(0, 2, 20))
 
     def test_same_spec_twice_identical(self):
         ds = self.make_dataset()
@@ -124,7 +124,7 @@ class TestCorruptDataset:
         rng = np.random.default_rng(12)
         inputs = rng.uniform(0.0, 1.0, size=(23, 17))
         inputs[0, :2] = [0.0, 1.0]
-        ds = Dataset(inputs, None, 0)
+        ds = Dataset(inputs)
         for severity in range(1, 6):
             spec = CorruptionSpec(kind, severity, 1234)
             out = corrupt_dataset(ds, spec)
@@ -139,7 +139,7 @@ class TestCorruptDataset:
     def test_seed_beyond_32_bits_matches_per_row(self, kind, seed):
         inputs = np.random.default_rng(13).uniform(0.0, 1.0, size=(9, 40))
         for severity in (1, 5):
-            out = corrupt_dataset(Dataset(inputs, None, 0), CorruptionSpec(kind, severity, seed))
+            out = corrupt_dataset(Dataset(inputs), CorruptionSpec(kind, severity, seed))
             rows = [
                 apply_corruption(inputs[i], CorruptionSpec(kind, severity, seed ^ i))
                 for i in range(inputs.shape[0])
@@ -168,7 +168,7 @@ class TestSeveritySweep:
         rng = np.random.default_rng(14)
         inputs = rng.uniform(0.0, 1.0, size=(21, 26))
         inputs[0, :2] = [0.0, 1.0]
-        return Dataset(inputs, rng.integers(0, 3, 21), 3)
+        return Dataset(inputs, rng.integers(0, 3, 21))
 
     @pytest.mark.parametrize("kind", KINDS)
     @pytest.mark.parametrize("seed", [0, 2**64 - 1])

@@ -190,12 +190,17 @@ class TestArtifactCodec:
 
 class TestDataset:
     def test_label_range_checked(self):
-        with pytest.raises(ContractViolation):
-            Dataset(np.ones((2, 2)), np.array([0, 3]), class_count=2)
+        with pytest.raises(ContractViolation, match="labels must be nonnegative"):
+            Dataset(np.ones((2, 2)), np.array([0, -1]))
 
     def test_empty_rejected(self):
         with pytest.raises(ContractViolation):
-            Dataset(np.ones((0, 2)), None, 0)
+            Dataset(np.ones((0, 2)))
+
+    def test_class_count_is_the_largest_label_plus_one(self):
+        assert Dataset(np.ones((3, 2)), np.array([2, 0, 2])).class_count == 3
+        assert Dataset(np.ones((1, 2)), np.array([0])).class_count == 1
+        assert Dataset(np.ones((3, 2))).class_count == 0
 
 
 class TestConfigParser:
@@ -452,7 +457,7 @@ NO_LIBRARY_DEFAULT = {
     "train.epochs", "pretrain.epochs",
     *(key for key in CONFIG if key.split(".")[0] in ("synth", "corruption")),
     "theory.class_sizes", "theory.delta", "theory.eta", "theory.d", "theory.mu",
-    "theory.mu_values", "theory.lr", "ood.mode", "ood.target", "eval.method",
+    "theory.mu_values", "theory.lr", "theory.seed", "ood.mode", "ood.target", "eval.method",
 }
 
 

@@ -368,14 +368,14 @@ class TestTrain:
         assert runs[0] != runs[1]
 
     def test_rejects_unlabeled(self):
-        ds = Dataset(np.ones((4, 2)), None, 0)
+        ds = Dataset(np.ones((4, 2)))
         model = build_model(2, 2, hidden_sizes=(8,), feature_dim=4, seed=0)
         with pytest.raises(ContractViolation):
             train(model, ds, TrainConfig(epochs=1))
 
     def test_rejects_empty_class(self):
-        ds = Dataset(np.ones((4, 2)), np.zeros(4, dtype=int), 2)
-        model = build_model(2, 2, hidden_sizes=(8,), feature_dim=4, seed=0)
+        ds = Dataset(np.ones((4, 2)), np.array([0, 0, 2, 2]))
+        model = build_model(2, 3, hidden_sizes=(8,), feature_dim=4, seed=0)
         with pytest.raises(ContractViolation, match="class 1"):
             train(model, ds, TrainConfig(epochs=1))
 
@@ -383,7 +383,7 @@ class TestTrain:
     def test_rejects_a_run_without_a_step(self, labels, batch_size):
         # Batch statistics need two rows: one row, or batches of one, would
         # leave every epoch without a step and its loss NaN.
-        ds = Dataset(np.arange(2.0 * len(labels)).reshape(-1, 2), labels, max(labels) + 1)
+        ds = Dataset(np.arange(2.0 * len(labels)).reshape(-1, 2), labels)
         model = build_model(2, ds.class_count, hidden_sizes=(8,), feature_dim=4, seed=0)
         with pytest.raises(ContractViolation, match="at least 2 rows and a batch_size of at least 2"):
             train(model, ds, TrainConfig(epochs=1, batch_size=batch_size))

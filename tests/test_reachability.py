@@ -1,6 +1,7 @@
 """Every function defined in src/rodd must be reached by a CLI stage, or be
 named here with its reason: the function-level twin of
-test_bench_configs.py's audit of config keys.
+test_bench_configs.py's audit of config keys.  Every name a module imports
+must be read by it, too.
 
 The test runs every stage under a profiler on two small variants of
 configs/demo.cfg, plus verify-theory on configs/theory.cfg, and collects the
@@ -125,3 +126,40 @@ def test_every_function_is_reached_or_named(tmp_path):
     defined = defined_functions()
     assert set(UNREACHED) <= set(defined.values())
     assert {name for key, name in defined.items() if key not in reached} == set(UNREACHED)
+
+
+def unread_imports(source: str) -> list[str]:
+    """The names source imports and never reads, outside __future__ imports
+    and the names it lists in __all__, each as 'line: name'."""
+    tree = ast.parse(source)
+    imported, read, exported = {}, set(), set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                imported[alias.asname or alias.name.partition(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                imported[alias.asname or alias.name] = node.lineno
+        elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            read.add(node.id)
+        elif isinstance(node, ast.Assign) and any(
+            isinstance(target, ast.Name) and target.id == "__all__" for target in node.targets
+        ):
+            exported.update(ast.literal_eval(node.value))
+    return [f"{line}: {name}" for name, line in imported.items() if name not in read | exported]
+
+
+def test_unread_imports_are_found():
+    source = (
+        "from __future__ import annotations\nimport os.path\nimport numpy as np\n"
+        "from .a import b, c as d, e\n__all__ = ['e']\nx = np.zeros(1)\nd()\n"
+    )
+    assert unread_imports(source) == ["2: os", "4: b"]
+
+
+def test_every_import_is_read():
+    unread = [
+        f"{path.name}:{entry}" for path in sorted(SRC.glob("*.py"))
+        for entry in unread_imports(path.read_text(encoding="utf-8"))
+    ]
+    assert unread == []

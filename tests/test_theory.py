@@ -12,6 +12,7 @@ import pytest
 import theory_audit
 from cg_oracle import cg_solve
 from gd_oracle import gd_solve
+from solver_starts import random_start
 from rodd import theory
 from rodd.cli import run
 from rodd.data import parse_config_file
@@ -138,8 +139,8 @@ class TestBuildAdjacency:
 
 
 def closed_form(graph, d):
-    """The auto start: the rank-d minimizer of ||A - F F^T||^2."""
-    return _initial_point(graph, d, SolveOptions())
+    """The default start: the rank-d minimizer of ||A - F F^T||^2."""
+    return _initial_point(graph, d, None)
 
 
 class TestClosedForm:
@@ -176,8 +177,8 @@ class TestClosedForm:
 
 
 class TestAutoStart:
-    """init="auto" starts at the mu = 0 optimum: A's top-d eigenpairs with
-    negative eigenvalues clipped to zero, on every symmetric A."""
+    """The automatic start, init=None, is the mu = 0 optimum: A's top-d
+    eigenpairs with negative eigenvalues clipped to zero, on every symmetric A."""
 
     @pytest.mark.parametrize("graph", [
         build_adjacency([16, 16, 16], 0.05, 0.0, 1),
@@ -188,7 +189,7 @@ class TestAutoStart:
         lam, _ = sym_eig(a)
         assert lam.min() < -1e-10
         for d in sorted({1, min(12, graph.n), graph.n}):
-            f = _initial_point(graph, d, SolveOptions())
+            f = closed_form(graph, d)
             loss = float(np.vdot(a - f @ f.T, a - f @ f.T))
             # ||A||^2 - sum_{i<=d} max(lam_i, 0)^2, summed without its cancellation.
             optimum = float((lam[d:] ** 2).sum() + (np.minimum(lam[:d], 0.0) ** 2).sum())
@@ -206,7 +207,7 @@ class TestAutoStart:
             lam, _ = sym_eig(graph.adjacency)
             assert lam.min() >= -1e-10
             for d in (1, 2, graph.n):
-                start = _initial_point(graph, d, SolveOptions())
+                start = closed_form(graph, d)
                 gram = np.diag(np.clip(lam[:d], 0.0, None))
                 assert np.abs(start.T @ start - gram).max() <= 1e-12 * lam[0]
             assert np.abs(start @ start.T - graph.adjacency).max() <= 1e-12 * lam[0]
@@ -217,7 +218,7 @@ class TestSolveJoint:
         graph, d, targets = graph_d_targets([4, 3], 0.0, 0.0, seed=8)
         lam, _ = sym_eig(graph.adjacency)
         optimum = float((lam[graph.n :] ** 2).sum())
-        result = solve_joint(graph, d, 0.0, SolveOptions(init="auto"))
+        result = solve_joint(graph, d, 0.0, SolveOptions())
         assert result.loss_trace[-1] <= optimum + 1e-9
 
     def test_zero_adjacency_beats_naive_point(self):
@@ -226,7 +227,7 @@ class TestSolveJoint:
         targets = one_hot_targets(graph)
         naive = np.hstack([targets, np.zeros((n, 1))])  # F E = Y at d = 3
         naive_loss, _ = joint_loss_and_grad(graph.adjacency, naive, targets, 1.0)
-        result = solve_joint(graph, 3, 1.0, SolveOptions(init="random", seed=3))
+        result = solve_joint(graph, 3, 1.0, SolveOptions(init=random_start(graph, 3, 3)))
         assert result.loss_trace[-1] <= naive_loss
 
     def test_delta_zero_blocks_become_rank_one(self):
@@ -240,19 +241,19 @@ class TestSolveJoint:
     def test_stopping_at_the_cap_is_not_converged(self):
         graph, d, targets = graph_d_targets([4, 4], 0.1, 0.0, seed=10, d=6)
         capped = solve_joint(
-            graph, d, 0.01, SolveOptions(init="random", seed=1, max_iters=3)
+            graph, d, 0.01, SolveOptions(init=random_start(graph, d, 1), max_iters=3)
         )
         assert capped.iterations == 3 == len(capped.loss_trace) - 1
         assert capped.converged is False
         loose = solve_joint(
-            graph, d, 0.01, SolveOptions(init="random", seed=1, tol=1.0)
+            graph, d, 0.01, SolveOptions(init=random_start(graph, d, 1), tol=1.0)
         )
         assert loose.iterations == 1
         assert loose.converged is True
 
     def test_trace_nonincreasing(self):
         graph, d, targets = graph_d_targets([4, 4], 0.1, 0.0, seed=10, d=6)
-        result = solve_joint(graph, d, 0.01, SolveOptions(init="random", seed=1))
+        result = solve_joint(graph, d, 0.01, SolveOptions(init=random_start(graph, d, 1)))
         trace = np.array(result.loss_trace)
         slack = 1e-12 * np.maximum(1.0, np.abs(trace[:-1]))
         assert np.all(np.diff(trace) <= slack)
@@ -326,7 +327,7 @@ class TestSolveJoint:
                 graph,
                 2,
                 0.0,
-                SolveOptions(init="random", seed=attempt, max_iters=8000),
+                SolveOptions(init=random_start(graph, 2, attempt), max_iters=8000),
             )
             best = min(best, result.loss_trace[-1])
             if best <= optimum + budget:
@@ -335,7 +336,7 @@ class TestSolveJoint:
 
     def test_grad_norm_is_the_gradient_at_the_result(self):
         graph, d, targets = graph_d_targets([4, 4], 0.1, 0.0, seed=10, d=6)
-        for opts in (SolveOptions(init="random", seed=1), SolveOptions(max_iters=5)):
+        for opts in (SolveOptions(init=random_start(graph, d, 1)), SolveOptions(max_iters=5)):
             result = solve_joint(graph, d, 0.01, opts)
             _, grad = joint_loss_and_grad(graph.adjacency, result.f_star, targets, 0.01)
             assert result.grad_norm == pytest.approx(float(np.linalg.norm(grad)), rel=1e-12)
@@ -358,9 +359,8 @@ class TestSolveJoint:
         graph, d, targets = graph_d_targets([3, 3], 0.0, 0.0, seed=14)
         with pytest.raises(ContractViolation):
             solve_joint(graph, d, -1.0)
-        for init in ("magic", "closed-form"):  # auto takes the closed form on a PSD graph
-            with pytest.raises(ContractViolation, match=f"unknown init '{init}'"):
-                solve_joint(graph, d, 0.0, SolveOptions(init=init))
+        with pytest.raises(ContractViolation, match=r"init shape \(6, 5\) != \(6, 6\)"):
+            solve_joint(graph, d, 0.0, SolveOptions(init=np.zeros((6, 5))))
 
     @pytest.mark.parametrize("delta", [0.0, 0.05])
     def test_d_outside_one_to_n_is_a_contract_error(self, delta):
@@ -412,7 +412,9 @@ class TestVerifyLemma:
         graph, d, targets = graph_d_targets(
             [4, 3], 0.0, 0.0, seed=15, normalization="unit-spectral-per-block"
         )
-        capped = solve_joint(graph, d, 1e-4, SolveOptions(init="random", max_iters=2))
+        capped = solve_joint(
+            graph, d, 1e-4, SolveOptions(init=random_start(graph, d, 0), max_iters=2)
+        )
         assert not capped.converged
         report = verify_lemma(graph, capped, tol=math.inf)  # every tail "within"
         assert report["pass"] is False
@@ -434,7 +436,7 @@ class TestVerifyLemma:
 
 def _solved(sizes, delta, seed):
     graph = build_adjacency(sizes, delta, 0.0, seed, "unit-spectral-per-block")
-    result = solve_joint(graph, graph.n, 1e-4, SolveOptions(seed=seed))
+    result = solve_joint(graph, graph.n, 1e-4, SolveOptions())
     return graph, result
 
 
@@ -477,7 +479,7 @@ class TestMuSweep:
             [4, 3], 0.0, 0.0, seed=18, normalization="unit-spectral-per-block"
         )
         sweep, _ = mu_sweep(
-            graph, d, [1e-4, 1.0], SolveOptions(init="random", max_iters=2)
+            graph, d, [1e-4, 1.0], SolveOptions(init=random_start(graph, d, 0), max_iters=2)
         )
         assert [row["converged"] for row in sweep["rows"]] == [False, False]
         assert [row["lemma_pass"] for row in sweep["rows"]] == [False, False]
@@ -495,7 +497,7 @@ class TestMuSweep:
         (sweep, _), solves = _sweep_recording_solves(graph, d, MUS, SolveOptions())
         assert [mu for mu, _, _ in solves] == MUS
         starts = [init for _, init, _ in solves]
-        assert starts[0].tobytes() == _initial_point(graph, d, SolveOptions()).tobytes()
+        assert starts[0].tobytes() == closed_form(graph, d).tobytes()
         for start, (_, _, previous) in zip(starts[1:], solves):
             assert start.tobytes() == previous.f_star.tobytes()
         assert [row["iterations"] for row in sweep["rows"]] == [r.iterations for *_, r in solves]
@@ -521,11 +523,11 @@ class TestMuSweep:
         # Of theory.seed 0-299 at theory-scale's shape, seed 222 ends
         # furthest above its cold solve: 2.4e-11 relative, at mu = 1.
         if problem == "theory.cfg":
-            graph, d, mu_values, max_iters, seed = _theory_cfg_problem()
+            graph, d, mu_values, max_iters = _theory_cfg_problem()
         else:
             graph, d = _scale_problem(problem)
-            mu_values, max_iters, seed = MUS, 4000, problem
-        opts = SolveOptions(max_iters=max_iters, seed=seed)
+            mu_values, max_iters = MUS, 4000
+        opts = SolveOptions(max_iters=max_iters)
         (sweep, _), solves = _sweep_recording_solves(graph, d, mu_values, opts)
         for row, (mu, _, warm) in zip(sweep["rows"], solves, strict=True):
             cold = solve_joint(graph, d, mu, opts)
@@ -535,14 +537,16 @@ class TestMuSweep:
             assert warm.loss_trace[-1] - cold_loss <= 1e-10 * max(1.0, abs(cold_loss))
 
     def test_eigenpair_start_keeps_the_random_starts_verdicts(self):
-        # Theory-scale's shape at seeds 0-9: the sweep from the auto start
+        # Theory-scale's shape at seeds 0-9: the sweep from the default start
         # converges and passes at every mu, and ends no higher than the
         # sweep from a 0.01-scale random start.
         for seed in range(10):
             graph, d = _scale_problem(seed)
-            opts = SolveOptions(max_iters=4000, seed=seed)
+            opts = SolveOptions(max_iters=4000)
             (sweep, _), solves = _sweep_recording_solves(graph, d, MUS, opts)
-            _, random = _sweep_recording_solves(graph, d, MUS, replace(opts, init="random"))
+            _, random = _sweep_recording_solves(
+                graph, d, MUS, replace(opts, init=random_start(graph, d, seed))
+            )
             for row, (mu, _, auto), (_, _, other) in zip(sweep["rows"], solves, random, strict=True):
                 assert row["converged"] and row["lemma_pass"], f"seed={seed}, mu={mu}"
                 other_loss = other.loss_trace[-1]
@@ -621,10 +625,10 @@ class TestLineSearch:
             _quartic_argmin(-1.0, 1e120, 0.0, 1.0)
 
 
-def _oracle_gap(graph, d, mu, max_iters, seed):
+def _oracle_gap(graph, d, mu, max_iters):
     """(solve_joint's final loss, the gradient-descent oracle's) from one init."""
     targets = one_hot_targets(graph)
-    f0 = _initial_point(graph, d, SolveOptions(seed=seed))
+    f0 = closed_form(graph, d)
     result = solve_joint(graph, d, mu, SolveOptions(max_iters=max_iters, init=f0))
     _, trace = gd_solve(graph.adjacency, f0, targets, mu, max_iters)
     return result.loss_trace[-1], trace[-1]
@@ -632,20 +636,20 @@ def _oracle_gap(graph, d, mu, max_iters, seed):
 
 class TestAgainstGradientDescent:
     def test_shipped_theory_config(self):
-        graph, d, mu_values, max_iters, seed = _theory_cfg_problem()
+        graph, d, mu_values, max_iters = _theory_cfg_problem()
         assert parse_config_file(THEORY_CFG)[0].get("theory.mu") in mu_values
         for mu in mu_values:
-            ours, oracle = _oracle_gap(graph, d, mu, max_iters, seed)
+            ours, oracle = _oracle_gap(graph, d, mu, max_iters)
             assert ours <= oracle, f"mu={mu}: {ours} > {oracle}"
 
     def test_three_classes_of_sixteen(self):
         graph = build_adjacency([16, 16, 16], 0.05, 0.0, 5, "unit-spectral-per-block")
-        ours, oracle = _oracle_gap(graph, 12, 1e-4, 4000, 5)
+        ours, oracle = _oracle_gap(graph, 12, 1e-4, 4000)
         assert ours <= oracle
 
 
 def _theory_cfg_problem():
-    """(graph, d, mu values, max_iters, seed) of configs/theory.cfg."""
+    """(graph, d, mu values, max_iters) of configs/theory.cfg."""
     cfg, _ = parse_config_file(THEORY_CFG)
     seed = cfg.get("theory.seed")
     sizes = cfg.get("theory.class_sizes")
@@ -654,7 +658,7 @@ def _theory_cfg_problem():
         cfg.get("theory.normalization"),
     )
     mu_values = cfg.get("theory.mu_values")
-    return graph, cfg.get("theory.d"), mu_values, cfg.get("theory.max_iters"), seed
+    return graph, cfg.get("theory.d"), mu_values, cfg.get("theory.max_iters")
 
 
 def _mu_term(f, targets):
@@ -699,11 +703,11 @@ class TestGaugeStep:
     def test_rotation_keeps_factorization_and_never_raises_mu_term(self):
         # Random points far from gauge-fixed exercise the long-step and
         # majorization branches; points just off a solution the Newton one.
-        graph, d, mu_values, _, seed = _theory_cfg_problem()
+        graph, d, mu_values, _ = _theory_cfg_problem()
         targets = one_hot_targets(graph)
         a = graph.adjacency
         gauge = _GaugeStep(d, targets.shape[1])
-        solved = solve_joint(graph, d, 1e-4, SolveOptions(seed=seed)).f_star
+        solved = solve_joint(graph, d, 1e-4, SolveOptions()).f_star
         rng = np.random.default_rng(51)
         points = [rng.standard_normal(solved.shape) * s for s in (0.1, 1.0, 3.0)]
         points += [solved + 1e-3 * rng.standard_normal(solved.shape) for _ in range(3)]
@@ -726,12 +730,12 @@ class TestGaugeStep:
             assert gauge.rotation(overflowed, targets) is None  # left to the loss check
 
     def test_result_is_rotation_stationary(self):
-        graph, d, mu_values, max_iters, seed = _theory_cfg_problem()
+        graph, d, mu_values, max_iters = _theory_cfg_problem()
         targets = one_hot_targets(graph)
         ell = targets.shape[1]
         for mu in mu_values:
             f = solve_joint(
-                graph, d, mu, SolveOptions(max_iters=max_iters, seed=seed)
+                graph, d, mu, SolveOptions(max_iters=max_iters)
             ).f_star
             moment = np.zeros((d, d))  # F^T (F E - Y) E^T
             moment[:, :ell] = f.T @ (f[:, :ell] - targets)
@@ -741,12 +745,12 @@ class TestGaugeStep:
     def test_reflects_a_column_that_points_away_from_its_target(self):
         # Negating a W-column keeps F F^T but raises the mu-term by
         # 4 |<F_j, Y_j>|; one rotation must flip it back.
-        graph, d, mu_values, max_iters, seed = _theory_cfg_problem()
+        graph, d, mu_values, max_iters = _theory_cfg_problem()
         targets = one_hot_targets(graph)
         a = graph.adjacency
         gauge = _GaugeStep(d, targets.shape[1])
         solved = solve_joint(
-            graph, d, 1e-4, SolveOptions(max_iters=max_iters, seed=seed)
+            graph, d, 1e-4, SolveOptions(max_iters=max_iters)
         ).f_star
         flipped = solved.copy()
         flipped[:, 1] *= -1.0
@@ -774,8 +778,8 @@ class TestGaugeStep:
     def test_cached_step_solves_as_a_fresh_one(self, monkeypatch):
         # Every solve of a sweep shares the cached step; one fresh _GaugeStep
         # per solve must give the same bits.
-        graph, d, mu_values, max_iters, seed = _theory_cfg_problem()
-        opts = SolveOptions(max_iters=max_iters, seed=seed)
+        graph, d, mu_values, max_iters = _theory_cfg_problem()
+        opts = SolveOptions(max_iters=max_iters)
         solve = theory.solve_joint
 
         def sweep_and_results():
@@ -813,7 +817,7 @@ class TestGaugeStep:
         monkeypatch.setattr(_GaugeStep, "__init__", refuse)
         monkeypatch.setattr(theory, "_gauge_step", refuse)  # a cached step counts too
         graph, d, targets = graph_d_targets([5, 4], 0.05, 0.0, seed=52, d=6)
-        f0 = _initial_point(graph, d, SolveOptions(init="random", seed=52))
+        f0 = random_start(graph, d, 52)
         result = solve_joint(graph, d, 0.0, SolveOptions(init=f0))
         _, trace, _ = cg_solve(graph.adjacency, f0, targets, 0.0, 2000)
         assert result.converged
@@ -825,9 +829,9 @@ class TestAgainstConjugateGradient:
     ends no higher than the plain CG loop from the same start."""
 
     @staticmethod
-    def _check(graph, d, mu_values, max_iters, seed, init="auto"):
+    def _check(graph, d, mu_values, max_iters, f0=None):
         targets = one_hot_targets(graph)
-        f0 = _initial_point(graph, d, SolveOptions(init=init, seed=seed))
+        f0 = closed_form(graph, d) if f0 is None else f0
         for mu in mu_values:
             result = solve_joint(
                 graph, d, mu, SolveOptions(max_iters=max_iters, init=f0)
@@ -841,15 +845,15 @@ class TestAgainstConjugateGradient:
 
     def test_three_classes_of_sixteen(self):
         graph = build_adjacency([16, 16, 16], 0.05, 0.0, 5, "unit-spectral-per-block")
-        self._check(graph, 12, [1e-6, 1e-4, 1e-2, 1.0, 100.0], 4000, 5)
+        self._check(graph, 12, [1e-6, 1e-4, 1e-2, 1.0, 100.0], 4000)
 
     def test_ill_conditioned_mu_100(self):
         # The fourth problem of the theory-scale benchmark at seed 14: from a
         # random start and without the preconditioner, its mu = 100 solve
-        # stops at the 4000-step cap.  From the auto start it does not.
+        # stops at the 4000-step cap.  From the default start it does not.
         seed = int(np.random.SeedSequence(14).generate_state(8)[3])
         graph = build_adjacency([16, 16, 16], 0.05, 0.0, seed, "unit-spectral-per-block")
-        self._check(graph, 12, [1e-6, 1e-4, 1e-2, 1.0, 100.0], 4000, seed, init="random")
+        self._check(graph, 12, MUS, 4000, random_start(graph, 12, seed))
 
 
 class TestAudit:
